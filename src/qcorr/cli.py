@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"qcorr: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (StepRejected, CrossCheckFailure) as exc:
+    except (StepRejected, CrossCheckFailure, np.linalg.LinAlgError) as exc:
         print(f"qcorr: run failed: {exc}", file=sys.stderr)
         return 3
 

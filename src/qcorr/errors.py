@@ -25,10 +25,6 @@ class DegenerateParams(ValueError):
     """Parameter combination without a unique answer (e.g. gamma = 0 steady state)."""
 
 
-class ConvergenceFailure(RuntimeError):
-    """Iterative scheme exhausted its sweep budget."""
-
-
 class CrossCheckFailure(RuntimeError):
     """Closed-form and general-definition routes disagree beyond tolerance."""
 

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for the small Hermitian matrices used here.
 
-All operations target exact sizes (2x2, 3x3, 4x4). The eigensolver is a
-cyclic complex Jacobi iteration: at these sizes it is robust, needs no
-library beyond numpy, and its sweep budget gives a hard failure mode
-instead of silent inaccuracy.
+All operations target exact sizes (2x2, 3x3, 4x4). Every eigenproblem goes
+through ``hermitian_eigensystem``: one LAPACK ``eigh`` call on the matrix with
+its indices reordered into the blocks of its nonzero pattern, so that
+structural zeros (the X pattern above all) survive the solve exactly.
 """
 
 from __future__ import annotations
@@ -12,13 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotHermitian, NotPSD
+from .errors import NotHermitian, NotPSD
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
-
-_JACOBI_SWEEP_BUDGET = 100
-_JACOBI_OFF_TOL = 1e-14  # relative to the Frobenius norm of the input
 
 
 @dataclass(frozen=True)
@@ -30,23 +27,41 @@ class HermitianEigensystem:
 
 
 def require_hermitian(mat, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return ``mat`` as a complex ndarray, raising NotHermitian if it is not."""
+    """Return ``mat`` as a complex ndarray, raising NotHermitian if it is not
+    Hermitian or has a non-finite entry."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    deviation = float(np.abs(mat - mat.conj().T).max())
-    if deviation > tol:
+    deviation = float(np.abs(mat - mat.conj().T).max())  # not finite if an entry is not
+    if not deviation <= tol:
+        if not np.isfinite(mat).all():
+            i, j = np.argwhere(~np.isfinite(mat))[0]
+            raise NotHermitian(f"entry ({i}, {j}) = {mat[i, j]} is not finite")
         raise NotHermitian(f"max |M - M^dag| entry = {deviation:.3e} exceeds {tol:.1e}")
     return mat
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _block_order(a: np.ndarray) -> list[int]:
+    """Index order in which every connected component of the nonzero pattern
+    of ``a`` (read symmetrically) is contiguous, ascending within a component."""
+    nonzero = (a != 0).tolist()
+    label = list(range(len(nonzero)))  # smallest index of each index's component
+    for i, row in enumerate(nonzero):
+        for j in range(i):
+            if (row[j] or nonzero[j][i]) and label[i] != label[j]:
+                lo, hi = sorted((label[i], label[j]))
+                label = [lo if lab == hi else lab for lab in label]
+    return sorted(range(len(label)), key=label.__getitem__)
 
 
 def hermitian_eigensystem(mat, tol: float = HERMITICITY_TOL) -> HermitianEigensystem:
-    """Diagonalize a Hermitian matrix with cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix with one LAPACK solve in block order.
+
+    The indices are first reordered so that every block of the exact nonzero
+    pattern is contiguous (an X state splits into {0, 3} and {1, 2}). The
+    tridiagonal reduction then never mixes two blocks, so structural zeros
+    stay exactly zero in the eigenvectors and an exactly singular block keeps
+    its exact zero eigenvalue.
 
     Parameters
     ----------
@@ -61,51 +76,14 @@ def hermitian_eigensystem(mat, tol: float = HERMITICITY_TOL) -> HermitianEigensy
         Ascending eigenvalues and orthonormal eigenvector columns, so that
         V diag(w) V^dag reconstructs the input.
     """
-    a = require_hermitian(mat, tol).copy()
+    a = require_hermitian(mat, tol)
     n = a.shape[0]
     if n not in (2, 3, 4):
         raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
-    v = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return HermitianEigensystem(np.zeros(n), v)
-
-    converged = False
-    for _ in range(_JACOBI_SWEEP_BUDGET):
-        if _offdiag_norm(a) <= _JACOBI_OFF_TOL * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= 1e-300:
-                    continue
-                phase = apq / mag
-                zeta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    # smaller-magnitude root of t^2 - 2 zeta t - 1 = 0
-                    t = -np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                g = np.eye(n, dtype=complex)
-                g[p, p] = c
-                g[q, q] = c
-                g[p, q] = -s * phase
-                g[q, p] = s * np.conj(phase)
-                a = g.conj().T @ a @ g
-                v = v @ g
-    if not converged and _offdiag_norm(a) > _JACOBI_OFF_TOL * scale:
-        raise ConvergenceFailure(
-            f"Jacobi sweep budget of {_JACOBI_SWEEP_BUDGET} exhausted "
-            f"(off-diagonal norm {_offdiag_norm(a):.3e})"
-        )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return HermitianEigensystem(w[order], np.ascontiguousarray(v[:, order]))
+    order = _block_order(a)
+    w, v = np.linalg.eigh(a.take(order, 0).take(order, 1))
+    inverse = sorted(range(n), key=order.__getitem__)
+    return HermitianEigensystem(w, v.take(inverse, 0))
 
 
 def psd_sqrt(mat, tol: float = PSD_TOL) -> np.ndarray:

@@ -186,9 +186,11 @@ def lqu(rho) -> float:
     W_ij = tr( sqrt(rho) sigma_i^(A) sqrt(rho) sigma_j^(A) ) is real symmetric;
     the result is clamped into [0, 1] against round-off.
     """
-    rho = np.asarray(rho, dtype=complex)
-    w = _w_matrix_general(psd_sqrt(rho))
-    lam_max = hermitian_eigensystem(w).eigenvalues[-1]
+    return _lqu_from_sqrt(psd_sqrt(rho))
+
+
+def _lqu_from_sqrt(sqrt_rho: np.ndarray) -> float:
+    lam_max = hermitian_eigensystem(_w_matrix_general(sqrt_rho)).eigenvalues[-1]
     return float(min(1.0, max(0.0, 1.0 - float(lam_max))))
 
 
@@ -359,10 +361,12 @@ def correlations(
         mt = min_trace(x, x_tol=x_tol)
         cc = correlated_coherence(x)
         if cross_check:
-            _cross_check("concurrence", conc, concurrence_general(rho), 1e-8)
+            sqrt_rho = psd_sqrt(rho)  # shared by the concurrence and LQU routes
+            conc_general = _concurrence_from_sqrt(rho, sqrt_rho, clamp=True)
+            _cross_check("concurrence", conc, conc_general, 1e-8)
             _cross_check("concurrence (Dicke basis)", conc, concurrence_dicke(to_dicke(x)), 1e-10)
             _cross_check("negativity", neg, negativity_trace_norm(rho), 1e-10)
-            _cross_check("lqu", unc, lqu(rho), 1e-8)
+            _cross_check("lqu", unc, _lqu_from_sqrt(sqrt_rho), 1e-8)
             _cross_check("correlated coherence", cc, correlated_coherence_general(rho), 1e-10)
             if abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) > x_tol:
                 _cross_check("min_trace", mt, min_trace_general(rho), 1e-10)

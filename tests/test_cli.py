@@ -77,6 +77,26 @@ def test_evolve_rejects_bad_config(tmp_path, capsys):
     assert "configuration error" in err
 
 
+def test_evolve_rejects_non_finite_custom_state(tmp_path, capsys):
+    text = dumps_density_matrix(make_mixture(0.5)).splitlines()
+    text[1] = "0+0i nan+0i 0+0i 0+0i"
+    state_file = tmp_path / "rho.txt"
+    state_file.write_text("\n".join(text) + "\n", encoding="utf-8")
+    assert main(["evolve", "--initial", f"custom@{state_file}", "--t-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error:") and "not finite" in err
+    assert err.count("\n") == 1
+
+
+def test_solver_failure_exits_3(monkeypatch, capsys):
+    def failing_evolve(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("qcorr.cli.evolve", failing_evolve)
+    assert main(["evolve", "--t-max", "1"]) == 3
+    assert capsys.readouterr().err.startswith("qcorr: run failed: Eigenvalues")
+
+
 def test_esd_single_value(tmp_path):
     code, text = run_cli(["esd", "--w", "0.5", "--nbar", "0"], tmp_path, "esd.txt")
     assert code == 0

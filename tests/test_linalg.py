@@ -8,12 +8,36 @@ from qcorr import (
     NotHermitian,
     NotPSD,
     hermitian_eigensystem,
+    is_x_shaped,
     make_mixture,
     partial_transpose_a,
     partial_transpose_b,
     psd_sqrt,
     trace_norm,
 )
+
+
+# (size, blocks of the nonzero pattern): the X pattern, two interleaved
+# blocks, and a 3x3 matrix with an isolated index
+BLOCK_PATTERNS = [
+    (4, [[0, 3], [1, 2]]),
+    (4, [[0, 2], [1, 3]]),
+    (3, [[0, 2], [1]]),
+]
+
+
+def random_block_hermitian(rng, n, blocks):
+    m = np.zeros((n, n), dtype=complex)
+    for b in blocks:
+        m[np.ix_(b, b)] = random_hermitian(rng, len(b))
+    return m
+
+
+def assert_block_supported(vectors, blocks):
+    """Every column is exactly zero outside one of the blocks."""
+    for col in vectors.T:
+        support = set(np.flatnonzero(col).tolist())
+        assert any(support <= set(b) for b in blocks), (support, blocks)
 
 
 def charpoly_roots_by_bisection(mat, tol=1e-12):
@@ -80,6 +104,30 @@ def test_eigensystem_reconstructs_and_is_orthonormal():
             assert np.abs(recon - m).max() <= 1e-12 * max(1.0, np.abs(m).max())
             assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
             assert np.all(np.diff(es.eigenvalues) >= -1e-15)
+    for n, blocks in BLOCK_PATTERNS:
+        for _ in range(20):
+            m = random_block_hermitian(rng, n, blocks)
+            es = hermitian_eigensystem(m)
+            v = es.eigenvectors
+            recon = (v * es.eigenvalues) @ v.conj().T
+            assert np.abs(recon - m).max() <= 1e-12 * max(1.0, np.abs(m).max())
+            assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
+            assert_block_supported(v, blocks)
+            np.testing.assert_array_equal(recon[m == 0], 0.0)
+
+
+def test_x_state_blocks_stay_exact():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        rho = random_x_state(rng).to_matrix()
+        assert_block_supported(hermitian_eigensystem(rho).eigenvectors, [[0, 3], [1, 2]])
+        assert is_x_shaped(psd_sqrt(rho), tol=0.0)
+
+
+def test_mixture_zero_eigenvalues_are_exact():
+    lam = hermitian_eigensystem(make_mixture(0.2).to_matrix()).eigenvalues
+    np.testing.assert_array_equal(lam[:2], [0.0, 0.0])
+    np.testing.assert_allclose(lam[2:], [0.2, 0.8], atol=1e-15)
 
 
 def test_not_hermitian_rejected():
@@ -87,6 +135,16 @@ def test_not_hermitian_rejected():
     m[0, 1] = 1e-6
     with pytest.raises(NotHermitian):
         hermitian_eigensystem(m)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        m = np.eye(4, dtype=complex)
+        m[2, 1] = bad
+        with pytest.raises(NotHermitian, match=r"entry \(2, 1\).*not finite"):
+            hermitian_eigensystem(m)
+
+
+def test_unsupported_size_rejected():
+    with pytest.raises(ValueError, match="sizes 2..4"):
+        hermitian_eigensystem(np.eye(5, dtype=complex))
 
 
 def test_zero_matrix():

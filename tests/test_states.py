@@ -56,6 +56,13 @@ def test_validate_hermiticity_error():
         validate(bad)
 
 
+def test_validate_rejects_non_finite_entry():
+    bad = np.eye(4, dtype=complex) / 4.0
+    bad[1, 1] = np.nan
+    with pytest.raises(NotHermitian, match="not finite"):
+        validate(bad)
+
+
 def test_is_x_shaped():
     for p in (-1.0 / 3.0, 0.0, 0.5, 1.0):
         assert is_x_shaped(make_werner(p).to_matrix())
