@@ -6,8 +6,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +37,6 @@ STEADY_COLUMNS = "concurrence,log_negativity,lqu,min,ccc"
 _CONFIG_ERRORS = (DomainError, DegenerateParams, NotXShaped, NotHermitian, TraceNotOne, NotPSD)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Parsed evolve-scenario settings."""
-
-    params: ModelParams
-    initial: str
-    t_max: float
-    dt: float
-    stride: int
-    out: str | None
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -68,10 +55,15 @@ def _parse_sweep(spec: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
     name, start, stop, count = parts
     if name not in allowed:
         raise DomainError(f"sweep parameter must be one of {allowed}, got {name!r}")
-    n = int(count)
+    try:
+        n, lo, hi = int(count), float(start), float(stop)
+    except ValueError as exc:
+        raise DomainError(f"malformed number in sweep {spec!r}: {exc}") from exc
     if n < 1:
         raise DomainError(f"sweep count must be >= 1, got {n}")
-    return name, np.linspace(float(start), float(stop), n)
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise DomainError(f"sweep bounds must be finite, got {spec!r}")
+    return name, np.linspace(lo, hi, n)
 
 
 def _initial_state(selector: str) -> np.ndarray:
@@ -95,24 +87,11 @@ def _initial_state(selector: str) -> np.ndarray:
     )
 
 
-def _sweep_map(func, values):
-    workers = min(8, max(1, len(values)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, values))
-
-
 def cmd_evolve(args) -> int:
-    config = ScenarioConfig(
-        params=ModelParams(j=args.j, delta=args.delta, omega=args.omega,
-                           gamma=args.gamma, nbar=args.nbar),
-        initial=args.initial,
-        t_max=args.t_max,
-        dt=args.dt,
-        stride=args.stride,
-        out=args.out,
-    )
-    rho0 = _initial_state(config.initial)
-    traj = evolve(rho0, config.params, t_max=config.t_max, dt=config.dt, stride=config.stride)
+    params = ModelParams(j=args.j, delta=args.delta, omega=args.omega,
+                         gamma=args.gamma, nbar=args.nbar)
+    rho0 = _initial_state(args.initial)
+    traj = evolve(rho0, params, t_max=args.t_max, dt=args.dt, stride=args.stride)
 
     lines = [EVOLVE_HEADER]
     for t, mat, cs in zip(traj.times, traj.states, traj.correlations):
@@ -121,7 +100,7 @@ def cmd_evolve(args) -> int:
             raise StepRejected(float(t), f"correlation range violation: {violation}")
         row = (
             t,
-            config.params.gamma * t,
+            params.gamma * t,
             cs.concurrence,
             cs.negativity,
             cs.log_negativity,
@@ -132,7 +111,7 @@ def cmd_evolve(args) -> int:
             purity(mat),
         )
         lines.append(",".join(_fmt(v) for v in row))
-    _write_output(config.out, "\n".join(lines) + "\n")
+    _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -158,7 +137,7 @@ def cmd_esd(args) -> int:
             nb = v if name == "nbar" else args.nbar
             return _esd_value(w, args.gamma, nb, args.mode)
 
-        results = _sweep_map(one, values)
+        results = [one(v) for v in values]
         lines = [f"{name},gamma_tau"]
         lines += [f"{_fmt(v)},{_fmt(r)}" for v, r in zip(values, results)]
         _write_output(args.out, "\n".join(lines) + "\n")
@@ -173,10 +152,7 @@ def cmd_steady(args) -> int:
                        gamma=args.gamma, nbar=args.nbar)
     if args.sweep is not None:
         name, values = _parse_sweep(args.sweep, allowed=("nbar", "delta"))
-        rows = _sweep_map(
-            lambda v: steady_correlations_thermal(replace(base, **{name: float(v)})),
-            values,
-        )
+        rows = [steady_correlations_thermal(replace(base, **{name: float(v)})) for v in values]
     else:
         name, values, rows = "nbar", [base.nbar], [steady_correlations_thermal(base)]
 

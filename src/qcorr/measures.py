@@ -16,6 +16,7 @@ from .errors import CrossCheckFailure
 from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_norm
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
+    X_SHAPE_TOL,
     DickeState,
     XState,
     is_x_shaped,
@@ -338,7 +339,7 @@ def _cross_check(name: str, closed: float, general: float, tol: float):
 def correlations(
     rho,
     *,
-    x_shape_tol: float = 1e-9,
+    x_shape_tol: float = X_SHAPE_TOL,
     x_tol: float = X_BRANCH_TOL,
     cross_check: bool = True,
 ) -> CorrelationSet:

@@ -1,6 +1,7 @@
 """CLI surface: flags, CSV schemas, exit codes, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,34 @@ def test_sweep_parsing_errors():
     assert main(["esd", "--sweep", "bogus:0:1:5"]) == 2
     assert main(["esd", "--sweep", "w:0:1"]) == 2
     assert main(["steady", "--sweep", "w:0:1:5"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--dt", "nan"],
+    ["evolve", "--t-max", "inf"],
+    ["steady", "--sweep", "nbar:0:1:x"],
+    ["steady", "--sweep", "nbar:a:1:3"],
+    ["steady", "--sweep", "delta:0:inf:3"],
+    ["esd", "--nbar", "nan"],
+])
+def test_non_finite_or_malformed_numbers_exit_2(args, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error:")
+    assert err.count("\n") == 1
+
+
+def test_unstable_integration_with_large_stride_exits_3(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "evolve", "--initial", "mixture:0.5", "--gamma", "0.5",
+            "--dt", "2.0", "--t-max", "200000", "--stride", "100000",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: run failed:") and err.count("\n") == 1
 
 
 def test_unstable_integration_exits_3(tmp_path, capsys):

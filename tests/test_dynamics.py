@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_x_state
+from helpers import random_density_matrix, random_x_state
 from qcorr import (
     DegenerateParams,
     DomainError,
@@ -155,6 +156,73 @@ def test_evolve_argument_validation():
         evolve(make_mixture(0.5), P_REF, t_max=-1.0)
     with pytest.raises(DomainError):
         evolve(make_mixture(0.5), P_REF, t_max=1.0, stride=0)
+
+
+def _stepwise_rk4(rho0, params, n_steps, dt, stride):
+    """Reference: one classical RK4 step at a time on the matrix form of the
+    master equation, sampled like evolve (every stride steps and the last)."""
+    y = np.asarray(rho0, dtype=complex)
+    samples = [y]
+    for step in range(1, n_steps + 1):
+        k1 = lindblad_rhs(y, params)
+        k2 = lindblad_rhs(y + (0.5 * dt) * k1, params)
+        k3 = lindblad_rhs(y + (0.5 * dt) * k2, params)
+        k4 = lindblad_rhs(y + dt * k3, params)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if step % stride == 0 or step == n_steps:
+            samples.append(y)
+    return samples
+
+
+def _max_deviation_from_stepwise(rho0, params, t_max, dt, stride):
+    traj = evolve(rho0, params, t_max=t_max, dt=dt, stride=stride)
+    ref = _stepwise_rk4(rho0, params, int(round(t_max / dt)), dt, stride)
+    assert len(traj.states) == len(ref)
+    return max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
+
+
+@pytest.mark.parametrize("stride", [1, 7, 100])
+def test_evolve_matches_stepwise_rk4(stride):
+    rng = np.random.default_rng(233)
+    for rho0 in (make_mixture(0.5).to_matrix(), random_density_matrix(rng)):
+        dev = _max_deviation_from_stepwise(rho0, P_REF, 3.0, 1e-2, stride)
+        assert dev <= 1e-13, f"stride {stride}: {dev:.3e}"
+
+
+def test_evolve_samples_remainder_block():
+    n_steps, stride, dt = 250, 40, 1e-2
+    traj = evolve(make_mixture(0.5), P_REF, t_max=n_steps * dt, dt=dt, stride=stride)
+    expected = [k * stride * dt for k in range(n_steps // stride + 1)] + [n_steps * dt]
+    assert traj.times.tolist() == expected
+    ref = _stepwise_rk4(make_mixture(0.5).to_matrix(), P_REF, n_steps, dt, stride)
+    assert np.abs(traj.states[-1] - ref[-1]).max() <= 1e-13
+
+
+def test_evolve_keeps_exact_fixed_point_bit_identical():
+    params = ModelParams(j=0.1, delta=0.5, gamma=0.0)
+    rho0 = make_werner(-1.0 / 3.0).to_matrix()
+    traj = evolve(rho0, params, t_max=50.0, dt=1e-2, stride=100)
+    assert len(traj.states) == 51
+    assert all(np.array_equal(mat, rho0) for mat in traj.states)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma=st.floats(0.0, 1.0),
+    nbar=st.floats(0.0, 2.0),
+    j=st.floats(-0.5, 0.5),
+    delta=st.floats(-0.5, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+    x_shaped=st.booleans(),
+    n_steps=st.integers(0, 60),
+    stride=st.integers(1, 50),
+)
+def test_evolve_matches_stepwise_rk4_property(gamma, nbar, j, delta, seed, x_shaped, n_steps, stride):
+    params = ModelParams(j=j, delta=delta, gamma=gamma, nbar=nbar)
+    rng = np.random.default_rng(seed)
+    rho0 = random_x_state(rng).to_matrix() if x_shaped else random_density_matrix(rng)
+    dt = 0.02
+    assert _max_deviation_from_stepwise(rho0, params, n_steps * dt, dt, stride) <= 1e-12
 
 
 # ------------------------------------------------------------------ closed forms
@@ -472,6 +540,21 @@ def test_refinement_via_reintegration_matches_analytic():
     for (a0, b0), (a1, b1) in zip(via_analytic, via_reintegration):
         assert a0 == pytest.approx(a1, abs=1e-4)
         assert b0 == pytest.approx(b1, abs=1e-4)
+
+
+def test_reintegrated_endpoints_match_closed_form_to_refine_tol():
+    params = ModelParams(j=0.1, delta=0.5, gamma=0.1)
+    traj = evolve(make_mixture(0.5), params, t_max=20.0, dt=1e-3, stride=1000)
+    refine_tol = 1e-6
+    via_analytic = find_dark_intervals(
+        traj, state_at=lambda t: analytic_mixture(t, params), refine_tol=refine_tol
+    )
+    via_reintegration = find_dark_intervals(traj, refine_tol=refine_tol)
+    assert via_analytic
+    assert len(via_analytic) == len(via_reintegration)
+    for (a0, b0), (a1, b1) in zip(via_analytic, via_reintegration):
+        assert abs(a0 - a1) <= refine_tol
+        assert abs(b0 - b1) <= refine_tol
 
 
 def test_werner_settles_without_permanent_death():
