@@ -94,22 +94,11 @@ def cmd_evolve(args) -> int:
     traj = evolve(rho0, params, t_max=args.t_max, dt=args.dt, stride=args.stride)
 
     lines = [EVOLVE_HEADER]
-    for t, mat, cs in zip(traj.times, traj.states, traj.correlations):
+    for t, cs, pur in zip(traj.times.tolist(), traj.correlations, purity(traj.states).tolist()):
         violation = cs.range_violation()
         if violation is not None:
-            raise StepRejected(float(t), f"correlation range violation: {violation}")
-        row = (
-            t,
-            params.gamma * t,
-            cs.concurrence,
-            cs.negativity,
-            cs.log_negativity,
-            cs.lqu,
-            cs.min_trace,
-            cs.correlated_coherence,
-            cs.l1_coherence,
-            purity(mat),
-        )
+            raise StepRejected(t, f"correlation range violation: {violation}")
+        row = (t, params.gamma * t, *cs.as_tuple(), pur)
         lines.append(",".join(_fmt(v) for v in row))
     _write_output(args.out, "\n".join(lines) + "\n")
     return 0

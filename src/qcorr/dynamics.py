@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParams, DomainError, NoDeath, NotPSD, NotHermitian, StepRejected, TraceNotOne
+from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NoDeath, NotHermitian,
+                     NotPSD, StepRejected, TraceNotOne)
 from .measures import (
     CorrelationSet,
     concurrence_branches,
@@ -23,13 +24,15 @@ from .states import X_SHAPE_TOL, XState, is_x_shaped, validate
 
 STEADY_RHS_TOL = 1e-12
 X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
+MAX_SAMPLES = 100_000  # bound on the samples of one evolve run (about 26 MB of states)
 DARK_THRESHOLD = 1e-12
 REVIVAL_THRESHOLD = 1e-9
 
 
 @dataclass
 class Trajectory:
-    """Time grid with one density matrix and one CorrelationSet per sample.
+    """Time grid with one density matrix (``states`` is an (n, 4, 4) array)
+    and one CorrelationSet per sample.
 
     ``steady_time`` is the first sampled time where the master-equation right
     hand side dropped below the steady-state tolerance, or None if the run
@@ -37,7 +40,7 @@ class Trajectory:
     """
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     correlations: list[CorrelationSet]
     params: ModelParams
     dt: float
@@ -134,10 +137,11 @@ def evolve(
 
     The ``stride`` RK4 steps between two samples are applied at once as
     y + Phi (L y) (see ``_increment_operator``), so the cost grows with the
-    number of samples, not of steps. Every sampled state is validated and,
-    when the initial state is X-shaped, checked to stay on the X pattern; a
-    violation raises StepRejected with the offending time. Correlations are
-    attached per sample.
+    number of samples, not of steps; more than MAX_SAMPLES samples raise
+    DomainError. The sampled states are then checked and evaluated as one
+    stack (see ``_evaluate_samples``): a state that fails validation or, when
+    the initial state is X-shaped, drifts off the X pattern raises
+    StepRejected with its time.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"dt must be positive and finite, got {dt}")
@@ -145,45 +149,61 @@ def evolve(
         raise DomainError(f"t_max must be non-negative and finite, got {t_max}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
+    steps = t_max / dt  # inf if the ratio overflows
+    n_steps = int(round(steps)) if steps < math.inf else MAX_SAMPLES * stride
+    n_samples = n_steps // stride + 1 + (n_steps % stride != 0)
+    if n_samples > MAX_SAMPLES:
+        raise DomainError(f"t_max / dt = {steps:.6g} steps at stride {stride} "
+                          f"give more than MAX_SAMPLES = {MAX_SAMPLES} samples")
 
     mat0 = rho0.to_matrix() if isinstance(rho0, XState) else np.asarray(rho0, dtype=complex)
     validate(mat0)
-    x_born = is_x_shaped(mat0, X_SHAPE_TOL)
 
     lv = _liouvillian(params)
-    n_steps = int(round(t_max / dt))
     phi = _increment_operator(lv, dt, stride)
-    phi_rest = _increment_operator(lv, dt, n_steps % stride)
-    y = mat0.ravel().astype(complex)
+    phi_last = _increment_operator(lv, dt, n_steps % stride) if n_steps % stride else phi
+    times = np.minimum(np.arange(n_samples) * stride, n_steps) * dt
+    states = np.empty((n_samples, 16), dtype=complex)
+    rhs = np.empty_like(states)
+    y = mat0.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # unstable dt: inf/nan, rejected below
+        for k in range(n_samples):
+            states[k] = y
+            rhs[k] = lv @ y
+            y = y + (phi if k < n_samples - 2 else phi_last) @ rhs[k]
+        steady = np.abs(rhs).max(axis=1) <= STEADY_RHS_TOL
+    states = states.reshape(-1, 4, 4)
+    corr = _evaluate_samples(times, states, bool(is_x_shaped(mat0, X_SHAPE_TOL)))
+    steady_time = float(times[steady.argmax()]) if steady.any() else None
+    return Trajectory(times, states, corr, params, dt, steady_time)
 
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    corr: list[CorrelationSet] = []
-    steady_time: float | None = None
 
-    step = 0
-    while True:
-        t = step * dt
-        mat = y.reshape(4, 4).copy()
-        try:
-            validate(mat)
-        except (NotHermitian, TraceNotOne, NotPSD) as exc:
-            raise StepRejected(t, str(exc)) from exc
-        if x_born and not is_x_shaped(mat, X_DRIFT_TOL):
-            raise StepRejected(t, f"state drifted off the X pattern beyond {X_DRIFT_TOL:.1e}")
-        times.append(t)
-        states.append(mat)
-        corr.append(correlations(mat))
-        rhs = lv @ y
-        if steady_time is None and np.abs(rhs).max() <= STEADY_RHS_TOL:
-            steady_time = t
-        if step == n_steps:
-            break
-        block = min(stride, n_steps - step)
-        y = y + (phi if block == stride else phi_rest) @ rhs
-        step += block
+def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> list[CorrelationSet]:
+    """Validate every sampled state, check it stays on the X pattern when
+    ``x_born`` and evaluate its correlations, all as one stack.
 
-    return Trajectory(np.asarray(times), states, corr, params, dt, steady_time)
+    Raises for the first failing sample in time order: StepRejected for a
+    failed validation or X drift, CrossCheckFailure naming the sample's time
+    for a cross-check miss.
+    """
+    failure, stop = None, len(states)
+    try:
+        validate(states)
+    except (NotHermitian, TraceNotOne, NotPSD) as exc:
+        stop = exc.index
+        failure = StepRejected(float(times[stop]), str(exc))
+    drift = ~is_x_shaped(states[:stop], X_DRIFT_TOL) if x_born else np.zeros(stop, dtype=bool)
+    if drift.any():
+        stop = int(drift.argmax())
+        failure = StepRejected(float(times[stop]),
+                               f"state drifted off the X pattern beyond {X_DRIFT_TOL:.1e}")
+    try:
+        columns = correlations(states[:stop])
+    except CrossCheckFailure as exc:
+        raise CrossCheckFailure(f"at t = {times[exc.index]:.6g}: {exc}") from exc
+    if failure is not None:
+        raise failure
+    return [CorrelationSet(*row) for row in np.column_stack(columns.as_tuple()).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -378,26 +398,27 @@ def steady_w_entries_zero_temp(params: ModelParams) -> tuple[float, float]:
     return float(w11), float(w33)
 
 
-def steady_lqu_thermal(params: ModelParams) -> float:
+def steady_lqu_thermal(params: ModelParams, state: XState | None = None) -> float:
     """Steady-state LQU: closed-form W entries at nbar = 0, W-matrix
-    evaluation on the thermal steady state otherwise."""
+    evaluation on the thermal steady state (``state``, if at hand) otherwise."""
     if params.nbar == 0.0:
         w11, w33 = steady_w_entries_zero_temp(params)
         return min(1.0, max(0.0, 1.0 - max(w11, w33)))
-    return lqu_x(steady_state_thermal(params))
+    return lqu_x(steady_state_thermal(params) if state is None else state)
 
 
 def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
     """All steady-state quantifiers; closed forms where available, W/partial
     transpose evaluation on the steady state for the rest."""
-    mat = steady_state_thermal(params).to_matrix()
+    state = steady_state_thermal(params)
+    mat = state.to_matrix()
     cc = steady_ccc_thermal(params)
     neg = negativity(mat)
     return CorrelationSet(
         concurrence=steady_concurrence_thermal(params),
         negativity=neg,
         log_negativity=float(np.log2(2.0 * neg + 1.0)),
-        lqu=steady_lqu_thermal(params),
+        lqu=steady_lqu_thermal(params, state),
         min_trace=cc,
         correlated_coherence=cc,
         l1_coherence=l1_coherence(mat),

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class NotHermitian(ValueError):
     """Matrix is not Hermitian within tolerance."""
@@ -44,3 +46,17 @@ class NoDeath(RuntimeError):
     def __init__(self, horizon: float):
         super().__init__(f"concurrence stays positive up to t = {horizon:.6g}")
         self.horizon = horizon
+
+
+def raise_first(failed, error: type[Exception], describe) -> None:
+    """Raise ``error(describe(k))`` for the first failing matrix k of a stack.
+
+    ``failed`` holds one flag per matrix (0-d for a lone matrix); k is the
+    flat position in C order and stays on the exception as ``index``, so a
+    caller can map it back to a sample.
+    """
+    if failed.any():
+        k = int(np.flatnonzero(failed)[0])
+        exc = error(describe(k))
+        exc.index = k
+        raise exc

@@ -2,8 +2,10 @@
 
 Every measure comes in two flavours where that makes sense: a
 general-definition route valid for any density matrix, and an X-state
-closed form. ``correlations`` evaluates all seven quantities and, by
-default, cross-checks the two routes against each other.
+closed form. The general routes broadcast over stacks (..., 4, 4) and the
+closed forms over the arrays of ``states.x_columns``. ``correlations`` evaluates
+all seven quantities on a state or on a whole stack and, by default,
+cross-checks the two routes against each other on every X-shaped matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CrossCheckFailure
-from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_norm
+from .linalg import _dagger, hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_norm
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
     X_SHAPE_TOL,
@@ -23,11 +25,13 @@ from .states import (
     to_dicke,
     trace_out_a,
     trace_out_b,
+    x_columns,
 )
 
 X_BRANCH_TOL = 1e-9  # |x| below this uses the balanced-marginal MIN branch
 
 _SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
 _PAULI_A = (
     np.kron(SIGMA_X, IDENTITY_2),
     np.kron(SIGMA_Y, IDENTITY_2),
@@ -37,7 +41,8 @@ _PAULI_A = (
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """All correlation/coherence quantifiers evaluated on one state."""
+    """All correlation/coherence quantifiers evaluated on one state (floats)
+    or on a stack of states (one array per field)."""
 
     concurrence: float
     negativity: float
@@ -51,7 +56,7 @@ class CorrelationSet:
         return tuple(getattr(self, f.name) for f in fields(self))
 
     def range_violation(self, tol: float = 1e-9) -> str | None:
-        """Name the first field outside its allowed range, or None."""
+        """Name the first field outside its allowed range, or None (one state)."""
         bounds = {
             "concurrence": (0.0, 1.0),
             "negativity": (0.0, 0.5),
@@ -103,36 +108,36 @@ def concurrence_signed(rho) -> float:
     return _concurrence_from_sqrt(rho, psd_sqrt(rho), clamp=False)
 
 
-def _concurrence_from_sqrt(rho, sqrt_rho, clamp: bool) -> float:
+def _concurrence_from_sqrt(rho, sqrt_rho, clamp: bool):
     rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
     s_mat = sqrt_rho @ rho_tilde @ sqrt_rho
-    s_mat = (s_mat + s_mat.conj().T) / 2.0
+    s_mat = (s_mat + _dagger(s_mat)) / 2.0
     lam = np.sqrt(np.clip(hermitian_eigensystem(s_mat).eigenvalues, 0.0, None))
-    diff = float(lam[3] - lam[2] - lam[1] - lam[0])
-    return max(0.0, diff) if clamp else diff
+    diff = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    return np.maximum(0.0, diff) if clamp else diff
 
 
 def concurrence_branches(x: XState) -> tuple[float, float]:
     """The two competing branches C1 (two-photon) and C2 (one-photon), unclamped."""
-    c1 = 2.0 * (abs(x.rho14) - np.sqrt(max(x.rho22 * x.rho33, 0.0)))
-    c2 = 2.0 * (abs(x.rho23) - np.sqrt(max(x.rho11 * x.rho44, 0.0)))
-    return float(c1), float(c2)
+    c1 = 2.0 * (abs(x.rho14) - np.sqrt(np.maximum(x.rho22 * x.rho33, 0.0)))
+    c2 = 2.0 * (abs(x.rho23) - np.sqrt(np.maximum(x.rho11 * x.rho44, 0.0)))
+    return c1, c2
 
 
 def concurrence_x(x: XState) -> float:
     """Closed-form X-state concurrence max{0, C1, C2}."""
-    return max(0.0, *concurrence_branches(x))
+    return np.maximum(0.0, np.maximum(*concurrence_branches(x)))
 
 
 def concurrence_dicke(d: DickeState) -> float:
     """Concurrence from the collective-basis populations and coherences."""
     c1 = 2.0 * (
-        abs(d.eg) - np.sqrt(max((0.5 * (d.ss + d.aa)) ** 2 - d.sa.real**2, 0.0))
+        abs(d.eg) - np.sqrt(np.maximum((0.5 * (d.ss + d.aa)) ** 2 - d.sa.real**2, 0.0))
     )
     c2 = 2.0 * (
-        np.hypot(0.5 * (d.ss - d.aa), d.sa.imag) - np.sqrt(max(d.ee * d.gg, 0.0))
+        np.hypot(0.5 * (d.ss - d.aa), d.sa.imag) - np.sqrt(np.maximum(d.ee * d.gg, 0.0))
     )
-    return max(0.0, float(c1), float(c2))
+    return np.maximum(0.0, np.maximum(c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,7 @@ def negativity(rho) -> float:
     """max{0, -lambda_min} of the partial transpose (at most one eigenvalue
     of the partial transpose of a two-qubit state is negative)."""
     lam = hermitian_eigensystem(partial_transpose_b(rho)).eigenvalues
-    return max(0.0, float(-lam[0]))
+    return np.maximum(0.0, -lam[..., 0])
 
 
 def negativity_trace_norm(rho) -> float:
@@ -153,7 +158,7 @@ def negativity_trace_norm(rho) -> float:
 
 def log_negativity(rho) -> float:
     """log2(||rho^TB||_1) = log2(2 N + 1)."""
-    return float(np.log2(2.0 * negativity(rho) + 1.0))
+    return np.log2(2.0 * negativity(rho) + 1.0)
 
 
 def concurrence_negativity_bounds(c: float) -> tuple[float, float]:
@@ -174,10 +179,10 @@ def concurrence_log_negativity_bounds(c: float) -> tuple[float, float]:
 
 def _w_matrix_general(sqrt_rho: np.ndarray) -> np.ndarray:
     prods = [sqrt_rho @ op for op in _PAULI_A]
-    w = np.empty((3, 3))
+    w = np.empty(sqrt_rho.shape[:-2] + (3, 3))
     for i in range(3):
         for j in range(i, 3):
-            w[i, j] = w[j, i] = float(np.trace(prods[i] @ prods[j]).real)
+            w[..., i, j] = w[..., j, i] = np.trace(prods[i] @ prods[j], axis1=-2, axis2=-1).real
     return w
 
 
@@ -191,18 +196,15 @@ def lqu(rho) -> float:
 
 
 def _lqu_from_sqrt(sqrt_rho: np.ndarray) -> float:
-    lam_max = hermitian_eigensystem(_w_matrix_general(sqrt_rho)).eigenvalues[-1]
-    return float(min(1.0, max(0.0, 1.0 - float(lam_max))))
+    lam_max = hermitian_eigensystem(_w_matrix_general(sqrt_rho)).eigenvalues[..., -1]
+    return np.minimum(1.0, np.maximum(0.0, 1.0 - lam_max))
 
 
 def _sqrt_psd_2x2(a: float, d: float, b: complex) -> tuple[float, float, complex]:
     """Square root of the PSD 2x2 Hermitian [[a, b], [b*, d]] via Cayley-Hamilton."""
-    det = max(a * d - (b.real**2 + b.imag**2), 0.0)
-    s = np.sqrt(det)
+    s = np.sqrt(np.maximum(a * d - (b.real**2 + b.imag**2), 0.0))
     tau_sq = a + d + 2.0 * s
-    if tau_sq <= 0.0:
-        return 0.0, 0.0, 0.0 + 0.0j
-    tau = np.sqrt(tau_sq)
+    tau = np.sqrt(np.where(tau_sq > 0.0, tau_sq, np.inf))  # tau_sq <= 0: a zero root
     return (a + s) / tau, (d + s) / tau, b / tau
 
 
@@ -235,7 +237,7 @@ def lqu_x(x: XState) -> float:
     """Closed-form X-state LQU: the in-plane W block is diagonalized algebraically."""
     w = w_matrix_x(x)
     lam_plane = 0.5 * (w.w11 + w.w22 + np.hypot(w.w11 - w.w22, 2.0 * w.w12))
-    return float(min(1.0, max(0.0, 1.0 - max(float(lam_plane), float(w.w33)))))
+    return np.minimum(1.0, np.maximum(0.0, 1.0 - np.maximum(lam_plane, w.w33)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +252,11 @@ def min_trace(x: XState, x_tol: float = X_BRANCH_TOL) -> float:
     measurement basis is free and the maximum over bases is max{|u1|,|u2|,|u3|}.
     """
     bal = x.rho11 + x.rho22 - (x.rho33 + x.rho44)
-    if abs(bal) > x_tol:
-        return 2.0 * (abs(x.rho14) + abs(x.rho23))
     u1 = 2.0 * (abs(x.rho14) + abs(x.rho23))
     u2 = 2.0 * (-abs(x.rho14) + abs(x.rho23))
     u3 = x.rho11 - x.rho22 - x.rho33 + x.rho44
-    return max(abs(u1), abs(u2), abs(u3))
+    balanced = np.maximum(np.maximum(abs(u1), abs(u2)), abs(u3))
+    return np.where(abs(bal) > x_tol, u1, balanced)[()]
 
 
 def _bloch_basis(theta: float, phi: float) -> np.ndarray:
@@ -265,13 +266,15 @@ def _bloch_basis(theta: float, phi: float) -> np.ndarray:
 
 
 def _measurement_disturbance(rho: np.ndarray, basis: np.ndarray) -> float:
+    """||rho - sum_k P_k rho P_k||_1 with P_k = |v_k><v_k| (x) 1 for the columns
+    v_k of ``basis`` (one basis, or one per matrix of the stack ``rho``)."""
     residual = rho.copy()
     for k in range(2):
-        v = basis[:, k]
-        proj = np.kron(np.outer(v, v.conj()), IDENTITY_2)
+        v = basis[..., :, k]
+        outer = v[..., :, None] * v[..., None, :].conj()
+        proj = np.einsum("...ab,cd->...acbd", outer, IDENTITY_2).reshape(outer.shape[:-2] + (4, 4))
         residual = residual - proj @ rho @ proj
-    residual = (residual + residual.conj().T) / 2.0
-    return trace_norm(residual)
+    return trace_norm((residual + _dagger(residual)) / 2.0)
 
 
 def min_trace_general(rho, degeneracy_tol: float = X_BRANCH_TOL, grid: int = 24) -> float:
@@ -284,17 +287,19 @@ def min_trace_general(rho, degeneracy_tol: float = X_BRANCH_TOL, grid: int = 24)
     ``grid``).
     """
     rho = np.asarray(rho, dtype=complex)
-    red = trace_out_b(rho)
-    es = hermitian_eigensystem(red)
-    if es.eigenvalues[1] - es.eigenvalues[0] > degeneracy_tol:
-        return _measurement_disturbance(rho, es.eigenvectors)
-    best = 0.0
-    for theta in np.linspace(0.0, np.pi / 2.0, grid // 2 + 1):
+    mats = rho.reshape(-1, 4, 4)
+    es = hermitian_eigensystem(trace_out_b(mats))
+    unique = es.eigenvalues[:, 1] - es.eigenvalues[:, 0] > degeneracy_tol
+    out = np.zeros(len(mats))
+    out[unique] = _measurement_disturbance(mats[unique], es.eigenvectors[unique])
+    free = mats[~unique]
+    for theta in np.linspace(0.0, np.pi / 2.0, grid // 2 + 1) if len(free) else ():
         for phi in np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False):
-            best = max(best, _measurement_disturbance(rho, _bloch_basis(theta, phi)))
+            disturbance = _measurement_disturbance(free, _bloch_basis(theta, phi))
+            out[~unique] = np.maximum(out[~unique], disturbance)
             if theta == 0.0:
                 break  # the pole is one basis regardless of phi
-    return best
+    return out.reshape(rho.shape[:-2])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +308,8 @@ def min_trace_general(rho, degeneracy_tol: float = X_BRANCH_TOL, grid: int = 24)
 
 def l1_coherence(rho) -> float:
     """Sum of the magnitudes of all off-diagonal entries."""
-    a = np.abs(np.asarray(rho, dtype=complex)).copy()
-    np.fill_diagonal(a, 0.0)
-    return float(a.sum())
+    a = np.abs(np.asarray(rho, dtype=complex))
+    return (a * _OFF_DIAGONAL[a.shape[-1]]).sum(axis=(-2, -1))
 
 
 def correlated_coherence(x: XState) -> float:
@@ -329,6 +333,7 @@ def correlated_coherence_general(rho) -> float:
 
 
 def _cross_check(name: str, closed: float, general: float, tol: float):
+    closed, general = float(closed), float(general)
     if abs(closed - general) > tol:
         raise CrossCheckFailure(
             f"{name}: closed form {closed!r} vs general definition {general!r} "
@@ -343,46 +348,58 @@ def correlations(
     x_tol: float = X_BRANCH_TOL,
     cross_check: bool = True,
 ) -> CorrelationSet:
-    """Evaluate all seven quantifiers on a valid density matrix.
+    """Evaluate all seven quantifiers on a valid density matrix, or on every
+    matrix of a stack (..., 4, 4) at once.
 
-    X-shaped inputs (within ``x_shape_tol``) use the closed forms and, when
+    X-shaped matrices (within ``x_shape_tol``) use the closed forms and, when
     ``cross_check`` is set, every closed form is compared against its
-    general-definition route; disagreement raises CrossCheckFailure. Other
-    inputs fall back to the general routes throughout.
+    general-definition route; the first matrix where they disagree raises
+    CrossCheckFailure (its flat position is ``index``). Other matrices take
+    the general routes throughout. One matrix gives a CorrelationSet of
+    floats, a stack a CorrelationSet of arrays over its leading axes.
     """
     rho = np.asarray(rho, dtype=complex)
-    neg = negativity(rho)
-    logneg = float(np.log2(2.0 * neg + 1.0))
-    l1 = l1_coherence(rho)
+    mats = rho.reshape(-1, 4, 4)
+    x_rows = is_x_shaped(mats, x_shape_tol)
+    x = x_columns(mats)
+    pt_lam = hermitian_eigensystem(partial_transpose_b(mats)).eigenvalues
+    neg = np.maximum(0.0, -pt_lam[:, 0])
+    # concurrence, LQU, MIN and CC in closed form, then the general routes
+    # pasted over them on the rows that need them: the values of non-X rows
+    # and the cross-checks of X rows (a balanced X row leaves the MIN basis
+    # free, so its closed form goes unchecked)
+    closed = np.array([concurrence_x(x), lqu_x(x), min_trace(x, x_tol=x_tol),
+                       correlated_coherence(x)])
+    general = closed.copy()
+    rows = ~x_rows | cross_check
+    sqrt_rho = psd_sqrt(mats[rows])  # shared by the concurrence and LQU routes
+    general[0, rows] = _concurrence_from_sqrt(mats[rows], sqrt_rho, clamp=True)
+    general[1, rows] = _lqu_from_sqrt(sqrt_rho)
+    mt_rows = rows & (~x_rows | (abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) > x_tol))
+    general[2, mt_rows] = min_trace_general(mats[mt_rows])
+    general[3, rows] = correlated_coherence_general(mats[rows])
 
-    if is_x_shaped(rho, x_shape_tol):
-        x = XState.from_matrix(rho, tol=x_shape_tol)
-        conc = concurrence_x(x)
-        unc = lqu_x(x)
-        mt = min_trace(x, x_tol=x_tol)
-        cc = correlated_coherence(x)
-        if cross_check:
-            sqrt_rho = psd_sqrt(rho)  # shared by the concurrence and LQU routes
-            conc_general = _concurrence_from_sqrt(rho, sqrt_rho, clamp=True)
-            _cross_check("concurrence", conc, conc_general, 1e-8)
-            _cross_check("concurrence (Dicke basis)", conc, concurrence_dicke(to_dicke(x)), 1e-10)
-            _cross_check("negativity", neg, negativity_trace_norm(rho), 1e-10)
-            _cross_check("lqu", unc, _lqu_from_sqrt(sqrt_rho), 1e-8)
-            _cross_check("correlated coherence", cc, correlated_coherence_general(rho), 1e-10)
-            if abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) > x_tol:
-                _cross_check("min_trace", mt, min_trace_general(rho), 1e-10)
-    else:
-        conc = concurrence_general(rho)
-        unc = lqu(rho)
-        mt = min_trace_general(rho)
-        cc = correlated_coherence_general(rho)
+    if cross_check:
+        checks = [
+            ("concurrence", closed[0], general[0], 1e-8),
+            ("concurrence (Dicke basis)", closed[0], concurrence_dicke(to_dicke(x)), 1e-10),
+            # -lambda_min against (||rho^TB||_1 - 1)/2 over the same spectrum
+            ("negativity", neg, (abs(pt_lam).sum(1) - 1.0) / 2.0, 1e-10),
+            ("lqu", closed[1], general[1], 1e-8),
+            ("correlated coherence", closed[3], general[3], 1e-10),
+            ("min_trace", closed[2], general[2], 1e-10),
+        ]
+        failed = x_rows & np.any([abs(c - g) > tol for _, c, g, tol in checks], axis=0)
+        for k in np.flatnonzero(failed)[:1]:  # the first failing matrix, its checks in order
+            try:
+                for name, c, g, tol in checks:
+                    _cross_check(name, c[k], g[k], tol)
+            except CrossCheckFailure as exc:
+                exc.index = int(k)
+                raise
 
-    return CorrelationSet(
-        concurrence=conc,
-        negativity=neg,
-        log_negativity=logneg,
-        lqu=unc,
-        min_trace=mt,
-        correlated_coherence=cc,
-        l1_coherence=l1,
-    )
+    conc, unc, mt, cc = np.where(x_rows, closed, general)
+    columns = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, l1_coherence(mats))
+    if rho.ndim == 2:
+        return CorrelationSet(*(float(c[0]) for c in columns))
+    return CorrelationSet(*(c.reshape(rho.shape[:-2]) for c in columns))

@@ -7,6 +7,7 @@ and relaxation accumulates population in |11>.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ class ModelParams:
     nbar: float = 0.0
 
     def __post_init__(self):
+        for name in ("j", "delta", "omega", "gamma", "nbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0.0:
             raise DomainError(f"omega must be positive, got {self.omega}")
         if self.gamma < 0.0:

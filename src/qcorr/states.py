@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPSD, NotXShaped, TraceNotOne
-from .linalg import HERMITICITY_TOL, PSD_TOL, hermitian_eigensystem, require_hermitian
+from .errors import DomainError, NotHermitian, NotPSD, NotXShaped, TraceNotOne, raise_first
+from .linalg import HERMITICITY_TOL, PSD_TOL, _two_qubit, hermitian_eigensystem, require_hermitian
 
 TRACE_TOL = 1e-10
 X_SHAPE_TOL = 1e-9
 
-# entries allowed to be nonzero in the X pattern
-_X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
+# entries that must vanish in the X pattern
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,20 @@ class XState:
         )
 
 
+# The X entries, and their collective-basis form, of every matrix of a stack
+# (..., 4, 4) as arrays. The X closed forms in ``measures`` accept them
+# wherever they accept an XState or a DickeState and then give one value per
+# matrix. They are not validated: ``validate`` and ``is_x_shaped`` check the
+# matrices themselves.
+XColumns = namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")
+DickeColumns = namedtuple("DickeColumns", "ee gg ss aa eg sa")
+
+
+def x_columns(rho) -> XColumns:
+    rho = np.asarray(rho, dtype=complex)
+    return XColumns(*(rho[..., i, i].real for i in range(4)), rho[..., 0, 3], rho[..., 1, 2])
+
+
 @dataclass(frozen=True)
 class DickeState:
     """X state expressed in the collective basis {|e>, |g>, |s>, |a>}.
@@ -101,37 +116,54 @@ class DickeState:
 
 
 def validate(rho, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix.
+    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix
+    or of every matrix of a stack (..., 4, 4).
 
-    Returns the matrix as a complex ndarray on success; raises NotHermitian,
-    TraceNotOne or NotPSD naming the violated bound and its magnitude.
+    Returns the input as a complex ndarray on success; raises NotHermitian,
+    TraceNotOne or NotPSD naming the violated bound and its magnitude, for
+    the first failing matrix of a stack (its flat position is ``index``).
     """
-    rho = require_hermitian(rho, tol)
-    if rho.shape != (4, 4):
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"trace = {trace!r}, |trace - 1| = {abs(trace - 1.0):.3e}")
-    lam_min = hermitian_eigensystem(rho).eigenvalues[0]
-    if lam_min < -PSD_TOL:
-        raise NotPSD(f"minimum eigenvalue {lam_min:.3e} below -{PSD_TOL:.1e}")
+    mats = rho.reshape(-1, 4, 4)
+    failure, stop = None, len(mats)
+    # each check sees only the matrices before the first failure found so far
+    for check in (lambda m: require_hermitian(m, tol), _require_unit_trace, _require_psd):
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf where an entry is not finite
+                check(mats[:stop])
+        except (NotHermitian, TraceNotOne, NotPSD) as exc:
+            failure, stop = exc, exc.index
+    if failure is not None:
+        raise failure
     return rho
 
 
-def is_x_shaped(rho, tol: float = X_SHAPE_TOL) -> bool:
-    """True iff every entry outside the X pattern has magnitude <= tol."""
-    rho = np.asarray(rho, dtype=complex)
-    off = max(
-        abs(rho[i, j]) for i in range(4) for j in range(4) if (i, j) not in _X_PATTERN
-    )
-    return off <= tol
+def _require_unit_trace(mats: np.ndarray):
+    trace = np.trace(mats, axis1=1, axis2=2)
+    raise_first(abs(trace - 1.0) > TRACE_TOL, TraceNotOne,
+                lambda k: f"trace = {complex(trace[k])!r}, |trace - 1| = {abs(trace[k] - 1.0):.3e}")
+
+
+def _require_psd(mats: np.ndarray):
+    lam_min = hermitian_eigensystem(mats).eigenvalues[:, 0]
+    raise_first(lam_min < -PSD_TOL, NotPSD,
+                lambda k: f"minimum eigenvalue {lam_min[k]:.3e} below -{PSD_TOL:.1e}")
+
+
+def is_x_shaped(rho, tol: float = X_SHAPE_TOL):
+    """True iff every entry outside the X pattern has magnitude <= tol; one
+    flag per matrix for a stack."""
+    return np.abs(np.asarray(rho, dtype=complex)[..., _OFF_X]).max(-1) <= tol
 
 
 def to_dicke(x: XState) -> DickeState:
-    """Rotate the one-excitation block into the symmetric/antisymmetric basis."""
+    """Rotate the one-excitation block into the symmetric/antisymmetric basis
+    (XColumns give DickeColumns)."""
     rho32 = np.conj(x.rho23)
     half_sum = 0.5 * (x.rho22 + x.rho33)
-    return DickeState(
+    return (DickeState if isinstance(x, XState) else DickeColumns)(
         ee=x.rho11,
         gg=x.rho44,
         eg=x.rho14,
@@ -166,22 +198,20 @@ def reduced_b(x: XState) -> np.ndarray:
 
 def trace_out_b(rho) -> np.ndarray:
     """Reduced 2x2 state of qubit A for an arbitrary two-qubit matrix."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.trace(r, axis1=1, axis2=3)
+    return np.trace(_two_qubit(rho), axis1=-3, axis2=-1)
 
 
 def trace_out_a(rho) -> np.ndarray:
     """Reduced 2x2 state of qubit B for an arbitrary two-qubit matrix."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.trace(r, axis1=0, axis2=2)
+    return np.trace(_two_qubit(rho), axis1=-4, axis2=-2)
 
 
-def purity(rho) -> float:
+def purity(rho):
     """tr(rho^2); 1/4 for the maximally mixed state, 1 for pure states."""
     if isinstance(rho, XState):
         rho = rho.to_matrix()
     rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ rho)))
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
 def make_mixture(w: float) -> XState:

@@ -46,3 +46,10 @@ def random_density_matrix(rng) -> np.ndarray:
 def bell_phi_plus() -> np.ndarray:
     psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return np.outer(psi, psi.conj()).astype(complex)
+
+
+def assert_block_supported(vectors, blocks):
+    """Every column is exactly zero outside one of the blocks."""
+    for col in vectors.T:
+        support = set(np.flatnonzero(col).tolist())
+        assert any(support <= set(b) for b in blocks), (support, blocks)

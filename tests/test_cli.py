@@ -1,6 +1,7 @@
 """CLI surface: flags, CSV schemas, exit codes, determinism."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -84,6 +85,19 @@ def test_evolve_rejects_non_finite_custom_state(tmp_path, capsys):
     state_file = tmp_path / "rho.txt"
     state_file.write_text("\n".join(text) + "\n", encoding="utf-8")
     assert main(["evolve", "--initial", f"custom@{state_file}", "--t-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error:") and "not finite" in err
+    assert err.count("\n") == 1
+
+
+def test_evolve_rejects_infinite_custom_state_without_warnings(tmp_path, capsys):
+    text = dumps_density_matrix(make_mixture(0.5)).splitlines()
+    text[0] = "inf+0i 0+0i 0+0i 0.25+0i"
+    state_file = tmp_path / "rho.txt"
+    state_file.write_text("\n".join(text) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--initial", f"custom@{state_file}", "--t-max", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("qcorr: configuration error:") and "not finite" in err
     assert err.count("\n") == 1
@@ -219,3 +233,26 @@ def test_unstable_integration_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "run failed" in capsys.readouterr().err
+
+
+def test_evolve_sample_bound_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["evolve", "--t-max", "1e12"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error:") and "MAX_SAMPLES" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["steady", "--nbar", "inf"],
+    ["steady", "--gamma", "nan"],
+    ["evolve", "--j", "inf"],
+])
+def test_non_finite_model_parameters_exit_2_without_warnings(args, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error:") and "must be finite" in err
+    assert err.count("\n") == 1

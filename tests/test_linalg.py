@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import bell_phi_plus, random_hermitian, random_x_state
+from helpers import assert_block_supported, bell_phi_plus, random_hermitian, random_x_state
 from qcorr import (
     NotHermitian,
     NotPSD,
@@ -31,13 +31,6 @@ def random_block_hermitian(rng, n, blocks):
     for b in blocks:
         m[np.ix_(b, b)] = random_hermitian(rng, len(b))
     return m
-
-
-def assert_block_supported(vectors, blocks):
-    """Every column is exactly zero outside one of the blocks."""
-    for col in vectors.T:
-        support = set(np.flatnonzero(col).tolist())
-        assert any(support <= set(b) for b in blocks), (support, blocks)
 
 
 def charpoly_roots_by_bisection(mat, tol=1e-12):

@@ -1,0 +1,145 @@
+"""Stacked evaluation: a stack of states gives what its matrices give one at a
+time, and a failing sample is named by its position (and, in evolve, its time)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    assert_block_supported,
+    random_balanced_x_state,
+    random_density_matrix,
+    random_x_state,
+)
+from qcorr import (
+    CrossCheckFailure,
+    StepRejected,
+    XState,
+    correlations,
+    hermitian_eigensystem,
+    make_mixture,
+    partial_transpose_b,
+    psd_sqrt,
+)
+from qcorr.dynamics import _evaluate_samples
+
+
+def x_state_with_zeros(rng, zero14: bool, zero23: bool) -> np.ndarray:
+    x = random_x_state(rng)
+    return XState(x.rho11, x.rho22, x.rho33, x.rho44,
+                  0.0 if zero14 else x.rho14, 0.0 if zero23 else x.rho23).to_matrix()
+
+
+def rank_deficient_x_state(rng) -> np.ndarray:
+    """X state with one population, and the coherence that shares its block,
+    exactly zero. (A rank-one block built from |rho14|^2 = rho11 rho44 in
+    floating point is only singular to round-off, which the square roots of
+    the general routes amplify to ~sqrt(eps), beyond the 1e-8 cross-check.)"""
+    rho = random_x_state(rng).to_matrix()
+    i = rng.integers(4)
+    rho[i, :] = rho[:, i] = 0.0
+    return rho / np.trace(rho).real
+
+
+def degenerate_marginal_state(rng) -> np.ndarray:
+    """Non-X state with a maximally mixed marginal of A: a maximally entangled
+    pure state turned by a random unitary on B, mixed with white noise."""
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    psi = (np.kron([1.0, 0.0], q[:, 0]) + np.kron([0.0, 1.0], q[:, 1])) / np.sqrt(2.0)
+    p = rng.uniform(0.2, 0.9)
+    return p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
+
+
+def blocks_of(mat) -> list[list[int]]:
+    """Connected components of the nonzero pattern, found by graph search."""
+    nonzero = (mat != 0) | (mat != 0).T
+    seen, blocks = set(), []
+    for start in range(len(mat)):
+        if start in seen:
+            continue
+        block, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            if i not in seen:
+                seen.add(i)
+                block.append(i)
+                todo.extend(np.flatnonzero(nonzero[i]).tolist())
+        blocks.append(sorted(block))
+    return blocks
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(0, 3), min_size=7, max_size=7))
+def test_stack_matches_one_matrix_at_a_time(seed, counts):
+    rng = np.random.default_rng(seed)
+    makers = [
+        lambda: x_state_with_zeros(rng, zero14=False, zero23=True),
+        lambda: x_state_with_zeros(rng, zero14=True, zero23=False),
+        lambda: x_state_with_zeros(rng, zero14=True, zero23=True),
+        lambda: rank_deficient_x_state(rng),
+        lambda: random_balanced_x_state(rng).to_matrix(),
+        lambda: random_density_matrix(rng),
+        lambda: degenerate_marginal_state(rng),
+    ]
+    mats = [make() for make, count in zip(makers, counts) for _ in range(count)]
+    mats.append(make_mixture(rng.uniform(0.0, 1.0)).to_matrix())
+    stack = np.array([mats[i] for i in rng.permutation(len(mats))])
+
+    table = np.array(correlations(stack).as_tuple())
+    assert table.shape == (7, len(stack))
+    for i, rho in enumerate(stack):
+        single = np.array(correlations(rho).as_tuple())
+        np.testing.assert_allclose(table[:, i], single, rtol=0.0, atol=1e-12)
+
+    # every pattern group keeps its exact zeros, and each matrix gets the
+    # result it gets on its own
+    for mats in (stack, partial_transpose_b(stack), psd_sqrt(stack)):
+        es = hermitian_eigensystem(mats)
+        for m, w, v in zip(mats, es.eigenvalues, es.eigenvectors):
+            assert_block_supported(v, blocks_of(m))
+            alone = hermitian_eigensystem(m)
+            np.testing.assert_array_equal(w, alone.eigenvalues)
+            np.testing.assert_array_equal(v, alone.eigenvectors)
+
+
+def full_rank_x_stack(n=8, seed=31):
+    rng = np.random.default_rng(seed)
+    return np.array([random_x_state(rng).to_matrix() for _ in range(n)]), 0.5 * np.arange(n)
+
+
+def test_evaluate_samples_matches_per_sample_correlations():
+    states, times = full_rank_x_stack()
+    rows = _evaluate_samples(times, states, x_born=True)
+    for rho, cs in zip(states, rows):
+        np.testing.assert_allclose(cs.as_tuple(), correlations(rho).as_tuple(), atol=1e-12)
+
+
+def test_off_pattern_entry_names_its_sample():
+    states, times = full_rank_x_stack()
+    states[3, 0, 1] = states[3, 1, 0] = 1e-6
+    with pytest.raises(StepRejected, match=r"t = 1\.5: state drifted off the X pattern") as info:
+        _evaluate_samples(times, states, x_born=True)
+    assert info.value.time == times[3]
+    # a validation failure later in time does not hide it; an earlier one wins
+    states[5, 2, 2] += 1e-3
+    with pytest.raises(StepRejected, match=r"t = 1\.5: state drifted"):
+        _evaluate_samples(times, states, x_born=True)
+    states[2, 0, 0] += 1e-3
+    with pytest.raises(StepRejected, match=r"t = 1: trace = .*\|trace - 1\| = 1\.000e-03"):
+        _evaluate_samples(times, states, x_born=True)
+
+
+def test_cross_check_input_names_its_sample():
+    states, times = full_rank_x_stack()
+    # opposite coherences below the X-shape tolerance: the marginals stay
+    # diagonal, so only the general correlated-coherence route sees them
+    eps = 4e-10
+    states[4, 0, 1] = states[4, 1, 0] = eps
+    states[4, 2, 3] = states[4, 3, 2] = -eps
+    with pytest.raises(CrossCheckFailure) as info:
+        correlations(states)
+    assert info.value.index == 4
+    message = str(info.value)
+    assert message.startswith("correlated coherence:") and "tolerance 1.0e-10" in message
+    with pytest.raises(CrossCheckFailure, match=r"^at t = 2: correlated coherence: .* differ by 1\.6"):
+        _evaluate_samples(times, states, x_born=True)
