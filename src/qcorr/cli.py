@@ -1,4 +1,4 @@
-"""Command-line front end: trajectory scenarios, ESD solvers and steady-state
+"""Command-line front end: trajectory scenarios, ESD times and steady-state
 sweeps, all emitted as CSV with deterministic 17-significant-digit formatting."""
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Lindblad evolution, closed-form trajectories, steady states and
-entanglement-sudden-death solvers for the two-qubit XY model."""
+entanglement-sudden-death times for the two-qubit XY model."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .measures import (
     negativity,
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
-from .states import X_SHAPE_TOL, XState, is_x_shaped, validate
+from .states import XState, is_x_shaped, validate
 
 STEADY_RHS_TOL = 1e-12
 X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
@@ -173,7 +173,7 @@ def evolve(
             y = y + (phi if k < n_samples - 2 else phi_last) @ rhs[k]
         steady = np.abs(rhs).max(axis=1) <= STEADY_RHS_TOL
     states = states.reshape(-1, 4, 4)
-    corr = _evaluate_samples(times, states, bool(is_x_shaped(mat0, X_SHAPE_TOL)))
+    corr = _evaluate_samples(times, states, bool(is_x_shaped(mat0)))
     steady_time = float(times[steady.argmax()]) if steady.any() else None
     return Trajectory(times, states, corr, params, dt, steady_time)
 
@@ -468,18 +468,25 @@ def _thermal_root_poly(t: float, w: float, gamma: float, nbar: float) -> float:
     return float(a0 + a1 * w + a2 * w * w)
 
 
-def esd_time_thermal(
-    w: float,
-    gamma: float,
-    nbar: float,
-    horizon: float | None = None,
-) -> ESDResult:
-    """Death time at finite temperature by bracketing and bisection.
+def esd_time_thermal(w: float, gamma: float, nbar: float) -> ESDResult:
+    """Closed-form death time of the w-mixture at bath excitation nbar.
 
-    Solves exp(2 (2 nbar + 1) gamma t) f(t) = (2 nbar + 1)^4 (1 - w)^2 for its
-    first root, refined to |dt| <= 1e-10/gamma. Raises NoDeath if the
-    concurrence stays positive over the search horizon (default
-    100 / (gamma (2 nbar + 1)), e.g. the maximally entangled state at nbar = 0).
+    With k = 2 nbar + 1, c = 2 nbar (nbar + 1) (so k^2 = 1 + 2c),
+    s = sqrt(1 - 2 w (1 - w)), p = 1 - s = 2 w (1 - w) / (1 + s) and
+    q = s - w = (1 - w)^2 / (s + w):
+
+        gamma*tau = log1p( 2q / (p + sqrt(p^2 + 4 c q / k^2)) ) / k
+
+    Derivation: the concurrence vanishes where exp(2 k gamma t) f(t) =
+    k^4 (1 - w)^2 (f from ``_thermal_root_poly``). With v = exp(k gamma t)
+    this is [(v - 1)(1 + c + c v) + k^2 w]^2 = k^4 s^2 v^2. The "+" factor
+    has no root with v > 1; the "-" factor is c v^2 + (1 - k^2 s) v -
+    (1 + c - k^2 w) = 0, which for v = 1 + x reads c x^2 + k^2 p x - k^2 q = 0
+    with the positive root x above. Every term is non-negative, so nothing
+    cancels; at nbar = 0 the formula is ``esd_time_zero_temp``'s
+    ln((1 + s) / (2 w)). The denominator vanishes only for w = 0 at nbar = 0
+    (the maximally entangled state without thermal noise), which raises
+    NoDeath.
     """
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must lie in [0, 1], got {w}")
@@ -491,56 +498,36 @@ def esd_time_thermal(
         return ESDResult(0.0)
 
     k = 2.0 * nbar + 1.0
-    if horizon is None:
-        horizon = 100.0 / (gamma * k)
-    target = k**4 * (1.0 - w) ** 2
-
-    def gap(t: float) -> float:
-        return np.exp(2.0 * k * gamma * t) * _thermal_root_poly(t, w, gamma, nbar) - target
-
-    # the no-death asymptote rounds to zero within a few ulp, while a genuine
-    # crossing rises by O(step * target) in one step; use a scaled threshold
-    crossing_tol = 1e-12 * max(1.0, target)
-    step = min(0.01 / (gamma * k), horizon / 100.0)
-    lo, hi = 0.0, step
-    while gap(hi) <= crossing_tol:
-        lo, hi = hi, hi + step
-        if lo >= horizon:
-            raise NoDeath(horizon)
-
-    tol = 1e-10 / gamma
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return ESDResult(gamma * 0.5 * (lo + hi))
+    c_over_k2 = 2.0 * (nbar / k) * ((nbar + 1.0) / k)  # c / k^2 without overflow
+    s = math.sqrt(1.0 - 2.0 * w * (1.0 - w))
+    p = 2.0 * w * (1.0 - w) / (1.0 + s)
+    q = (1.0 - w) ** 2 / (s + w)
+    den = p + math.hypot(p, 2.0 * math.sqrt(c_over_k2 * q))  # p^2 underflows for w < 1e-162
+    if den == 0.0:
+        raise NoDeath()
+    x = 2.0 * q / den  # overflows only for subnormal w; log1p(x) is then log(2q) - log(den)
+    gt = math.log1p(x) if x < math.inf else math.log(2.0 * q) - math.log(den)
+    return ESDResult(gt / k)
 
 
 # ---------------------------------------------------------------------------
 # dark periods and revivals
 
 
-def dark_intervals_of_series(
-    times,
-    values,
-    threshold: float = DARK_THRESHOLD,
-    revival_threshold: float = REVIVAL_THRESHOLD,
-) -> list[tuple[int, int]]:
+def dark_intervals_of_series(times, values) -> list[tuple[int, int]]:
     """Index pairs (first dark sample, first revived sample) of dark runs.
 
-    A run starts when the series drops to <= threshold and ends at the first
-    sample above revival_threshold (values in between count as round-off
+    A run starts when the series drops to <= DARK_THRESHOLD and ends at the
+    first sample above REVIVAL_THRESHOLD (values in between count as round-off
     flicker and extend the run). An unfinished run ends at index len(times).
     """
     spans = []
     start = None
     for i, v in enumerate(values):
         if start is None:
-            if v <= threshold:
+            if v <= DARK_THRESHOLD:
                 start = i
-        elif v > revival_threshold:
+        elif v > REVIVAL_THRESHOLD:
             spans.append((start, i))
             start = None
     if start is not None:
@@ -549,11 +536,7 @@ def dark_intervals_of_series(
 
 
 def find_dark_intervals(
-    traj: Trajectory,
-    state_at=None,
-    threshold: float = DARK_THRESHOLD,
-    revival_threshold: float = REVIVAL_THRESHOLD,
-    refine_tol: float = 1e-6,
+    traj: Trajectory, state_at=None, refine_tol: float = 1e-6
 ) -> list[tuple[float, float]]:
     """Maximal (death, rebirth) intervals of zero concurrence along a trajectory.
 
@@ -563,7 +546,7 @@ def find_dark_intervals(
     still open at the end of the horizon gets rebirth = math.inf.
     """
     conc = [c.concurrence for c in traj.correlations]
-    spans = dark_intervals_of_series(traj.times, conc, threshold, revival_threshold)
+    spans = dark_intervals_of_series(traj.times, conc)
     if not spans:
         return []
 

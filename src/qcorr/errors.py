@@ -41,11 +41,10 @@ class StepRejected(RuntimeError):
 
 
 class NoDeath(RuntimeError):
-    """Concurrence never reached zero on the search horizon."""
+    """Concurrence never reaches zero."""
 
-    def __init__(self, horizon: float):
-        super().__init__(f"concurrence stays positive up to t = {horizon:.6g}")
-        self.horizon = horizon
+    def __init__(self):
+        super().__init__("concurrence never reaches zero")
 
 
 def raise_first(failed, error: type[Exception], describe) -> None:

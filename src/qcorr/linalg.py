@@ -37,14 +37,16 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
     return mat.conj().swapaxes(-1, -2)
 
 
-def require_hermitian(mat, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(mat) -> np.ndarray:
     """Return ``mat`` (a matrix or a stack) as a complex ndarray, raising
-    NotHermitian if a matrix is not Hermitian or has a non-finite entry."""
+    NotHermitian if a matrix is not Hermitian within HERMITICITY_TOL or has a
+    non-finite entry."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    deviation = np.abs(mat - _dagger(mat))  # not finite if an entry is not
-    if deviation.max(initial=0.0) <= tol:
+    with np.errstate(invalid="ignore"):  # a non-finite entry gives inf - inf: a nan deviation
+        deviation = np.abs(mat - _dagger(mat))
+    if deviation.max(initial=0.0) <= HERMITICITY_TOL:
         return mat
     deviation = deviation.max(axis=(-2, -1))
 
@@ -53,9 +55,9 @@ def require_hermitian(mat, tol: float = HERMITICITY_TOL) -> np.ndarray:
         if not np.isfinite(m).all():
             i, j = np.argwhere(~np.isfinite(m))[0]
             return f"entry ({i}, {j}) = {m[i, j]} is not finite"
-        return f"max |M - M^dag| entry = {deviation.flat[k]:.3e} exceeds {tol:.1e}"
+        return f"max |M - M^dag| entry = {deviation.flat[k]:.3e} exceeds {HERMITICITY_TOL:.1e}"
 
-    raise_first(~(deviation <= tol), NotHermitian, describe)
+    raise_first(~(deviation <= HERMITICITY_TOL), NotHermitian, describe)
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,7 +76,7 @@ def _block_order(pattern: int, n: int) -> tuple[list[int], list[int]]:
     return order, sorted(range(n), key=order.__getitem__)
 
 
-def hermitian_eigensystem(mat, tol: float = HERMITICITY_TOL) -> HermitianEigensystem:
+def hermitian_eigensystem(mat) -> HermitianEigensystem:
     """Diagonalize Hermitian matrices with one LAPACK solve per nonzero pattern.
 
     The matrices of a stack are grouped by their exact nonzero pattern. For
@@ -88,9 +90,8 @@ def hermitian_eigensystem(mat, tol: float = HERMITICITY_TOL) -> HermitianEigensy
     Parameters
     ----------
     mat : array_like
-        Hermitian matrix of size 2, 3 or 4, or a stack (..., m, m) of them.
-    tol : float
-        Hermiticity tolerance on max |M - M^dag|.
+        Hermitian matrix (within HERMITICITY_TOL on max |M - M^dag|) of size
+        2, 3 or 4, or a stack (..., m, m) of them.
 
     Returns
     -------
@@ -98,7 +99,7 @@ def hermitian_eigensystem(mat, tol: float = HERMITICITY_TOL) -> HermitianEigensy
         Ascending eigenvalues and orthonormal eigenvector columns, so that
         V diag(w) V^dag reconstructs each input.
     """
-    a = require_hermitian(mat, tol)
+    a = require_hermitian(mat)
     n = a.shape[-1]
     if n not in (2, 3, 4):
         raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
@@ -122,16 +123,16 @@ def _solve_in_block_order(a: np.ndarray, pattern: int) -> HermitianEigensystem:
     return HermitianEigensystem(w, v.take(inverse, -2))
 
 
-def psd_sqrt(mat, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(mat) -> np.ndarray:
     """Hermitian square root of a PSD matrix (or of each matrix of a stack).
 
-    Eigenvalues in [-tol, 0) are treated as integrator round-off and clamped
-    to zero; anything below -tol raises NotPSD.
+    Eigenvalues in [-PSD_TOL, 0) are treated as integrator round-off and
+    clamped to zero; anything below -PSD_TOL raises NotPSD.
     """
     es = hermitian_eigensystem(mat)
     lam_min = es.eigenvalues[..., 0]
-    raise_first(lam_min < -tol, NotPSD,
-                lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} is below -{tol:.1e}")
+    raise_first(lam_min < -PSD_TOL, NotPSD,
+                lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} is below -{PSD_TOL:.1e}")
     w = np.sqrt(np.clip(es.eigenvalues, 0.0, None))
     root = (es.eigenvectors * w[..., None, :]) @ _dagger(es.eigenvectors)
     return (root + _dagger(root)) / 2.0

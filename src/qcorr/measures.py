@@ -18,7 +18,6 @@ from .errors import CrossCheckFailure
 from .linalg import _dagger, hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_norm
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
-    X_SHAPE_TOL,
     DickeState,
     XState,
     is_x_shaped,
@@ -29,6 +28,7 @@ from .states import (
 )
 
 X_BRANCH_TOL = 1e-9  # |x| below this uses the balanced-marginal MIN branch
+RANGE_TOL = 1e-9  # slack of CorrelationSet.range_violation at the range ends
 
 _SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 _OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
@@ -55,7 +55,7 @@ class CorrelationSet:
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 
-    def range_violation(self, tol: float = 1e-9) -> str | None:
+    def range_violation(self) -> str | None:
         """Name the first field outside its allowed range, or None (one state)."""
         bounds = {
             "concurrence": (0.0, 1.0),
@@ -68,7 +68,7 @@ class CorrelationSet:
         }
         for name, (lo, hi) in bounds.items():
             val = getattr(self, name)
-            if val < lo - tol or (hi is not None and val > hi + tol):
+            if val < lo - RANGE_TOL or (hi is not None and val > hi + RANGE_TOL):
                 return f"{name} = {val!r} outside [{lo}, {hi}]"
         return None
 
@@ -244,19 +244,20 @@ def lqu_x(x: XState) -> float:
 # trace-norm measurement-induced nonlocality
 
 
-def min_trace(x: XState, x_tol: float = X_BRANCH_TOL) -> float:
+def min_trace(x: XState) -> float:
     """Trace-norm MIN of an X state.
 
     With x = rho11 + rho22 - (rho33 + rho44) the invariant measurement on A is
-    unique for x != 0 and the MIN equals 2(|rho14| + |rho23|); at x = 0 the
-    measurement basis is free and the maximum over bases is max{|u1|,|u2|,|u3|}.
+    unique for x != 0 and the MIN equals 2(|rho14| + |rho23|); at x = 0 (|x| <=
+    X_BRANCH_TOL) the measurement basis is free and the maximum over bases is
+    max{|u1|,|u2|,|u3|}.
     """
     bal = x.rho11 + x.rho22 - (x.rho33 + x.rho44)
     u1 = 2.0 * (abs(x.rho14) + abs(x.rho23))
     u2 = 2.0 * (-abs(x.rho14) + abs(x.rho23))
     u3 = x.rho11 - x.rho22 - x.rho33 + x.rho44
     balanced = np.maximum(np.maximum(abs(u1), abs(u2)), abs(u3))
-    return np.where(abs(bal) > x_tol, u1, balanced)[()]
+    return np.where(abs(bal) > X_BRANCH_TOL, u1, balanced)[()]
 
 
 def _bloch_basis(theta: float, phi: float) -> np.ndarray:
@@ -277,19 +278,19 @@ def _measurement_disturbance(rho: np.ndarray, basis: np.ndarray) -> float:
     return trace_norm((residual + _dagger(residual)) / 2.0)
 
 
-def min_trace_general(rho, degeneracy_tol: float = X_BRANCH_TOL, grid: int = 24) -> float:
+def min_trace_general(rho, grid: int = 24) -> float:
     """Trace-norm MIN of an arbitrary two-qubit state.
 
-    When the reduced state of A is non-degenerate its eigenbasis is the only
-    locally invariant projective measurement, so the MIN is a single trace
-    norm. A degenerate marginal leaves the basis free; then the maximum is
-    taken over a Bloch-sphere grid of (theta, phi) bases (accuracy set by
-    ``grid``).
+    When the reduced state of A is non-degenerate (its eigenvalues differ by
+    more than X_BRANCH_TOL) its eigenbasis is the only locally invariant
+    projective measurement, so the MIN is a single trace norm. A degenerate
+    marginal leaves the basis free; then the maximum is taken over a
+    Bloch-sphere grid of (theta, phi) bases (accuracy set by ``grid``).
     """
     rho = np.asarray(rho, dtype=complex)
     mats = rho.reshape(-1, 4, 4)
     es = hermitian_eigensystem(trace_out_b(mats))
-    unique = es.eigenvalues[:, 1] - es.eigenvalues[:, 0] > degeneracy_tol
+    unique = es.eigenvalues[:, 1] - es.eigenvalues[:, 0] > X_BRANCH_TOL
     out = np.zeros(len(mats))
     out[unique] = _measurement_disturbance(mats[unique], es.eigenvectors[unique])
     free = mats[~unique]
@@ -341,17 +342,11 @@ def _cross_check(name: str, closed: float, general: float, tol: float):
         )
 
 
-def correlations(
-    rho,
-    *,
-    x_shape_tol: float = X_SHAPE_TOL,
-    x_tol: float = X_BRANCH_TOL,
-    cross_check: bool = True,
-) -> CorrelationSet:
+def correlations(rho, *, cross_check: bool = True) -> CorrelationSet:
     """Evaluate all seven quantifiers on a valid density matrix, or on every
     matrix of a stack (..., 4, 4) at once.
 
-    X-shaped matrices (within ``x_shape_tol``) use the closed forms and, when
+    X-shaped matrices (within X_SHAPE_TOL) use the closed forms and, when
     ``cross_check`` is set, every closed form is compared against its
     general-definition route; the first matrix where they disagree raises
     CrossCheckFailure (its flat position is ``index``). Other matrices take
@@ -360,7 +355,7 @@ def correlations(
     """
     rho = np.asarray(rho, dtype=complex)
     mats = rho.reshape(-1, 4, 4)
-    x_rows = is_x_shaped(mats, x_shape_tol)
+    x_rows = is_x_shaped(mats)
     x = x_columns(mats)
     pt_lam = hermitian_eigensystem(partial_transpose_b(mats)).eigenvalues
     neg = np.maximum(0.0, -pt_lam[:, 0])
@@ -368,14 +363,13 @@ def correlations(
     # pasted over them on the rows that need them: the values of non-X rows
     # and the cross-checks of X rows (a balanced X row leaves the MIN basis
     # free, so its closed form goes unchecked)
-    closed = np.array([concurrence_x(x), lqu_x(x), min_trace(x, x_tol=x_tol),
-                       correlated_coherence(x)])
+    closed = np.array([concurrence_x(x), lqu_x(x), min_trace(x), correlated_coherence(x)])
     general = closed.copy()
     rows = ~x_rows | cross_check
     sqrt_rho = psd_sqrt(mats[rows])  # shared by the concurrence and LQU routes
     general[0, rows] = _concurrence_from_sqrt(mats[rows], sqrt_rho, clamp=True)
     general[1, rows] = _lqu_from_sqrt(sqrt_rho)
-    mt_rows = rows & (~x_rows | (abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) > x_tol))
+    mt_rows = rows & (~x_rows | (abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) > X_BRANCH_TOL))
     general[2, mt_rows] = min_trace_general(mats[mt_rows])
     general[3, rows] = correlated_coherence_general(mats[rows])
 

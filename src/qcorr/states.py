@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, NotXShaped, TraceNotOne, raise_first
-from .linalg import HERMITICITY_TOL, PSD_TOL, _two_qubit, hermitian_eigensystem, require_hermitian
+from .linalg import PSD_TOL, _two_qubit, hermitian_eigensystem, require_hermitian
 
 TRACE_TOL = 1e-10
 X_SHAPE_TOL = 1e-9
@@ -62,11 +62,12 @@ class XState:
         return m
 
     @staticmethod
-    def from_matrix(rho, tol: float = X_SHAPE_TOL) -> "XState":
-        """Extract the X entries of a valid density matrix; NotXShaped otherwise."""
+    def from_matrix(rho) -> "XState":
+        """Extract the X entries of a valid density matrix; NotXShaped if an
+        off-pattern entry exceeds X_SHAPE_TOL."""
         rho = np.asarray(rho, dtype=complex)
-        if not is_x_shaped(rho, tol):
-            raise NotXShaped(f"off-pattern entries exceed {tol:.1e}")
+        if not is_x_shaped(rho):
+            raise NotXShaped(f"off-pattern entries exceed {X_SHAPE_TOL:.1e}")
         return XState(
             rho[0, 0].real, rho[1, 1].real, rho[2, 2].real, rho[3, 3].real,
             rho[0, 3], rho[1, 2],
@@ -115,7 +116,7 @@ class DickeState:
             raise TraceNotOne(f"trace = {trace!r}, |trace - 1| = {abs(trace - 1.0):.3e}")
 
 
-def validate(rho, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def validate(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix
     or of every matrix of a stack (..., 4, 4).
 
@@ -129,10 +130,9 @@ def validate(rho, tol: float = HERMITICITY_TOL) -> np.ndarray:
     mats = rho.reshape(-1, 4, 4)
     failure, stop = None, len(mats)
     # each check sees only the matrices before the first failure found so far
-    for check in (lambda m: require_hermitian(m, tol), _require_unit_trace, _require_psd):
+    for check in (require_hermitian, _require_unit_trace, _require_psd):
         try:
-            with np.errstate(invalid="ignore"):  # inf - inf where an entry is not finite
-                check(mats[:stop])
+            check(mats[:stop])
         except (NotHermitian, TraceNotOne, NotPSD) as exc:
             failure, stop = exc, exc.index
     if failure is not None:

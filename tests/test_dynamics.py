@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_density_matrix, random_x_state
 from qcorr import (
@@ -496,6 +496,51 @@ def test_esd_thermal_edge_cases():
         esd_time_thermal(0.0, 0.5, 0.0)
     with pytest.raises(DomainError):
         esd_time_thermal(0.5, -1.0, 0.0)
+
+
+def test_esd_thermal_at_zero_temperature_is_the_zero_temperature_closed_form():
+    for w in np.linspace(0.01, 0.99, 99):
+        for gamma in (0.1, 1.0):
+            assert esd_time_thermal(w, gamma, 0.0).death_time == pytest.approx(
+                esd_time_zero_temp(w, gamma).death_time, rel=0.0, abs=1e-14
+            )
+
+
+def test_esd_thermal_small_weight_matches_high_precision_root():
+    # 50-digit roots of the death condition at nbar = 0; p^2 underflows at w = 1e-200
+    # and 2q / (p + sqrt(p^2 + 4cq/k^2)) overflows at w = 1e-320
+    assert abs(esd_time_thermal(1e-9, 1.0, 0.0).death_time - 20.723265836446412) <= 1e-12
+    assert abs(esd_time_thermal(1e-200, 1.0, 0.0).death_time - 460.51701859880914) <= 1e-12
+    assert abs(esd_time_thermal(1e-320, 1.0, 0.0).death_time - 736.8272408909739) <= 1e-12
+
+
+def test_esd_thermal_bell_state_dies_only_at_finite_temperature():
+    with pytest.raises(NoDeath):
+        esd_time_thermal(0.0, 1.0, 0.0)
+    assert math.isfinite(esd_time_thermal(0.0, 1.0, 1e-300).death_time)
+    tau = esd_time_thermal(0.0, 1.0, 0.5).death_time
+    assert concurrence_thermal_independent(tau * (1.0 - 1e-9), 0.0, 1.0, 0.5) > 0.0
+    assert concurrence_thermal_independent(tau * (1.0 + 1e-9), 0.0, 1.0, 0.5) == 0.0
+
+
+def test_esd_thermal_at_extreme_nbar():
+    cold = esd_time_zero_temp(0.5, 1.0).death_time
+    assert abs(esd_time_thermal(0.5, 1.0, 1e-300).death_time - cold) <= 1e-15
+    assert abs(esd_time_thermal(0.5, 1.0, 0.0).death_time - cold) <= 1e-15
+    # 50-digit root 1.7328679513998633e-201: c = 2 nbar (nbar + 1) overflows here
+    assert esd_time_thermal(0.5, 1.0, 1e200).death_time == pytest.approx(
+        1.7328679513998633e-201, rel=1e-15, abs=0.0
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.floats(0.01, 0.99), nbar=st.floats(0.0, 2.0), gamma=st.floats(0.05, 3.0))
+@example(w=0.99, nbar=2.0, gamma=1.0)  # shortest death time: a relative error shows most here
+def test_esd_thermal_brackets_first_concurrence_zero(w, nbar, gamma):
+    tau = esd_time_thermal(w, gamma, nbar).death_time / gamma
+    for rel in (1e-7, 1e-9):
+        assert concurrence_thermal_independent(tau * (1.0 - rel), w, gamma, nbar) > 0.0
+        assert concurrence_thermal_independent(tau * (1.0 + rel), w, gamma, nbar) == 0.0
 
 
 # ------------------------------------------------------------------ dark intervals

@@ -1,5 +1,7 @@
 """Eigensolver, PSD square root, trace norm and partial transpose."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qcorr import (
     hermitian_eigensystem,
     is_x_shaped,
     make_mixture,
+    negativity,
     partial_transpose_a,
     partial_transpose_b,
     psd_sqrt,
@@ -133,6 +136,13 @@ def test_not_hermitian_rejected():
         m[2, 1] = bad
         with pytest.raises(NotHermitian, match=r"entry \(2, 1\).*not finite"):
             hermitian_eigensystem(m)
+    m = np.eye(4, dtype=complex)
+    m[1, 1] = np.inf  # inf - inf in M - M^dag must not leak a numpy warning
+    for fn in (hermitian_eigensystem, psd_sqrt, trace_norm, negativity):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match=r"entry \(1, 1\).*not finite"):
+                fn(m)
 
 
 def test_unsupported_size_rejected():
