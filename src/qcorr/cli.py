@@ -6,28 +6,24 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
-    esd_time_thermal,
-    esd_time_zero_temp,
-    evolve,
-    steady_correlations_thermal,
-)
+from .dynamics import MAX_SAMPLES, esd_gamma_tau, evolve, steady_correlations_thermal
 from .errors import (
     CrossCheckFailure,
     DegenerateParams,
     DomainError,
-    NoDeath,
     NotHermitian,
     NotPSD,
     NotXShaped,
+    RangeViolation,
     StepRejected,
     TraceNotOne,
+    raise_first,
 )
+from .measures import CorrelationSet
 from .model import ModelParams
 from .states import loads_density_matrix, make_mixture, make_werner, purity, validate
 
@@ -59,10 +55,10 @@ def _parse_sweep(spec: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
         n, lo, hi = int(count), float(start), float(stop)
     except ValueError as exc:
         raise DomainError(f"malformed number in sweep {spec!r}: {exc}") from exc
-    if n < 1:
-        raise DomainError(f"sweep count must be >= 1, got {n}")
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        raise DomainError(f"sweep bounds must be finite, got {spec!r}")
+    if not 1 <= n <= MAX_SAMPLES:  # the rows are evaluated as arrays of this length
+        raise DomainError(f"sweep count must lie in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n}")
+    if not math.isfinite(hi - lo):  # a bound is not finite or the span overflows
+        raise DomainError(f"sweep bounds and their difference must be finite, got {spec!r}")
     return name, np.linspace(lo, hi, n)
 
 
@@ -87,71 +83,60 @@ def _initial_state(selector: str) -> np.ndarray:
     )
 
 
+def _csv(header: str, columns) -> str:
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
+
+
+def _require_in_range(cs: CorrelationSet, where):
+    violation = cs.range_violation(where)
+    if violation is not None:
+        raise RangeViolation(f"correlation range violation at {violation}")
+
+
 def cmd_evolve(args) -> int:
     params = ModelParams(j=args.j, delta=args.delta, omega=args.omega,
                          gamma=args.gamma, nbar=args.nbar)
     rho0 = _initial_state(args.initial)
     traj = evolve(rho0, params, t_max=args.t_max, dt=args.dt, stride=args.stride)
-
-    lines = [EVOLVE_HEADER]
-    for t, cs, pur in zip(traj.times.tolist(), traj.correlations, purity(traj.states).tolist()):
-        violation = cs.range_violation()
-        if violation is not None:
-            raise StepRejected(t, f"correlation range violation: {violation}")
-        row = (t, params.gamma * t, *cs.as_tuple(), pur)
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_output(args.out, "\n".join(lines) + "\n")
+    cs = CorrelationSet(*np.array([c.as_tuple() for c in traj.correlations]).T)
+    _require_in_range(cs, lambda k: f"t = {traj.times[k]:.6g}")
+    columns = (traj.times, params.gamma * traj.times, *cs.as_tuple(), purity(traj.states))
+    _write_output(args.out, _csv(EVOLVE_HEADER, columns))
     return 0
 
 
-def _esd_value(w: float, gamma: float, nbar: float, mode: str) -> float:
-    if mode == "auto":
-        mode = "closed" if nbar == 0.0 else "numeric"
-    if mode == "closed":
-        if nbar != 0.0:
-            raise DomainError("the closed-form death time is defined at nbar = 0")
-        return esd_time_zero_temp(w, gamma).death_time
-    try:
-        return esd_time_thermal(w, gamma, nbar).death_time
-    except NoDeath:
-        return math.inf
-
-
 def cmd_esd(args) -> int:
-    if args.sweep is not None:
-        name, values = _parse_sweep(args.sweep, allowed=("w", "nbar"))
-
-        def one(v: float) -> float:
-            w = v if name == "w" else args.w
-            nb = v if name == "nbar" else args.nbar
-            return _esd_value(w, args.gamma, nb, args.mode)
-
-        results = [one(v) for v in values]
-        lines = [f"{name},gamma_tau"]
-        lines += [f"{_fmt(v)},{_fmt(r)}" for v, r in zip(values, results)]
-        _write_output(args.out, "\n".join(lines) + "\n")
-    else:
-        value = _esd_value(args.w, args.gamma, args.nbar, args.mode)
-        _write_output(args.out, f"gamma_tau = {_fmt(value)}\n")
+    name, values = (_parse_sweep(args.sweep, allowed=("w", "nbar")) if args.sweep is not None
+                    else ("w", np.array([args.w])))
+    w = values if name == "w" else args.w
+    nbar = values if name == "nbar" else args.nbar
+    if args.mode == "closed" and np.any(np.not_equal(nbar, 0.0)):
+        raise DomainError("the closed-form death time is defined at nbar = 0")
+    gamma_tau = esd_gamma_tau(w, args.gamma, nbar)
+    # finite and >= 0, except inf for the undying Bell state (w = 0 at nbar = 0)
+    undying = np.equal(w, 0.0) & np.equal(nbar, 0.0)
+    ok = (gamma_tau >= 0.0) & (np.isfinite(gamma_tau) | undying)
+    raise_first(~ok, RangeViolation,
+                lambda k: f"death time at {name} = {_fmt(values[k])} is gamma_tau = {gamma_tau[k]}")
+    _write_output(args.out, _csv(f"{name},gamma_tau", (values, gamma_tau))
+                  if args.sweep is not None else f"gamma_tau = {_fmt(gamma_tau[0])}\n")
     return 0
 
 
 def cmd_steady(args) -> int:
-    base = ModelParams(j=args.j, delta=args.delta, omega=args.omega,
-                       gamma=args.gamma, nbar=args.nbar)
-    if args.sweep is not None:
-        name, values = _parse_sweep(args.sweep, allowed=("nbar", "delta"))
-        rows = [steady_correlations_thermal(replace(base, **{name: float(v)})) for v in values]
-    else:
-        name, values, rows = "nbar", [base.nbar], [steady_correlations_thermal(base)]
-
-    lines = [f"{name},{STEADY_COLUMNS}"]
-    for v, cs in zip(values, rows):
-        lines.append(",".join(_fmt(x) for x in (
-            v, cs.concurrence, cs.log_negativity, cs.lqu, cs.min_trace,
-            cs.correlated_coherence,
-        )))
-    _write_output(args.out, "\n".join(lines) + "\n")
+    name, values = (_parse_sweep(args.sweep, allowed=("nbar", "delta")) if args.sweep is not None
+                    else ("nbar", np.array([args.nbar])))
+    fields = dict(j=args.j, delta=args.delta, omega=args.omega, gamma=args.gamma, nbar=args.nbar)
+    params = ModelParams(**{**fields, name: values})
+    try:
+        cs = steady_correlations_thermal(params)
+    except CrossCheckFailure as exc:
+        raise CrossCheckFailure(f"at {name} = {_fmt(values[exc.index])}: {exc}") from exc
+    _require_in_range(cs, lambda k: f"{name} = {_fmt(values[k])}")
+    columns = (values, cs.concurrence, cs.log_negativity, cs.lqu, cs.min_trace,
+               cs.correlated_coherence)
+    _write_output(args.out, _csv(f"{name},{STEADY_COLUMNS}", columns))
     return 0
 
 
@@ -203,7 +188,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"qcorr: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (StepRejected, CrossCheckFailure, np.linalg.LinAlgError) as exc:
+    except (StepRejected, CrossCheckFailure, RangeViolation, np.linalg.LinAlgError) as exc:
         print(f"qcorr: run failed: {exc}", file=sys.stderr)
         return 3
 

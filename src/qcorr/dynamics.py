@@ -9,18 +9,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NoDeath, NotHermitian,
-                     NotPSD, StepRejected, TraceNotOne)
+                     NotPSD, StepRejected, TraceNotOne, raise_first)
 from .measures import (
     CorrelationSet,
+    balanced,
+    check_routes,
     concurrence_branches,
     concurrence_signed,
+    concurrence_x,
+    correlated_coherence,
     correlations,
-    l1_coherence,
     lqu_x,
-    negativity,
+    min_trace,
+    negativity_x,
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
-from .states import XState, is_x_shaped, validate
+from .states import XColumns, XState, is_x_shaped, validate
 
 STEADY_RHS_TOL = 1e-12
 X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
@@ -324,11 +328,15 @@ def analytic_independent_mixture(t: float, w: float, gamma: float, omega: float 
 # steady states
 
 
+def _require_decay(params: ModelParams):
+    if np.any(np.less_equal(params.gamma, 0.0)):
+        raise DegenerateParams("gamma > 0 is required for a unique steady state")
+
+
 def steady_state_zero_temp(params: ModelParams) -> XState:
     """Unique steady state at zero temperature; the same for every X-shaped
     initial condition. Entangled iff |Delta| < sqrt(gamma^2 + 4 omega^2)."""
-    if params.gamma <= 0.0:
-        raise DegenerateParams("gamma > 0 is required for a unique steady state")
+    _require_decay(params)
     g, d, w = params.gamma, params.delta, params.omega
     den = g * g + 4.0 * params.big_omega**2
     pop = d * d / den
@@ -342,40 +350,57 @@ def steady_state_zero_temp(params: ModelParams) -> XState:
     )
 
 
+def _steady_scales(params: ModelParams):
+    """Terms of the thermal steady state over the broadcast fields of
+    ``params`` that stay finite for any finite parameters: delta, omega and
+    gamma divided exactly by the power of two that brings the largest into
+    [1/2, 1) (every steady quantity is homogeneous of degree 0 in them),
+    1/k, nbar/k and (nbar + 1)/k with k = 2 nbar + 1, and sqrt(den)/k with
+    den = 4 Omega^2 + gamma^2 k^2."""
+    _require_decay(params)
+    d, w, g, nb = np.broadcast_arrays(params.delta, params.omega, params.gamma, params.nbar)
+    e = np.frexp(np.maximum(np.maximum(abs(d), w), g))[1]
+    d, w, g, half = np.ldexp(d, -e), np.ldexp(w, -e), np.ldexp(g, -e), nb + 0.5
+    inv_k = 0.5 / half
+    root = np.hypot(2.0 * inv_k * np.hypot(d, w), g)
+    return d, w, g, inv_k, 0.5 * (nb / half), 0.5 * ((nb + 1.0) / half), root
+
+
+def _steady_columns(params: ModelParams) -> XColumns:
+    """Thermal steady-state entries as arrays. With p = Delta / sqrt(den) and
+    v = (4 omega^2 + gamma^2 k^2) / den = 1 - 4 p^2: rho11 = p^2 + (nbar/k)^2 v,
+    rho44 = p^2 + ((nbar + 1)/k)^2 v, rho22 = rho33 = (p/k)^2 + nbar (nbar + 1)/k^2
+    and rho14 = -p (2 omega + i gamma k) / (k sqrt(den))."""
+    d, w, g, inv_k, a, b, root = _steady_scales(params)
+    p = d * inv_k / root
+    v = np.square(np.hypot(2.0 * w * inv_k, g) / root)
+    r22 = np.square(p * inv_k) + a * b
+    r14 = -p * (2.0 * w * inv_k + 1j * g) * inv_k / root
+    return XColumns(p * p + a * a * v, r22, r22, p * p + b * b * v, r14, np.zeros_like(r14))
+
+
 def steady_state_thermal(params: ModelParams) -> XState:
     """Thermal steady state; reduces to the zero-temperature one at nbar = 0
     and to a diagonal state when J = Delta = 0."""
-    if params.gamma <= 0.0:
-        raise DegenerateParams("gamma > 0 is required for a unique steady state")
-    g, d, w, nb = params.gamma, params.delta, params.omega, params.nbar
-    k = 2.0 * nb + 1.0
-    den = 4.0 * params.big_omega**2 + g * g * k * k
-    r11 = (k * k * (d * d + g * g * nb * nb) + 4.0 * nb * nb * w * w) / (k * k * den)
-    r14 = -(2.0 * w * d + 1j * g * d * k) / (k * den)
-    r22 = (d * d + nb * (nb + 1.0) * den) / (k * k * den)
-    r44 = (k * k * (d * d + g * g * (nb + 1.0) ** 2) + 4.0 * (nb + 1.0) ** 2 * w * w) / (k * k * den)
-    return XState(r11, r22, r22, r44, r14, 0.0)
-
-
-def steady_concurrence_thermal(params: ModelParams) -> float:
-    """Closed-form steady-state concurrence at mean bath excitation nbar."""
-    if params.gamma <= 0.0:
-        raise DegenerateParams("gamma > 0 is required for a unique steady state")
-    g, d, w, nb = params.gamma, params.delta, params.omega, params.nbar
-    k = 2.0 * nb + 1.0
-    den = 4.0 * params.big_omega**2 + g * g * k * k
-    inner = (k * abs(d) * np.sqrt(4.0 * w * w + g * g * k * k) - d * d) / (k * k * den)
-    return 2.0 * max(0.0, float(inner - nb * (nb + 1.0) / (k * k)))
+    return XState(*_steady_columns(params))
 
 
 def steady_ccc_thermal(params: ModelParams) -> float:
-    """Closed-form steady-state correlated coherence; the steady MIN equals it."""
-    if params.gamma <= 0.0:
-        raise DegenerateParams("gamma > 0 is required for a unique steady state")
-    g, d, w = params.gamma, params.delta, params.omega
-    k = 2.0 * params.nbar + 1.0
-    den = 4.0 * params.big_omega**2 + g * g * k * k
-    return float(2.0 * abs(d) * np.sqrt(4.0 * w * w + g * g * k * k) / (k * den))
+    """Closed-form steady-state correlated coherence 2 |Delta| sqrt(4 omega^2
+    + gamma^2 k^2) / (k den), written in the terms of ``_steady_scales``
+    (arrays for array-valued fields); the steady MIN equals it unless the
+    marginal of A is degenerate."""
+    d, w, g, inv_k, _, _, root = _steady_scales(params)
+    return 2.0 * (abs(d) * inv_k / root) * (inv_k * np.hypot(2.0 * w * inv_k, g) / root)
+
+
+def steady_concurrence_thermal(params: ModelParams) -> float:
+    """Closed-form steady-state concurrence 2 max{0, (k |Delta| sqrt(4 omega^2
+    + gamma^2 k^2) - Delta^2) / (k^2 den) - nbar (nbar + 1) / k^2}, the first
+    term being CC / 2."""
+    d, _, _, inv_k, a, b, root = _steady_scales(params)
+    population = np.square(d * inv_k / root * inv_k)  # Delta^2 / (k^2 den)
+    return 2.0 * np.maximum(0.0, 0.5 * steady_ccc_thermal(params) - population - a * b)
 
 
 def steady_w_entries_zero_temp(params: ModelParams) -> tuple[float, float]:
@@ -384,65 +409,100 @@ def steady_w_entries_zero_temp(params: ModelParams) -> tuple[float, float]:
     The steady W matrix is diagonal with W11 = W22, so the LQU is
     1 - max{W11, W33}.
     """
-    if params.gamma <= 0.0:
-        raise DegenerateParams("gamma > 0 is required for a unique steady state")
-    g, d, w = params.gamma, params.delta, params.omega
-    om2 = params.big_omega**2
+    d, w, g = _steady_scales(params)[:3]
+    om2 = d * d + w * w
     den = g * g + 4.0 * om2
     radical = np.sqrt((g * g + 4.0 * w * w) * den)
     core = g * g + 2.0 * w * w + 2.0 * om2
     w11 = (np.sqrt(2.0) * abs(d) / den) * (
-        np.sqrt(max(core - radical, 0.0)) + np.sqrt(core + radical)
+        np.sqrt(np.maximum(core - radical, 0.0)) + np.sqrt(core + radical)
     )
     w33 = (g**4 + 4.0 * g * g * (w * w + om2) + 16.0 * (d**4 + w * w * om2)) / den**2
-    return float(w11), float(w33)
+    return w11[()], w33[()]
 
 
 def steady_lqu_thermal(params: ModelParams, state: XState | None = None) -> float:
     """Steady-state LQU: closed-form W entries at nbar = 0, W-matrix
     evaluation on the thermal steady state (``state``, if at hand) otherwise."""
-    if params.nbar == 0.0:
-        w11, w33 = steady_w_entries_zero_temp(params)
-        return min(1.0, max(0.0, 1.0 - max(w11, w33)))
-    return lqu_x(steady_state_thermal(params) if state is None else state)
+    w11, w33 = steady_w_entries_zero_temp(params)
+    cold = np.clip(1.0 - np.maximum(w11, w33), 0.0, 1.0)
+    warm = lqu_x(_steady_columns(params) if state is None else state)
+    return np.where(np.equal(params.nbar, 0.0), cold, warm)[()]
 
 
 def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
-    """All steady-state quantifiers; closed forms where available, W/partial
-    transpose evaluation on the steady state for the rest."""
-    state = steady_state_thermal(params)
-    mat = state.to_matrix()
-    cc = steady_ccc_thermal(params)
-    neg = negativity(mat)
-    return CorrelationSet(
-        concurrence=steady_concurrence_thermal(params),
-        negativity=neg,
-        log_negativity=float(np.log2(2.0 * neg + 1.0)),
-        lqu=steady_lqu_thermal(params, state),
-        min_trace=cc,
-        correlated_coherence=cc,
-        l1_coherence=l1_coherence(mat),
-    )
+    """All steady-state quantifiers from the X closed forms on the thermal
+    steady state. Array-valued ``params`` fields give one row per element
+    (a CorrelationSet of arrays). The paper's closed forms cross-check them:
+    concurrence, CC and the MIN (unless the marginal of A is degenerate),
+    and the LQU at nbar = 0; the first failing row raises CrossCheckFailure
+    with its flat position as ``index``.
+    """
+    columns = _steady_columns(params)
+    x = XColumns(*map(np.ravel, columns))  # scalar params too: one array path for every row
+    conc, neg, unc, mt, cc = (f(x) for f in (concurrence_x, negativity_x, lqu_x, min_trace,
+                                             correlated_coherence))
+    paper_cc = np.ravel(steady_ccc_thermal(params))
+    check_routes([
+        ("concurrence", conc, steady_concurrence_thermal(params)),
+        ("lqu", unc, steady_lqu_thermal(params, columns)),
+        ("correlated coherence", cc, paper_cc),
+        ("min_trace", mt, np.where(balanced(x), mt, paper_cc)),
+    ])
+    rows = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, cc)
+    return CorrelationSet(*(c.reshape(np.shape(columns.rho11))[()] for c in rows))
 
 
 # ---------------------------------------------------------------------------
 # entanglement sudden death
 
 
-def esd_time_zero_temp(w: float, gamma: float) -> ESDResult:
-    """Closed-form death time of the w-mixture for non-interacting qubits.
+def esd_gamma_tau(w, gamma: float, nbar):
+    """Death time gamma*tau of the w-mixture at bath excitation nbar, for
+    scalars or broadcast arrays; inf where entanglement never dies.
 
-    gamma*tau = ln( (1 + sqrt(1 - 2 w (1 - w))) / (2 w) ); infinite at w = 0,
-    zero at w = 1 (the initial state is already separable).
+    With k = 2 nbar + 1, c = 2 nbar (nbar + 1) (so k^2 = 1 + 2c),
+    s = sqrt(1 - 2 w (1 - w)), p = 1 - s = 2 w (1 - w) / (1 + s) and
+    q = s - w = (1 - w)^2 / (s + w):
+
+        gamma*tau = log1p( 2q / (p + sqrt(p^2 + 4 c q / k^2)) ) / k
+
+    Derivation: the concurrence vanishes where exp(2 k gamma t) f(t) =
+    k^4 (1 - w)^2 (f from ``_thermal_root_poly``). With v = exp(k gamma t)
+    this is [(v - 1)(1 + c + c v) + k^2 w]^2 = k^4 s^2 v^2. The "+" factor
+    has no root with v > 1; the "-" factor is c v^2 + (1 - k^2 s) v -
+    (1 + c - k^2 w) = 0, which for v = 1 + x reads c x^2 + k^2 p x - k^2 q = 0
+    with the positive root x above. Every term is non-negative, so nothing
+    cancels; at nbar = 0 it is log1p(q/p) = ln((1 + s) / (2 w)). The
+    denominator vanishes only for w = 0 at nbar = 0 (the maximally entangled
+    state without thermal noise): inf. DomainError names the first bad value.
     """
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0, 1], got {w}")
-    if not 0.0 < gamma < math.inf:
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
-    if w == 0.0:
-        return ESDResult(math.inf)
-    gt = math.log((1.0 + math.sqrt(1.0 - 2.0 * w * (1.0 - w))) / (2.0 * w))
-    return ESDResult(max(gt, 0.0))
+    w, gamma, nbar = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (w, gamma, nbar)))
+    for values, ok, must in (
+        (w, (0.0 <= w) & (w <= 1.0), "mixture weight must lie in [0, 1]"),
+        (gamma, (0.0 < gamma) & (gamma < math.inf), "gamma must be positive and finite"),
+        (nbar, (0.0 <= nbar) & (nbar < math.inf), "nbar must be non-negative and finite"),
+    ):
+        raise_first(~ok, DomainError, lambda k: f"{must}, got {values.flat[k]}")
+
+    half = nbar + 0.5  # k / 2; k itself overflows for nbar > 9e307
+    c_over_k2 = 0.5 * (nbar / half) * ((nbar + 1.0) / half)  # c / k^2 without overflow
+    s = np.sqrt(1.0 - 2.0 * w * (1.0 - w))
+    p = 2.0 * w * (1.0 - w) / (1.0 + s)
+    q = np.square(1.0 - w) / (s + w)
+    den = p + np.hypot(p, 2.0 * np.sqrt(c_over_k2 * q))  # p^2 underflows for w < 1e-162
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = 2.0 * q / den  # overflows only for subnormal w; log1p(x) is then log(2q) - log(den)
+        gt = np.where(x < math.inf, np.log1p(x), np.log(2.0 * q) - np.log(den))
+    return np.where(w == 1.0, 0.0, 0.5 * (gt / half))[()]
+
+
+def esd_time_zero_temp(w: float, gamma: float) -> ESDResult:
+    """Closed-form death time of the w-mixture for non-interacting qubits,
+    ``esd_gamma_tau`` at nbar = 0: gamma*tau = log1p(q/p) = ln((1 + s) / (2w));
+    infinite at w = 0, zero at w = 1 (the initial state is already separable).
+    """
+    return ESDResult(float(esd_gamma_tau(w, gamma, 0.0)))
 
 
 def concurrence_thermal_independent(t: float, w: float, gamma: float, nbar: float) -> float:
@@ -469,45 +529,12 @@ def _thermal_root_poly(t: float, w: float, gamma: float, nbar: float) -> float:
 
 
 def esd_time_thermal(w: float, gamma: float, nbar: float) -> ESDResult:
-    """Closed-form death time of the w-mixture at bath excitation nbar.
-
-    With k = 2 nbar + 1, c = 2 nbar (nbar + 1) (so k^2 = 1 + 2c),
-    s = sqrt(1 - 2 w (1 - w)), p = 1 - s = 2 w (1 - w) / (1 + s) and
-    q = s - w = (1 - w)^2 / (s + w):
-
-        gamma*tau = log1p( 2q / (p + sqrt(p^2 + 4 c q / k^2)) ) / k
-
-    Derivation: the concurrence vanishes where exp(2 k gamma t) f(t) =
-    k^4 (1 - w)^2 (f from ``_thermal_root_poly``). With v = exp(k gamma t)
-    this is [(v - 1)(1 + c + c v) + k^2 w]^2 = k^4 s^2 v^2. The "+" factor
-    has no root with v > 1; the "-" factor is c v^2 + (1 - k^2 s) v -
-    (1 + c - k^2 w) = 0, which for v = 1 + x reads c x^2 + k^2 p x - k^2 q = 0
-    with the positive root x above. Every term is non-negative, so nothing
-    cancels; at nbar = 0 the formula is ``esd_time_zero_temp``'s
-    ln((1 + s) / (2 w)). The denominator vanishes only for w = 0 at nbar = 0
-    (the maximally entangled state without thermal noise), which raises
-    NoDeath.
-    """
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0, 1], got {w}")
-    if not 0.0 < gamma < math.inf:
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
-    if not 0.0 <= nbar < math.inf:
-        raise DomainError(f"nbar must be non-negative and finite, got {nbar}")
-    if w == 1.0:
-        return ESDResult(0.0)
-
-    k = 2.0 * nbar + 1.0
-    c_over_k2 = 2.0 * (nbar / k) * ((nbar + 1.0) / k)  # c / k^2 without overflow
-    s = math.sqrt(1.0 - 2.0 * w * (1.0 - w))
-    p = 2.0 * w * (1.0 - w) / (1.0 + s)
-    q = (1.0 - w) ** 2 / (s + w)
-    den = p + math.hypot(p, 2.0 * math.sqrt(c_over_k2 * q))  # p^2 underflows for w < 1e-162
-    if den == 0.0:
+    """Closed-form death time of the w-mixture at bath excitation nbar
+    (``esd_gamma_tau``); NoDeath for w = 0 at nbar = 0."""
+    gt = float(esd_gamma_tau(w, gamma, nbar))
+    if gt == math.inf:
         raise NoDeath()
-    x = 2.0 * q / den  # overflows only for subnormal w; log1p(x) is then log(2q) - log(den)
-    gt = math.log1p(x) if x < math.inf else math.log(2.0 * q) - math.log(den)
-    return ESDResult(gt / k)
+    return ESDResult(gt)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,10 @@ class CrossCheckFailure(RuntimeError):
     """Closed-form and general-definition routes disagree beyond tolerance."""
 
 
+class RangeViolation(RuntimeError):
+    """A computed quantity lies outside its allowed range or is not finite."""
+
+
 class StepRejected(RuntimeError):
     """A sampled state failed validation during time integration."""
 

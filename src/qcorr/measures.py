@@ -29,6 +29,12 @@ from .states import (
 
 X_BRANCH_TOL = 1e-9  # |x| below this uses the balanced-marginal MIN branch
 RANGE_TOL = 1e-9  # slack of CorrelationSet.range_violation at the range ends
+# largest |closed form - reference| a cross-check accepts, per measure
+CROSS_CHECK_TOL = {"concurrence": 1e-8, "concurrence (Dicke basis)": 1e-10, "negativity": 1e-10,
+                   "lqu": 1e-8, "correlated coherence": 1e-10, "min_trace": 1e-10}
+_RANGES = {"concurrence": (0.0, 1.0), "negativity": (0.0, 0.5), "log_negativity": (0.0, 1.0),
+           "lqu": (0.0, 1.0), "min_trace": (0.0, np.inf), "correlated_coherence": (0.0, np.inf),
+           "l1_coherence": (0.0, np.inf)}
 
 _SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 _OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
@@ -55,22 +61,21 @@ class CorrelationSet:
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 
-    def range_violation(self) -> str | None:
-        """Name the first field outside its allowed range, or None (one state)."""
-        bounds = {
-            "concurrence": (0.0, 1.0),
-            "negativity": (0.0, 0.5),
-            "log_negativity": (0.0, 1.0),
-            "lqu": (0.0, 1.0),
-            "min_trace": (0.0, None),
-            "correlated_coherence": (0.0, None),
-            "l1_coherence": (0.0, None),
-        }
-        for name, (lo, hi) in bounds.items():
-            val = getattr(self, name)
-            if val < lo - RANGE_TOL or (hi is not None and val > hi + RANGE_TOL):
-                return f"{name} = {val!r} outside [{lo}, {hi}]"
-        return None
+    def range_violation(self, where=None) -> str | None:
+        """Describe the first field outside its allowed range (NaN and inf
+        included), or return None. On a CorrelationSet of arrays the first
+        failing row in flat order is described, prefixed by ``where(k)`` of
+        its flat index k when given (a time or a swept value)."""
+        values = np.array(np.broadcast_arrays(*(np.ravel(getattr(self, n)) for n in _RANGES)))
+        lo, hi = np.array(list(_RANGES.values())).T[:, :, None]
+        bad = ~(np.isfinite(values) & (values >= lo - RANGE_TOL) & (values <= hi + RANGE_TOL))
+        if not bad.any():
+            return None
+        k = int(bad.any(axis=0).argmax())
+        i = int(bad[:, k].argmax())
+        name = list(_RANGES)[i]
+        text = f"{name} = {float(values[i, k])!r} outside [{lo[i, 0]}, {hi[i, 0]}]"
+        return text if where is None else f"{where(k)}: {text}"
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,17 @@ def negativity(rho) -> float:
     of the partial transpose of a two-qubit state is negative)."""
     lam = hermitian_eigensystem(partial_transpose_b(rho)).eigenvalues
     return np.maximum(0.0, -lam[..., 0])
+
+
+def negativity_x(x: XState) -> float:
+    """Closed-form X-state negativity: the partial transpose is the X state
+    with rho14 and rho23 swapped, so its smallest eigenvalue is the lower one
+    of the block (rho11, rho44, rho23) or of (rho22, rho33, rho14)."""
+    def lower(a, d, b):  # lower eigenvalue of the Hermitian [[a, b], [b*, d]]
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), abs(b))
+
+    lam = np.minimum(lower(x.rho11, x.rho44, x.rho23), lower(x.rho22, x.rho33, x.rho14))
+    return np.maximum(0.0, -lam)
 
 
 def negativity_trace_norm(rho) -> float:
@@ -252,12 +268,17 @@ def min_trace(x: XState) -> float:
     X_BRANCH_TOL) the measurement basis is free and the maximum over bases is
     max{|u1|,|u2|,|u3|}.
     """
-    bal = x.rho11 + x.rho22 - (x.rho33 + x.rho44)
     u1 = 2.0 * (abs(x.rho14) + abs(x.rho23))
     u2 = 2.0 * (-abs(x.rho14) + abs(x.rho23))
     u3 = x.rho11 - x.rho22 - x.rho33 + x.rho44
-    balanced = np.maximum(np.maximum(abs(u1), abs(u2)), abs(u3))
-    return np.where(abs(bal) > X_BRANCH_TOL, u1, balanced)[()]
+    free = np.maximum(np.maximum(abs(u1), abs(u2)), abs(u3))
+    return np.where(balanced(x), free, u1)[()]
+
+
+def balanced(x: XState):
+    """True where the marginal of A is degenerate, |x| <= X_BRANCH_TOL with
+    x = rho11 + rho22 - (rho33 + rho44): the MIN measurement basis is free."""
+    return abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) <= X_BRANCH_TOL
 
 
 def _bloch_basis(theta: float, phi: float) -> np.ndarray:
@@ -333,13 +354,29 @@ def correlated_coherence_general(rho) -> float:
 # aggregate
 
 
-def _cross_check(name: str, closed: float, general: float, tol: float):
-    closed, general = float(closed), float(general)
-    if abs(closed - general) > tol:
+def _cross_check(name: str, closed: float, reference: float, tol: float):
+    closed, reference = float(closed), float(reference)
+    if not abs(closed - reference) <= tol:
         raise CrossCheckFailure(
-            f"{name}: closed form {closed!r} vs general definition {general!r} "
-            f"differ by {abs(closed - general):.3e} (tolerance {tol:.1e})"
+            f"{name}: closed form {closed!r} vs reference {reference!r} "
+            f"differ by {abs(closed - reference):.3e} (tolerance {tol:.1e})"
         )
+
+
+def check_routes(checks, rows=True):
+    """Raise CrossCheckFailure for the first row (flat order, among ``rows``)
+    where a (name, closed, reference) pair of columns in ``checks`` differs
+    by more than CROSS_CHECK_TOL[name] or is not finite; ``index`` is the row."""
+    checks = [(name, np.ravel(c), np.ravel(r)) for name, c, r in checks]
+    failed = rows & np.any([~(abs(c - r) <= CROSS_CHECK_TOL[name]) for name, c, r in checks],
+                           axis=0)
+    for k in np.flatnonzero(failed)[:1]:
+        try:
+            for name, c, r in checks:
+                _cross_check(name, c[k], r[k], CROSS_CHECK_TOL[name])
+        except CrossCheckFailure as exc:
+            exc.index = int(k)
+            raise
 
 
 def correlations(rho, *, cross_check: bool = True) -> CorrelationSet:
@@ -357,42 +394,33 @@ def correlations(rho, *, cross_check: bool = True) -> CorrelationSet:
     mats = rho.reshape(-1, 4, 4)
     x_rows = is_x_shaped(mats)
     x = x_columns(mats)
-    pt_lam = hermitian_eigensystem(partial_transpose_b(mats)).eigenvalues
-    neg = np.maximum(0.0, -pt_lam[:, 0])
-    # concurrence, LQU, MIN and CC in closed form, then the general routes
-    # pasted over them on the rows that need them: the values of non-X rows
-    # and the cross-checks of X rows (a balanced X row leaves the MIN basis
-    # free, so its closed form goes unchecked)
-    closed = np.array([concurrence_x(x), lqu_x(x), min_trace(x), correlated_coherence(x)])
+    # concurrence, negativity, LQU, MIN and CC in closed form, then the
+    # general routes pasted over them on the rows that need them: the values
+    # of non-X rows and the cross-checks of X rows (a balanced X row leaves
+    # the MIN basis free, so its closed form goes unchecked)
+    closed = np.array([concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
+                       correlated_coherence(x)])
     general = closed.copy()
     rows = ~x_rows | cross_check
     sqrt_rho = psd_sqrt(mats[rows])  # shared by the concurrence and LQU routes
     general[0, rows] = _concurrence_from_sqrt(mats[rows], sqrt_rho, clamp=True)
-    general[1, rows] = _lqu_from_sqrt(sqrt_rho)
-    mt_rows = rows & (~x_rows | (abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) > X_BRANCH_TOL))
-    general[2, mt_rows] = min_trace_general(mats[mt_rows])
-    general[3, rows] = correlated_coherence_general(mats[rows])
+    general[1, rows] = negativity(mats[rows])
+    general[2, rows] = _lqu_from_sqrt(sqrt_rho)
+    mt_rows = rows & ~(x_rows & balanced(x))
+    general[3, mt_rows] = min_trace_general(mats[mt_rows])
+    general[4, rows] = correlated_coherence_general(mats[rows])
 
     if cross_check:
-        checks = [
-            ("concurrence", closed[0], general[0], 1e-8),
-            ("concurrence (Dicke basis)", closed[0], concurrence_dicke(to_dicke(x)), 1e-10),
-            # -lambda_min against (||rho^TB||_1 - 1)/2 over the same spectrum
-            ("negativity", neg, (abs(pt_lam).sum(1) - 1.0) / 2.0, 1e-10),
-            ("lqu", closed[1], general[1], 1e-8),
-            ("correlated coherence", closed[3], general[3], 1e-10),
-            ("min_trace", closed[2], general[2], 1e-10),
-        ]
-        failed = x_rows & np.any([abs(c - g) > tol for _, c, g, tol in checks], axis=0)
-        for k in np.flatnonzero(failed)[:1]:  # the first failing matrix, its checks in order
-            try:
-                for name, c, g, tol in checks:
-                    _cross_check(name, c[k], g[k], tol)
-            except CrossCheckFailure as exc:
-                exc.index = int(k)
-                raise
+        check_routes([
+            ("concurrence", closed[0], general[0]),
+            ("concurrence (Dicke basis)", closed[0], concurrence_dicke(to_dicke(x))),
+            ("negativity", closed[1], general[1]),
+            ("lqu", closed[2], general[2]),
+            ("correlated coherence", closed[4], general[4]),
+            ("min_trace", closed[3], general[3]),
+        ], x_rows)
 
-    conc, unc, mt, cc = np.where(x_rows, closed, general)
+    conc, neg, unc, mt, cc = np.where(x_rows, closed, general)
     columns = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, l1_coherence(mats))
     if rho.ndim == 2:
         return CorrelationSet(*(float(c[0]) for c in columns))

@@ -7,13 +7,12 @@ and relaxation accumulates population in |11>.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, raise_first
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -31,7 +30,8 @@ class ModelParams:
 
     j is the isotropic qubit-qubit coupling, delta the anisotropy, omega the
     field strength (reference scale), gamma the relaxation rate and nbar the
-    mean thermal excitation of the bath (0 at zero temperature).
+    mean thermal excitation of the bath (0 at zero temperature). Array fields
+    make a sweep: the steady-state functions give one value per element.
     """
 
     j: float = 0.1
@@ -41,16 +41,16 @@ class ModelParams:
     nbar: float = 0.0
 
     def __post_init__(self):
-        for name in ("j", "delta", "omega", "gamma", "nbar"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.omega > 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
-        if self.gamma < 0.0:
-            raise DomainError(f"gamma must be non-negative, got {self.gamma}")
-        if self.nbar < 0.0:
-            raise DomainError(f"nbar must be non-negative, got {self.nbar}")
-        if max(abs(self.j), abs(self.delta)) > 0.5 * self.omega:
+        for name, bad, must in (
+            *((n, ~np.isfinite(getattr(self, n)), "finite")
+              for n in ("j", "delta", "omega", "gamma", "nbar")),
+            ("omega", np.less_equal(self.omega, 0.0), "positive"),
+            ("gamma", np.less(self.gamma, 0.0), "non-negative"),
+            ("nbar", np.less(self.nbar, 0.0), "non-negative"),
+        ):
+            raise_first(bad, DomainError,
+                        lambda k: f"{name} must be {must}, got {np.ravel(getattr(self, name))[k]}")
+        if np.any(np.maximum(abs(self.j), abs(self.delta)) > 0.5 * self.omega):
             warnings.warn(
                 "coupling beyond the weak-interaction regime (|J| or |Delta|"
                 " exceeds omega/2); equations stay exact but the equal-rate"

@@ -256,3 +256,153 @@ def test_non_finite_model_parameters_exit_2_without_warnings(args, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("qcorr: configuration error:") and "must be finite" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("w, root", [
+    (0.999999999, 4.999999864840342336e-10),  # 60-digit roots at these doubles
+    (1e-320, 736.8272408909739061),
+])
+def test_esd_zero_temperature_matches_high_precision_root(w, root, tmp_path):
+    for mode in ("auto", "closed", "numeric"):
+        code, text = run_cli(["esd", "--w", repr(w), "--nbar", "0", "--mode", mode],
+                             tmp_path, "esd.txt")
+        assert code == 0
+        assert abs(float(text.split("=")[1]) - root) <= 1e-15 * root
+
+
+@pytest.mark.parametrize("args", [
+    ["--nbar", "1e160"],
+    ["--sweep", "nbar:0:1e300:3"],
+    ["--gamma", "1e200"],
+    ["--nbar", "1e80"],
+    ["--gamma", "1e-320"],
+    ["--omega", "1e300"],
+    ["--gamma", "1e300", "--nbar", "1e300"],
+    ["--gamma", "1e-300", "--sweep", "nbar:0:1e300:4"],
+    ["--sweep", "nbar:0:1.7e308:3"],
+])
+def test_steady_at_extreme_parameters_is_finite_without_warnings(args, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["steady", *args], tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    values = np.array(rows)[:, 1:]
+    assert np.isfinite(values).all()
+    assert (values >= 0.0).all() and (values[:, :3] <= 1.0).all()
+
+
+def test_steady_far_above_any_temperature_scale_is_uncorrelated(tmp_path):
+    code, text = run_cli(["steady", "--sweep", "nbar:1e80:1e300:5"], tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert np.abs(np.array(rows)[:, 1:]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("args", [
+    ["steady", "--sweep", "nbar:0:1:1000000000"],
+    ["esd", "--sweep", "w:0:1:1000000000"],
+])
+def test_sweep_count_bound_exits_2_at_once(args, capsys):
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error:") and "MAX_SAMPLES" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["esd", "--sweep", "nbar:0:1.7e308:3"],
+    ["esd", "--w", "1e-320", "--nbar", "1e-300"],
+    ["steady", "--sweep", "delta:-1e308:1e308:3"],
+])
+def test_extreme_sweeps_end_cleanly_without_warnings(args, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert code in (0, 2)
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.count("\n") == 1
+
+
+def test_weak_coupling_warning_fires_once_per_sweep(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(["steady", "--gamma", "0.1", "--sweep", "delta:0:2.2:23"], tmp_path)
+    assert code == 0
+    assert [w.category for w in caught] == [UserWarning]
+
+
+@pytest.mark.parametrize("sweep, flags", [
+    ("nbar:0:2:21", ["--gamma", "0.01"]),
+    ("delta:0:0.5:11", ["--nbar", "0.3"]),
+])
+def test_steady_sweep_rows_equal_single_rows(sweep, flags, tmp_path):
+    code, text = run_cli(["steady", *flags, "--sweep", sweep], tmp_path, "sweep.csv")
+    assert code == 0
+    name = sweep.split(":")[0]
+    for line in text.splitlines()[1:]:
+        value = line.split(",")[0]
+        code, single = run_cli(["steady", *flags, f"--{name}", value], tmp_path, "one.csv")
+        assert code == 0
+        assert single.splitlines()[1].split(",")[1:] == line.split(",")[1:]
+
+
+def test_steady_cross_check_miss_names_swept_value(monkeypatch, tmp_path, capsys):
+    from qcorr import dynamics
+
+    real = dynamics.steady_ccc_thermal
+    monkeypatch.setattr(dynamics, "steady_ccc_thermal",
+                        lambda p: real(p) + 1e-6 * (np.asarray(p.nbar) > 0.5))
+    code, _ = run_cli(["steady", "--sweep", "nbar:0:1:11"], tmp_path)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: run failed: at nbar = 0.60000000000000009:")
+    assert "correlated coherence" in err and err.count("\n") == 1
+
+
+def test_steady_range_violation_names_swept_value(monkeypatch, tmp_path, capsys):
+    from qcorr import CorrelationSet
+    from qcorr import cli
+
+    def shifted(params):
+        lqu = np.where(np.asarray(params.delta) > 0.35, np.nan, 0.1)
+        return CorrelationSet(0.1, 0.05, 0.14, lqu, 0.3, 0.3, 0.3)
+
+    monkeypatch.setattr(cli, "steady_correlations_thermal", shifted)
+    code, text = run_cli(["steady", "--sweep", "delta:0:0.5:6"], tmp_path)
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err == ("qcorr: run failed: correlation range violation at delta = 0.40000000000000002:"
+                   " lqu = nan outside [0.0, 1.0]\n")
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_esd_range_violation_names_swept_value(bad, monkeypatch, tmp_path, capsys):
+    from qcorr import cli
+
+    monkeypatch.setattr(cli, "esd_gamma_tau",
+                        lambda w, gamma, nbar: np.where(np.asarray(w) > 0.5, bad, 1.0))
+    code, text = run_cli(["esd", "--nbar", "0", "--sweep", "w:0:1:5"], tmp_path)
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: run failed: death time at w = 0.75 is gamma_tau = ")
+    assert err.count("\n") == 1
+
+
+def test_evolve_range_violation_names_time(monkeypatch, tmp_path, capsys):
+    from qcorr import CorrelationSet, evolve
+    from qcorr import cli
+
+    def broken(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        traj.correlations[2] = CorrelationSet(1.5, 0.05, 0.14, 0.2, 0.3, 0.3, 0.3)
+        return traj
+
+    monkeypatch.setattr(cli, "evolve", broken)
+    code, text = run_cli(["evolve", "--t-max", "1", "--stride", "250"], tmp_path)
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err == ("qcorr: run failed: correlation range violation at t = 0.5:"
+                   " concurrence = 1.5 outside [0.0, 1.0]\n")

@@ -20,6 +20,7 @@ from qcorr import (
     concurrence_x,
     correlations,
     dark_intervals_of_series,
+    esd_gamma_tau,
     esd_time_thermal,
     esd_time_zero_temp,
     evolve,
@@ -639,3 +640,67 @@ def test_lqu_initial_value_for_mixture_weights():
         assert lqu_x(state) == pytest.approx(
             1.0 - max(w, math.sqrt(w * (1.0 - w))), abs=1e-12
         )
+
+
+_STEADY_FIELDS = ("concurrence", "negativity", "log_negativity", "lqu", "min_trace",
+                  "correlated_coherence", "l1_coherence")
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.floats(-0.5, 0.5), delta=st.floats(-0.5, 0.5), gamma=st.floats(1e-3, 1.0),
+       nbar=st.floats(0.0, 5.0), name=st.sampled_from(["nbar", "delta"]))
+def test_steady_sweep_rows_equal_measures_of_the_steady_state(j, delta, gamma, nbar, name):
+    base = dict(j=j, delta=delta, gamma=gamma, nbar=nbar)
+    values = np.append(np.linspace(0.0, 5.0, 6) if name == "nbar" else np.linspace(-0.5, 0.5, 6),
+                       base[name])
+    swept = steady_correlations_thermal(ModelParams(**{**base, name: values}))
+    for i, v in enumerate(values.tolist()):
+        direct = correlations(steady_state_thermal(ModelParams(**{**base, name: v})).to_matrix())
+        for field in _STEADY_FIELDS:
+            assert abs(getattr(swept, field)[i] - getattr(direct, field)) <= 1e-12, (v, field)
+
+
+def test_steady_single_row_is_the_one_row_sweep():
+    swept = steady_correlations_thermal(ModelParams(delta=0.3, gamma=0.2, nbar=np.array([0.4])))
+    single = steady_correlations_thermal(ModelParams(delta=0.3, gamma=0.2, nbar=0.4))
+    for field in _STEADY_FIELDS:
+        assert getattr(swept, field).tolist() == [getattr(single, field)]
+
+
+_WEIGHTS = np.array([0.0, 1e-320, 1e-200, 1e-9, 0.01, 0.3, 0.5, 0.9, 0.999999999, 1.0])
+_NBARS = np.array([0.0, 1e-300, 1e-9, 0.05, 0.3, 1.0, 7.0, 1e200, 1.7e308])
+
+
+def test_esd_kernel_equals_scalar_wrappers_elementwise():
+    grid = esd_gamma_tau(_WEIGHTS[:, None], 0.7, _NBARS)
+    assert grid.shape == (len(_WEIGHTS), len(_NBARS))
+    for i, w in enumerate(_WEIGHTS.tolist()):
+        assert grid[i, 0] == esd_time_zero_temp(w, 0.7).death_time
+        for k, nb in enumerate(_NBARS.tolist()):
+            if w == 0.0 and nb == 0.0:
+                assert grid[i, k] == math.inf
+                with pytest.raises(NoDeath):
+                    esd_time_thermal(w, 0.7, nb)
+            else:
+                assert grid[i, k] == esd_time_thermal(w, 0.7, nb).death_time
+
+
+@settings(max_examples=100, deadline=None)
+@given(ws=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       nbar=st.floats(0.0, 1e300), gamma=st.floats(1e-300, 1e300))
+def test_esd_kernel_equals_scalar_wrappers_on_random_grids(ws, nbar, gamma):
+    for nb in (0.0, nbar):
+        column = esd_gamma_tau(np.array(ws), gamma, nb)
+        for w, gt in zip(ws, column.tolist()):
+            expected = (esd_time_zero_temp(w, gamma).death_time if nb == 0.0
+                        else esd_time_thermal(w, gamma, nb).death_time)
+            assert gt == expected
+
+
+def test_esd_kernel_names_the_first_value_outside_its_domain():
+    with pytest.raises(DomainError, match=r"mixture weight must lie in \[0, 1\], got 1.5"):
+        esd_gamma_tau([0.5, 1.5, -1.0], 1.0, 0.0)
+    with pytest.raises(DomainError, match=r"nbar must be non-negative and finite, got -0.1"):
+        esd_gamma_tau(0.5, 1.0, [0.0, -0.1, np.nan])
+    with pytest.raises(DomainError, match=r"gamma must be positive and finite, got inf"):
+        esd_gamma_tau(0.5, [1.0, np.inf], 0.0)

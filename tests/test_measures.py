@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     bell_phi_plus,
@@ -33,12 +34,14 @@ from qcorr import (
     min_trace_general,
     negativity,
     negativity_trace_norm,
+    negativity_x,
     steady_state_zero_temp,
     to_dicke,
     w_matrix_x,
 )
 from qcorr.linalg import psd_sqrt
 from qcorr.measures import _w_matrix_general
+from qcorr.states import x_columns
 
 STEADY = ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
 
@@ -381,3 +384,40 @@ def test_measures_invariant_under_phase_removal():
         assert negativity(flat.to_matrix()) == pytest.approx(
             negativity(x.to_matrix()), abs=1e-8
         )
+
+
+_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))  # 1: a rank-one block
+
+
+@settings(max_examples=300, deadline=None)
+@given(pops=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=4, max_size=4)
+       .filter(lambda p: sum(p) > 1e-3),
+       f14=_FRACTION, f23=_FRACTION,
+       ph14=st.floats(0.0, 2.0 * np.pi), ph23=st.floats(0.0, 2.0 * np.pi))
+def test_negativity_closed_form_matches_partial_transpose(pops, f14, f23, ph14, ph23):
+    p = np.array(pops) / sum(pops)
+    x = XState(p[0], p[1], p[2], p[3],
+               f14 * np.sqrt(p[0] * p[3]) * np.exp(1j * ph14),
+               f23 * np.sqrt(p[1] * p[2]) * np.exp(1j * ph23))
+    assert abs(negativity_x(x) - negativity(x.to_matrix())) <= 1e-12
+
+
+def test_negativity_closed_form_broadcasts_over_a_stack():
+    rng = np.random.default_rng(331)
+    mats = np.array([random_x_state(rng).to_matrix() for _ in range(50)])
+    np.testing.assert_allclose(negativity_x(x_columns(mats)), negativity(mats), rtol=0, atol=1e-12)
+    assert correlations(mats).negativity.tolist() == negativity_x(x_columns(mats)).tolist()
+
+
+def test_range_violation_names_the_first_failing_row_of_a_stack():
+    from qcorr import CorrelationSet
+
+    ok = np.full(4, 0.3)
+    assert CorrelationSet(ok, ok / 2, ok, ok, ok, ok, ok).range_violation() is None
+    conc = np.array([0.3, 0.3, 0.3, 1.5])
+    lqu_col = np.array([0.3, 0.3, np.nan, 2.0])
+    bad = CorrelationSet(conc, ok / 2, ok, lqu_col, ok, ok, ok)
+    assert bad.range_violation(lambda k: f"row {k}") == "row 2: lqu = nan outside [0.0, 1.0]"
+    assert bad.range_violation() == "lqu = nan outside [0.0, 1.0]"
+    unbounded = CorrelationSet(ok, ok / 2, ok, ok, np.array([0.3, np.inf, 0.3, 0.3]), ok, ok)
+    assert unbounded.range_violation(str) == "1: min_trace = inf outside [0.0, inf]"

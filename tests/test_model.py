@@ -97,3 +97,13 @@ def test_strong_coupling_warns():
         ModelParams(j=0.6, delta=0.0, omega=1.0, gamma=0.1)
     with pytest.warns(UserWarning):
         ModelParams(j=0.0, delta=0.7, omega=1.0, gamma=0.1)
+
+
+def test_array_fields_are_checked_element_by_element():
+    ModelParams(nbar=np.linspace(0.0, 1.0, 5), delta=np.array([0.1, -0.2, 0.3, 0.0, 0.5]))
+    with pytest.raises(DomainError, match=r"^nbar must be non-negative, got -1.0$"):
+        ModelParams(nbar=np.array([0.0, -1.0, -2.0]))
+    with pytest.raises(DomainError, match=r"^delta must be finite, got nan$"):
+        ModelParams(delta=np.array([0.1, np.nan]))
+    with pytest.raises(DomainError, match=r"^omega must be positive, got 0.0$"):
+        ModelParams(omega=np.array([1.0, 0.0]), delta=0.0, j=0.0)
