@@ -111,8 +111,6 @@ def cmd_esd(args) -> int:
                     else ("w", np.array([args.w])))
     w = values if name == "w" else args.w
     nbar = values if name == "nbar" else args.nbar
-    if args.mode == "closed" and np.any(np.not_equal(nbar, 0.0)):
-        raise DomainError("the closed-form death time is defined at nbar = 0")
     gamma_tau = esd_gamma_tau(w, args.gamma, nbar)
     # finite and >= 0, except inf for the undying Bell state (w = 0 at nbar = 0)
     undying = np.equal(w, 0.0) & np.equal(nbar, 0.0)
@@ -168,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_esd = sub.add_parser("esd", help="entanglement death time for decaying mixtures")
     _add_model_flags(p_esd)
     p_esd.add_argument("--w", type=float, default=0.5, help="mixture weight")
-    p_esd.add_argument("--mode", choices=("auto", "closed", "numeric"), default="auto")
     p_esd.add_argument("--sweep", default=None, help="w:START:STOP:COUNT or nbar:START:STOP:COUNT")
     p_esd.set_defaults(func=cmd_esd)
 

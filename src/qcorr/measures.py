@@ -6,6 +6,13 @@ closed form. The general routes broadcast over stacks (..., 4, 4) and the
 closed forms over the arrays of ``states.x_columns``. ``correlations`` evaluates
 all seven quantities on a state or on a whole stack and, by default,
 cross-checks the two routes against each other on every X-shaped matrix.
+
+The general concurrence and MIN routes are exact for every state. The
+concurrence takes Wootters' lambda_i as the singular values of
+sqrt(rho) (sy ox sy) sqrt(rho)* (Wootters, PRL 80, 2245 (1998)), and the
+trace-norm MIN is the largest singular value of the correlation matrix T with
+the direction of qubit A's Bloch vector projected out (cf. Hu and Fan,
+New J. Phys. 17, 033004 (2015)).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CrossCheckFailure
-from .linalg import _dagger, hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_norm
+from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_norm
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
     DickeState,
@@ -27,7 +34,7 @@ from .states import (
     x_columns,
 )
 
-X_BRANCH_TOL = 1e-9  # |x| below this uses the balanced-marginal MIN branch
+X_BRANCH_TOL = 1e-9  # |x| (|a| for any state) up to this takes the balanced-marginal MIN branch
 RANGE_TOL = 1e-9  # slack of CorrelationSet.range_violation at the range ends
 # largest |closed form - reference| a cross-check accepts, per measure
 CROSS_CHECK_TOL = {"concurrence": 1e-8, "concurrence (Dicke basis)": 1e-10, "negativity": 1e-10,
@@ -43,6 +50,10 @@ _PAULI_A = (
     np.kron(SIGMA_Y, IDENTITY_2),
     np.kron(SIGMA_Z, IDENTITY_2),
 )
+# s_i ox 1 (the Bloch vector of A) and s_i ox s_j (the correlation matrix T),
+# flattened: tr(rho O) = sum_ab rho_ab O_ab* for Hermitian O
+_BLOCH_OPS = np.array([*_PAULI_A, *(pa @ np.kron(IDENTITY_2, pb) for pa in _PAULI_A
+                                     for pb in (SIGMA_X, SIGMA_Y, SIGMA_Z))]).reshape(12, 16)
 
 
 @dataclass(frozen=True)
@@ -96,12 +107,13 @@ def concurrence_general(rho) -> float:
     """Concurrence from the spin-flip construction.
 
     Computes max{0, l1 - l2 - l3 - l4} where the l_i are the descending
-    square roots of the eigenvalues of S = sqrt(rho) rho~ sqrt(rho) and
-    rho~ = (sy ox sy) rho* (sy ox sy). Eigenvalues of S are clamped at zero
-    before the square root to absorb round-off.
+    singular values of M = sqrt(rho) (sy ox sy) sqrt(rho)*. Since
+    M M^dag = sqrt(rho) rho~ sqrt(rho) with rho~ = (sy ox sy) rho* (sy ox sy),
+    they are Wootters' square roots of the eigenvalues of that product
+    (Wootters, PRL 80, 2245 (1998)), but no square root is taken of a
+    round-off eigenvalue.
     """
-    rho = np.asarray(rho, dtype=complex)
-    return _concurrence_from_sqrt(rho, psd_sqrt(rho), clamp=True)
+    return _concurrence_from_sqrt(psd_sqrt(rho), clamp=True)
 
 
 def concurrence_signed(rho) -> float:
@@ -109,16 +121,12 @@ def concurrence_signed(rho) -> float:
 
     Useful for locating entanglement death/rebirth times by sign change.
     """
-    rho = np.asarray(rho, dtype=complex)
-    return _concurrence_from_sqrt(rho, psd_sqrt(rho), clamp=False)
+    return _concurrence_from_sqrt(psd_sqrt(rho), clamp=False)
 
 
-def _concurrence_from_sqrt(rho, sqrt_rho, clamp: bool):
-    rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    s_mat = sqrt_rho @ rho_tilde @ sqrt_rho
-    s_mat = (s_mat + _dagger(s_mat)) / 2.0
-    lam = np.sqrt(np.clip(hermitian_eigensystem(s_mat).eigenvalues, 0.0, None))
-    diff = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+def _concurrence_from_sqrt(sqrt_rho, clamp: bool):
+    lam = np.linalg.svd(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
+    diff = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.maximum(0.0, diff) if clamp else diff
 
 
@@ -281,47 +289,29 @@ def balanced(x: XState):
     return abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) <= X_BRANCH_TOL
 
 
-def _bloch_basis(theta: float, phi: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    return np.array([[c, -s * np.conj(e)], [s * e, c]], dtype=complex)
-
-
-def _measurement_disturbance(rho: np.ndarray, basis: np.ndarray) -> float:
-    """||rho - sum_k P_k rho P_k||_1 with P_k = |v_k><v_k| (x) 1 for the columns
-    v_k of ``basis`` (one basis, or one per matrix of the stack ``rho``)."""
-    residual = rho.copy()
-    for k in range(2):
-        v = basis[..., :, k]
-        outer = v[..., :, None] * v[..., None, :].conj()
-        proj = np.einsum("...ab,cd->...acbd", outer, IDENTITY_2).reshape(outer.shape[:-2] + (4, 4))
-        residual = residual - proj @ rho @ proj
-    return trace_norm((residual + _dagger(residual)) / 2.0)
-
-
-def min_trace_general(rho, grid: int = 24) -> float:
+def min_trace_general(rho) -> float:
     """Trace-norm MIN of an arbitrary two-qubit state.
 
-    When the reduced state of A is non-degenerate (its eigenvalues differ by
-    more than X_BRANCH_TOL) its eigenbasis is the only locally invariant
-    projective measurement, so the MIN is a single trace norm. A degenerate
-    marginal leaves the basis free; then the maximum is taken over a
-    Bloch-sphere grid of (theta, phi) bases (accuracy set by ``grid``).
+    With the Bloch vector a_i = tr(rho s_i ox 1) of qubit A and the
+    correlation matrix T_ij = tr(rho s_i ox s_j), a projective measurement on
+    A along n leaves the residual (1/4) sum_ij (P_n T)_ij s_i ox s_j, where P_n
+    projects out n. That matrix has rank at most 2, so its trace norm is the
+    largest singular value of P_n T. The only measurement that leaves the
+    marginal of A invariant is n = a/|a|, so MIN = sqrt(lambda_max(T^T P T))
+    with P = 1 - a a^T/|a|^2. At |a| <= X_BRANCH_TOL every direction is
+    allowed and the maximum over n is the largest singular value of T, so
+    P = 1 there (cf. Hu and Fan, New J. Phys. 17, 033004 (2015)).
     """
     rho = np.asarray(rho, dtype=complex)
-    mats = rho.reshape(-1, 4, 4)
-    es = hermitian_eigensystem(trace_out_b(mats))
-    unique = es.eigenvalues[:, 1] - es.eigenvalues[:, 0] > X_BRANCH_TOL
-    out = np.zeros(len(mats))
-    out[unique] = _measurement_disturbance(mats[unique], es.eigenvectors[unique])
-    free = mats[~unique]
-    for theta in np.linspace(0.0, np.pi / 2.0, grid // 2 + 1) if len(free) else ():
-        for phi in np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False):
-            disturbance = _measurement_disturbance(free, _bloch_basis(theta, phi))
-            out[~unique] = np.maximum(out[~unique], disturbance)
-            if theta == 0.0:
-                break  # the pole is one basis regardless of phi
-    return out.reshape(rho.shape[:-2])[()]
+    # einsum, not a BLAS product: a threaded gemm over all rows costs more CPU than it saves
+    coeffs = np.einsum("nk,mk->nm", rho.reshape(-1, 16), _BLOCH_OPS.conj()).real
+    a, t = coeffs[:, :3], coeffs[:, 3:].reshape(-1, 3, 3)
+    norm = np.linalg.norm(a, axis=1, keepdims=True)
+    n = np.divide(a, norm, out=np.zeros_like(a), where=norm > X_BRANCH_TOL)
+    pt = t - n[:, :, None] * (n[:, None, :] @ t)
+    # the Gram matrix of P T (not T^T (P T)) keeps a zero MIN at round-off squared
+    lam_max = hermitian_eigensystem(pt.swapaxes(1, 2) @ pt).eigenvalues[:, -1]
+    return np.sqrt(np.maximum(lam_max, 0.0)).reshape(rho.shape[:-2])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +386,16 @@ def correlations(rho, *, cross_check: bool = True) -> CorrelationSet:
     x = x_columns(mats)
     # concurrence, negativity, LQU, MIN and CC in closed form, then the
     # general routes pasted over them on the rows that need them: the values
-    # of non-X rows and the cross-checks of X rows (a balanced X row leaves
-    # the MIN basis free, so its closed form goes unchecked)
+    # of non-X rows and the cross-checks of X rows
     closed = np.array([concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
                        correlated_coherence(x)])
     general = closed.copy()
     rows = ~x_rows | cross_check
     sqrt_rho = psd_sqrt(mats[rows])  # shared by the concurrence and LQU routes
-    general[0, rows] = _concurrence_from_sqrt(mats[rows], sqrt_rho, clamp=True)
+    general[0, rows] = _concurrence_from_sqrt(sqrt_rho, clamp=True)
     general[1, rows] = negativity(mats[rows])
     general[2, rows] = _lqu_from_sqrt(sqrt_rho)
-    mt_rows = rows & ~(x_rows & balanced(x))
-    general[3, mt_rows] = min_trace_general(mats[mt_rows])
+    general[3, rows] = min_trace_general(mats[rows])
     general[4, rows] = correlated_coherence_general(mats[rows])
 
     if cross_check:

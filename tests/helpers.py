@@ -3,6 +3,7 @@
 import numpy as np
 
 from qcorr import XState
+from qcorr.linalg import trace_norm
 
 
 def random_x_state(rng) -> XState:
@@ -15,6 +16,19 @@ def random_x_state(rng) -> XState:
     return XState(
         pops[0], pops[1], pops[2], pops[3],
         mag14 * np.exp(1j * ph14), mag23 * np.exp(1j * ph23),
+    )
+
+
+def random_rank_one_x_state(rng) -> XState:
+    """X state whose outer block is rank one up to round-off:
+    |rho14|^2 = rho11 rho44 in floating point."""
+    pops = rng.random(4) + 0.05
+    pops = pops / pops.sum()
+    mag23 = np.sqrt(pops[1] * pops[2]) * rng.random()
+    ph14, ph23 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    return XState(
+        pops[0], pops[1], pops[2], pops[3],
+        np.sqrt(pops[0] * pops[3]) * np.exp(1j * ph14), mag23 * np.exp(1j * ph23),
     )
 
 
@@ -36,11 +50,27 @@ def random_hermitian(rng, n: int) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def random_density_matrix(rng) -> np.ndarray:
-    """Generic (non-X) two-qubit density matrix from a Wishart draw."""
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+def random_density_matrix(rng, rank: int = 4) -> np.ndarray:
+    """Generic (non-X) two-qubit density matrix of the given rank from a
+    Wishart draw."""
+    m = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def random_unitary(rng, size=()) -> np.ndarray:
+    """Haar-random 2x2 unitary (or a stack of ``size`` of them)."""
+    z = rng.standard_normal(size + (2, 2)) + 1j * rng.standard_normal(size + (2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / abs(d))[..., None, :]
+
+
+def random_incoherent_unitary(rng) -> np.ndarray:
+    """2x2 unitary that maps the computational basis onto itself up to
+    phases: a diagonal phase matrix, half the time followed by a bit flip."""
+    u = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2)))
+    return u[::-1] if rng.random() < 0.5 else u
 
 
 def bell_phi_plus() -> np.ndarray:
@@ -53,3 +83,16 @@ def assert_block_supported(vectors, blocks):
     for col in vectors.T:
         support = set(np.flatnonzero(col).tolist())
         assert any(support <= set(b) for b in blocks), (support, blocks)
+
+
+def measurement_disturbance(rho: np.ndarray, basis: np.ndarray) -> float:
+    """||rho - sum_k P_k rho P_k||_1 with P_k = |v_k><v_k| (x) 1 for the columns
+    v_k of ``basis`` (one basis, or one per matrix of the stack ``rho``): the
+    definition of the trace-norm MIN at one measurement on qubit A."""
+    residual = rho.copy()
+    for k in range(2):
+        v = basis[..., :, k]
+        outer = v[..., :, None] * v[..., None, :].conj()
+        proj = np.einsum("...ab,cd->...acbd", outer, np.eye(2)).reshape(outer.shape[:-2] + (4, 4))
+        residual = residual - proj @ rho @ proj
+    return trace_norm((residual + residual.conj().swapaxes(-1, -2)) / 2.0)

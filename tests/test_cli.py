@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qcorr import dumps_density_matrix, make_mixture
+from helpers import random_rank_one_x_state
+from qcorr import concurrence_x, dumps_density_matrix, make_mixture
 from qcorr.cli import EVOLVE_HEADER, main
 
 
@@ -68,6 +69,21 @@ def test_evolve_custom_initial_state(tmp_path):
     assert code == 0
     _, rows = parse_csv(text)
     assert rows[0][2] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_evolve_rank_one_x_state_passes_cross_checks(tmp_path):
+    # |rho14|^2 = rho11 rho44 up to round-off; square roots of the eigenvalues
+    # of sqrt(rho) rho~ sqrt(rho) miss this state's concurrence by 1.2e-8
+    x = random_rank_one_x_state(np.random.default_rng(60))
+    state_file = tmp_path / "rho.txt"
+    state_file.write_text(dumps_density_matrix(x), encoding="utf-8")
+    code, text = run_cli(
+        ["evolve", "--initial", f"custom@{state_file}", "--t-max", "1", "--stride", "500"],
+        tmp_path,
+    )
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert rows[0][2] == pytest.approx(concurrence_x(x), abs=1e-12)
 
 
 def test_evolve_rejects_bad_config(tmp_path, capsys):
@@ -141,10 +157,6 @@ def test_esd_infinite_for_pure_bell_weight(tmp_path):
     code, text = run_cli(["esd", "--w", "0", "--nbar", "0"], tmp_path, "esd.txt")
     assert code == 0
     assert math.isinf(float(text.split("=")[1]))
-
-
-def test_esd_closed_mode_rejects_finite_temperature():
-    assert main(["esd", "--w", "0.5", "--nbar", "0.3", "--mode", "closed"]) == 2
 
 
 def test_steady_single_row_reference_values(tmp_path):
@@ -263,11 +275,9 @@ def test_non_finite_model_parameters_exit_2_without_warnings(args, tmp_path, cap
     (1e-320, 736.8272408909739061),
 ])
 def test_esd_zero_temperature_matches_high_precision_root(w, root, tmp_path):
-    for mode in ("auto", "closed", "numeric"):
-        code, text = run_cli(["esd", "--w", repr(w), "--nbar", "0", "--mode", mode],
-                             tmp_path, "esd.txt")
-        assert code == 0
-        assert abs(float(text.split("=")[1]) - root) <= 1e-15 * root
+    code, text = run_cli(["esd", "--w", repr(w), "--nbar", "0"], tmp_path, "esd.txt")
+    assert code == 0
+    assert abs(float(text.split("=")[1]) - root) <= 1e-15 * root
 
 
 @pytest.mark.parametrize("args", [

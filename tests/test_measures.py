@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     bell_phi_plus,
+    measurement_disturbance,
     random_balanced_x_state,
     random_density_matrix,
+    random_incoherent_unitary,
+    random_rank_one_x_state,
+    random_unitary,
     random_x_state,
 )
 from qcorr import (
@@ -41,7 +45,8 @@ from qcorr import (
 )
 from qcorr.linalg import psd_sqrt
 from qcorr.measures import _w_matrix_general
-from qcorr.states import x_columns
+from qcorr.model import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qcorr.states import trace_out_b, x_columns
 
 STEADY = ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
 
@@ -59,6 +64,15 @@ def test_concurrence_werner_closed_form():
         expected = max(0.0, abs(p) - (1.0 - p) / 2.0)
         assert concurrence_x(make_werner(p)) == pytest.approx(expected, abs=1e-14)
     assert concurrence_x(make_werner(0.5)) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_concurrence_general_exact_on_rank_one_outer_block():
+    # |rho14|^2 = rho11 rho44 up to round-off leaves a ~1e-17 eigenvalue in
+    # sqrt(rho) rho~ sqrt(rho), whose square root would be ~3e-9
+    rng = np.random.default_rng(2027)
+    xs = [random_rank_one_x_state(rng) for _ in range(200)]
+    general = concurrence_general(np.array([x.to_matrix() for x in xs]))
+    np.testing.assert_allclose(general, [concurrence_x(x) for x in xs], rtol=0.0, atol=1e-12)
 
 
 def test_concurrence_steady_value():
@@ -251,17 +265,72 @@ def test_min_general_matches_closed_form_unbalanced():
             )
 
 
-def test_min_general_grid_oracle_on_balanced_branch():
+def test_min_general_matches_closed_form_balanced():
     for p in (0.3, 0.7, 1.0):
         w = make_werner(p)
-        assert min_trace_general(w.to_matrix(), grid=16) == pytest.approx(p, abs=1e-12)
+        assert min_trace(w) == pytest.approx(p, abs=1e-15)
+        assert min_trace_general(w.to_matrix()) == pytest.approx(min_trace(w), abs=1e-12)
     rng = np.random.default_rng(149)
     for _ in range(5):
         x = random_balanced_x_state(rng)
-        coarse = min_trace_general(x.to_matrix(), grid=40)
-        closed = min_trace(x)
-        assert coarse <= closed + 1e-10
-        assert coarse >= closed - 2e-2 * max(closed, 1.0)
+        assert min_trace_general(x.to_matrix()) == pytest.approx(min_trace(x), abs=1e-12)
+
+
+def test_min_general_equals_disturbance_at_marginal_eigenbasis():
+    # a non-degenerate marginal of A leaves its eigenbasis as the only
+    # invariant measurement, so the definition is one trace norm
+    rng = np.random.default_rng(167)
+    for rank in (1, 2, 3, 4) * 10:
+        rho = random_density_matrix(rng, rank)
+        _, basis = np.linalg.eigh(trace_out_b(rho))
+        assert measurement_disturbance(rho, basis) == pytest.approx(
+            min_trace_general(rho), abs=1e-12)
+
+
+def _correlation_matrix(rho):
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    return np.array([[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis])
+
+
+def test_min_general_is_max_disturbance_on_balanced_states():
+    # balanced X states under random local unitaries keep a = 0: every basis
+    # is invariant and the MIN is the maximum disturbance over all of them
+    rng = np.random.default_rng(173)
+    bases = random_unitary(rng, (500,))
+    for _ in range(20):
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rho = u @ random_balanced_x_state(rng).to_matrix() @ u.conj().T
+        mt = min_trace_general(rho)
+        assert measurement_disturbance(rho, bases).max() <= mt + 1e-12
+        # attained along any direction orthogonal to T's top left singular vector
+        n = np.linalg.svd(_correlation_matrix(rho))[0][:, 1]
+        _, basis = np.linalg.eigh(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
+        assert measurement_disturbance(rho, basis) == pytest.approx(mt, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4),
+       kind=st.sampled_from(("general", "x", "balanced")))
+def test_measures_invariant_under_local_unitaries(seed, rank, kind):
+    rng = np.random.default_rng(seed)
+    rho = {"general": lambda: random_density_matrix(rng, rank),
+           "x": lambda: random_x_state(rng).to_matrix(),
+           "balanced": lambda: random_balanced_x_state(rng).to_matrix()}[kind]()
+    before = correlations(rho)
+    u = np.kron(random_unitary(rng), random_unitary(rng))
+    after = correlations(u @ rho @ u.conj().T)
+    for name in ("concurrence", "negativity", "log_negativity", "min_trace"):
+        assert getattr(after, name) == pytest.approx(getattr(before, name), abs=1e-10)
+    if kind != "general" or rank == 4:
+        # on a singular rho the LQU route takes the square root of a round-off
+        # eigenvalue, which limits it to about sqrt(eps) = 1e-8
+        assert after.lqu == pytest.approx(before.lqu, abs=1e-10)
+    # the coherences are basis-dependent: they are invariant only under local
+    # unitaries that permute the computational basis up to phases
+    v = np.kron(random_incoherent_unitary(rng), random_incoherent_unitary(rng))
+    moved = correlations(v @ rho @ v.conj().T)
+    for name in ("correlated_coherence", "l1_coherence"):
+        assert getattr(moved, name) == pytest.approx(getattr(before, name), abs=1e-10)
 
 
 # ---------------------------------------------------------------------- coherence
