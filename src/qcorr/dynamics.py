@@ -31,6 +31,9 @@ X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
 MAX_SAMPLES = 100_000  # bound on the samples of one evolve run (about 26 MB of states)
 DARK_THRESHOLD = 1e-12
 REVIVAL_THRESHOLD = 1e-9
+# (A, A^dag A) of the jump operators, in the order of the rates in _channels
+_JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),
+                                              spin_raising(1), spin_raising(2)))
 
 
 @dataclass
@@ -60,6 +63,12 @@ class ESDResult:
     revivals: tuple[tuple[float, float], ...] = ()
 
 
+def _channels(params: ModelParams):
+    """(rate, A, A^dag A) of the dissipators D[A] of the master equation that act."""
+    down, up = params.gamma * (params.nbar + 1.0), params.gamma * params.nbar
+    return [(r, *jump) for r, jump in zip((down, down, up, up), _JUMPS) if r != 0.0]
+
+
 def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
     """Right-hand side of the thermal master equation.
 
@@ -73,28 +82,18 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     h = hamiltonian(params)
     out = -1j * (h @ rho - rho @ h)
-    channels = (
-        (params.gamma * (params.nbar + 1.0), spin_lowering(1)),
-        (params.gamma * (params.nbar + 1.0), spin_lowering(2)),
-        (params.gamma * params.nbar, spin_raising(1)),
-        (params.gamma * params.nbar, spin_raising(2)),
-    )
-    for rate, op in channels:
-        if rate == 0.0:
-            continue
-        num = op.conj().T @ op
+    for rate, op, num in _channels(params):
         out = out + rate * (op @ rho @ op.conj().T - 0.5 * (num @ rho + rho @ num))
     return out
 
 
 def _liouvillian(params: ModelParams) -> np.ndarray:
-    """16x16 generator acting on row-major vectorized density matrices."""
-    cols = []
-    for k in range(16):
-        basis = np.zeros((4, 4), dtype=complex)
-        basis.flat[k] = 1.0
-        cols.append(lindblad_rhs(basis, params).ravel())
-    return np.column_stack(cols)
+    """``lindblad_rhs`` on row-major vectorized rho, by vec(A rho B) = (A ox B^T) vec(rho)."""
+    h, eye = hamiltonian(params), np.eye(4)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for rate, op, num in _channels(params):
+        lv = lv + rate * (np.kron(op, op.conj()) - 0.5 * (np.kron(num, eye) + np.kron(eye, num.T)))
+    return lv
 
 
 def _increment_operator(lv: np.ndarray, dt: float, n: int) -> np.ndarray:

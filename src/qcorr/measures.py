@@ -17,7 +17,7 @@ New J. Phys. 17, 033004 (2015)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +45,7 @@ _RANGES = {"concurrence": (0.0, 1.0), "negativity": (0.0, 0.5), "log_negativity"
 
 _SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 _OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
-_PAULI_A = (
-    np.kron(SIGMA_X, IDENTITY_2),
-    np.kron(SIGMA_Y, IDENTITY_2),
-    np.kron(SIGMA_Z, IDENTITY_2),
-)
+_PAULI_A = np.array([np.kron(s, IDENTITY_2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 # s_i ox 1 (the Bloch vector of A) and s_i ox s_j (the correlation matrix T),
 # flattened: tr(rho O) = sum_ab rho_ab O_ab* for Hermitian O
 _BLOCH_OPS = np.array([*_PAULI_A, *(pa @ np.kron(IDENTITY_2, pb) for pa in _PAULI_A
@@ -70,7 +66,7 @@ class CorrelationSet:
     l1_coherence: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(vars(self).values())  # the fields, in declaration order
 
     def range_violation(self, where=None) -> str | None:
         """Describe the first field outside its allowed range (NaN and inf
@@ -202,12 +198,10 @@ def concurrence_log_negativity_bounds(c: float) -> tuple[float, float]:
 
 
 def _w_matrix_general(sqrt_rho: np.ndarray) -> np.ndarray:
-    prods = [sqrt_rho @ op for op in _PAULI_A]
-    w = np.empty(sqrt_rho.shape[:-2] + (3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            w[..., i, j] = w[..., j, i] = np.trace(prods[i] @ prods[j], axis1=-2, axis2=-1).real
-    return w
+    # W_ij = tr(A_i A_j) with A_i = sqrt(rho) sigma_i^(A), made exactly symmetric
+    prods = sqrt_rho[..., None, :, :] @ _PAULI_A
+    w = np.einsum("...iab,...jba->...ij", prods, prods).real
+    return (w + w.swapaxes(-1, -2)) / 2.0
 
 
 def lqu(rho) -> float:

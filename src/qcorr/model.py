@@ -8,7 +8,7 @@ and relaxation accumulates population in |11>.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,10 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 S_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 S_PLUS = S_MINUS.conj().T
 S_Z = SIGMA_Z / 2.0
+# the operators that J, Delta and omega multiply in the XY Hamiltonian
+_H_J = np.kron(S_PLUS, S_MINUS) + np.kron(S_MINUS, S_PLUS)
+_H_DELTA = np.kron(S_PLUS, S_PLUS) + np.kron(S_MINUS, S_MINUS)
+_H_OMEGA = np.kron(S_Z, IDENTITY_2) + np.kron(IDENTITY_2, S_Z)
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,14 @@ class ModelParams:
                 stacklevel=2,
             )
 
+    def __eq__(self, other):
+        """Field-wise ``np.array_equal``: sweeps compare too, and fields of different
+        shapes differ. Hashing an instance with an array field raises TypeError."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
     @property
     def big_omega(self) -> float:
         """Dressed frequency sqrt(delta^2 + omega^2), always recomputed."""
@@ -83,10 +95,4 @@ def hamiltonian(params: ModelParams) -> np.ndarray:
 
     The spectrum is {+-J, +-Omega} with Omega = sqrt(delta^2 + omega^2).
     """
-    j, d, w = params.j, params.delta, params.omega
-    h = (
-        j * (np.kron(S_PLUS, S_MINUS) + np.kron(S_MINUS, S_PLUS))
-        + d * (np.kron(S_PLUS, S_PLUS) + np.kron(S_MINUS, S_MINUS))
-        + w * (np.kron(S_Z, IDENTITY_2) + np.kron(IDENTITY_2, S_Z))
-    )
-    return h
+    return params.j * _H_J + params.delta * _H_DELTA + params.omega * _H_OMEGA

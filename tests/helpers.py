@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from qcorr import XState
+from qcorr import XState, lindblad_rhs
 from qcorr.linalg import trace_norm
+from qcorr.measures import _PAULI_A
 
 
 def random_x_state(rng) -> XState:
@@ -96,3 +97,31 @@ def measurement_disturbance(rho: np.ndarray, basis: np.ndarray) -> float:
         proj = np.einsum("...ab,cd->...acbd", outer, np.eye(2)).reshape(outer.shape[:-2] + (4, 4))
         residual = residual - proj @ rho @ proj
     return trace_norm((residual + residual.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def csv_by_cells(header: str, columns) -> str:
+    """The CSV table formatted one cell at a time with format(v, ".17g"): the
+    definition the one-pass writer of the CLI must reproduce byte for byte."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([header, *(",".join(format(v, ".17g") for v in row) for row in rows)]) + "\n"
+
+
+def liouvillian_by_columns(params) -> np.ndarray:
+    """The 16x16 generator column by column: column k is lindblad_rhs of the
+    k-th row-major basis matrix."""
+    cols = []
+    for k in range(16):
+        basis = np.zeros((4, 4), dtype=complex)
+        basis.flat[k] = 1.0
+        cols.append(lindblad_rhs(basis, params).ravel())
+    return np.column_stack(cols)
+
+
+def w_matrix_by_pairs(sqrt_rho: np.ndarray) -> np.ndarray:
+    """W_ij = tr(sqrt(rho) s_i^(A) sqrt(rho) s_j^(A)) one pair (i <= j) at a time."""
+    prods = [sqrt_rho @ op for op in _PAULI_A]
+    w = np.empty(sqrt_rho.shape[:-2] + (3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            w[..., i, j] = w[..., j, i] = np.trace(prods[i] @ prods[j], axis1=-2, axis2=-1).real
+    return w

@@ -6,10 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_rank_one_x_state
+from helpers import csv_by_cells, random_rank_one_x_state
 from qcorr import concurrence_x, dumps_density_matrix, make_mixture
-from qcorr.cli import EVOLVE_HEADER, main
+from qcorr.cli import EVOLVE_HEADER, _csv, main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -23,6 +24,23 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     return header, rows
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225e-308,
+                     1e300, -1e-300, 1e16, 0.1]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.lists(_CELLS, min_size=k, max_size=k),
+                                             max_size=12))))
+def test_csv_writer_equals_per_cell_format(shape_and_rows):
+    k, rows = shape_and_rows
+    columns = tuple(np.array(rows, dtype=float).reshape(-1, k).T)
+    assert _csv("h", columns) == csv_by_cells("h", columns)
 
 
 def test_evolve_csv_schema_and_determinism(tmp_path):

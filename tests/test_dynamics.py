@@ -1,13 +1,15 @@
 """Master-equation integration against closed forms, steady states and ESD."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_density_matrix, random_x_state
+from helpers import liouvillian_by_columns, random_density_matrix, random_x_state
 from qcorr import (
+    CorrelationSet,
     DegenerateParams,
     DomainError,
     ModelParams,
@@ -39,11 +41,25 @@ from qcorr import (
     w_matrix_x,
     correlated_coherence,
 )
+from qcorr.dynamics import _liouvillian
 
 P_REF = ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
 
 
 # ------------------------------------------------------------------ right-hand side
+
+_COUPLING = st.one_of(st.just(0.0), st.floats(1e-3, 1e2), st.floats(-1e2, -1e-3))
+_RATE = st.one_of(st.just(0.0), st.floats(1e-3, 1e2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(j=_COUPLING, delta=_COUPLING, omega=st.floats(1e-3, 1e2), gamma=_RATE, nbar=_RATE)
+def test_liouvillian_equals_rhs_of_basis_matrices(j, delta, omega, gamma, nbar):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # strong couplings are drawn on purpose
+        p = ModelParams(j=j, delta=delta, omega=omega, gamma=gamma, nbar=nbar)
+    np.testing.assert_array_equal(_liouvillian(p), liouvillian_by_columns(p))
+
 
 def test_rhs_vanishes_on_steady_state():
     st = steady_state_zero_temp(P_REF).to_matrix()
@@ -548,8 +564,9 @@ def test_esd_thermal_brackets_first_concurrence_zero(w, nbar, gamma):
 
 def _analytic_trajectory(params, t_max, n_samples):
     times = np.linspace(0.0, t_max, n_samples)
-    states = [analytic_mixture(float(t), params).to_matrix() for t in times]
-    corr = [correlations(s) for s in states]
+    states = np.array([analytic_mixture(float(t), params).to_matrix() for t in times])
+    corr = [CorrelationSet(*row)
+            for row in np.column_stack(correlations(states).as_tuple()).tolist()]
     return Trajectory(times, states, corr, params, times[1] - times[0])
 
 

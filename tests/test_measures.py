@@ -13,6 +13,7 @@ from helpers import (
     random_rank_one_x_state,
     random_unitary,
     random_x_state,
+    w_matrix_by_pairs,
 )
 from qcorr import (
     CrossCheckFailure,
@@ -225,6 +226,18 @@ def test_w_matrix_structure():
         assert wfull[1, 1] == pytest.approx(wx.w22, abs=1e-10)
         assert wfull[2, 2] == pytest.approx(wx.w33, abs=1e-10)
         assert wfull[0, 1] == pytest.approx(wx.w12, abs=1e-10)
+
+
+def test_w_matrix_symmetric_and_equal_to_pairwise_traces():
+    rng = np.random.default_rng(137)
+    stack = np.array([*(random_density_matrix(rng, rank) for rank in (1, 2, 3, 4) * 50),
+                      *(random_x_state(rng).to_matrix() for _ in range(50))])
+    sqrt_rho = psd_sqrt(stack)
+    w = _w_matrix_general(sqrt_rho)
+    np.testing.assert_array_equal(w, w.swapaxes(-1, -2))
+    assert np.abs(w - w_matrix_by_pairs(sqrt_rho)).max() <= 1e-15
+    one = _w_matrix_general(sqrt_rho[7])
+    assert one.shape == (3, 3) and np.abs(one - w[7]).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------- MIN

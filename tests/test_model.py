@@ -107,3 +107,22 @@ def test_array_fields_are_checked_element_by_element():
         ModelParams(delta=np.array([0.1, np.nan]))
     with pytest.raises(DomainError, match=r"^omega must be positive, got 0.0$"):
         ModelParams(omega=np.array([1.0, 0.0]), delta=0.0, j=0.0)
+
+
+def test_params_with_array_fields_compare_elementwise():
+    nbar = np.array([0.0, 1.0])
+    assert ModelParams(nbar=nbar) == ModelParams(nbar=nbar.copy())
+    assert ModelParams(nbar=nbar) != ModelParams(nbar=np.array([0.0, 2.0]))
+    assert ModelParams(nbar=nbar) != ModelParams(nbar=np.array([0.0, 1.0, 2.0]))
+    assert ModelParams(delta=np.array([0.5])) != ModelParams(delta=0.5)
+    assert ModelParams(nbar=np.array([0.0, 0.0])) != ModelParams(nbar=0.0)
+    with pytest.raises(TypeError):
+        hash(ModelParams(nbar=nbar))
+
+
+def test_params_with_scalar_fields_compare_and_hash_as_before():
+    assert ModelParams() == ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
+    assert ModelParams(gamma=1) == ModelParams(gamma=1.0)
+    assert ModelParams() != ModelParams(j=0.2)
+    assert hash(ModelParams()) == hash(ModelParams())
+    assert ModelParams() != (0.1, 0.5, 1.0, 0.1, 0.0)
