@@ -5,7 +5,6 @@ from .errors import (
     CrossCheckFailure,
     DegenerateParams,
     DomainError,
-    NoDeath,
     NotHermitian,
     NotPSD,
     NotXShaped,
@@ -32,8 +31,6 @@ from .states import (
     make_mixture,
     make_werner,
     purity,
-    reduced_a,
-    reduced_b,
     to_dicke,
     trace_out_a,
     trace_out_b,
@@ -64,7 +61,6 @@ from .measures import (
     w_matrix_x,
 )
 from .dynamics import (
-    ESDResult,
     Trajectory,
     analytic_independent_mixture,
     analytic_mixture,
@@ -72,15 +68,12 @@ from .dynamics import (
     concurrence_thermal_independent,
     dark_intervals_of_series,
     esd_gamma_tau,
-    esd_time_thermal,
-    esd_time_zero_temp,
     evolve,
     find_dark_intervals,
     lindblad_rhs,
     steady_ccc_thermal,
     steady_concurrence_thermal,
     steady_correlations_thermal,
-    steady_lqu_thermal,
     steady_state_thermal,
     steady_state_zero_temp,
     steady_w_entries_zero_temp,

@@ -100,9 +100,9 @@ def cmd_evolve(args) -> int:
                          gamma=args.gamma, nbar=args.nbar)
     rho0 = _initial_state(args.initial)
     traj = evolve(rho0, params, t_max=args.t_max, dt=args.dt, stride=args.stride)
-    cs = CorrelationSet(*np.array([c.as_tuple() for c in traj.correlations]).T)
-    _require_in_range(cs, lambda k: f"t = {traj.times[k]:.6g}")
-    columns = (traj.times, params.gamma * traj.times, *cs.as_tuple(), purity(traj.states))
+    _require_in_range(traj.correlations, lambda k: f"t = {traj.times[k]:.6g}")
+    columns = (traj.times, params.gamma * traj.times, *traj.correlations.as_tuple(),
+               purity(traj.states))
     _write_output(args.out, _csv(EVOLVE_HEADER, columns))
     return 0
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NoDeath, NotHermitian,
-                     NotPSD, StepRejected, TraceNotOne, raise_first)
+from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NotHermitian, NotPSD,
+                     StepRejected, TraceNotOne, raise_first)
 from .measures import (
     CorrelationSet,
     balanced,
@@ -38,8 +38,9 @@ _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),
 
 @dataclass
 class Trajectory:
-    """Time grid with one density matrix (``states`` is an (n, 4, 4) array)
-    and one CorrelationSet per sample.
+    """Time grid with one density matrix per sample (``states`` is an
+    (n, 4, 4) array) and the correlations of all samples as one CorrelationSet
+    of arrays of length n.
 
     ``steady_time`` is the first sampled time where the master-equation right
     hand side dropped below the steady-state tolerance, or None if the run
@@ -48,19 +49,10 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    correlations: list[CorrelationSet]
+    correlations: CorrelationSet
     params: ModelParams
     dt: float
     steady_time: float | None = None
-
-
-@dataclass(frozen=True)
-class ESDResult:
-    """Entanglement death time in units of 1/gamma (gamma * tau), plus any
-    (death, rebirth) intervals. math.inf means entanglement never dies."""
-
-    death_time: float
-    revivals: tuple[tuple[float, float], ...] = ()
 
 
 def _channels(params: ModelParams):
@@ -181,7 +173,7 @@ def evolve(
     return Trajectory(times, states, corr, params, dt, steady_time)
 
 
-def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> list[CorrelationSet]:
+def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> CorrelationSet:
     """Validate every sampled state, check it stays on the X pattern when
     ``x_born`` and evaluate its correlations, all as one stack.
 
@@ -206,7 +198,7 @@ def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> li
         raise CrossCheckFailure(f"at t = {times[exc.index]:.6g}: {exc}") from exc
     if failure is not None:
         raise failure
-    return [CorrelationSet(*row) for row in np.column_stack(columns.as_tuple()).tolist()]
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -420,36 +412,30 @@ def steady_w_entries_zero_temp(params: ModelParams) -> tuple[float, float]:
     return w11[()], w33[()]
 
 
-def steady_lqu_thermal(params: ModelParams, state: XState | None = None) -> float:
-    """Steady-state LQU: closed-form W entries at nbar = 0, W-matrix
-    evaluation on the thermal steady state (``state``, if at hand) otherwise."""
-    w11, w33 = steady_w_entries_zero_temp(params)
-    cold = np.clip(1.0 - np.maximum(w11, w33), 0.0, 1.0)
-    warm = lqu_x(_steady_columns(params) if state is None else state)
-    return np.where(np.equal(params.nbar, 0.0), cold, warm)[()]
-
-
 def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
     """All steady-state quantifiers from the X closed forms on the thermal
     steady state. Array-valued ``params`` fields give one row per element
     (a CorrelationSet of arrays). The paper's closed forms cross-check them:
     concurrence, CC and the MIN (unless the marginal of A is degenerate),
-    and the LQU at nbar = 0; the first failing row raises CrossCheckFailure
-    with its flat position as ``index``.
+    and the LQU at nbar = 0 (1 - max{W11, W33}); the first failing row
+    raises CrossCheckFailure with its flat position as ``index``.
     """
     columns = _steady_columns(params)
     x = XColumns(*map(np.ravel, columns))  # scalar params too: one array path for every row
     conc, neg, unc, mt, cc = (f(x) for f in (concurrence_x, negativity_x, lqu_x, min_trace,
                                              correlated_coherence))
     paper_cc = np.ravel(steady_ccc_thermal(params))
+    shape = np.shape(columns.rho11)
+    w11, w33 = steady_w_entries_zero_temp(params)
+    paper_lqu = np.where(np.equal(params.nbar, 0.0), 1.0 - np.maximum(w11, w33), unc.reshape(shape))
     check_routes([
         ("concurrence", conc, steady_concurrence_thermal(params)),
-        ("lqu", unc, steady_lqu_thermal(params, columns)),
+        ("lqu", unc, paper_lqu),
         ("correlated coherence", cc, paper_cc),
         ("min_trace", mt, np.where(balanced(x), mt, paper_cc)),
     ])
     rows = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, cc)
-    return CorrelationSet(*(c.reshape(np.shape(columns.rho11))[()] for c in rows))
+    return CorrelationSet(*(c.reshape(shape)[()] for c in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +482,6 @@ def esd_gamma_tau(w, gamma: float, nbar):
     return np.where(w == 1.0, 0.0, 0.5 * (gt / half))[()]
 
 
-def esd_time_zero_temp(w: float, gamma: float) -> ESDResult:
-    """Closed-form death time of the w-mixture for non-interacting qubits,
-    ``esd_gamma_tau`` at nbar = 0: gamma*tau = log1p(q/p) = ln((1 + s) / (2w));
-    infinite at w = 0, zero at w = 1 (the initial state is already separable).
-    """
-    return ESDResult(float(esd_gamma_tau(w, gamma, 0.0)))
-
-
 def concurrence_thermal_independent(t: float, w: float, gamma: float, nbar: float) -> float:
     """Concurrence of the decaying w-mixture at bath excitation nbar (J = Delta = 0)."""
     if not 0.0 <= w <= 1.0:
@@ -527,25 +505,16 @@ def _thermal_root_poly(t: float, w: float, gamma: float, nbar: float) -> float:
     return float(a0 + a1 * w + a2 * w * w)
 
 
-def esd_time_thermal(w: float, gamma: float, nbar: float) -> ESDResult:
-    """Closed-form death time of the w-mixture at bath excitation nbar
-    (``esd_gamma_tau``); NoDeath for w = 0 at nbar = 0."""
-    gt = float(esd_gamma_tau(w, gamma, nbar))
-    if gt == math.inf:
-        raise NoDeath()
-    return ESDResult(gt)
-
-
 # ---------------------------------------------------------------------------
 # dark periods and revivals
 
 
-def dark_intervals_of_series(times, values) -> list[tuple[int, int]]:
+def dark_intervals_of_series(values) -> list[tuple[int, int]]:
     """Index pairs (first dark sample, first revived sample) of dark runs.
 
     A run starts when the series drops to <= DARK_THRESHOLD and ends at the
     first sample above REVIVAL_THRESHOLD (values in between count as round-off
-    flicker and extend the run). An unfinished run ends at index len(times).
+    flicker and extend the run). An unfinished run ends at index len(values).
     """
     spans = []
     start = None
@@ -557,7 +526,7 @@ def dark_intervals_of_series(times, values) -> list[tuple[int, int]]:
             spans.append((start, i))
             start = None
     if start is not None:
-        spans.append((start, len(list(times))))
+        spans.append((start, len(values)))
     return spans
 
 
@@ -571,8 +540,7 @@ def find_dark_intervals(
     re-integration from the nearest stored sample otherwise. A dark interval
     still open at the end of the horizon gets rebirth = math.inf.
     """
-    conc = [c.concurrence for c in traj.correlations]
-    spans = dark_intervals_of_series(traj.times, conc)
+    spans = dark_intervals_of_series(traj.correlations.concurrence)
     if not spans:
         return []
 

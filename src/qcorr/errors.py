@@ -44,13 +44,6 @@ class StepRejected(RuntimeError):
         self.reason = reason
 
 
-class NoDeath(RuntimeError):
-    """Concurrence never reaches zero."""
-
-    def __init__(self):
-        super().__init__("concurrence never reaches zero")
-
-
 def raise_first(failed, error: type[Exception], describe) -> None:
     """Raise ``error(describe(k))`` for the first failing matrix k of a stack.
 

@@ -186,16 +186,6 @@ def from_dicke(d: DickeState) -> XState:
     )
 
 
-def reduced_a(x: XState) -> np.ndarray:
-    """Reduced state of qubit A; diagonal for every X state."""
-    return np.diag([x.rho11 + x.rho22, x.rho33 + x.rho44]).astype(complex)
-
-
-def reduced_b(x: XState) -> np.ndarray:
-    """Reduced state of qubit B; diagonal for every X state."""
-    return np.diag([x.rho11 + x.rho33, x.rho22 + x.rho44]).astype(complex)
-
-
 def trace_out_b(rho) -> np.ndarray:
     """Reduced 2x2 state of qubit A for an arbitrary two-qubit matrix."""
     return np.trace(_two_qubit(rho), axis1=-3, axis2=-1)

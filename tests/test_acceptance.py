@@ -23,8 +23,7 @@ from qcorr import (
     concurrence_x,
     correlated_coherence,
     dark_intervals_of_series,
-    esd_time_thermal,
-    esd_time_zero_temp,
+    esd_gamma_tau,
     evolve,
     find_dark_intervals,
     hamiltonian,
@@ -136,19 +135,24 @@ def test_criterion_3_integrator_matches_closed_forms():
 
 def test_criterion_4_esd_closed_form_and_monotonicity():
     expected = math.log(1.0 + 1.0 / math.sqrt(2.0))
-    gt_half = esd_time_zero_temp(0.5, 0.1).death_time
+    gt_half = esd_gamma_tau(0.5, 0.1, 0.0)
     ok = abs(gt_half - expected) <= 1e-10
-    for w in (0.1, 0.3, 0.5, 0.8):
-        closed = esd_time_zero_temp(w, 1.0).death_time
-        numeric = esd_time_thermal(w, 1.0, 0.0).death_time
-        ok = ok and abs(closed - numeric) <= 1e-8
-    ws = np.linspace(0.02, 1.0, 50)
-    taus_w = [esd_time_zero_temp(float(w), 1.0).death_time for w in ws]
-    ok = ok and all(a > b for a, b in zip(taus_w, taus_w[1:]))
-    nbars = np.linspace(0.0, 1.0, 50)
-    taus_n = [esd_time_thermal(0.5, 1.0, float(nb)).death_time for nb in nbars]
-    ok = ok and all(a > b for a, b in zip(taus_n, taus_n[1:]))
-    report(4, ok, f"gamma*tau(w=1/2) = {gt_half:.12f}, monotone in w and nbar")
+    # the closed form against the integrator: the w-mixture of independent
+    # qubits (gamma = 1, so omega t = gamma t), death located by bisection
+    worst = 0.0
+    for w, nbar in ((0.5, 0.3), (0.2, 1.0), (0.8, 0.05), (0.5, 0.0)):
+        closed = esd_gamma_tau(w, 1.0, nbar)
+        params = ModelParams(j=0.0, delta=0.0, gamma=1.0, nbar=nbar)
+        traj = evolve(make_mixture(w), params, t_max=1.0, dt=1e-3, stride=10)
+        numeric = find_dark_intervals(traj, refine_tol=1e-13)[0][0]
+        worst = max(worst, abs(closed - numeric))
+    ok = ok and worst <= 1e-10
+    taus_w = esd_gamma_tau(np.linspace(0.02, 1.0, 50), 1.0, 0.0)
+    ok = ok and bool(np.all(taus_w[:-1] > taus_w[1:]))
+    taus_n = esd_gamma_tau(0.5, 1.0, np.linspace(0.0, 1.0, 50))
+    ok = ok and bool(np.all(taus_n[:-1] > taus_n[1:]))
+    report(4, ok, f"gamma*tau(w=1/2) = {gt_half:.12f}, integrator within {worst:.1e}, "
+                  "monotone in w and nbar")
     assert ok
 
 
@@ -181,11 +185,10 @@ def test_criterion_6_bound_chains(sample_states, fig1_trajectory, induced_trajec
         n = negativity(rho)
         ok = ok and slack_ok(concurrence_x(x), n, float(np.log2(2 * n + 1)))
     _, traj = fig1_trajectory
-    for cs in traj.correlations:
-        ok = ok and slack_ok(cs.concurrence, cs.negativity, cs.log_negativity)
-    for traj in induced_trajectories.values():
-        for cs in traj.correlations:
-            ok = ok and slack_ok(cs.concurrence, cs.negativity, cs.log_negativity)
+    for traj in (traj, *induced_trajectories.values()):
+        cs = traj.correlations
+        for c, n, ln in zip(cs.concurrence, cs.negativity, cs.log_negativity):
+            ok = ok and slack_ok(c, n, ln)
     report(6, ok, "negativity and log-negativity bound chains hold (slack >= -1e-10)")
     assert ok
 
@@ -215,17 +218,12 @@ def test_criterion_8_decoherence_induced_correlations(induced_trajectories):
                 "min_trace", "correlated_coherence")
     for delta in (0.2, 0.3, 0.4):
         traj = induced_trajectories[delta]
-        peaks = {
-            name: max(getattr(cs, name) for cs in traj.correlations)
-            for name in measures
-        }
+        peaks = {name: getattr(traj.correlations, name).max() for name in measures}
         ok = ok and all(v > 1e-3 for v in peaks.values())
         details.append(f"Delta={delta}: min peak {min(peaks.values()):.3g}")
     flat = induced_trajectories[0.0]
-    residual = max(
-        max(getattr(cs, name) for name in measures + ("l1_coherence",))
-        for cs in flat.correlations
-    )
+    residual = max(getattr(flat.correlations, name).max()
+                   for name in measures + ("l1_coherence",))
     ok = ok and residual <= 1e-10
     details.append(f"Delta=0 residual {residual:.2e}")
     report(8, ok, "; ".join(details))
@@ -268,16 +266,14 @@ def test_criterion_10_dark_and_revival_structure(fig1_trajectory):
     ok = len(intervals) >= 1 and lengths and lengths[0] == max(lengths)
     if len(lengths) > 1:
         ok = ok and lengths[0] > max(lengths[1:])
-    cc_spans = dark_intervals_of_series(
-        traj.times, [cs.correlated_coherence for cs in traj.correlations]
-    )
-    lqu_spans = dark_intervals_of_series(traj.times, [cs.lqu for cs in traj.correlations])
+    cc_spans = dark_intervals_of_series(traj.correlations.correlated_coherence)
+    lqu_spans = dark_intervals_of_series(traj.correlations.lqu)
     decay_times = np.linspace(0.0, 80.0, 801)
     decay_cc = [
         correlated_coherence(analytic_independent_mixture(float(t), 0.5, 0.1))
         for t in decay_times
     ]
-    cc_decay_spans = dark_intervals_of_series(decay_times, decay_cc)
+    cc_decay_spans = dark_intervals_of_series(decay_cc)
     ok = ok and not cc_spans and not lqu_spans and not cc_decay_spans
     report(
         10,

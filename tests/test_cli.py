@@ -420,12 +420,16 @@ def test_esd_range_violation_names_swept_value(bad, monkeypatch, tmp_path, capsy
 
 
 def test_evolve_range_violation_names_time(monkeypatch, tmp_path, capsys):
-    from qcorr import CorrelationSet, evolve
+    from dataclasses import replace
+
+    from qcorr import evolve
     from qcorr import cli
 
     def broken(*args, **kwargs):
         traj = evolve(*args, **kwargs)
-        traj.correlations[2] = CorrelationSet(1.5, 0.05, 0.14, 0.2, 0.3, 0.3, 0.3)
+        concurrence = traj.correlations.concurrence.copy()
+        concurrence[2] = 1.5
+        traj.correlations = replace(traj.correlations, concurrence=concurrence)
         return traj
 
     monkeypatch.setattr(cli, "evolve", broken)

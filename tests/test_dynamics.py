@@ -9,11 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import liouvillian_by_columns, random_density_matrix, random_x_state
 from qcorr import (
-    CorrelationSet,
     DegenerateParams,
     DomainError,
     ModelParams,
-    NoDeath,
     Trajectory,
     analytic_independent_mixture,
     analytic_mixture,
@@ -23,8 +21,6 @@ from qcorr import (
     correlations,
     dark_intervals_of_series,
     esd_gamma_tau,
-    esd_time_thermal,
-    esd_time_zero_temp,
     evolve,
     find_dark_intervals,
     lindblad_rhs,
@@ -34,7 +30,6 @@ from qcorr import (
     steady_ccc_thermal,
     steady_concurrence_thermal,
     steady_correlations_thermal,
-    steady_lqu_thermal,
     steady_state_thermal,
     steady_state_zero_temp,
     steady_w_entries_zero_temp,
@@ -129,9 +124,16 @@ def test_evolve_handles_non_x_initial_state():
     rng = np.random.default_rng(229)
     rho0 = random_density_matrix(rng)
     traj = evolve(rho0, P_REF, t_max=0.5, dt=1e-3, stride=250)
-    assert len(traj.correlations) == 3
-    for cs in traj.correlations:
-        assert cs.range_violation() is None
+    assert all(np.shape(c) == (3,) for c in traj.correlations.as_tuple())
+    assert traj.correlations.range_violation() is None
+
+
+def test_trajectory_correlations_are_the_columns_of_the_stack():
+    traj = evolve(make_mixture(0.5), P_REF, t_max=5.0, dt=1e-3, stride=100)
+    direct = correlations(traj.states)
+    for name, column in vars(traj.correlations).items():
+        assert np.shape(column) == (len(traj.times),), name
+        np.testing.assert_array_equal(column, getattr(direct, name), err_msg=name)
 
 
 def test_x_shape_preserved_over_long_horizon():
@@ -426,7 +428,7 @@ def test_steady_lqu_closed_w_entries():
     assert w33 == pytest.approx(wx.w33, abs=1e-12)
     assert abs(wx.w12) <= 1e-15
     assert abs(wx.w11 - wx.w22) <= 1e-15
-    assert steady_lqu_thermal(P_REF) == pytest.approx(1.0 - max(w11, w33), abs=1e-14)
+    assert steady_correlations_thermal(P_REF).lqu == pytest.approx(1.0 - max(w11, w33), abs=1e-14)
 
 
 def test_steady_entanglement_cutoff_zero_temp():
@@ -462,20 +464,20 @@ def test_steady_concurrence_monotonicity_in_delta():
 # ------------------------------------------------------------------ ESD
 
 def test_esd_closed_form_values():
-    assert esd_time_zero_temp(0.0, 0.1).death_time == math.inf
-    assert esd_time_zero_temp(1.0, 0.1).death_time == 0.0
+    assert esd_gamma_tau(0.0, 0.1, 0.0) == math.inf
+    assert esd_gamma_tau(1.0, 0.1, 0.0) == 0.0
     expected = math.log(1.0 + 1.0 / math.sqrt(2.0))
-    assert esd_time_zero_temp(0.5, 0.1).death_time == pytest.approx(expected, abs=1e-15)
-    assert esd_time_zero_temp(0.5, 2.3).death_time == pytest.approx(expected, abs=1e-15)
+    assert esd_gamma_tau(0.5, 0.1, 0.0) == pytest.approx(expected, abs=1e-15)
+    assert esd_gamma_tau(0.5, 2.3, 0.0) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(DomainError):
-        esd_time_zero_temp(1.3, 0.1)
+        esd_gamma_tau(1.3, 0.1, 0.0)
     with pytest.raises(DomainError):
-        esd_time_zero_temp(0.5, 0.0)
+        esd_gamma_tau(0.5, 0.0, 0.0)
 
 
 def test_esd_closed_form_decreasing_in_w():
     ws = np.linspace(0.02, 1.0, 60)
-    taus = [esd_time_zero_temp(float(w), 1.0).death_time for w in ws]
+    taus = [esd_gamma_tau(float(w), 1.0, 0.0) for w in ws]
     assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
@@ -495,57 +497,56 @@ def test_thermal_concurrence_initial_value():
 
 
 def test_thermal_death_faster_when_hotter():
-    taus = [esd_time_thermal(0.5, 1.0, nb).death_time for nb in (0.0, 0.2, 0.4, 0.6)]
+    taus = [esd_gamma_tau(0.5, 1.0, nb) for nb in (0.0, 0.2, 0.4, 0.6)]
     assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
 def test_esd_thermal_agrees_with_first_concurrence_zero():
     w, gamma, nbar = 0.4, 0.7, 0.5
-    gt = esd_time_thermal(w, gamma, nbar).death_time
+    gt = esd_gamma_tau(w, gamma, nbar)
     tau = gt / gamma
     assert concurrence_thermal_independent(tau - 1e-4 / gamma, w, gamma, nbar) > 0.0
     assert concurrence_thermal_independent(tau + 1e-4 / gamma, w, gamma, nbar) == 0.0
 
 
 def test_esd_thermal_edge_cases():
-    assert esd_time_thermal(1.0, 0.5, 0.7).death_time == 0.0
-    with pytest.raises(NoDeath):
-        esd_time_thermal(0.0, 0.5, 0.0)
+    assert esd_gamma_tau(1.0, 0.5, 0.7) == 0.0
+    assert esd_gamma_tau(0.0, 0.5, 0.0) == math.inf
     with pytest.raises(DomainError):
-        esd_time_thermal(0.5, -1.0, 0.0)
+        esd_gamma_tau(0.5, -1.0, 0.0)
 
 
 def test_esd_thermal_at_zero_temperature_is_the_zero_temperature_closed_form():
     for w in np.linspace(0.01, 0.99, 99):
+        s = math.sqrt(1.0 - 2.0 * w * (1.0 - w))
         for gamma in (0.1, 1.0):
-            assert esd_time_thermal(w, gamma, 0.0).death_time == pytest.approx(
-                esd_time_zero_temp(w, gamma).death_time, rel=0.0, abs=1e-14
+            assert esd_gamma_tau(w, gamma, 0.0) == pytest.approx(
+                math.log((1.0 + s) / (2.0 * w)), rel=0.0, abs=1e-14
             )
 
 
 def test_esd_thermal_small_weight_matches_high_precision_root():
     # 50-digit roots of the death condition at nbar = 0; p^2 underflows at w = 1e-200
     # and 2q / (p + sqrt(p^2 + 4cq/k^2)) overflows at w = 1e-320
-    assert abs(esd_time_thermal(1e-9, 1.0, 0.0).death_time - 20.723265836446412) <= 1e-12
-    assert abs(esd_time_thermal(1e-200, 1.0, 0.0).death_time - 460.51701859880914) <= 1e-12
-    assert abs(esd_time_thermal(1e-320, 1.0, 0.0).death_time - 736.8272408909739) <= 1e-12
+    assert abs(esd_gamma_tau(1e-9, 1.0, 0.0) - 20.723265836446412) <= 1e-12
+    assert abs(esd_gamma_tau(1e-200, 1.0, 0.0) - 460.51701859880914) <= 1e-12
+    assert abs(esd_gamma_tau(1e-320, 1.0, 0.0) - 736.8272408909739) <= 1e-12
 
 
 def test_esd_thermal_bell_state_dies_only_at_finite_temperature():
-    with pytest.raises(NoDeath):
-        esd_time_thermal(0.0, 1.0, 0.0)
-    assert math.isfinite(esd_time_thermal(0.0, 1.0, 1e-300).death_time)
-    tau = esd_time_thermal(0.0, 1.0, 0.5).death_time
+    assert esd_gamma_tau(0.0, 1.0, 0.0) == math.inf
+    assert math.isfinite(esd_gamma_tau(0.0, 1.0, 1e-300))
+    tau = esd_gamma_tau(0.0, 1.0, 0.5)
     assert concurrence_thermal_independent(tau * (1.0 - 1e-9), 0.0, 1.0, 0.5) > 0.0
     assert concurrence_thermal_independent(tau * (1.0 + 1e-9), 0.0, 1.0, 0.5) == 0.0
 
 
 def test_esd_thermal_at_extreme_nbar():
-    cold = esd_time_zero_temp(0.5, 1.0).death_time
-    assert abs(esd_time_thermal(0.5, 1.0, 1e-300).death_time - cold) <= 1e-15
-    assert abs(esd_time_thermal(0.5, 1.0, 0.0).death_time - cold) <= 1e-15
+    cold = math.log(1.0 + 1.0 / math.sqrt(2.0))
+    assert abs(esd_gamma_tau(0.5, 1.0, 1e-300) - cold) <= 1e-15
+    assert abs(esd_gamma_tau(0.5, 1.0, 0.0) - cold) <= 1e-15
     # 50-digit root 1.7328679513998633e-201: c = 2 nbar (nbar + 1) overflows here
-    assert esd_time_thermal(0.5, 1.0, 1e200).death_time == pytest.approx(
+    assert esd_gamma_tau(0.5, 1.0, 1e200) == pytest.approx(
         1.7328679513998633e-201, rel=1e-15, abs=0.0
     )
 
@@ -554,7 +555,7 @@ def test_esd_thermal_at_extreme_nbar():
 @given(w=st.floats(0.01, 0.99), nbar=st.floats(0.0, 2.0), gamma=st.floats(0.05, 3.0))
 @example(w=0.99, nbar=2.0, gamma=1.0)  # shortest death time: a relative error shows most here
 def test_esd_thermal_brackets_first_concurrence_zero(w, nbar, gamma):
-    tau = esd_time_thermal(w, gamma, nbar).death_time / gamma
+    tau = esd_gamma_tau(w, gamma, nbar) / gamma
     for rel in (1e-7, 1e-9):
         assert concurrence_thermal_independent(tau * (1.0 - rel), w, gamma, nbar) > 0.0
         assert concurrence_thermal_independent(tau * (1.0 + rel), w, gamma, nbar) == 0.0
@@ -565,9 +566,7 @@ def test_esd_thermal_brackets_first_concurrence_zero(w, nbar, gamma):
 def _analytic_trajectory(params, t_max, n_samples):
     times = np.linspace(0.0, t_max, n_samples)
     states = np.array([analytic_mixture(float(t), params).to_matrix() for t in times])
-    corr = [CorrelationSet(*row)
-            for row in np.column_stack(correlations(states).as_tuple()).tolist()]
-    return Trajectory(times, states, corr, params, times[1] - times[0])
+    return Trajectory(times, states, correlations(states), params, times[1] - times[0])
 
 
 def test_dark_intervals_mixture_structure():
@@ -624,7 +623,7 @@ def test_werner_settles_without_permanent_death():
     params = ModelParams(j=0.1, delta=0.5, gamma=0.1)
     times = np.linspace(0.0, 150.0, 601)
     concs = [concurrence_x(analytic_werner(float(t), 1.0, params)) for t in times]
-    spans = dark_intervals_of_series(times, concs)
+    spans = dark_intervals_of_series(concs)
     assert all(end < len(times) for _, end in spans)
     assert concs[-1] == pytest.approx(0.2999, abs=5e-4)
 
@@ -635,7 +634,7 @@ def test_cc_has_no_dark_intervals_under_pure_decay():
         correlated_coherence(analytic_independent_mixture(float(t), 0.5, 0.1))
         for t in times
     ]
-    assert dark_intervals_of_series(times, ccs) == []
+    assert dark_intervals_of_series(ccs) == []
     for t, cc in zip(times, ccs):
         assert cc == pytest.approx(0.5 * math.exp(-0.1 * t), abs=1e-12)
 
@@ -691,15 +690,10 @@ _NBARS = np.array([0.0, 1e-300, 1e-9, 0.05, 0.3, 1.0, 7.0, 1e200, 1.7e308])
 def test_esd_kernel_equals_scalar_wrappers_elementwise():
     grid = esd_gamma_tau(_WEIGHTS[:, None], 0.7, _NBARS)
     assert grid.shape == (len(_WEIGHTS), len(_NBARS))
+    assert grid[0, 0] == math.inf  # the Bell state without thermal noise never dies
     for i, w in enumerate(_WEIGHTS.tolist()):
-        assert grid[i, 0] == esd_time_zero_temp(w, 0.7).death_time
         for k, nb in enumerate(_NBARS.tolist()):
-            if w == 0.0 and nb == 0.0:
-                assert grid[i, k] == math.inf
-                with pytest.raises(NoDeath):
-                    esd_time_thermal(w, 0.7, nb)
-            else:
-                assert grid[i, k] == esd_time_thermal(w, 0.7, nb).death_time
+            assert grid[i, k] == esd_gamma_tau(w, 0.7, nb)
 
 
 @settings(max_examples=100, deadline=None)
@@ -709,9 +703,7 @@ def test_esd_kernel_equals_scalar_wrappers_on_random_grids(ws, nbar, gamma):
     for nb in (0.0, nbar):
         column = esd_gamma_tau(np.array(ws), gamma, nb)
         for w, gt in zip(ws, column.tolist()):
-            expected = (esd_time_zero_temp(w, gamma).death_time if nb == 0.0
-                        else esd_time_thermal(w, gamma, nb).death_time)
-            assert gt == expected
+            assert gt == esd_gamma_tau(w, gamma, nb)
 
 
 def test_esd_kernel_names_the_first_value_outside_its_domain():

@@ -109,9 +109,10 @@ def full_rank_x_stack(n=8, seed=31):
 
 def test_evaluate_samples_matches_per_sample_correlations():
     states, times = full_rank_x_stack()
-    rows = _evaluate_samples(times, states, x_born=True)
-    for rho, cs in zip(states, rows):
-        np.testing.assert_allclose(cs.as_tuple(), correlations(rho).as_tuple(), atol=1e-12)
+    columns = _evaluate_samples(times, states, x_born=True)
+    for k, rho in enumerate(states):
+        row = [c[k] for c in columns.as_tuple()]
+        np.testing.assert_allclose(row, correlations(rho).as_tuple(), atol=1e-12)
 
 
 def test_off_pattern_entry_names_its_sample():

@@ -21,9 +21,9 @@ from qcorr import (
     make_mixture,
     make_werner,
     purity,
-    reduced_a,
-    reduced_b,
     to_dicke,
+    trace_out_a,
+    trace_out_b,
     l1_coherence,
     validate,
 )
@@ -124,18 +124,18 @@ def test_dicke_round_trip_and_spectrum():
 
 
 def test_reduced_states():
-    w1 = make_werner(1.0)
-    np.testing.assert_allclose(reduced_a(w1), np.diag([0.5, 0.5]), atol=1e-15)
-    np.testing.assert_allclose(reduced_b(w1), np.diag([0.5, 0.5]), atol=1e-15)
-    mix = make_mixture(0.5)
-    np.testing.assert_allclose(reduced_a(mix), np.diag([0.75, 0.25]), atol=1e-15)
-    np.testing.assert_allclose(reduced_b(mix), np.diag([0.25, 0.75]), atol=1e-15)
+    w1 = make_werner(1.0).to_matrix()
+    np.testing.assert_allclose(trace_out_b(w1), np.diag([0.5, 0.5]), atol=1e-15)
+    np.testing.assert_allclose(trace_out_a(w1), np.diag([0.5, 0.5]), atol=1e-15)
+    mix = make_mixture(0.5).to_matrix()
+    np.testing.assert_allclose(trace_out_b(mix), np.diag([0.75, 0.25]), atol=1e-15)
+    np.testing.assert_allclose(trace_out_a(mix), np.diag([0.25, 0.75]), atol=1e-15)
     rng = np.random.default_rng(43)
     for _ in range(10):
-        x = random_x_state(rng)
-        assert l1_coherence(reduced_a(x)) == 0.0
-        assert l1_coherence(reduced_b(x)) == 0.0
-        assert np.trace(reduced_a(x)).real == pytest.approx(1.0, abs=1e-12)
+        rho = random_x_state(rng).to_matrix()
+        assert l1_coherence(trace_out_b(rho)) == 0.0
+        assert l1_coherence(trace_out_a(rho)) == 0.0
+        assert np.trace(trace_out_b(rho)).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_purity():
