@@ -22,7 +22,7 @@ from .linalg import (
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
 from .states import (
-    DickeState,
+    DickeColumns,
     XState,
     dumps_density_matrix,
     from_dicke,

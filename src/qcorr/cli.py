@@ -25,7 +25,7 @@ from .errors import (
 )
 from .measures import CorrelationSet
 from .model import ModelParams
-from .states import loads_density_matrix, make_mixture, make_werner, purity, validate
+from .states import loads_density_matrix, make_mixture, make_werner, purity
 
 EVOLVE_HEADER = "t,gamma_t,concurrence,negativity,log_negativity,lqu,min,ccc,l1_coherence,purity"
 STEADY_COLUMNS = "concurrence,log_negativity,lqu,min,ccc"
@@ -63,10 +63,14 @@ def _parse_sweep(spec: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
 
 
 def _initial_state(selector: str) -> np.ndarray:
-    if selector.startswith("mixture:"):
-        return make_mixture(float(selector.split(":", 1)[1])).to_matrix()
-    if selector.startswith("werner:"):
-        return make_werner(float(selector.split(":", 1)[1])).to_matrix()
+    """The initial density matrix; ``evolve`` validates it."""
+    family, colon, value = selector.partition(":")
+    if colon and family in ("mixture", "werner"):
+        try:
+            param = float(value)
+        except ValueError as exc:
+            raise DomainError(f"malformed number in initial state {selector!r}: {exc}") from exc
+        return (make_mixture if family == "mixture" else make_werner)(param).to_matrix()
     if selector.startswith("custom@"):
         path = selector.split("@", 1)[1]
         try:
@@ -74,10 +78,9 @@ def _initial_state(selector: str) -> np.ndarray:
         except OSError as exc:
             raise DomainError(f"cannot read initial-state file {path!r}: {exc}") from exc
         try:
-            rho = loads_density_matrix(text)
+            return loads_density_matrix(text)
         except ValueError as exc:
             raise DomainError(f"malformed initial-state file {path!r}: {exc}") from exc
-        return validate(rho)
     raise DomainError(
         f"initial state must be mixture:W, werner:P or custom@FILE, got {selector!r}"
     )
@@ -139,11 +142,14 @@ def cmd_steady(args) -> int:
     return 0
 
 
-def _add_model_flags(parser: argparse.ArgumentParser):
+def _add_model_flags(parser: argparse.ArgumentParser, couplings: bool = True):
+    """--gamma, --nbar and --out, and with ``couplings`` --delta, --j and --omega."""
     parser.add_argument("--gamma", type=float, default=0.1, help="relaxation rate (units of omega)")
-    parser.add_argument("--delta", type=float, default=0.5, help="anisotropic coupling")
-    parser.add_argument("--j", type=float, default=0.1, help="isotropic coupling")
-    parser.add_argument("--omega", type=float, default=1.0, help="field strength / reference scale")
+    if couplings:
+        parser.add_argument("--delta", type=float, default=0.5, help="anisotropic coupling")
+        parser.add_argument("--j", type=float, default=0.1, help="isotropic coupling")
+        parser.add_argument("--omega", type=float, default=1.0,
+                            help="field strength / reference scale")
     parser.add_argument("--nbar", type=float, default=0.0, help="mean thermal excitation")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -164,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--stride", type=int, default=100, help="sampling interval in steps")
     p_evolve.set_defaults(func=cmd_evolve)
 
-    p_esd = sub.add_parser("esd", help="entanglement death time for decaying mixtures")
-    _add_model_flags(p_esd)
+    p_esd = sub.add_parser("esd", help="entanglement death time for decaying mixtures "
+                           "(the J = Delta = 0 closed form)")
+    _add_model_flags(p_esd, couplings=False)
     p_esd.add_argument("--w", type=float, default=0.5, help="mixture weight")
     p_esd.add_argument("--sweep", default=None, help="w:START:STOP:COUNT or nbar:START:STOP:COUNT")
     p_esd.set_defaults(func=cmd_esd)

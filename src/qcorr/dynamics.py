@@ -82,9 +82,11 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
 def _liouvillian(params: ModelParams) -> np.ndarray:
     """``lindblad_rhs`` on row-major vectorized rho, by vec(A rho B) = (A ox B^T) vec(rho)."""
     h, eye = hamiltonian(params), np.eye(4)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, op, num in _channels(params):
-        lv = lv + rate * (np.kron(op, op.conj()) - 0.5 * (np.kron(num, eye) + np.kron(eye, num.T)))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: inf/nan, rejected later
+        lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for rate, op, num in _channels(params):
+            lv = lv + rate * (np.kron(op, op.conj())
+                              - 0.5 * (np.kron(num, eye) + np.kron(eye, num.T)))
     return lv
 
 

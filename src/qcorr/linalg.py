@@ -123,16 +123,23 @@ def _solve_in_block_order(a: np.ndarray, pattern: int) -> HermitianEigensystem:
     return HermitianEigensystem(w, v.take(inverse, -2))
 
 
+def require_psd(mat) -> HermitianEigensystem:
+    """Eigensystem of a Hermitian matrix (or of each matrix of a stack),
+    raising NotPSD if a minimum eigenvalue lies below -PSD_TOL."""
+    es = hermitian_eigensystem(mat)
+    lam_min = es.eigenvalues[..., 0]
+    raise_first(lam_min < -PSD_TOL, NotPSD,
+                lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} below -{PSD_TOL:.1e}")
+    return es
+
+
 def psd_sqrt(mat) -> np.ndarray:
     """Hermitian square root of a PSD matrix (or of each matrix of a stack).
 
     Eigenvalues in [-PSD_TOL, 0) are treated as integrator round-off and
-    clamped to zero; anything below -PSD_TOL raises NotPSD.
+    clamped to zero; anything below -PSD_TOL raises NotPSD (``require_psd``).
     """
-    es = hermitian_eigensystem(mat)
-    lam_min = es.eigenvalues[..., 0]
-    raise_first(lam_min < -PSD_TOL, NotPSD,
-                lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} is below -{PSD_TOL:.1e}")
+    es = require_psd(mat)
     w = np.sqrt(np.clip(es.eigenvalues, 0.0, None))
     root = (es.eigenvectors * w[..., None, :]) @ _dagger(es.eigenvectors)
     return (root + _dagger(root)) / 2.0

@@ -4,8 +4,8 @@ Every measure comes in two flavours where that makes sense: a
 general-definition route valid for any density matrix, and an X-state
 closed form. The general routes broadcast over stacks (..., 4, 4) and the
 closed forms over the arrays of ``states.x_columns``. ``correlations`` evaluates
-all seven quantities on a state or on a whole stack and, by default,
-cross-checks the two routes against each other on every X-shaped matrix.
+all seven quantities on a state or on a whole stack and cross-checks the two
+routes against each other on every X-shaped matrix.
 
 The general concurrence and MIN routes are exact for every state. The
 concurrence takes Wootters' lambda_i as the singular values of
@@ -25,7 +25,7 @@ from .errors import CrossCheckFailure
 from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_norm
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
-    DickeState,
+    DickeColumns,
     XState,
     is_x_shaped,
     to_dicke,
@@ -138,7 +138,7 @@ def concurrence_x(x: XState) -> float:
     return np.maximum(0.0, np.maximum(*concurrence_branches(x)))
 
 
-def concurrence_dicke(d: DickeState) -> float:
+def concurrence_dicke(d: DickeColumns) -> float:
     """Concurrence from the collective-basis populations and coherences."""
     c1 = 2.0 * (
         abs(d.eg) - np.sqrt(np.maximum((0.5 * (d.ss + d.aa)) ** 2 - d.sa.real**2, 0.0))
@@ -363,44 +363,37 @@ def check_routes(checks, rows=True):
             raise
 
 
-def correlations(rho, *, cross_check: bool = True) -> CorrelationSet:
+def correlations(rho) -> CorrelationSet:
     """Evaluate all seven quantifiers on a valid density matrix, or on every
     matrix of a stack (..., 4, 4) at once.
 
-    X-shaped matrices (within X_SHAPE_TOL) use the closed forms and, when
-    ``cross_check`` is set, every closed form is compared against its
-    general-definition route; the first matrix where they disagree raises
-    CrossCheckFailure (its flat position is ``index``). Other matrices take
-    the general routes throughout. One matrix gives a CorrelationSet of
-    floats, a stack a CorrelationSet of arrays over its leading axes.
+    X-shaped matrices (within X_SHAPE_TOL) use the closed forms, and every
+    closed form is compared against its general-definition route; the first
+    matrix where they disagree raises CrossCheckFailure (its flat position is
+    ``index``). Other matrices take the general routes throughout. One matrix
+    gives a CorrelationSet of floats, a stack a CorrelationSet of arrays over
+    its leading axes.
     """
     rho = np.asarray(rho, dtype=complex)
     mats = rho.reshape(-1, 4, 4)
     x_rows = is_x_shaped(mats)
     x = x_columns(mats)
-    # concurrence, negativity, LQU, MIN and CC in closed form, then the
-    # general routes pasted over them on the rows that need them: the values
-    # of non-X rows and the cross-checks of X rows
+    # concurrence, negativity, LQU, MIN and CC in closed form and by their
+    # general routes: the values of non-X rows and the cross-checks of X rows
     closed = np.array([concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
                        correlated_coherence(x)])
-    general = closed.copy()
-    rows = ~x_rows | cross_check
-    sqrt_rho = psd_sqrt(mats[rows])  # shared by the concurrence and LQU routes
-    general[0, rows] = _concurrence_from_sqrt(sqrt_rho, clamp=True)
-    general[1, rows] = negativity(mats[rows])
-    general[2, rows] = _lqu_from_sqrt(sqrt_rho)
-    general[3, rows] = min_trace_general(mats[rows])
-    general[4, rows] = correlated_coherence_general(mats[rows])
-
-    if cross_check:
-        check_routes([
-            ("concurrence", closed[0], general[0]),
-            ("concurrence (Dicke basis)", closed[0], concurrence_dicke(to_dicke(x))),
-            ("negativity", closed[1], general[1]),
-            ("lqu", closed[2], general[2]),
-            ("correlated coherence", closed[4], general[4]),
-            ("min_trace", closed[3], general[3]),
-        ], x_rows)
+    sqrt_rho = psd_sqrt(mats)  # shared by the concurrence and LQU routes
+    general = np.array([_concurrence_from_sqrt(sqrt_rho, clamp=True), negativity(mats),
+                        _lqu_from_sqrt(sqrt_rho), min_trace_general(mats),
+                        correlated_coherence_general(mats)])
+    check_routes([
+        ("concurrence", closed[0], general[0]),
+        ("concurrence (Dicke basis)", closed[0], concurrence_dicke(to_dicke(x))),
+        ("negativity", closed[1], general[1]),
+        ("lqu", closed[2], general[2]),
+        ("correlated coherence", closed[4], general[4]),
+        ("min_trace", closed[3], general[3]),
+    ], x_rows)
 
     conc, neg, unc, mt, cc = np.where(x_rows, closed, general)
     columns = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, l1_coherence(mats))

