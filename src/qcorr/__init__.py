@@ -7,7 +7,6 @@ from .errors import (
     DomainError,
     NotHermitian,
     NotPSD,
-    NotXShaped,
     RangeViolation,
     StepRejected,
     TraceNotOne,
@@ -23,7 +22,7 @@ from .linalg import (
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
 from .states import (
     DickeColumns,
-    XState,
+    XColumns,
     dumps_density_matrix,
     from_dicke,
     is_x_shaped,

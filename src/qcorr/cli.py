@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     NotHermitian,
     NotPSD,
-    NotXShaped,
     RangeViolation,
     StepRejected,
     TraceNotOne,
@@ -30,7 +29,7 @@ from .states import loads_density_matrix, make_mixture, make_werner, purity
 EVOLVE_HEADER = "t,gamma_t,concurrence,negativity,log_negativity,lqu,min,ccc,l1_coherence,purity"
 STEADY_COLUMNS = "concurrence,log_negativity,lqu,min,ccc"
 
-_CONFIG_ERRORS = (DomainError, DegenerateParams, NotXShaped, NotHermitian, TraceNotOne, NotPSD)
+_CONFIG_ERRORS = (DomainError, DegenerateParams, NotHermitian, TraceNotOne, NotPSD)
 
 
 def _fmt(value: float) -> str:
@@ -75,7 +74,7 @@ def _initial_state(selector: str) -> np.ndarray:
         path = selector.split("@", 1)[1]
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read initial-state file {path!r}: {exc}") from exc
         try:
             return loads_density_matrix(text)

@@ -14,7 +14,6 @@ from .measures import (
     CorrelationSet,
     balanced,
     check_routes,
-    concurrence_branches,
     concurrence_signed,
     concurrence_x,
     correlated_coherence,
@@ -24,7 +23,7 @@ from .measures import (
     negativity_x,
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
-from .states import XColumns, XState, is_x_shaped, validate
+from .states import XColumns, _validated, is_x_shaped, validate
 
 STEADY_RHS_TOL = 1e-12
 X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
@@ -125,8 +124,9 @@ def evolve(
 
     Parameters
     ----------
-    rho0 : XState or 4x4 array
-        Initial state; validated before the run.
+    rho0 : 4x4 array
+        Initial density matrix (``XColumns.to_matrix()`` for an X state);
+        validated before the run.
     t_max, dt : float
         Horizon and step (t_max is rounded to a whole number of steps).
     stride : int
@@ -153,8 +153,8 @@ def evolve(
         raise DomainError(f"t_max / dt = {steps:.6g} steps at stride {stride} "
                           f"give more than MAX_SAMPLES = {MAX_SAMPLES} samples")
 
-    mat0 = rho0.to_matrix() if isinstance(rho0, XState) else np.asarray(rho0, dtype=complex)
-    validate(mat0)
+    stride = min(stride, max(n_steps, 1))  # a longer stride samples the same two times
+    mat0 = validate(rho0)
 
     lv = _liouvillian(params)
     phi = _increment_operator(lv, dt, stride)
@@ -212,8 +212,9 @@ def _require_zero_temperature(params: ModelParams):
         raise DomainError("closed-form trajectory is defined at nbar = 0")
 
 
-def analytic_mixture(t: float, params: ModelParams) -> XState:
-    """State at time t when the initial condition is the w = 1/2 mixture.
+def analytic_mixture(t, params: ModelParams) -> XColumns:
+    """States at the times t (a float or an array, over which the fields
+    broadcast) when the initial condition is the w = 1/2 mixture; validated.
 
     Only rho22, rho23, rho32 and rho33 depend on J, and that dependence is
     damped away as t grows; rho44 follows from trace completion.
@@ -253,11 +254,12 @@ def analytic_mixture(t: float, params: ModelParams) -> XState:
     r23 = 0.25j * e1 * np.sin(2.0 * j * t)
     r33 = r22 - 0.5 * e1 * np.cos(2.0 * j * t)
     r44 = 1.0 - (r11 + r22 + r33)
-    return XState(r11, r22, r33, r44, re14 + 1j * im14, r23)
+    return _validated(XColumns(r11, r22, r33, r44, re14 + 1j * im14, r23))
 
 
-def analytic_werner(t: float, p: float, params: ModelParams) -> XState:
-    """State at time t for a Werner initial condition; independent of J."""
+def analytic_werner(t, p: float, params: ModelParams) -> XColumns:
+    """States at the times t (a float or an array) for a Werner initial
+    condition; independent of J. Validated."""
     _require_zero_temperature(params)
     if not -1.0 / 3.0 <= p <= 1.0:
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
@@ -298,11 +300,12 @@ def analytic_werner(t: float, p: float, params: ModelParams) -> XState:
         + 4.0 * g * d * d * e1 * (om * om * s2 - g * om * c2)
     ) / (4.0 * om**3 * den)
 
-    return XState(r11, r22, r22, r44, r14, r23)
+    return _validated(XColumns(r11, r22, r22, r44, r14, r23))
 
 
-def analytic_independent_mixture(t: float, w: float, gamma: float, omega: float = 1.0) -> XState:
-    """Decay of the general w-mixture for non-interacting qubits (J = Delta = 0)."""
+def analytic_independent_mixture(t, w: float, gamma: float, omega: float = 1.0) -> XColumns:
+    """Decay of the general w-mixture for non-interacting qubits (J = Delta = 0)
+    at the times t (a float or an array). Validated."""
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must lie in [0, 1], got {w}")
     if gamma < 0.0:
@@ -314,7 +317,7 @@ def analytic_independent_mixture(t: float, w: float, gamma: float, omega: float 
     r22 = np.exp(-3.0 * half) * (np.sinh(half) + w * np.cosh(half))
     r33 = (1.0 - w) * np.exp(-3.0 * half) * np.sinh(half)
     r44 = q * np.exp(-2.0 * gamma * t) + 2.0 * np.exp(-half) * np.sinh(half)
-    return XState(r11, r22, r33, r44, r14, 0.0)
+    return _validated(XColumns(r11, r22, r33, r44, r14, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +329,22 @@ def _require_decay(params: ModelParams):
         raise DegenerateParams("gamma > 0 is required for a unique steady state")
 
 
-def steady_state_zero_temp(params: ModelParams) -> XState:
+def steady_state_zero_temp(params: ModelParams) -> XColumns:
     """Unique steady state at zero temperature; the same for every X-shaped
-    initial condition. Entangled iff |Delta| < sqrt(gamma^2 + 4 omega^2)."""
+    initial condition. Entangled iff |Delta| < sqrt(gamma^2 + 4 omega^2).
+    Array-valued ``params`` fields give one state per element. Validated."""
     _require_decay(params)
     g, d, w = params.gamma, params.delta, params.omega
     den = g * g + 4.0 * params.big_omega**2
     pop = d * d / den
-    return XState(
+    return _validated(XColumns(
         rho11=pop,
         rho22=pop,
         rho33=pop,
         rho44=(g * g + 3.0 * w * w + params.big_omega**2) / den,
         rho14=-d * (2.0 * w + 1j * g) / den,
         rho23=0.0,
-    )
+    ))
 
 
 def _steady_scales(params: ModelParams):
@@ -372,10 +376,11 @@ def _steady_columns(params: ModelParams) -> XColumns:
     return XColumns(p * p + a * a * v, r22, r22, p * p + b * b * v, r14, np.zeros_like(r14))
 
 
-def steady_state_thermal(params: ModelParams) -> XState:
+def steady_state_thermal(params: ModelParams) -> XColumns:
     """Thermal steady state; reduces to the zero-temperature one at nbar = 0
-    and to a diagonal state when J = Delta = 0."""
-    return XState(*_steady_columns(params))
+    and to a diagonal state when J = Delta = 0. Array-valued ``params``
+    fields give one state per element. Validated."""
+    return _validated(_steady_columns(params))
 
 
 def steady_ccc_thermal(params: ModelParams) -> float:
@@ -537,16 +542,18 @@ def find_dark_intervals(
 ) -> list[tuple[float, float]]:
     """Maximal (death, rebirth) intervals of zero concurrence along a trajectory.
 
-    Endpoints are refined by bisection on the signed concurrence, using
-    ``state_at(t)`` when given (e.g. one of the closed-form trajectories) and
-    re-integration from the nearest stored sample otherwise. A dark interval
-    still open at the end of the horizon gets rebirth = math.inf.
+    Endpoints are refined by bisection on ``concurrence_signed`` of the 4x4
+    matrix ``state_at(t)`` when given (e.g. ``analytic_mixture(t,
+    params).to_matrix()``) and of a re-integration from the nearest stored
+    sample otherwise. A dark interval still open at the end of the horizon
+    gets rebirth = math.inf.
     """
     spans = dark_intervals_of_series(traj.correlations.concurrence)
     if not spans:
         return []
 
-    signed = _signed_concurrence_fn(traj, state_at)
+    if state_at is None:
+        state_at = _state_interpolator(traj)
     intervals = []
     n = len(traj.times)
     for first_dark, revived in spans:
@@ -554,29 +561,16 @@ def find_dark_intervals(
             death = float(traj.times[0])
         else:
             death = _bisect_sign_change(
-                signed, traj.times[first_dark - 1], traj.times[first_dark], refine_tol
+                state_at, traj.times[first_dark - 1], traj.times[first_dark], refine_tol
             )
         if revived >= n:
             rebirth = math.inf
         else:
             rebirth = _bisect_sign_change(
-                signed, traj.times[revived], traj.times[revived - 1], refine_tol
+                state_at, traj.times[revived], traj.times[revived - 1], refine_tol
             )
         intervals.append((death, rebirth))
     return intervals
-
-
-def _signed_concurrence_fn(traj: Trajectory, state_at):
-    if state_at is None:
-        state_at = _state_interpolator(traj)
-
-    def signed(t: float) -> float:
-        state = state_at(t)
-        if isinstance(state, XState):
-            return max(concurrence_branches(state))
-        return concurrence_signed(state)
-
-    return signed
 
 
 def _state_interpolator(traj: Trajectory):
@@ -596,13 +590,14 @@ def _state_interpolator(traj: Trajectory):
     return at
 
 
-def _bisect_sign_change(f, t_pos: float, t_neg: float, tol: float) -> float:
-    """Locate the sign change of f between f(t_pos) > 0 and f(t_neg) <= 0."""
+def _bisect_sign_change(state_at, t_pos: float, t_neg: float, tol: float) -> float:
+    """Locate the sign change of f(t) = concurrence_signed(state_at(t))
+    between f(t_pos) > 0 and f(t_neg) <= 0."""
     for _ in range(200):
         if abs(t_pos - t_neg) <= tol:
             break
         mid = 0.5 * (t_pos + t_neg)
-        if f(mid) > 0.0:
+        if concurrence_signed(state_at(mid)) > 0.0:
             t_pos = mid
         else:
             t_neg = mid

@@ -15,10 +15,6 @@ class TraceNotOne(ValueError):
     """Density matrix trace differs from one beyond tolerance."""
 
 
-class NotXShaped(ValueError):
-    """Density matrix has entries outside the X pattern."""
-
-
 class DomainError(ValueError):
     """Scalar argument outside its allowed domain."""
 

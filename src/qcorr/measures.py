@@ -26,7 +26,7 @@ from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
     DickeColumns,
-    XState,
+    XColumns,
     is_x_shaped,
     to_dicke,
     trace_out_a,
@@ -126,14 +126,14 @@ def _concurrence_from_sqrt(sqrt_rho, clamp: bool):
     return np.maximum(0.0, diff) if clamp else diff
 
 
-def concurrence_branches(x: XState) -> tuple[float, float]:
+def concurrence_branches(x: XColumns) -> tuple[float, float]:
     """The two competing branches C1 (two-photon) and C2 (one-photon), unclamped."""
     c1 = 2.0 * (abs(x.rho14) - np.sqrt(np.maximum(x.rho22 * x.rho33, 0.0)))
     c2 = 2.0 * (abs(x.rho23) - np.sqrt(np.maximum(x.rho11 * x.rho44, 0.0)))
     return c1, c2
 
 
-def concurrence_x(x: XState) -> float:
+def concurrence_x(x: XColumns) -> float:
     """Closed-form X-state concurrence max{0, C1, C2}."""
     return np.maximum(0.0, np.maximum(*concurrence_branches(x)))
 
@@ -160,7 +160,7 @@ def negativity(rho) -> float:
     return np.maximum(0.0, -lam[..., 0])
 
 
-def negativity_x(x: XState) -> float:
+def negativity_x(x: XColumns) -> float:
     """Closed-form X-state negativity: the partial transpose is the X state
     with rho14 and rho23 swapped, so its smallest eigenvalue is the lower one
     of the block (rho11, rho44, rho23) or of (rho22, rho33, rho14)."""
@@ -226,7 +226,7 @@ def _sqrt_psd_2x2(a: float, d: float, b: complex) -> tuple[float, float, complex
     return (a + s) / tau, (d + s) / tau, b / tau
 
 
-def sqrt_x_entries(x: XState) -> tuple[float, float, float, float, complex, complex]:
+def sqrt_x_entries(x: XColumns) -> tuple[float, float, float, float, complex, complex]:
     """Entries (m11, m22, m33, m44, m14, m23) of sqrt(rho) for an X state.
 
     The square root inherits the X shape, so it follows from the two 2x2
@@ -237,7 +237,7 @@ def sqrt_x_entries(x: XState) -> tuple[float, float, float, float, complex, comp
     return m11, m22, m33, m44, m14, m23
 
 
-def w_matrix_x(x: XState) -> WMatrix:
+def w_matrix_x(x: XColumns) -> WMatrix:
     """Closed-form nonzero W entries for an X state; W13 = W23 = 0 by structure."""
     m11, m22, m33, m44, m14, m23 = sqrt_x_entries(x)
     base = 2.0 * (m11 * m33 + m22 * m44)
@@ -251,7 +251,7 @@ def w_matrix_x(x: XState) -> WMatrix:
     )
 
 
-def lqu_x(x: XState) -> float:
+def lqu_x(x: XColumns) -> float:
     """Closed-form X-state LQU: the in-plane W block is diagonalized algebraically."""
     w = w_matrix_x(x)
     lam_plane = 0.5 * (w.w11 + w.w22 + np.hypot(w.w11 - w.w22, 2.0 * w.w12))
@@ -262,7 +262,7 @@ def lqu_x(x: XState) -> float:
 # trace-norm measurement-induced nonlocality
 
 
-def min_trace(x: XState) -> float:
+def min_trace(x: XColumns) -> float:
     """Trace-norm MIN of an X state.
 
     With x = rho11 + rho22 - (rho33 + rho44) the invariant measurement on A is
@@ -277,7 +277,7 @@ def min_trace(x: XState) -> float:
     return np.where(balanced(x), free, u1)[()]
 
 
-def balanced(x: XState):
+def balanced(x: XColumns):
     """True where the marginal of A is degenerate, |x| <= X_BRANCH_TOL with
     x = rho11 + rho22 - (rho33 + rho44): the MIN measurement basis is free."""
     return abs(x.rho11 + x.rho22 - (x.rho33 + x.rho44)) <= X_BRANCH_TOL
@@ -318,7 +318,7 @@ def l1_coherence(rho) -> float:
     return (a * _OFF_DIAGONAL[a.shape[-1]]).sum(axis=(-2, -1))
 
 
-def correlated_coherence(x: XState) -> float:
+def correlated_coherence(x: XColumns) -> float:
     """CC of an X state: the marginals are diagonal, so the whole l1 coherence
     is stored non-locally and CC = 2(|rho14| + |rho23|)."""
     return 2.0 * (abs(x.rho14) + abs(x.rho23))

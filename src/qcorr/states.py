@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotHermitian, NotPSD, NotXShaped, TraceNotOne, raise_first
+from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
 from .linalg import _two_qubit, require_hermitian, require_psd
 
 TRACE_TOL = 1e-10
@@ -17,62 +16,38 @@ X_SHAPE_TOL = 1e-9
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
-@dataclass(frozen=True)
-class XState:
-    """The six independent entries of an X-shaped density matrix.
+class XColumns(namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")):
+    """The six independent entries of X-shaped density matrices: scalars for
+    one state, or arrays that broadcast to one entry per matrix of a stack.
 
-    rho41 and rho32 are implied by Hermiticity. Construction runs ``validate``
-    on the matrix and raises what it raises.
+    rho41 and rho32 are implied by Hermiticity. The X closed forms in
+    ``measures`` take XColumns and give one value per matrix. XColumns itself
+    is not validated: the constructors that return one validate what they
+    build, and ``validate`` and ``is_x_shaped`` check matrices.
     """
 
-    rho11: float
-    rho22: float
-    rho33: float
-    rho44: float
-    rho14: complex
-    rho23: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho11", float(self.rho11))
-        object.__setattr__(self, "rho22", float(self.rho22))
-        object.__setattr__(self, "rho33", float(self.rho33))
-        object.__setattr__(self, "rho44", float(self.rho44))
-        object.__setattr__(self, "rho14", complex(self.rho14))
-        object.__setattr__(self, "rho23", complex(self.rho23))
-        validate(self.to_matrix())
+    __slots__ = ()
 
     def to_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.rho11, self.rho22, self.rho33, self.rho44
-        m[0, 3], m[3, 0] = self.rho14, np.conj(self.rho14)
-        m[1, 2], m[2, 1] = self.rho23, np.conj(self.rho23)
+        """The (..., 4, 4) matrices of the broadcast fields; the inverse of
+        ``x_columns``."""
+        r11, r22, r33, r44, r14, r23 = np.broadcast_arrays(*self)
+        m = np.zeros(r11.shape + (4, 4), dtype=complex)
+        m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = r11, r22, r33, r44
+        m[..., 0, 3], m[..., 3, 0] = r14, np.conj(r14)
+        m[..., 1, 2], m[..., 2, 1] = r23, np.conj(r23)
         return m
 
-    @staticmethod
-    def from_matrix(rho) -> "XState":
-        """Extract the X entries of a valid density matrix; NotXShaped if an
-        off-pattern entry exceeds X_SHAPE_TOL."""
-        rho = np.asarray(rho, dtype=complex)
-        if not is_x_shaped(rho):
-            raise NotXShaped(f"off-pattern entries exceed {X_SHAPE_TOL:.1e}")
-        return XState(
-            rho[0, 0].real, rho[1, 1].real, rho[2, 2].real, rho[3, 3].real,
-            rho[0, 3], rho[1, 2],
-        )
 
-
-# The X entries of every matrix of a stack (..., 4, 4) as arrays, and the
-# collective-basis form of an X state: |e> = |00>, |g> = |11> and the
+# The collective-basis form of an X state: |e> = |00>, |g> = |11> and the
 # symmetric/antisymmetric one-excitation states |s>, |a>, in which the matrix
-# is block diagonal with blocks {e, g} and {s, a}. The X closed forms in
-# ``measures`` accept XColumns wherever they accept an XState and then give
-# one value per matrix. Neither is validated: ``validate`` and ``is_x_shaped``
-# check the matrices themselves.
-XColumns = namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")
+# is block diagonal with blocks {e, g} and {s, a}.
 DickeColumns = namedtuple("DickeColumns", "ee gg ss aa eg sa")
 
 
 def x_columns(rho) -> XColumns:
+    """The X entries of a 4x4 matrix, or arrays of them for a stack
+    (..., 4, 4); entries off the X pattern are ignored."""
     rho = np.asarray(rho, dtype=complex)
     return XColumns(*(rho[..., i, i].real for i in range(4)), rho[..., 0, 3], rho[..., 1, 2])
 
@@ -101,6 +76,12 @@ def validate(rho) -> np.ndarray:
     return rho
 
 
+def _validated(x: XColumns) -> XColumns:
+    """Return ``x`` after ``validate`` of all its matrices at once."""
+    validate(x.to_matrix())
+    return x
+
+
 def _require_unit_trace(mats: np.ndarray):
     trace = np.trace(mats, axis1=1, axis2=2)
     raise_first(abs(trace - 1.0) > TRACE_TOL, TraceNotOne,
@@ -113,8 +94,8 @@ def is_x_shaped(rho, tol: float = X_SHAPE_TOL):
     return np.abs(np.asarray(rho, dtype=complex)[..., _OFF_X]).max(-1) <= tol
 
 
-def to_dicke(x: XState) -> DickeColumns:
-    """Rotate the one-excitation block of an XState (or of XColumns) into the
+def to_dicke(x: XColumns) -> DickeColumns:
+    """Rotate the one-excitation block of XColumns into the
     symmetric/antisymmetric basis; the entries are scalars or arrays alike."""
     rho32 = np.conj(x.rho23)
     half_sum = 0.5 * (x.rho22 + x.rho33)
@@ -128,17 +109,18 @@ def to_dicke(x: XState) -> DickeColumns:
     )
 
 
-def from_dicke(d: DickeColumns) -> XState:
+def from_dicke(d: DickeColumns) -> XColumns:
+    """The inverse of ``to_dicke``; the result is validated."""
     half_sum = 0.5 * (d.ss + d.aa)
     rho32 = (d.ss - d.aa) / 2.0 + 1j * d.sa.imag
-    return XState(
+    return _validated(XColumns(
         rho11=d.ee,
         rho22=half_sum + d.sa.real,
         rho33=half_sum - d.sa.real,
         rho44=d.gg,
         rho14=d.eg,
         rho23=np.conj(rho32),
-    )
+    ))
 
 
 def trace_out_b(rho) -> np.ndarray:
@@ -152,39 +134,36 @@ def trace_out_a(rho) -> np.ndarray:
 
 
 def purity(rho):
-    """tr(rho^2); 1/4 for the maximally mixed state, 1 for pure states."""
-    if isinstance(rho, XState):
-        rho = rho.to_matrix()
+    """tr(rho^2) of a matrix or of every matrix of a stack; 1/4 for the
+    maximally mixed state, 1 for pure states."""
     rho = np.asarray(rho, dtype=complex)
     return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
-def make_mixture(w: float) -> XState:
+def make_mixture(w: float) -> XColumns:
     """Mixture w |01><01| + (1-w) |phi+><phi+| with |phi+> = (|00>+|11>)/sqrt(2)."""
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must lie in [0, 1], got {w}")
     q = (1.0 - w) / 2.0
-    return XState(rho11=q, rho22=w, rho33=0.0, rho44=q, rho14=q, rho23=0.0)
+    return _validated(XColumns(rho11=q, rho22=w, rho33=0.0, rho44=q, rho14=q, rho23=0.0))
 
 
-def make_werner(p: float) -> XState:
+def make_werner(p: float) -> XColumns:
     """Werner state: p |psi-><psi-| + (1-p)/4 identity, p in [-1/3, 1]."""
     if not -1.0 / 3.0 <= p <= 1.0:
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
-    return XState(
+    return _validated(XColumns(
         rho11=(1.0 - p) / 4.0,
         rho22=(1.0 + p) / 4.0,
         rho33=(1.0 + p) / 4.0,
         rho44=(1.0 - p) / 4.0,
         rho14=0.0,
         rho23=-p / 2.0,
-    )
+    ))
 
 
 def dumps_density_matrix(rho) -> str:
     """Serialize a 4x4 matrix as 4 lines of 4 're+imi' entries, 17 significant digits."""
-    if isinstance(rho, XState):
-        rho = rho.to_matrix()
     rho = np.asarray(rho, dtype=complex)
     lines = []
     for row in rho:

@@ -2,38 +2,45 @@
 
 import numpy as np
 
-from qcorr import XState, lindblad_rhs
+from qcorr import XColumns, lindblad_rhs, validate
 from qcorr.linalg import trace_norm
 from qcorr.measures import _PAULI_A
 
 
-def random_x_state(rng) -> XState:
+def valid_x(*entries) -> XColumns:
+    """XColumns of the entries, after ``validate`` of its matrix."""
+    x = XColumns(*entries)
+    validate(x.to_matrix())
+    return x
+
+
+def random_x_state(rng) -> XColumns:
     """Valid X state: random populations, coherences inside the PSD bounds."""
     pops = rng.random(4) + 0.05
     pops = pops / pops.sum()
     mag14 = np.sqrt(pops[0] * pops[3]) * rng.random()
     mag23 = np.sqrt(pops[1] * pops[2]) * rng.random()
     ph14, ph23 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return XState(
+    return valid_x(
         pops[0], pops[1], pops[2], pops[3],
         mag14 * np.exp(1j * ph14), mag23 * np.exp(1j * ph23),
     )
 
 
-def random_rank_one_x_state(rng) -> XState:
+def random_rank_one_x_state(rng) -> XColumns:
     """X state whose outer block is rank one up to round-off:
     |rho14|^2 = rho11 rho44 in floating point."""
     pops = rng.random(4) + 0.05
     pops = pops / pops.sum()
     mag23 = np.sqrt(pops[1] * pops[2]) * rng.random()
     ph14, ph23 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return XState(
+    return valid_x(
         pops[0], pops[1], pops[2], pops[3],
         np.sqrt(pops[0] * pops[3]) * np.exp(1j * ph14), mag23 * np.exp(1j * ph23),
     )
 
 
-def random_balanced_x_state(rng) -> XState:
+def random_balanced_x_state(rng) -> XColumns:
     """X state with rho11 + rho22 = rho33 + rho44 (the x = 0 MIN branch)."""
     r11 = rng.random() * 0.5
     r22 = 0.5 - r11
@@ -42,8 +49,7 @@ def random_balanced_x_state(rng) -> XState:
     mag14 = np.sqrt(r11 * r44) * rng.random()
     mag23 = np.sqrt(r22 * r33) * rng.random()
     ph14, ph23 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return XState(r11, r22, r33, r44,
-                  mag14 * np.exp(1j * ph14), mag23 * np.exp(1j * ph23))
+    return valid_x(r11, r22, r33, r44, mag14 * np.exp(1j * ph14), mag23 * np.exp(1j * ph23))
 
 
 def random_hermitian(rng, n: int) -> np.ndarray:

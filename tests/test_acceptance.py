@@ -55,7 +55,7 @@ def sample_states():
 @pytest.fixture(scope="module")
 def fig1_trajectory():
     params = ModelParams(j=0.1, delta=0.5, gamma=0.1)
-    return params, evolve(make_mixture(0.5), params, t_max=100.0, dt=DT, stride=100)
+    return params, evolve(make_mixture(0.5).to_matrix(), params, t_max=100.0, dt=DT, stride=100)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def induced_trajectories():
     out = {}
     for delta in (0.0, 0.2, 0.3, 0.4):
         params = ModelParams(j=0.1, delta=delta, gamma=0.1)
-        out[delta] = evolve(make_werner(0.0), params, t_max=40.0, dt=DT, stride=100)
+        out[delta] = evolve(make_werner(0.0).to_matrix(), params, t_max=40.0, dt=DT, stride=100)
     return out
 
 
@@ -107,25 +107,23 @@ def test_criterion_3_integrator_matches_closed_forms():
     for gamma in (0.1, 0.2):
         cases = (
             ("mixture", ModelParams(j=0.1, delta=0.5, gamma=gamma),
-             make_mixture(0.5), lambda t, p: analytic_mixture(t, p)),
+             make_mixture(0.5).to_matrix(), lambda t, p: analytic_mixture(t, p)),
             ("werner", ModelParams(j=0.1, delta=0.5, gamma=gamma),
-             make_werner(0.5), lambda t, p: analytic_werner(t, 0.5, p)),
+             make_werner(0.5).to_matrix(), lambda t, p: analytic_werner(t, 0.5, p)),
             ("independent", ModelParams(j=0.0, delta=0.0, gamma=gamma),
-             make_mixture(0.3), lambda t, p: analytic_independent_mixture(t, 0.3, p.gamma, p.omega)),
+             make_mixture(0.3).to_matrix(),
+             lambda t, p: analytic_independent_mixture(t, 0.3, p.gamma, p.omega)),
         )
         for name, params, rho0, closed in cases:
             traj = evolve(rho0, params, t_max=50.0, dt=DT, stride=200)
-            err = max(
-                np.abs(closed(float(t), params).to_matrix() - mat).max()
-                for t, mat in zip(traj.times, traj.states)
-            )
+            err = np.abs(closed(traj.times, params).to_matrix() - traj.states).max()
             details.append(f"{name}@gamma={gamma}: {err:.2e}")
             ok = ok and err <= 1e-8
 
     params = ModelParams(j=0.1, delta=0.5, gamma=0.1)
     target = steady_state_zero_temp(params).to_matrix()
-    for name, rho0 in (("mixture", make_mixture(0.5)), ("werner", make_werner(0.5))):
-        final = evolve(rho0, params, t_max=150.0, dt=DT, stride=5000).states[-1]
+    for name, x0 in (("mixture", make_mixture(0.5)), ("werner", make_werner(0.5))):
+        final = evolve(x0.to_matrix(), params, t_max=150.0, dt=DT, stride=5000).states[-1]
         err = np.abs(final - target).max()
         details.append(f"{name}@150: {err:.2e}")
         ok = ok and err <= 1e-6
@@ -143,7 +141,7 @@ def test_criterion_4_esd_closed_form_and_monotonicity():
     for w, nbar in ((0.5, 0.3), (0.2, 1.0), (0.8, 0.05), (0.5, 0.0)):
         closed = esd_gamma_tau(w, 1.0, nbar)
         params = ModelParams(j=0.0, delta=0.0, gamma=1.0, nbar=nbar)
-        traj = evolve(make_mixture(w), params, t_max=1.0, dt=1e-3, stride=10)
+        traj = evolve(make_mixture(w).to_matrix(), params, t_max=1.0, dt=1e-3, stride=10)
         numeric = find_dark_intervals(traj, refine_tol=1e-13)[0][0]
         worst = max(worst, abs(closed - numeric))
     ok = ok and worst <= 1e-10
@@ -261,7 +259,8 @@ def test_criterion_9_thermal_robustness_ordering():
 
 def test_criterion_10_dark_and_revival_structure(fig1_trajectory):
     params, traj = fig1_trajectory
-    intervals = find_dark_intervals(traj, state_at=lambda t: analytic_mixture(t, params))
+    intervals = find_dark_intervals(traj,
+                                    state_at=lambda t: analytic_mixture(t, params).to_matrix())
     lengths = [b - a for a, b in intervals if math.isfinite(b)]
     ok = len(intervals) >= 1 and lengths and lengths[0] == max(lengths)
     if len(lengths) > 1:

@@ -79,7 +79,7 @@ def test_evolve_constant_columns_without_decay(tmp_path):
 
 def test_evolve_custom_initial_state(tmp_path):
     state_file = tmp_path / "rho.txt"
-    state_file.write_text(dumps_density_matrix(make_mixture(0.5)), encoding="utf-8")
+    state_file.write_text(dumps_density_matrix(make_mixture(0.5).to_matrix()), encoding="utf-8")
     code, text = run_cli(
         ["evolve", "--initial", f"custom@{state_file}", "--t-max", "1", "--stride", "500"],
         tmp_path,
@@ -94,7 +94,7 @@ def test_evolve_rank_one_x_state_passes_cross_checks(tmp_path):
     # of sqrt(rho) rho~ sqrt(rho) miss this state's concurrence by 1.2e-8
     x = random_rank_one_x_state(np.random.default_rng(60))
     state_file = tmp_path / "rho.txt"
-    state_file.write_text(dumps_density_matrix(x), encoding="utf-8")
+    state_file.write_text(dumps_density_matrix(x.to_matrix()), encoding="utf-8")
     code, text = run_cli(
         ["evolve", "--initial", f"custom@{state_file}", "--t-max", "1", "--stride", "500"],
         tmp_path,
@@ -114,7 +114,7 @@ def test_evolve_rejects_bad_config(tmp_path, capsys):
 
 
 def test_evolve_rejects_non_finite_custom_state(tmp_path, capsys):
-    text = dumps_density_matrix(make_mixture(0.5)).splitlines()
+    text = dumps_density_matrix(make_mixture(0.5).to_matrix()).splitlines()
     text[1] = "0+0i nan+0i 0+0i 0+0i"
     state_file = tmp_path / "rho.txt"
     state_file.write_text("\n".join(text) + "\n", encoding="utf-8")
@@ -125,7 +125,7 @@ def test_evolve_rejects_non_finite_custom_state(tmp_path, capsys):
 
 
 def test_evolve_rejects_infinite_custom_state_without_warnings(tmp_path, capsys):
-    text = dumps_density_matrix(make_mixture(0.5)).splitlines()
+    text = dumps_density_matrix(make_mixture(0.5).to_matrix()).splitlines()
     text[0] = "inf+0i 0+0i 0+0i 0.25+0i"
     state_file = tmp_path / "rho.txt"
     state_file.write_text("\n".join(text) + "\n", encoding="utf-8")
@@ -135,6 +135,26 @@ def test_evolve_rejects_infinite_custom_state_without_warnings(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("qcorr: configuration error:") and "not finite" in err
     assert err.count("\n") == 1
+
+
+def test_evolve_rejects_non_utf8_custom_state_file(tmp_path, capsys):
+    state_file = tmp_path / "rho.txt"
+    state_file.write_bytes(b"\xff\xfe")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--initial", f"custom@{state_file}", "--t-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error: cannot read initial-state file")
+    assert err.count("\n") == 1
+
+
+def test_evolve_stride_beyond_the_horizon_samples_both_ends(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = run_cli(["evolve", "--t-max", "1", "--stride", str(10**30)], tmp_path, "huge.csv")
+        ref = run_cli(["evolve", "--t-max", "1", "--stride", "1000"], tmp_path, "ref.csv")
+    assert huge == ref
+    assert len(ref[1].splitlines()) == 3
 
 
 def test_solver_failure_exits_3(monkeypatch, capsys):

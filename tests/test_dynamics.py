@@ -12,6 +12,7 @@ from qcorr import (
     DegenerateParams,
     DomainError,
     ModelParams,
+    NotHermitian,
     Trajectory,
     analytic_independent_mixture,
     analytic_mixture,
@@ -92,7 +93,7 @@ _ENTRY_INDEX = {
 
 
 def test_evolve_matches_analytic_mixture():
-    traj = evolve(make_mixture(0.5), P_REF, t_max=20.0, dt=1e-3, stride=1000)
+    traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=20.0, dt=1e-3, stride=1000)
     for t, mat in zip(traj.times, traj.states):
         expected = analytic_mixture(float(t), P_REF).to_matrix()
         for name, (i, j) in _ENTRY_INDEX.items():
@@ -115,7 +116,7 @@ def test_evolve_rejects_unstable_step():
 
     params = ModelParams(j=0.1, delta=0.5, gamma=0.5)
     with pytest.raises(StepRejected):
-        evolve(make_mixture(0.5), params, t_max=200.0, dt=2.0, stride=1)
+        evolve(make_mixture(0.5).to_matrix(), params, t_max=200.0, dt=2.0, stride=1)
 
 
 def test_evolve_handles_non_x_initial_state():
@@ -129,7 +130,7 @@ def test_evolve_handles_non_x_initial_state():
 
 
 def test_trajectory_correlations_are_the_columns_of_the_stack():
-    traj = evolve(make_mixture(0.5), P_REF, t_max=5.0, dt=1e-3, stride=100)
+    traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=5.0, dt=1e-3, stride=100)
     direct = correlations(traj.states)
     for name, column in vars(traj.correlations).items():
         assert np.shape(column) == (len(traj.times),), name
@@ -137,7 +138,7 @@ def test_trajectory_correlations_are_the_columns_of_the_stack():
 
 
 def test_x_shape_preserved_over_long_horizon():
-    traj = evolve(make_mixture(0.5), P_REF, t_max=200.0, dt=1e-2, stride=200)
+    traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=200.0, dt=1e-2, stride=200)
     pattern = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
     worst = 0.0
     for mat in traj.states:
@@ -152,7 +153,8 @@ def test_integrator_is_fourth_order():
     params = ModelParams(j=0.1, delta=0.5, gamma=0.2)
 
     def max_err(dt):
-        traj = evolve(make_mixture(0.5), params, t_max=5.0, dt=dt, stride=max(1, int(round(1.0 / dt))))
+        traj = evolve(make_mixture(0.5).to_matrix(), params, t_max=5.0, dt=dt,
+                      stride=max(1, int(round(1.0 / dt))))
         return max(
             np.abs(analytic_mixture(float(t), params).to_matrix() - m).max()
             for t, m in zip(traj.times, traj.states)
@@ -163,18 +165,18 @@ def test_integrator_is_fourth_order():
 
 
 def test_trace_drift_stays_tiny():
-    traj = evolve(make_werner(0.3), P_REF, t_max=50.0, dt=1e-3, stride=2000)
+    traj = evolve(make_werner(0.3).to_matrix(), P_REF, t_max=50.0, dt=1e-3, stride=2000)
     drift = max(abs(np.trace(m).real - 1.0) for m in traj.states)
     assert drift <= 1e-10
 
 
 def test_evolve_argument_validation():
     with pytest.raises(DomainError):
-        evolve(make_mixture(0.5), P_REF, t_max=1.0, dt=0.0)
+        evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=1.0, dt=0.0)
     with pytest.raises(DomainError):
-        evolve(make_mixture(0.5), P_REF, t_max=-1.0)
+        evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=-1.0)
     with pytest.raises(DomainError):
-        evolve(make_mixture(0.5), P_REF, t_max=1.0, stride=0)
+        evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=1.0, stride=0)
 
 
 def _stepwise_rk4(rho0, params, n_steps, dt, stride):
@@ -210,7 +212,7 @@ def test_evolve_matches_stepwise_rk4(stride):
 
 def test_evolve_samples_remainder_block():
     n_steps, stride, dt = 250, 40, 1e-2
-    traj = evolve(make_mixture(0.5), P_REF, t_max=n_steps * dt, dt=dt, stride=stride)
+    traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=n_steps * dt, dt=dt, stride=stride)
     expected = [k * stride * dt for k in range(n_steps // stride + 1)] + [n_steps * dt]
     assert traj.times.tolist() == expected
     ref = _stepwise_rk4(make_mixture(0.5).to_matrix(), P_REF, n_steps, dt, stride)
@@ -301,7 +303,7 @@ def test_analytic_werner_independent_of_j():
 
 def test_evolve_matches_analytic_werner():
     params = ModelParams(j=0.3, delta=0.5, gamma=0.15)
-    traj = evolve(make_werner(0.7), params, t_max=20.0, dt=1e-3, stride=1000)
+    traj = evolve(make_werner(0.7).to_matrix(), params, t_max=20.0, dt=1e-3, stride=1000)
     for t, mat in zip(traj.times, traj.states):
         expected = analytic_werner(float(t), 0.7, params).to_matrix()
         for name, (i, j) in _ENTRY_INDEX.items():
@@ -328,7 +330,7 @@ def test_independent_mixture_limits_and_concurrence():
 
 def test_evolve_matches_independent_mixture():
     params = ModelParams(j=0.0, delta=0.0, gamma=0.2)
-    traj = evolve(make_mixture(0.3), params, t_max=20.0, dt=1e-3, stride=1000)
+    traj = evolve(make_mixture(0.3).to_matrix(), params, t_max=20.0, dt=1e-3, stride=1000)
     for t, mat in zip(traj.times, traj.states):
         expected = analytic_independent_mixture(float(t), 0.3, 0.2).to_matrix()
         assert np.abs(expected - mat).max() <= 1e-8
@@ -339,7 +341,41 @@ def test_independent_mixture_domain():
         analytic_independent_mixture(1.0, 1.2, 0.1)
 
 
+_ORACLES = {
+    "mixture": lambda t: analytic_mixture(t, P_REF),
+    "werner": lambda t: analytic_werner(t, 0.7, P_REF),
+    "independent": lambda t: analytic_independent_mixture(t, 0.3, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLES))
+def test_analytic_oracle_over_a_time_grid_equals_scalar_calls(name):
+    oracle = _ORACLES[name]
+    times = np.linspace(0.0, 50.0, 801)
+    stacked = np.array([oracle(float(t)).to_matrix() for t in times])
+    np.testing.assert_array_equal(oracle(times).to_matrix(), stacked)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLES))
+def test_analytic_oracle_names_a_nan_time(name):
+    with pytest.raises(NotHermitian) as info:
+        _ORACLES[name](np.array([0.0, 1.0, np.nan, 3.0]))
+    assert info.value.index == 2
+
+
 # ------------------------------------------------------------------ steady states
+
+@pytest.mark.parametrize("name, values", [("delta", np.linspace(0.0, 2.2, 23)),
+                                          ("nbar", np.linspace(0.0, 2.0, 21))])
+def test_steady_state_thermal_over_array_params_equals_scalar_calls(name, values):
+    base = dict(j=0.1, delta=0.5, gamma=0.1, nbar=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # |Delta| > omega/2 is swept on purpose
+        stacked = np.array([steady_state_thermal(ModelParams(**{**base, name: float(v)}))
+                            .to_matrix() for v in values])
+        swept = steady_state_thermal(ModelParams(**{**base, name: values})).to_matrix()
+    np.testing.assert_array_equal(swept, stacked)
+
 
 def test_steady_state_zero_temp_reference_entries():
     st = steady_state_zero_temp(P_REF)
@@ -565,14 +601,15 @@ def test_esd_thermal_brackets_first_concurrence_zero(w, nbar, gamma):
 
 def _analytic_trajectory(params, t_max, n_samples):
     times = np.linspace(0.0, t_max, n_samples)
-    states = np.array([analytic_mixture(float(t), params).to_matrix() for t in times])
+    states = analytic_mixture(times, params).to_matrix()
     return Trajectory(times, states, correlations(states), params, times[1] - times[0])
 
 
 def test_dark_intervals_mixture_structure():
     params = ModelParams(j=0.1, delta=0.5, gamma=0.1)
     traj = _analytic_trajectory(params, 40.0, 801)
-    intervals = find_dark_intervals(traj, state_at=lambda t: analytic_mixture(t, params))
+    intervals = find_dark_intervals(traj,
+                                    state_at=lambda t: analytic_mixture(t, params).to_matrix())
     assert len(intervals) == 3
     lengths = [b - a for a, b in intervals]
     assert lengths[0] == max(lengths)
@@ -587,7 +624,8 @@ def test_first_dark_interval_shrinks_with_decay_rate():
     for gamma in (0.1, 0.15, 0.2):
         params = ModelParams(j=0.1, delta=0.5, gamma=gamma)
         traj = _analytic_trajectory(params, 40.0, 801)
-        intervals = find_dark_intervals(traj, state_at=lambda t, p=params: analytic_mixture(t, p))
+        intervals = find_dark_intervals(
+            traj, state_at=lambda t, p=params: analytic_mixture(t, p).to_matrix())
         assert intervals
         firsts.append(intervals[0][1] - intervals[0][0])
     assert firsts[0] > firsts[1] > firsts[2]
@@ -595,8 +633,9 @@ def test_first_dark_interval_shrinks_with_decay_rate():
 
 def test_refinement_via_reintegration_matches_analytic():
     params = ModelParams(j=0.1, delta=0.5, gamma=0.1)
-    traj = evolve(make_mixture(0.5), params, t_max=20.0, dt=1e-3, stride=100)
-    via_analytic = find_dark_intervals(traj, state_at=lambda t: analytic_mixture(t, params))
+    traj = evolve(make_mixture(0.5).to_matrix(), params, t_max=20.0, dt=1e-3, stride=100)
+    via_analytic = find_dark_intervals(
+        traj, state_at=lambda t: analytic_mixture(t, params).to_matrix())
     via_reintegration = find_dark_intervals(traj)
     assert len(via_analytic) == len(via_reintegration)
     for (a0, b0), (a1, b1) in zip(via_analytic, via_reintegration):
@@ -606,10 +645,10 @@ def test_refinement_via_reintegration_matches_analytic():
 
 def test_reintegrated_endpoints_match_closed_form_to_refine_tol():
     params = ModelParams(j=0.1, delta=0.5, gamma=0.1)
-    traj = evolve(make_mixture(0.5), params, t_max=20.0, dt=1e-3, stride=1000)
+    traj = evolve(make_mixture(0.5).to_matrix(), params, t_max=20.0, dt=1e-3, stride=1000)
     refine_tol = 1e-6
     via_analytic = find_dark_intervals(
-        traj, state_at=lambda t: analytic_mixture(t, params), refine_tol=refine_tol
+        traj, state_at=lambda t: analytic_mixture(t, params).to_matrix(), refine_tol=refine_tol
     )
     via_reintegration = find_dark_intervals(traj, refine_tol=refine_tol)
     assert via_analytic

@@ -13,12 +13,12 @@ from helpers import (
     random_rank_one_x_state,
     random_unitary,
     random_x_state,
+    valid_x,
     w_matrix_by_pairs,
 )
 from qcorr import (
     CrossCheckFailure,
     ModelParams,
-    XState,
     concurrence_branches,
     concurrence_dicke,
     concurrence_general,
@@ -102,8 +102,8 @@ def test_concurrence_dicke_routes():
     nb = 0.0
     for nb in (0.0, 0.3, 1.0, 2.5):
         k = (2 * nb + 1) ** 2
-        x = XState(nb**2 / k, nb * (nb + 1) / k, nb * (nb + 1) / k,
-                   (nb + 1) ** 2 / k, 0.0, 0.0)
+        x = valid_x(nb**2 / k, nb * (nb + 1) / k, nb * (nb + 1) / k,
+                    (nb + 1) ** 2 / k, 0.0, 0.0)
         assert concurrence_dicke(to_dicke(x)) == 0.0
     assert concurrence_dicke(to_dicke(make_mixture(0.5))) == pytest.approx(0.5, abs=1e-14)
 
@@ -256,8 +256,8 @@ def test_min_trace_mixture_unbalanced_branch():
 
 
 def test_min_trace_product_diagonal_zero():
-    assert min_trace(XState(0.12, 0.28, 0.18, 0.42, 0.0, 0.0)) == 0.0
-    assert min_trace(XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)) == 0.0
+    assert min_trace(valid_x(0.12, 0.28, 0.18, 0.42, 0.0, 0.0)) == 0.0
+    assert min_trace(valid_x(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)) == 0.0
 
 
 def test_min_equals_cc_on_unbalanced_branch():
@@ -359,7 +359,7 @@ def test_correlated_coherence_values():
         assert correlated_coherence(make_werner(p)) == pytest.approx(abs(p), abs=1e-15)
     for w in (0.0, 0.3, 0.8, 1.0):
         assert correlated_coherence(make_mixture(w)) == pytest.approx(1.0 - w, abs=1e-15)
-    assert correlated_coherence(XState(0.3, 0.3, 0.2, 0.2, 0.0, 0.0)) == 0.0
+    assert correlated_coherence(valid_x(0.3, 0.3, 0.2, 0.2, 0.0, 0.0)) == 0.0
 
 
 def test_correlated_coherence_general_agreement():
@@ -457,8 +457,8 @@ def test_measures_invariant_under_phase_removal():
     rng = np.random.default_rng(173)
     for _ in range(100):
         x = random_x_state(rng)
-        flat = XState(x.rho11, x.rho22, x.rho33, x.rho44,
-                      abs(x.rho14), abs(x.rho23))
+        flat = valid_x(x.rho11, x.rho22, x.rho33, x.rho44,
+                       abs(x.rho14), abs(x.rho23))
         assert concurrence_x(flat) == concurrence_x(x)
         assert min_trace(flat) == min_trace(x)
         assert correlated_coherence(flat) == correlated_coherence(x)
@@ -478,9 +478,9 @@ _FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))  # 1: a r
        ph14=st.floats(0.0, 2.0 * np.pi), ph23=st.floats(0.0, 2.0 * np.pi))
 def test_negativity_closed_form_matches_partial_transpose(pops, f14, f23, ph14, ph23):
     p = np.array(pops) / sum(pops)
-    x = XState(p[0], p[1], p[2], p[3],
-               f14 * np.sqrt(p[0] * p[3]) * np.exp(1j * ph14),
-               f23 * np.sqrt(p[1] * p[2]) * np.exp(1j * ph23))
+    x = valid_x(p[0], p[1], p[2], p[3],
+                f14 * np.sqrt(p[0] * p[3]) * np.exp(1j * ph14),
+                f23 * np.sqrt(p[1] * p[2]) * np.exp(1j * ph23))
     assert abs(negativity_x(x) - negativity(x.to_matrix())) <= 1e-12
 
 

@@ -10,11 +10,11 @@ from helpers import (
     random_balanced_x_state,
     random_density_matrix,
     random_x_state,
+    valid_x,
 )
 from qcorr import (
     CrossCheckFailure,
     StepRejected,
-    XState,
     correlations,
     hermitian_eigensystem,
     make_mixture,
@@ -26,8 +26,8 @@ from qcorr.dynamics import _evaluate_samples
 
 def x_state_with_zeros(rng, zero14: bool, zero23: bool) -> np.ndarray:
     x = random_x_state(rng)
-    return XState(x.rho11, x.rho22, x.rho33, x.rho44,
-                  0.0 if zero14 else x.rho14, 0.0 if zero23 else x.rho23).to_matrix()
+    return valid_x(x.rho11, x.rho22, x.rho33, x.rho44,
+                   0.0 if zero14 else x.rho14, 0.0 if zero23 else x.rho23).to_matrix()
 
 
 def rank_deficient_x_state(rng) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import random_x_state
 from qcorr import (
@@ -9,11 +11,11 @@ from qcorr import (
     ModelParams,
     NotHermitian,
     NotPSD,
-    NotXShaped,
     TraceNotOne,
-    XState,
+    XColumns,
     analytic_mixture,
     dumps_density_matrix,
+    evolve,
     from_dicke,
     hermitian_eigensystem,
     is_x_shaped,
@@ -27,6 +29,7 @@ from qcorr import (
     l1_coherence,
     validate,
 )
+from qcorr.states import x_columns
 
 
 def test_validate_accepts_maximally_mixed():
@@ -46,7 +49,7 @@ def test_validate_positivity_error():
     with pytest.raises(NotPSD):
         validate(bad)
     with pytest.raises(NotPSD):
-        XState(0.25, 0.5, 0.0, 0.25, 0.6, 0.0)
+        evolve(XColumns(0.25, 0.5, 0.0, 0.25, 0.6, 0.0).to_matrix(), ModelParams(), t_max=0.0)
 
 
 def test_validate_hermiticity_error():
@@ -77,12 +80,13 @@ def test_x_state_rejects_what_validate_rejects(entries, error):
     rho[3, 0], rho[2, 1] = np.conj(entries[4]), np.conj(entries[5])
     if error is None:
         validate(rho)
-        np.testing.assert_array_equal(XState(*entries).to_matrix(), rho)
+        start = evolve(XColumns(*entries).to_matrix(), ModelParams(), t_max=0.0).states[0]
+        np.testing.assert_array_equal(start, rho)
         return
     with pytest.raises(error):
         validate(rho)
     with pytest.raises(error):
-        XState(*entries)
+        evolve(XColumns(*entries).to_matrix(), ModelParams(), t_max=0.0)
 
 
 def test_is_x_shaped():
@@ -102,15 +106,30 @@ def test_evolved_mixture_stays_x_shaped():
         assert is_x_shaped(analytic_mixture(t, p).to_matrix(), 1e-12)
 
 
-def test_from_matrix_rejects_off_pattern():
+# (dtype, elements) of the populations and of the two coherences
+_X_FIELDS = ([(float, st.floats(-1.0, 1.0))] * 4
+             + [(complex, st.complex_numbers(max_magnitude=1.0))] * 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.mutually_broadcastable_shapes(num_shapes=6, max_dims=3, max_side=3), st.data())
+def test_x_columns_inverts_to_matrix_on_broadcast_shapes(shapes, data):
+    cols = XColumns(*(data.draw(hnp.arrays(dtype, shape, elements=elements))
+                      for (dtype, elements), shape in zip(_X_FIELDS, shapes.input_shapes)))
+    back = x_columns(cols.to_matrix())
+    for got, want in zip(back, np.broadcast_arrays(*cols)):
+        assert got.shape == shapes.result_shape
+        np.testing.assert_array_equal(got, want)
+
+
+def test_is_x_shaped_rejects_off_pattern():
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1] = rho[1, 0] = 0.05
-    with pytest.raises(NotXShaped):
-        XState.from_matrix(rho)
+    assert not is_x_shaped(rho)
 
 
 def test_dicke_of_single_excitation():
-    d = to_dicke(XState(0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+    d = to_dicke(XColumns(0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     assert d.ss == pytest.approx(0.5)
     assert d.aa == pytest.approx(0.5)
     assert d.sa == pytest.approx(0.5 + 0.0j)
@@ -119,7 +138,7 @@ def test_dicke_of_single_excitation():
 def test_dicke_of_thermal_diagonal_state():
     nb = 0.8
     k = (2 * nb + 1) ** 2
-    x = XState(nb**2 / k, nb * (nb + 1) / k, nb * (nb + 1) / k, (nb + 1) ** 2 / k, 0.0, 0.0)
+    x = XColumns(nb**2 / k, nb * (nb + 1) / k, nb * (nb + 1) / k, (nb + 1) ** 2 / k, 0.0, 0.0)
     d = to_dicke(x)
     assert d.ss == pytest.approx(nb * (nb + 1) / k, abs=1e-15)
     assert d.aa == pytest.approx(d.ss, abs=1e-15)
@@ -161,14 +180,14 @@ def test_reduced_states():
 
 
 def test_purity():
-    assert purity(make_werner(1.0)) == pytest.approx(1.0, abs=1e-14)
-    assert purity(make_werner(0.0)) == pytest.approx(0.25, abs=1e-14)
+    assert purity(make_werner(1.0).to_matrix()) == pytest.approx(1.0, abs=1e-14)
+    assert purity(make_werner(0.0).to_matrix()) == pytest.approx(0.25, abs=1e-14)
     assert purity(np.eye(4) / 4.0) == pytest.approx(0.25, abs=1e-15)
-    assert purity(make_mixture(0.5)) == pytest.approx(0.5, abs=1e-14)
+    assert purity(make_mixture(0.5).to_matrix()) == pytest.approx(0.5, abs=1e-14)
     for p in (0.2, 0.6, 0.9):
-        assert purity(make_werner(p)) == pytest.approx((1 + 3 * p * p) / 4, abs=1e-14)
+        assert purity(make_werner(p).to_matrix()) == pytest.approx((1 + 3 * p * p) / 4, abs=1e-14)
     for w in (0.1, 0.4, 0.8):
-        assert purity(make_mixture(w)) == pytest.approx(1 - 2 * w * (1 - w), abs=1e-14)
+        assert purity(make_mixture(w).to_matrix()) == pytest.approx(1 - 2 * w * (1 - w), abs=1e-14)
 
 
 def test_make_mixture():
@@ -227,7 +246,7 @@ def test_constructors_valid_over_domain():
 def test_serialization_round_trip():
     rng = np.random.default_rng(47)
     x = random_x_state(rng)
-    text = dumps_density_matrix(x)
+    text = dumps_density_matrix(x.to_matrix())
     assert len(text.splitlines()) == 4
     back = loads_density_matrix(text)
     np.testing.assert_array_equal(back, x.to_matrix())
