@@ -14,7 +14,6 @@ from .errors import (
 from .linalg import (
     HermitianEigensystem,
     hermitian_eigensystem,
-    partial_transpose_a,
     partial_transpose_b,
     psd_sqrt,
     trace_norm,
@@ -55,7 +54,6 @@ from .measures import (
     min_trace,
     min_trace_general,
     negativity,
-    negativity_trace_norm,
     negativity_x,
     w_matrix_x,
 )
@@ -64,7 +62,6 @@ from .dynamics import (
     analytic_independent_mixture,
     analytic_mixture,
     analytic_werner,
-    concurrence_thermal_independent,
     dark_intervals_of_series,
     esd_gamma_tau,
     evolve,
@@ -74,7 +71,6 @@ from .dynamics import (
     steady_concurrence_thermal,
     steady_correlations_thermal,
     steady_state_thermal,
-    steady_state_zero_temp,
     steady_w_entries_zero_temp,
 )
 

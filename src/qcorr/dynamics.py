@@ -329,24 +329,6 @@ def _require_decay(params: ModelParams):
         raise DegenerateParams("gamma > 0 is required for a unique steady state")
 
 
-def steady_state_zero_temp(params: ModelParams) -> XColumns:
-    """Unique steady state at zero temperature; the same for every X-shaped
-    initial condition. Entangled iff |Delta| < sqrt(gamma^2 + 4 omega^2).
-    Array-valued ``params`` fields give one state per element. Validated."""
-    _require_decay(params)
-    g, d, w = params.gamma, params.delta, params.omega
-    den = g * g + 4.0 * params.big_omega**2
-    pop = d * d / den
-    return _validated(XColumns(
-        rho11=pop,
-        rho22=pop,
-        rho33=pop,
-        rho44=(g * g + 3.0 * w * w + params.big_omega**2) / den,
-        rho14=-d * (2.0 * w + 1j * g) / den,
-        rho23=0.0,
-    ))
-
-
 def _steady_scales(params: ModelParams):
     """Terms of the thermal steady state over the broadcast fields of
     ``params`` that stay finite for any finite parameters: delta, omega and
@@ -377,9 +359,10 @@ def _steady_columns(params: ModelParams) -> XColumns:
 
 
 def steady_state_thermal(params: ModelParams) -> XColumns:
-    """Thermal steady state; reduces to the zero-temperature one at nbar = 0
-    and to a diagonal state when J = Delta = 0. Array-valued ``params``
-    fields give one state per element. Validated."""
+    """Thermal steady state; the same for every X-shaped initial condition.
+    At nbar = 0 it is entangled iff |Delta| < sqrt(gamma^2 + 4 omega^2), and
+    for Delta = 0 it is diagonal. Array-valued ``params`` fields give one
+    state per element. Validated."""
     return _validated(_steady_columns(params))
 
 
@@ -459,9 +442,10 @@ def esd_gamma_tau(w, gamma: float, nbar):
 
         gamma*tau = log1p( 2q / (p + sqrt(p^2 + 4 c q / k^2)) ) / k
 
-    Derivation: the concurrence vanishes where exp(2 k gamma t) f(t) =
-    k^4 (1 - w)^2 (f from ``_thermal_root_poly``). With v = exp(k gamma t)
-    this is [(v - 1)(1 + c + c v) + k^2 w]^2 = k^4 s^2 v^2. The "+" factor
+    Derivation: for J = Delta = 0 the concurrence is max{0, (1 - w)/v -
+    sqrt(f)/k^2} with v = exp(k gamma t) and v^2 f = [(v - 1)(1 + c + c v) +
+    k^2 w]^2 / v^2 - k^4 w^2, so it vanishes where [(v - 1)(1 + c + c v) +
+    k^2 w]^2 = k^4 s^2 v^2 (s^2 = (1 - w)^2 + w^2). The "+" factor
     has no root with v > 1; the "-" factor is c v^2 + (1 - k^2 s) v -
     (1 + c - k^2 w) = 0, which for v = 1 + x reads c x^2 + k^2 p x - k^2 q = 0
     with the positive root x above. Every term is non-negative, so nothing
@@ -487,29 +471,6 @@ def esd_gamma_tau(w, gamma: float, nbar):
         x = 2.0 * q / den  # overflows only for subnormal w; log1p(x) is then log(2q) - log(den)
         gt = np.where(x < math.inf, np.log1p(x), np.log(2.0 * q) - np.log(den))
     return np.where(w == 1.0, 0.0, 0.5 * (gt / half))[()]
-
-
-def concurrence_thermal_independent(t: float, w: float, gamma: float, nbar: float) -> float:
-    """Concurrence of the decaying w-mixture at bath excitation nbar (J = Delta = 0)."""
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0, 1], got {w}")
-    if gamma < 0.0 or nbar < 0.0:
-        raise DomainError("gamma and nbar must be non-negative")
-    k = 2.0 * nbar + 1.0
-    f = _thermal_root_poly(t, w, gamma, nbar)
-    return max(0.0, (1.0 - w) * np.exp(-k * gamma * t) - np.sqrt(max(f, 0.0)) / (k * k))
-
-
-def _thermal_root_poly(t: float, w: float, gamma: float, nbar: float) -> float:
-    """f(t) = a0 + a1 w + a2 w^2 whose square root competes with the coherence."""
-    k = 2.0 * nbar + 1.0
-    half = 0.5 * k * gamma * t
-    sh, ch = np.sinh(half), np.cosh(half)
-    bracket = 1.0 + 4.0 * nbar * (nbar + 1.0) * np.exp(half) * ch
-    a0 = 4.0 * np.exp(-6.0 * half) * sh * sh * bracket * bracket
-    a1 = 4.0 * k * k * np.exp(-7.0 * half) * sh * bracket
-    a2 = -2.0 * k**4 * np.exp(-6.0 * half) * np.sinh(2.0 * half)
-    return float(a0 + a1 * w + a2 * w * w)
 
 
 # ---------------------------------------------------------------------------

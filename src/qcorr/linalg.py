@@ -1,4 +1,7 @@
-"""Dense complex linear algebra for the small Hermitian matrices used here.
+"""Dense complex linear algebra for the small Hermitian matrices used here:
+the eigensolver, the PSD check and square root, the trace norm and the
+two-qubit partial transpose (on the second qubit; the partial transpose on
+the first has the same spectrum).
 
 All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
 of shape (..., m, m). Every eigenproblem goes through
@@ -165,9 +168,3 @@ def partial_transpose_b(rho) -> np.ndarray:
     """
     r = _two_qubit(rho)
     return r.swapaxes(-3, -1).reshape(r.shape[:-4] + (4, 4))
-
-
-def partial_transpose_a(rho) -> np.ndarray:
-    """Partial transpose with respect to the first qubit (same spectrum as B)."""
-    r = _two_qubit(rho)
-    return r.swapaxes(-4, -2).reshape(r.shape[:-4] + (4, 4))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckFailure
-from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt, trace_norm
+from .errors import CrossCheckFailure, raise_first
+from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
     DickeColumns,
@@ -169,11 +169,6 @@ def negativity_x(x: XColumns) -> float:
 
     lam = np.minimum(lower(x.rho11, x.rho44, x.rho23), lower(x.rho22, x.rho33, x.rho14))
     return np.maximum(0.0, -lam)
-
-
-def negativity_trace_norm(rho) -> float:
-    """(||rho^TB||_1 - 1)/2; equals ``negativity`` and serves as its cross-check."""
-    return (trace_norm(partial_transpose_b(rho)) - 1.0) / 2.0
 
 
 def log_negativity(rho) -> float:
@@ -338,29 +333,21 @@ def correlated_coherence_general(rho) -> float:
 # aggregate
 
 
-def _cross_check(name: str, closed: float, reference: float, tol: float):
-    closed, reference = float(closed), float(reference)
-    if not abs(closed - reference) <= tol:
-        raise CrossCheckFailure(
-            f"{name}: closed form {closed!r} vs reference {reference!r} "
-            f"differ by {abs(closed - reference):.3e} (tolerance {tol:.1e})"
-        )
-
-
 def check_routes(checks, rows=True):
     """Raise CrossCheckFailure for the first row (flat order, among ``rows``)
     where a (name, closed, reference) pair of columns in ``checks`` differs
-    by more than CROSS_CHECK_TOL[name] or is not finite; ``index`` is the row."""
+    by more than CROSS_CHECK_TOL[name] or is not finite; ``index`` is the row
+    and the message names the first such pair of that row."""
     checks = [(name, np.ravel(c), np.ravel(r)) for name, c, r in checks]
-    failed = rows & np.any([~(abs(c - r) <= CROSS_CHECK_TOL[name]) for name, c, r in checks],
-                           axis=0)
-    for k in np.flatnonzero(failed)[:1]:
-        try:
-            for name, c, r in checks:
-                _cross_check(name, c[k], r[k], CROSS_CHECK_TOL[name])
-        except CrossCheckFailure as exc:
-            exc.index = int(k)
-            raise
+    misses = [rows & ~(abs(c - r) <= CROSS_CHECK_TOL[name]) for name, c, r in checks]
+
+    def describe(k: int) -> str:
+        name, c, r = next(chk for chk, miss in zip(checks, misses) if miss[k])
+        closed, reference = float(c[k]), float(r[k])
+        return (f"{name}: closed form {closed!r} vs reference {reference!r} "
+                f"differ by {abs(closed - reference):.3e} (tolerance {CROSS_CHECK_TOL[name]:.1e})")
+
+    raise_first(np.any(misses, axis=0), CrossCheckFailure, describe)
 
 
 def correlations(rho) -> CorrelationSet:

@@ -72,8 +72,9 @@ class ModelParams:
 
     @property
     def big_omega(self) -> float:
-        """Dressed frequency sqrt(delta^2 + omega^2), always recomputed."""
-        return float(np.hypot(self.delta, self.omega))
+        """Dressed frequency sqrt(delta^2 + omega^2), always recomputed; an
+        array over the broadcast fields when delta or omega is one."""
+        return np.hypot(self.delta, self.omega)[()]
 
 
 def spin_lowering(qubit: int) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Shared generators for randomized tests; all callers pass a seeded rng."""
+"""Shared generators for randomized tests (all callers pass a seeded rng) and
+independent formulas the library is checked against."""
 
 import numpy as np
 
 from qcorr import XColumns, lindblad_rhs, validate
-from qcorr.linalg import trace_norm
+from qcorr.linalg import partial_transpose_b, trace_norm
 from qcorr.measures import _PAULI_A
 
 
@@ -131,3 +132,44 @@ def w_matrix_by_pairs(sqrt_rho: np.ndarray) -> np.ndarray:
         for j in range(i, 3):
             w[..., i, j] = w[..., j, i] = np.trace(prods[i] @ prods[j], axis1=-2, axis2=-1).real
     return w
+
+
+def steady_state_zero_temp(params) -> XColumns:
+    """The zero-temperature steady state in the paper's closed form, with
+    den = gamma^2 + 4 Omega^2: rho11 = rho22 = rho33 = Delta^2 / den,
+    rho44 = (gamma^2 + 3 omega^2 + Omega^2) / den and rho14 = -Delta (2 omega
+    + i gamma) / den. Array-valued ``params`` fields broadcast; validated."""
+    g, d, w = params.gamma, params.delta, params.omega
+    den = g * g + 4.0 * params.big_omega**2
+    pop = d * d / den
+    return valid_x(pop, pop, pop, (g * g + 3.0 * w * w + params.big_omega**2) / den,
+                   -d * (2.0 * w + 1j * g) / den, 0.0)
+
+
+def concurrence_thermal_independent(t, w: float, gamma: float, nbar: float):
+    """Concurrence max{0, (1 - w) exp(-k gamma t) - sqrt(f)/k^2} of the
+    decaying w-mixture of independent qubits (J = Delta = 0) at bath
+    excitation nbar, with k = 2 nbar + 1 and f = a0 + a1 w + a2 w^2 term by
+    term; broadcasts over an array of times t."""
+    k = 2.0 * nbar + 1.0
+    half = 0.5 * k * gamma * t
+    sh, ch = np.sinh(half), np.cosh(half)
+    bracket = 1.0 + 4.0 * nbar * (nbar + 1.0) * np.exp(half) * ch
+    a0 = 4.0 * np.exp(-6.0 * half) * sh * sh * bracket * bracket
+    a1 = 4.0 * k * k * np.exp(-7.0 * half) * sh * bracket
+    a2 = -2.0 * k**4 * np.exp(-6.0 * half) * np.sinh(2.0 * half)
+    f = a0 + a1 * w + a2 * w * w
+    coherence = (1.0 - w) * np.exp(-k * gamma * t)
+    return np.maximum(0.0, coherence - np.sqrt(np.maximum(f, 0.0)) / (k * k))
+
+
+def negativity_trace_norm(rho):
+    """(||rho^TB||_1 - 1)/2: the negativity from its trace-norm definition."""
+    return (trace_norm(partial_transpose_b(rho)) - 1.0) / 2.0
+
+
+def partial_transpose_a(rho) -> np.ndarray:
+    """Partial transpose with respect to the first qubit: entry (k ox i, l ox j)
+    of the output equals entry (l ox i, k ox j) of the input."""
+    r = np.asarray(rho).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
+    return r.swapaxes(-4, -2).reshape(r.shape[:-4] + (4, 4))

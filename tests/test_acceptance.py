@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_x_state
+from helpers import negativity_trace_norm, random_x_state, steady_state_zero_temp
 from qcorr import (
     ModelParams,
     analytic_independent_mixture,
@@ -31,11 +31,9 @@ from qcorr import (
     make_werner,
     min_trace,
     negativity,
-    negativity_trace_norm,
     steady_ccc_thermal,
     steady_concurrence_thermal,
     steady_correlations_thermal,
-    steady_state_zero_temp,
     to_dicke,
 )
 
@@ -268,10 +266,7 @@ def test_criterion_10_dark_and_revival_structure(fig1_trajectory):
     cc_spans = dark_intervals_of_series(traj.correlations.correlated_coherence)
     lqu_spans = dark_intervals_of_series(traj.correlations.lqu)
     decay_times = np.linspace(0.0, 80.0, 801)
-    decay_cc = [
-        correlated_coherence(analytic_independent_mixture(float(t), 0.5, 0.1))
-        for t in decay_times
-    ]
+    decay_cc = correlated_coherence(analytic_independent_mixture(decay_times, 0.5, 0.1))
     cc_decay_spans = dark_intervals_of_series(decay_cc)
     ok = ok and not cc_spans and not lqu_spans and not cc_decay_spans
     report(

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import liouvillian_by_columns, random_density_matrix, random_x_state
+from helpers import (
+    concurrence_thermal_independent,
+    liouvillian_by_columns,
+    random_density_matrix,
+    random_x_state,
+    steady_state_zero_temp,
+)
 from qcorr import (
     DegenerateParams,
     DomainError,
@@ -17,7 +23,6 @@ from qcorr import (
     analytic_independent_mixture,
     analytic_mixture,
     analytic_werner,
-    concurrence_thermal_independent,
     concurrence_x,
     correlations,
     dark_intervals_of_series,
@@ -32,7 +37,6 @@ from qcorr import (
     steady_concurrence_thermal,
     steady_correlations_thermal,
     steady_state_thermal,
-    steady_state_zero_temp,
     steady_w_entries_zero_temp,
     w_matrix_x,
     correlated_coherence,
@@ -92,13 +96,17 @@ _ENTRY_INDEX = {
 }
 
 
+def _assert_x_entries_within(traj, expected, tol):
+    """Every X entry of every sample within tol of the (n, 4, 4) ``expected``."""
+    for name, (i, j) in _ENTRY_INDEX.items():
+        err = np.abs(expected[:, i, j] - traj.states[:, i, j])
+        k = int(err.argmax())
+        assert err[k] <= tol, f"entry {name} off by {err[k]:.3e} at t = {traj.times[k]}"
+
+
 def test_evolve_matches_analytic_mixture():
     traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=20.0, dt=1e-3, stride=1000)
-    for t, mat in zip(traj.times, traj.states):
-        expected = analytic_mixture(float(t), P_REF).to_matrix()
-        for name, (i, j) in _ENTRY_INDEX.items():
-            err = abs(expected[i, j] - mat[i, j])
-            assert err <= 1e-8, f"entry {name} off by {err:.3e} at t = {t}"
+    _assert_x_entries_within(traj, analytic_mixture(traj.times, P_REF).to_matrix(), 1e-8)
 
 
 def test_evolve_keeps_werner_constant_without_decay():
@@ -155,10 +163,7 @@ def test_integrator_is_fourth_order():
     def max_err(dt):
         traj = evolve(make_mixture(0.5).to_matrix(), params, t_max=5.0, dt=dt,
                       stride=max(1, int(round(1.0 / dt))))
-        return max(
-            np.abs(analytic_mixture(float(t), params).to_matrix() - m).max()
-            for t, m in zip(traj.times, traj.states)
-        )
+        return np.abs(analytic_mixture(traj.times, params).to_matrix() - traj.states).max()
 
     ratio = max_err(0.02) / max_err(0.01)
     assert 12.0 <= ratio <= 20.0
@@ -304,11 +309,7 @@ def test_analytic_werner_independent_of_j():
 def test_evolve_matches_analytic_werner():
     params = ModelParams(j=0.3, delta=0.5, gamma=0.15)
     traj = evolve(make_werner(0.7).to_matrix(), params, t_max=20.0, dt=1e-3, stride=1000)
-    for t, mat in zip(traj.times, traj.states):
-        expected = analytic_werner(float(t), 0.7, params).to_matrix()
-        for name, (i, j) in _ENTRY_INDEX.items():
-            err = abs(expected[i, j] - mat[i, j])
-            assert err <= 1e-8, f"entry {name} off by {err:.3e} at t = {t}"
+    _assert_x_entries_within(traj, analytic_werner(traj.times, 0.7, params).to_matrix(), 1e-8)
 
 
 def test_analytic_werner_domain():
@@ -322,18 +323,16 @@ def test_independent_mixture_limits_and_concurrence():
     assert late.rho44 == pytest.approx(1.0, abs=1e-12)
     assert abs(late.rho14) <= 1e-12
     ts = np.linspace(0.0, 30.0, 121)
-    for t in ts:
-        state = analytic_independent_mixture(float(t), w, gamma)
-        closed = concurrence_thermal_independent(float(t), w, gamma, 0.0)
-        assert concurrence_x(state) == pytest.approx(closed, abs=1e-10)
+    np.testing.assert_allclose(concurrence_x(analytic_independent_mixture(ts, w, gamma)),
+                               concurrence_thermal_independent(ts, w, gamma, 0.0),
+                               rtol=0.0, atol=1e-10)
 
 
 def test_evolve_matches_independent_mixture():
     params = ModelParams(j=0.0, delta=0.0, gamma=0.2)
     traj = evolve(make_mixture(0.3).to_matrix(), params, t_max=20.0, dt=1e-3, stride=1000)
-    for t, mat in zip(traj.times, traj.states):
-        expected = analytic_independent_mixture(float(t), 0.3, 0.2).to_matrix()
-        assert np.abs(expected - mat).max() <= 1e-8
+    expected = analytic_independent_mixture(traj.times, 0.3, 0.2).to_matrix()
+    assert np.abs(expected - traj.states).max() <= 1e-8
 
 
 def test_independent_mixture_domain():
@@ -378,7 +377,7 @@ def test_steady_state_thermal_over_array_params_equals_scalar_calls(name, values
 
 
 def test_steady_state_zero_temp_reference_entries():
-    st = steady_state_zero_temp(P_REF)
+    st = steady_state_thermal(P_REF)
     assert st.rho11 == pytest.approx(0.25 / 5.01, abs=1e-15)
     assert st.rho22 == pytest.approx(0.25 / 5.01, abs=1e-15)
     assert st.rho44 == pytest.approx(4.26 / 5.01, abs=1e-15)
@@ -389,14 +388,22 @@ def test_steady_state_zero_temp_reference_entries():
 
 def test_steady_state_zero_temp_degenerate_without_decay():
     with pytest.raises(DegenerateParams):
-        steady_state_zero_temp(ModelParams(j=0.1, delta=0.5, gamma=0.0))
+        steady_state_thermal(ModelParams(j=0.1, delta=0.5, gamma=0.0))
 
 
 def test_steady_state_without_anisotropy_is_ground_state():
-    st = steady_state_zero_temp(ModelParams(j=0.1, delta=0.0, gamma=0.1))
+    st = steady_state_thermal(ModelParams(j=0.1, delta=0.0, gamma=0.1))
     np.testing.assert_allclose(
         st.to_matrix(), np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex), atol=1e-15
     )
+
+
+def test_zero_temperature_oracle_over_array_delta_equals_thermal_state():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # |Delta| > omega/2 is swept on purpose
+        params = ModelParams(j=0.1, delta=np.linspace(-2.2, 2.2, 45), gamma=0.1)
+    np.testing.assert_allclose(steady_state_zero_temp(params).to_matrix(),
+                               steady_state_thermal(params).to_matrix(), rtol=0.0, atol=1e-15)
 
 
 def test_thermal_steady_state_reduces_and_fixes():
@@ -518,11 +525,11 @@ def test_esd_closed_form_decreasing_in_w():
 
 
 def test_thermal_concurrence_reduces_at_zero_temperature():
+    ts = np.linspace(0.0, 20.0, 81)
     for w in (0.1, 0.5, 0.9):
-        for t in np.linspace(0.0, 20.0, 81):
-            a = concurrence_thermal_independent(float(t), w, 0.3, 0.0)
-            state = analytic_independent_mixture(float(t), w, 0.3)
-            assert a == pytest.approx(concurrence_x(state), abs=1e-12)
+        np.testing.assert_allclose(concurrence_thermal_independent(ts, w, 0.3, 0.0),
+                                   concurrence_x(analytic_independent_mixture(ts, w, 0.3)),
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_thermal_concurrence_initial_value():
@@ -661,7 +668,7 @@ def test_reintegrated_endpoints_match_closed_form_to_refine_tol():
 def test_werner_settles_without_permanent_death():
     params = ModelParams(j=0.1, delta=0.5, gamma=0.1)
     times = np.linspace(0.0, 150.0, 601)
-    concs = [concurrence_x(analytic_werner(float(t), 1.0, params)) for t in times]
+    concs = concurrence_x(analytic_werner(times, 1.0, params))
     spans = dark_intervals_of_series(concs)
     assert all(end < len(times) for _, end in spans)
     assert concs[-1] == pytest.approx(0.2999, abs=5e-4)
@@ -669,13 +676,9 @@ def test_werner_settles_without_permanent_death():
 
 def test_cc_has_no_dark_intervals_under_pure_decay():
     times = np.linspace(0.0, 60.0, 601)
-    ccs = [
-        correlated_coherence(analytic_independent_mixture(float(t), 0.5, 0.1))
-        for t in times
-    ]
+    ccs = correlated_coherence(analytic_independent_mixture(times, 0.5, 0.1))
     assert dark_intervals_of_series(ccs) == []
-    for t, cc in zip(times, ccs):
-        assert cc == pytest.approx(0.5 * math.exp(-0.1 * t), abs=1e-12)
+    np.testing.assert_allclose(ccs, 0.5 * np.exp(-0.1 * times), rtol=0.0, atol=1e-12)
 
 
 def test_lqu_balanced_regime_w12_vanishes():

@@ -5,7 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assert_block_supported, bell_phi_plus, random_hermitian, random_x_state
+from helpers import (
+    assert_block_supported,
+    bell_phi_plus,
+    partial_transpose_a,
+    random_density_matrix,
+    random_hermitian,
+    random_unitary,
+    random_x_state,
+)
 from qcorr import (
     NotHermitian,
     NotPSD,
@@ -13,7 +21,6 @@ from qcorr import (
     is_x_shaped,
     make_mixture,
     negativity,
-    partial_transpose_a,
     partial_transpose_b,
     psd_sqrt,
     trace_norm,
@@ -248,9 +255,14 @@ def test_bell_partial_transpose_minimum_eigenvalue():
 
 def test_partial_transpose_spectrum_party_independent():
     rng = np.random.default_rng(23)
-    for _ in range(25):
-        rho = random_x_state(rng).to_matrix()
+    states = [random_x_state(rng).to_matrix() for _ in range(25)]
+    states += [random_density_matrix(rng, rank) for rank in (1, 2, 3, 4) for _ in range(25)]
+    for rho in states:
         lam_b = hermitian_eigensystem(partial_transpose_b(rho)).eigenvalues
         lam_a = hermitian_eigensystem(partial_transpose_a(rho)).eigenvalues
         np.testing.assert_allclose(lam_b, lam_a, atol=1e-12)
         assert abs(np.trace(partial_transpose_b(rho)) - 1.0) <= 1e-14
+        # local unitaries U_A ox U_B leave the spectrum of the partial transpose alone
+        u = np.kron(*random_unitary(rng, (2,)))
+        lam_u = hermitian_eigensystem(partial_transpose_b(u @ rho @ u.conj().T)).eigenvalues
+        np.testing.assert_allclose(lam_u, lam_b, rtol=0.0, atol=1e-12)

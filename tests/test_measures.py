@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     bell_phi_plus,
     measurement_disturbance,
+    negativity_trace_norm,
     random_balanced_x_state,
     random_density_matrix,
     random_incoherent_unitary,
     random_rank_one_x_state,
     random_unitary,
     random_x_state,
+    steady_state_zero_temp,
     valid_x,
     w_matrix_by_pairs,
 )
@@ -38,14 +40,12 @@ from qcorr import (
     min_trace,
     min_trace_general,
     negativity,
-    negativity_trace_norm,
     negativity_x,
-    steady_state_zero_temp,
     to_dicke,
     w_matrix_x,
 )
 from qcorr.linalg import psd_sqrt
-from qcorr.measures import _w_matrix_general
+from qcorr.measures import _w_matrix_general, check_routes
 from qcorr.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qcorr.states import trace_out_b, x_columns
 
@@ -421,11 +421,12 @@ def test_correlations_generic_path_for_non_x_states():
 
 
 def test_cross_check_failure_raises():
-    # feed a bogus tolerance through a direct call to the private checker
-    from qcorr.measures import _cross_check
-
+    # a pair beyond CROSS_CHECK_TOL and a non-finite pair both raise
+    with pytest.raises(CrossCheckFailure) as info:
+        check_routes([("concurrence", 1.0, 1.1)])
+    assert info.value.index == 0
     with pytest.raises(CrossCheckFailure):
-        _cross_check("probe", 1.0, 1.1, 1e-3)
+        check_routes([("concurrence", np.nan, np.nan)])
 
 
 def test_range_violation_reporting():
@@ -451,6 +452,16 @@ def test_bound_chains_on_random_states():
         llo, lhi = concurrence_log_negativity_bounds(c)
         ln = log_negativity(rho)
         assert ln >= llo - 1e-10 and ln <= lhi + 1e-10
+    for rank in (1, 2, 3, 4):
+        for _ in range(100):
+            rho = random_density_matrix(rng, rank)
+            c = concurrence_general(rho)
+            n = negativity(rho)
+            lo, hi = concurrence_negativity_bounds(c)
+            assert n >= lo - 1e-10 and n <= hi + 1e-10, rank
+            llo, lhi = concurrence_log_negativity_bounds(c)
+            ln = log_negativity(rho)
+            assert ln >= llo - 1e-10 and ln <= lhi + 1e-10, rank
 
 
 def test_measures_invariant_under_phase_removal():

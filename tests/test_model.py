@@ -92,6 +92,11 @@ def test_big_omega_recomputed():
     assert p.big_omega**2 == pytest.approx(p.delta**2 + p.omega**2, abs=1e-15)
 
 
+def test_big_omega_broadcasts_over_array_fields():
+    delta = np.array([0.1, 0.2])
+    np.testing.assert_array_equal(ModelParams(delta=delta).big_omega, np.hypot(delta, 1.0))
+
+
 def test_strong_coupling_warns():
     with pytest.warns(UserWarning):
         ModelParams(j=0.6, delta=0.0, omega=1.0, gamma=0.1)
