@@ -10,12 +10,14 @@ from .errors import (
     RangeViolation,
     StepRejected,
     TraceNotOne,
+    WeakCouplingWarning,
 )
 from .linalg import (
     HermitianEigensystem,
     hermitian_eigensystem,
     partial_transpose_b,
     psd_sqrt,
+    singular_values,
     trace_norm,
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising

@@ -20,6 +20,7 @@ from .errors import (
     RangeViolation,
     StepRejected,
     TraceNotOne,
+    WeakCouplingWarning,
     raise_first,
 )
 from .measures import CorrelationSet
@@ -29,7 +30,9 @@ from .states import loads_density_matrix, make_mixture, make_werner, purity
 EVOLVE_HEADER = "t,gamma_t,concurrence,negativity,log_negativity,lqu,min,ccc,l1_coherence,purity"
 STEADY_COLUMNS = "concurrence,log_negativity,lqu,min,ccc"
 
-_CONFIG_ERRORS = (DomainError, DegenerateParams, NotHermitian, TraceNotOne, NotPSD)
+# WeakCouplingWarning is caught only when warnings are raised as errors (python -W error)
+_CONFIG_ERRORS = (DomainError, DegenerateParams, NotHermitian, TraceNotOne, NotPSD,
+                  WeakCouplingWarning)
 
 
 def _fmt(value: float) -> str:

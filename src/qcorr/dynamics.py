@@ -113,6 +113,12 @@ def _increment_operator(lv: np.ndarray, dt: float, n: int) -> np.ndarray:
     return total
 
 
+def _apply(op: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """op @ y for each row y of ``ys``; einsum, not a BLAS product, keeps an exact
+    L y = 0 exactly zero and runs on one thread."""
+    return np.einsum("ij,nj->ni", op, ys)
+
+
 def evolve(
     rho0,
     params: ModelParams,
@@ -132,10 +138,13 @@ def evolve(
     stride : int
         Sampling interval in steps; the final step is always sampled.
 
-    The ``stride`` RK4 steps between two samples are applied at once as
-    y + Phi (L y) (see ``_increment_operator``), so the cost grows with the
-    number of samples, not of steps; more than MAX_SAMPLES samples raise
-    DomainError. The sampled states are then checked and evaluated as one
+    The ``stride`` RK4 steps between two samples are one map T = I + Phi L
+    (see ``_increment_operator``). The samples are filled by doubling: with
+    the first m known and T^m = I + Phi_m L, the next m are y + Phi_m (L y)
+    of the first m, and Phi_2m = Phi_m (2I + L Phi_m); a final partial stride
+    takes its own Phi. So the cost grows with the number of samples, not of
+    steps, a state with L y = 0 stays bit-identical, and more than
+    MAX_SAMPLES samples raise DomainError. The sampled states are then checked and evaluated as one
     stack (see ``_evaluate_samples``): a state that fails validation or, when
     the initial state is X-shaped, drifts off the X pattern raises
     StepRejected with its time.
@@ -160,14 +169,23 @@ def evolve(
     phi = _increment_operator(lv, dt, stride)
     phi_last = _increment_operator(lv, dt, n_steps % stride) if n_steps % stride else phi
     times = np.minimum(np.arange(n_samples) * stride, n_steps) * dt
+    n_whole = n_steps // stride + 1  # samples a whole number of strides apart
     states = np.empty((n_samples, 16), dtype=complex)
-    rhs = np.empty_like(states)
-    y = mat0.ravel()
+    rhs = np.empty_like(states)  # L y of each sample
+    states[0] = mat0.ravel()
     with np.errstate(over="ignore", invalid="ignore"):  # unstable dt: inf/nan, rejected below
-        for k in range(n_samples):
-            states[k] = y
-            rhs[k] = lv @ y
-            y = y + (phi if k < n_samples - 2 else phi_last) @ rhs[k]
+        rhs[:1] = _apply(lv, states[:1])
+        done, phi_done = 1, phi  # T^done = I + phi_done L for the one-sample RK4 map T
+        while done < n_whole:
+            k = min(done, n_whole - done)
+            states[done:done + k] = states[:k] + _apply(phi_done, rhs[:k])
+            rhs[done:done + k] = _apply(lv, states[done:done + k])
+            done += k
+            if done < n_whole:
+                phi_done = phi_done @ (2.0 * np.eye(16) + lv @ phi_done)
+        if n_samples > n_whole:
+            states[-1:] = states[-2:-1] + _apply(phi_last, rhs[-2:-1])
+            rhs[-1:] = _apply(lv, states[-1:])
         steady = np.abs(rhs).max(axis=1) <= STEADY_RHS_TOL
     states = states.reshape(-1, 4, 4)
     corr = _evaluate_samples(times, states, bool(is_x_shaped(mat0)))

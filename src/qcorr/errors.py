@@ -31,6 +31,11 @@ class RangeViolation(RuntimeError):
     """A computed quantity lies outside its allowed range or is not finite."""
 
 
+class WeakCouplingWarning(UserWarning):
+    """|J| or |Delta| exceeds omega/2, beyond the weak-interaction regime that
+    the equal-rate relaxation model assumes; the equations stay exact."""
+
+
 class StepRejected(RuntimeError):
     """A sampled state failed validation during time integration."""
 

@@ -1,15 +1,19 @@
 """Dense complex linear algebra for the small Hermitian matrices used here:
-the eigensolver, the PSD check and square root, the trace norm and the
-two-qubit partial transpose (on the second qubit; the partial transpose on
-the first has the same spectrum).
+the eigensolver, singular values, the PSD check and square root, the trace
+norm and the two-qubit partial transpose (on the second qubit; the partial
+transpose on the first has the same spectrum).
 
 All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
 of shape (..., m, m). Every eigenproblem goes through
-``hermitian_eigensystem``: LAPACK ``eigh`` on the matrices with their indices
-reordered into the blocks of their nonzero pattern, so that structural zeros
-(the X pattern above all) survive the solve exactly. A function given a
-stack raises for its first failing matrix, whose flat position the exception
-keeps as ``index``.
+``hermitian_eigensystem`` and every singular-value problem through
+``singular_values``. Both group a stack by exact nonzero pattern and split
+each pattern into its blocks. Blocks of size 1 and 2 (the X pattern above
+all) are solved in closed form, with the smaller 2x2 eigenvalue or singular
+value taken as the determinant over the larger one; a pattern with a larger
+block goes whole to one LAPACK call (``eigh`` with its indices reordered
+into blocks, or ``svd``). Either way structural zeros survive the solve
+exactly. A function given a stack raises for its first failing matrix, whose
+flat position the exception keeps as ``index``.
 """
 
 from __future__ import annotations
@@ -64,10 +68,10 @@ def require_hermitian(mat) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _block_order(pattern: int, n: int) -> tuple[list[int], list[int]]:
-    """Index order in which every connected component of the nonzero pattern
-    (bit i*n + j set iff entry (i, j) is nonzero, read symmetrically) is
-    contiguous, ascending within a component; and the inverse permutation."""
+def _blocks(pattern: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the nonzero pattern (bit i*n + j set iff
+    entry (i, j) is nonzero, read symmetrically), each ascending, in the order
+    of their smallest index."""
     nonzero = [[bool(pattern >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
     label = list(range(n))  # smallest index of each index's component
     for i, row in enumerate(nonzero):
@@ -75,20 +79,45 @@ def _block_order(pattern: int, n: int) -> tuple[list[int], list[int]]:
             if (row[j] or nonzero[j][i]) and label[i] != label[j]:
                 lo, hi = sorted((label[i], label[j]))
                 label = [lo if lab == hi else lab for lab in label]
-    order = sorted(range(n), key=label.__getitem__)
-    return order, sorted(range(n), key=order.__getitem__)
+    return tuple(tuple(i for i in range(n) if label[i] == lab) for lab in sorted(set(label)))
+
+
+def _per_pattern(a: np.ndarray, solve) -> list[np.ndarray]:
+    """``solve(matrices, pattern)``, which returns arrays over the matrices'
+    leading axis, applied to each group of a stack (..., n, n) that shares an
+    exact nonzero pattern; the results come back in stack order and shape."""
+    n = a.shape[-1]
+    if n not in (2, 3, 4):
+        raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
+    flat = a.reshape(-1, n, n)
+    keys = (flat != 0).reshape(len(flat), n * n).view(np.uint8) @ _PATTERN_BITS[: n * n]
+    groups = set(keys.tolist()) or {0}  # not np.unique: its first call imports numpy.ma
+    if len(groups) == 1:  # one pattern, as for a lone matrix: no scatter
+        parts = solve(flat, *groups)
+    else:
+        parts = None
+        for key in groups:
+            rows = keys == key
+            part = solve(flat[rows], key)
+            if parts is None:
+                parts = [np.empty((len(flat),) + p.shape[1:], p.dtype) for p in part]
+            for out, p in zip(parts, part):
+                out[rows] = p
+    return [p.reshape(a.shape[:-2] + p.shape[1:]) for p in parts]
 
 
 def hermitian_eigensystem(mat) -> HermitianEigensystem:
-    """Diagonalize Hermitian matrices with one LAPACK solve per nonzero pattern.
+    """Diagonalize Hermitian matrices block by block of their nonzero pattern.
 
-    The matrices of a stack are grouped by their exact nonzero pattern. For
-    each group the indices are reordered so that every block of the pattern
-    is contiguous (an X state splits into {0, 3} and {1, 2}) and the whole
-    group goes to one ``eigh`` call. The tridiagonal reduction then never
-    mixes two blocks, so structural zeros stay exactly zero in the
+    The matrices of a stack are grouped by their exact nonzero pattern. When
+    every block of a group's pattern has size 1 or 2 (X states, their partial
+    transposes, and the 3x3 W and MIN Gram matrices of X states), each block
+    is solved in closed form (``_hermitian_2x2``). Otherwise the indices are
+    reordered so that every block is contiguous and the whole group goes to
+    one LAPACK ``eigh`` call, whose tridiagonal reduction then never mixes
+    two blocks. Either way structural zeros stay exactly zero in the
     eigenvectors and an exactly singular block keeps its exact zero
-    eigenvalue. Every matrix gets the result it would get on its own.
+    eigenvalue, and every matrix gets the result it would get on its own.
 
     Parameters
     ----------
@@ -102,28 +131,102 @@ def hermitian_eigensystem(mat) -> HermitianEigensystem:
         Ascending eigenvalues and orthonormal eigenvector columns, so that
         V diag(w) V^dag reconstructs each input.
     """
-    a = require_hermitian(mat)
+    return HermitianEigensystem(*_per_pattern(require_hermitian(mat), _eigensystem_by_blocks))
+
+
+def _eigensystem_by_blocks(a: np.ndarray, pattern: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of a stack (k, n, n) of matrices that share ``pattern``."""
     n = a.shape[-1]
-    if n not in (2, 3, 4):
-        raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
-    flat = a.reshape(-1, n, n)
-    keys = (flat != 0).reshape(len(flat), n * n).view(np.uint8) @ _PATTERN_BITS[: n * n]
-    groups = set(keys.tolist())
-    if len(groups) == 1:  # one pattern, as for a lone matrix: solve in place
-        return _solve_in_block_order(a, *groups)
-    w, v = np.empty(flat.shape[:2]), np.empty_like(flat)
-    for key in groups:
-        rows = keys == key
-        part = _solve_in_block_order(flat[rows], key)
-        w[rows], v[rows] = part.eigenvalues, part.eigenvectors
-    return HermitianEigensystem(w.reshape(a.shape[:-1]), v.reshape(a.shape))
+    blocks = _blocks(pattern, n)
+    if max(map(len, blocks)) > 2:
+        order = [i for b in blocks for i in b]
+        w, v = np.linalg.eigh(a.take(order, -2).take(order, -1))
+        return w, v.take(sorted(range(n), key=order.__getitem__), -2)
+    w, vt = np.empty(a.shape[:-1]), np.zeros_like(a)  # vt[:, c] is eigenvector c
+    for b in blocks:
+        if len(b) == 1:
+            w[:, b[0]], vt[:, b[0], b[0]] = a[:, b[0], b[0]].real, 1.0
+            continue
+        i, j = b  # LAPACK reads the lower triangle; so does this
+        w[:, i], w[:, j], (x, y) = _hermitian_2x2(a[:, i, i].real, a[:, j, j].real,
+                                                   a[:, j, i].conj())
+        vt[:, j, i], vt[:, j, j] = x, y
+        vt[:, i, i], vt[:, i, j] = -y.conj(), x.conj()
+    rows, k = np.arange(len(w))[:, None], np.argsort(w, axis=-1, kind="stable")
+    return w[rows, k], vt[rows, k].swapaxes(-1, -2)
 
 
-def _solve_in_block_order(a: np.ndarray, pattern: int) -> HermitianEigensystem:
-    """One ``eigh`` call on matrices that share the nonzero pattern ``pattern``."""
-    order, inverse = _block_order(pattern, a.shape[-1])
-    w, v = np.linalg.eigh(a.take(order, -2).take(order, -1))
-    return HermitianEigensystem(w, v.take(inverse, -2))
+def _power_of_two(*parts: np.ndarray) -> np.ndarray:
+    """Exponent e with every |part| < 2^e: dividing by 2^e is exact and keeps
+    products of the scaled entries finite."""
+    return np.frexp(functools.reduce(np.maximum, map(abs, parts)))[1]
+
+
+def _scaled(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
+
+
+def _hermitian_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray):
+    """(lower, upper eigenvalue, unit eigenvector (x, y) of the upper one) of
+    the Hermitian [[a, b], [b*, d]], elementwise over arrays.
+
+    With mid = (a + d)/2, h = (a - d)/2 and r = hypot(h, |b|), the eigenvalue
+    of the larger magnitude is mid + sign(mid) r and the other one is the
+    determinant over it, so neither comes from a cancelling difference; the
+    eigenvector (r + |h|, b*) for h >= 0 and (b, r + |h|) for h < 0 has no
+    cancelling entry either. The block is scaled by a power of two first,
+    so that finite entries of any magnitude give finite products.
+    """
+    e = _power_of_two(a, d, b.real, b.imag)
+    a, d, b = np.ldexp(a, -e), np.ldexp(d, -e), _scaled(b, e)
+    mid, h, b_sq = 0.5 * (a + d), 0.5 * (a - d), b.real * b.real + b.imag * b.imag
+    r = np.hypot(h, np.sqrt(b_sq))
+    big = mid + np.copysign(r, mid)
+    small = np.divide(a * d - b_sq, big, out=np.zeros_like(big), where=big != 0.0)
+    up = ~np.signbit(mid)  # big is the upper eigenvalue
+    t = r + abs(h)
+    norm = np.hypot(t, np.sqrt(b_sq))
+    t, norm = np.where(norm > 0.0, t, 1.0), np.where(norm > 0.0, norm, 1.0)  # b = 0, a = d: e1
+    x, y = np.where(h >= 0.0, t, b) / norm, np.where(h >= 0.0, b.conj(), t) / norm
+    return (np.ldexp(np.where(up, small, big), e), np.ldexp(np.where(up, big, small), e), (x, y))
+
+
+def singular_values(mat) -> np.ndarray:
+    """Singular values, descending, of a complex matrix of size 2, 3 or 4 or
+    of each matrix of a stack (..., m, m).
+
+    As in ``hermitian_eigensystem``, matrices are grouped by nonzero pattern.
+    A block [[m00, m01], [m10, m11]] of a pattern whose blocks all have size
+    1 or 2 gives s_max = sqrt of the upper eigenvalue of M^dag M and
+    s_min = |det M| / s_max (the block scaled by a power of two first); a
+    1x1 block gives its modulus. Other patterns go to ``np.linalg.svd``.
+    """
+    m = np.asarray(mat, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return _per_pattern(m, _singular_values_by_blocks)[0]
+
+
+def _singular_values_by_blocks(m: np.ndarray, pattern: int) -> tuple[np.ndarray]:
+    blocks = _blocks(pattern, m.shape[-1])
+    if max(map(len, blocks)) > 2:
+        return (np.linalg.svd(m, compute_uv=False),)
+    s = np.empty(m.shape[:-1])
+    for b in blocks:
+        if len(b) == 1:
+            s[:, b[0]] = abs(m[:, b[0], b[0]])
+            continue
+        i, j = b
+        entries = m[:, i, i], m[:, i, j], m[:, j, i], m[:, j, j]
+        e = _power_of_two(*(z.real for z in entries), *(z.imag for z in entries))
+        m00, m01, m10, m11 = (_scaled(z, e) for z in entries)
+        g00, g11 = abs(m00) ** 2 + abs(m10) ** 2, abs(m01) ** 2 + abs(m11) ** 2
+        top = np.sqrt(0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11),
+                                                   abs(m00.conj() * m01 + m10.conj() * m11)))
+        det = abs(m00 * m11 - m01 * m10)
+        s[:, i] = np.ldexp(top, e)
+        s[:, j] = np.ldexp(np.divide(det, top, out=np.zeros_like(top), where=top > 0.0), e)
+    return (-np.sort(-s, axis=-1),)
 
 
 def require_psd(mat) -> HermitianEigensystem:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckFailure, raise_first
-from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt
+from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt, singular_values
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
     DickeColumns,
@@ -121,7 +121,7 @@ def concurrence_signed(rho) -> float:
 
 
 def _concurrence_from_sqrt(sqrt_rho, clamp: bool):
-    lam = np.linalg.svd(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
+    lam = singular_values(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj())
     diff = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.maximum(0.0, diff) if clamp else diff
 

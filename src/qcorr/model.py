@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, raise_first
+from .errors import DomainError, WeakCouplingWarning, raise_first
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -59,6 +59,7 @@ class ModelParams:
                 "coupling beyond the weak-interaction regime (|J| or |Delta|"
                 " exceeds omega/2); equations stay exact but the equal-rate"
                 " relaxation assumption degrades",
+                WeakCouplingWarning,
                 stacklevel=2,
             )
 

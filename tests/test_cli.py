@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import csv_by_cells, random_rank_one_x_state
-from qcorr import concurrence_x, dumps_density_matrix, make_mixture
+from qcorr import WeakCouplingWarning, concurrence_x, dumps_density_matrix, lqu_x, make_mixture
 from qcorr.cli import EVOLVE_HEADER, _csv, main
 
 
@@ -102,6 +102,18 @@ def test_evolve_rank_one_x_state_passes_cross_checks(tmp_path):
     assert code == 0
     _, rows = parse_csv(text)
     assert rows[0][2] == pytest.approx(concurrence_x(x), abs=1e-12)
+
+
+def test_evolve_rank_one_x_state_passes_lqu_cross_check(tmp_path):
+    # with LAPACK's small block eigenvalue the general-route LQU of this state
+    # missed the closed form by 1.08e-8; both now take it as det / lambda_big
+    x = random_rank_one_x_state(np.random.default_rng(196))
+    state_file = tmp_path / "rho.txt"
+    state_file.write_text(dumps_density_matrix(x.to_matrix()), encoding="utf-8")
+    code, text = run_cli(["evolve", "--initial", f"custom@{state_file}", "--t-max", "1"], tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert rows[0][5] == pytest.approx(lqu_x(x), abs=1e-12)
 
 
 def test_evolve_rejects_bad_config(tmp_path, capsys):
@@ -402,7 +414,24 @@ def test_weak_coupling_warning_fires_once_per_sweep(tmp_path):
         warnings.simplefilter("always")
         code, _ = run_cli(["steady", "--gamma", "0.1", "--sweep", "delta:0:2.2:23"], tmp_path)
     assert code == 0
-    assert [w.category for w in caught] == [UserWarning]
+    assert [w.category for w in caught] == [WeakCouplingWarning]
+    assert issubclass(WeakCouplingWarning, UserWarning)
+
+
+def test_weak_coupling_warning_as_error_exits_2(monkeypatch, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["steady", "--sweep", "delta:0:2.2:5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error: coupling beyond the weak-interaction")
+    assert err.count("\n") == 1
+    # no other warning is mapped: numpy warnings raised as errors still surface
+    monkeypatch.setattr("qcorr.cli.steady_correlations_thermal",
+                        lambda params: warnings.warn("overflow", RuntimeWarning))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            main(["steady"])
 
 
 @pytest.mark.parametrize("sweep, flags", [

@@ -232,6 +232,35 @@ def test_evolve_keeps_exact_fixed_point_bit_identical():
     assert all(np.array_equal(mat, rho0) for mat in traj.states)
 
 
+def _stepwise_rk4_on_generator(rho0, params, n_steps, dt, stride):
+    """``_stepwise_rk4`` on the 16x16 generator tabulated from lindblad_rhs
+    (``liouvillian_by_columns``): the same classical RK4 steps, one at a time,
+    fast enough for a run of 100k steps."""
+    gen = liouvillian_by_columns(params)
+    y = np.asarray(rho0, dtype=complex).ravel()
+    samples = [y]
+    for step in range(1, n_steps + 1):
+        k1 = gen @ y
+        k2 = gen @ (y + (0.5 * dt) * k1)
+        k3 = gen @ (y + (0.5 * dt) * k2)
+        k4 = gen @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if step % stride == 0 or step == n_steps:
+            samples.append(y)
+    return np.array(samples).reshape(-1, 4, 4)
+
+
+@pytest.mark.parametrize("t_max, n_samples", [(100.0, 1001), (10.05, 102)])
+def test_evolve_long_doubling_chain_matches_stepwise_rk4(t_max, n_samples):
+    # the default evolve (100k steps, 1001 samples at stride 100), and a horizon
+    # that ends 50 steps past the last whole stride
+    rho0, params = make_mixture(0.5).to_matrix(), ModelParams()
+    traj = evolve(rho0, params, t_max=t_max)
+    ref = _stepwise_rk4_on_generator(rho0, params, int(round(t_max / 1e-3)), 1e-3, 100)
+    assert traj.states.shape == ref.shape == (n_samples, 4, 4)
+    assert np.abs(traj.states - ref).max() <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     gamma=st.floats(0.0, 1.0),

@@ -1,9 +1,11 @@
-"""Eigensolver, PSD square root, trace norm and partial transpose."""
+"""Eigensolver, singular values, PSD square root, trace norm and partial transpose."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     assert_block_supported,
@@ -20,19 +22,24 @@ from qcorr import (
     hermitian_eigensystem,
     is_x_shaped,
     make_mixture,
+    make_werner,
     negativity,
     partial_transpose_b,
     psd_sqrt,
+    singular_values,
     trace_norm,
 )
 
 
 # (size, blocks of the nonzero pattern): the X pattern, two interleaved
-# blocks, and a 3x3 matrix with an isolated index
+# blocks, a 3x3 matrix with an isolated index, one pair among isolated
+# indices and a 3x3 block beside an isolated index
 BLOCK_PATTERNS = [
     (4, [[0, 3], [1, 2]]),
     (4, [[0, 2], [1, 3]]),
     (3, [[0, 2], [1]]),
+    (4, [[0], [1, 3], [2]]),
+    (4, [[0, 1, 3], [2]]),
 ]
 
 
@@ -131,6 +138,123 @@ def test_mixture_zero_eigenvalues_are_exact():
     lam = hermitian_eigensystem(make_mixture(0.2).to_matrix()).eigenvalues
     np.testing.assert_array_equal(lam[:2], [0.0, 0.0])
     np.testing.assert_allclose(lam[2:], [0.2, 0.8], atol=1e-15)
+    # the Bell singlet has an exactly singular 2x2 block, and a power-of-two
+    # scale moves every eigenvalue by that power exactly
+    lam = hermitian_eigensystem(make_werner(1.0).to_matrix()).eigenvalues
+    np.testing.assert_array_equal(lam[:3], [0.0, 0.0, 0.0])
+    np.testing.assert_allclose(lam[3:], [1.0], atol=1e-15)
+    for e in (900, -900):
+        lam = hermitian_eigensystem(np.ldexp(make_mixture(0.2).to_matrix().real, e)).eigenvalues
+        np.testing.assert_array_equal(lam[:2], [0.0, 0.0])
+        np.testing.assert_allclose(np.ldexp(lam[2:], -e), [0.2, 0.8], atol=1e-15)
+
+
+def _small_block(rng, kind, size, hermitian):
+    """One diagonal block of a small-block test matrix; 'rank_one' blocks are
+    built from small Gaussian integers, so they are singular in floating point
+    too."""
+    if kind == "zero":
+        return np.zeros((size, size), dtype=complex)
+    if kind == "rank_one":
+        u, v = rng.integers(-3, 4, size=(2, size)) + 1j * rng.integers(-3, 4, size=(2, size))
+        return np.outer(u, u.conj() if hermitian else v)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(size)).astype(complex)
+    m = random_hermitian(rng, size) if hermitian else (
+        rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    if kind == "equal_diagonal":  # a = d: the eigenvector formula's h = 0 branch
+        m[np.diag_indices(size)] = m[0, 0].real
+    if kind == "triangular" and size == 2:
+        m[1, 0] = 0.0
+    return m
+
+
+@st.composite
+def small_block_matrices(draw, hermitian):
+    """(matrix, blocks, exponent, unscaled matrix) with every block of the nonzero
+    pattern of size 1 or 2, scaled by 2**exponent. Blocks of kind 'repeat' copy
+    the previous block of their size, so the spectrum is degenerate."""
+    n = draw(st.integers(2, 4))
+    perm = draw(st.permutations(range(n)))
+    sizes = draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n))
+    blocks, at = [], 0
+    for size in sizes:
+        if at < n:
+            blocks.append(sorted(perm[at:at + min(size, n - at)]))
+            at += size
+    kinds = ["random", "rank_one", "diagonal", "zero", "equal_diagonal", "repeat"]
+    kinds += [] if hermitian else ["triangular"]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, last = np.zeros((n, n), dtype=complex), {}
+    for b in blocks:
+        kind = draw(st.sampled_from(kinds))
+        block = (last.get(len(b)) if kind == "repeat" else None)
+        if block is None:
+            block = _small_block(rng, "random" if kind == "repeat" else kind, len(b), hermitian)
+        m[np.ix_(b, b)] = last[len(b)] = block
+    e = draw(st.sampled_from([0, 900, -900]))
+    return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e), blocks, e, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_block_matrices(hermitian=True))
+def test_small_block_eigensystem_matches_eigh_of_each_block(case):
+    m, blocks, e, unscaled = case
+    es = hermitian_eigensystem(m)
+    per_block = [np.linalg.eigh(unscaled[np.ix_(b, b)]) for b in blocks]
+    expected = np.ldexp(np.sort(np.concatenate([w for w, _ in per_block])), e)
+    scale = np.abs(m).max()
+    np.testing.assert_allclose(es.eigenvalues, expected, rtol=0.0, atol=1e-14 * scale)
+    assert np.all(np.diff(es.eigenvalues) >= 0.0)
+    # an exactly singular block keeps an exact zero eigenvalue
+    rank = sum(np.linalg.matrix_rank(unscaled[np.ix_(b, b)], tol=1e-9) for b in blocks)
+    assert np.count_nonzero(es.eigenvalues == 0.0) >= len(m) - rank
+    v = es.eigenvectors
+    assert np.abs(v.conj().T @ v - np.eye(len(m))).max() <= 1e-14
+    assert_block_supported(v, blocks)
+    recon = (v * es.eigenvalues) @ v.conj().T
+    assert np.abs(recon - m).max() <= 1e-14 * scale
+    np.testing.assert_array_equal(recon[m == 0], 0.0)
+
+
+def test_small_block_eigenvalue_has_the_error_of_its_determinant():
+    # near-rank-one blocks with one small diagonal entry: the smaller eigenvalue
+    # is det / lambda_big, whose error is that of a*d - |b|^2 alone, far below
+    # the eps * lambda_big of mid - r
+    rng = np.random.default_rng(37)
+    u = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+    u[:, 1] *= 10.0 ** rng.uniform(-8.0, 0.0, 500)
+    blocks = u[:, :, None] * u[:, None, :].conj()
+    blocks[:, 1, 0] = blocks[:, 0, 1].conj()
+    lam = hermitian_eigensystem(blocks).eigenvalues
+    for (a, b), (_, d), (lo, hi) in zip(blocks[:, 0], blocks[:, 1], lam):
+        det = (Fraction(a.real) * Fraction(d.real) - Fraction(b.real) ** 2
+               - Fraction(b.imag) ** 2)
+        bound = 4.0 * np.finfo(float).eps * (a.real * d.real + abs(b) ** 2) / hi
+        assert abs(Fraction(lo) - det / Fraction(hi)) <= bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_block_matrices(hermitian=False))
+def test_small_block_singular_values_match_svd_of_each_block(case):
+    m, blocks, e, unscaled = case
+    s = singular_values(m)
+    per_block = [np.linalg.svd(unscaled[np.ix_(b, b)], compute_uv=False) for b in blocks]
+    expected = np.ldexp(np.sort(np.concatenate(per_block))[::-1], e)
+    np.testing.assert_allclose(s, expected, rtol=0.0, atol=1e-14 * expected[0])
+    assert np.all(np.diff(s) <= 0.0)
+    rank = sum(np.linalg.matrix_rank(unscaled[np.ix_(b, b)], tol=1e-9) for b in blocks)
+    assert np.count_nonzero(s == 0.0) >= len(m) - rank
+
+
+def test_singular_values_keep_lapack_on_larger_blocks():
+    rng = np.random.default_rng(31)
+    dense = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    mixed = np.concatenate([dense, [random_x_state(rng).to_matrix()]])
+    np.testing.assert_array_equal(singular_values(mixed)[:5],
+                                  np.linalg.svd(dense, compute_uv=False))
+    with pytest.raises(ValueError, match="sizes 2..4"):
+        singular_values(np.eye(5))
 
 
 def test_not_hermitian_rejected():
