@@ -15,6 +15,7 @@ from .errors import (
 from .linalg import (
     HermitianEigensystem,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     partial_transpose_b,
     psd_sqrt,
     singular_values,

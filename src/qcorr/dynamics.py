@@ -10,20 +10,21 @@ import numpy as np
 
 from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NotHermitian, NotPSD,
                      StepRejected, TraceNotOne, raise_first)
+from .linalg import HermitianEigensystem
 from .measures import (
     CorrelationSet,
+    _correlations,
     balanced,
     check_routes,
     concurrence_signed,
     concurrence_x,
     correlated_coherence,
-    correlations,
     lqu_x,
     min_trace,
     negativity_x,
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
-from .states import XColumns, _validated, is_x_shaped, validate
+from .states import XColumns, _checked_eigensystem, _validated, is_x_shaped, validate
 
 STEADY_RHS_TOL = 1e-12
 X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
@@ -197,13 +198,17 @@ def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> Co
     """Validate every sampled state, check it stays on the X pattern when
     ``x_born`` and evaluate its correlations, all as one stack.
 
+    The eigensystem that validation solves for its positivity check is the
+    one the general routes of ``correlations`` take for sqrt(rho), so a
+    sample stack that validates is diagonalized once.
+
     Raises for the first failing sample in time order: StepRejected for a
     failed validation or X drift, CrossCheckFailure naming the sample's time
     for a cross-check miss.
     """
-    failure, stop = None, len(states)
+    failure, stop, eigensystem = None, len(states), None
     try:
-        validate(states)
+        eigensystem = _checked_eigensystem(states)
     except (NotHermitian, TraceNotOne, NotPSD) as exc:
         stop = exc.index
         failure = StepRejected(float(times[stop]), str(exc))
@@ -212,8 +217,11 @@ def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> Co
         stop = int(drift.argmax())
         failure = StepRejected(float(times[stop]),
                                f"state drifted off the X pattern beyond {X_DRIFT_TOL:.1e}")
+    if eigensystem is not None:
+        eigensystem = HermitianEigensystem(eigensystem.eigenvalues[:stop],
+                                           eigensystem.eigenvectors[:stop])
     try:
-        columns = correlations(states[:stop])
+        columns = _correlations(states[:stop], eigensystem)
     except CrossCheckFailure as exc:
         raise CrossCheckFailure(f"at t = {times[exc.index]:.6g}: {exc}") from exc
     if failure is not None:

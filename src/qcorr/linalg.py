@@ -1,24 +1,30 @@
-"""Dense complex linear algebra for the small Hermitian matrices used here:
-the eigensolver, singular values, the PSD check and square root, the trace
-norm and the two-qubit partial transpose (on the second qubit; the partial
+"""Dense linear algebra for the small Hermitian matrices used here: the
+eigensolver, singular values, the PSD check and square root, the trace norm
+and the two-qubit partial transpose (on the second qubit; the partial
 transpose on the first has the same spectrum).
 
 All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
 of shape (..., m, m). Every eigenproblem goes through
-``hermitian_eigensystem`` and every singular-value problem through
-``singular_values``. Both group a stack by exact nonzero pattern and split
-each pattern into its blocks. Blocks of size 1 and 2 (the X pattern above
-all) are solved in closed form, with the smaller 2x2 eigenvalue or singular
-value taken as the determinant over the larger one; a pattern with a larger
-block goes whole to one LAPACK call (``eigh`` with its indices reordered
-into blocks, or ``svd``). Either way structural zeros survive the solve
-exactly. A function given a stack raises for its first failing matrix, whose
-flat position the exception keeps as ``index``.
+``hermitian_eigensystem``, or through ``hermitian_eigenvalues`` when only
+the eigenvalues are read, and every singular-value problem through
+``singular_values``. All three group a stack by exact nonzero pattern and
+split each pattern into its blocks. Blocks of size 1 and 2 (the X pattern
+above all) are solved in closed form, with the smaller 2x2 eigenvalue or
+singular value taken as the determinant over the larger one; a pattern with
+a larger block goes whole to one LAPACK call (``eigh`` or ``eigvalsh`` with
+its indices reordered into blocks, or ``svd``). When the union of a stack's
+patterns has no block larger than 2x2, the whole stack is one closed-form
+solve over the union's blocks, and a 2x2 block whose off-diagonal entry is
+exactly zero gives exactly the results of its two 1x1 blocks, so every
+matrix still gets what it gets alone. Either way structural zeros survive
+the solve exactly. A function given a stack raises for its first failing
+matrix, whose flat position the exception keeps as ``index``.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +51,11 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(mat) -> np.ndarray:
-    """Return ``mat`` (a matrix or a stack) as a complex ndarray, raising
-    NotHermitian if a matrix is not Hermitian within HERMITICITY_TOL or has a
-    non-finite entry."""
-    mat = np.asarray(mat, dtype=complex)
+    """Return ``mat`` (a matrix or a stack) as a float64 ndarray if it is
+    real and as a complex one otherwise, raising NotHermitian if a matrix is
+    not Hermitian within HERMITICITY_TOL or has a non-finite entry."""
+    mat = np.asarray(mat)
+    mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     with np.errstate(invalid="ignore"):  # a non-finite entry gives inf - inf: a nan deviation
@@ -82,23 +89,27 @@ def _blocks(pattern: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i for i in range(n) if label[i] == lab) for lab in sorted(set(label)))
 
 
-def _per_pattern(a: np.ndarray, solve) -> list[np.ndarray]:
-    """``solve(matrices, pattern)``, which returns arrays over the matrices'
-    leading axis, applied to each group of a stack (..., n, n) that shares an
-    exact nonzero pattern; the results come back in stack order and shape."""
+def _per_pattern(a: np.ndarray, solve, *args) -> list[np.ndarray]:
+    """``solve(matrices, pattern, *args)``, which returns arrays over the
+    matrices' leading axis, applied to each group of a stack (..., n, n) that
+    shares an exact nonzero pattern; the results come back in stack order and
+    shape."""
     n = a.shape[-1]
     if n not in (2, 3, 4):
         raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
     flat = a.reshape(-1, n, n)
     keys = (flat != 0).reshape(len(flat), n * n).view(np.uint8) @ _PATTERN_BITS[: n * n]
     groups = set(keys.tolist()) or {0}  # not np.unique: its first call imports numpy.ma
-    if len(groups) == 1:  # one pattern, as for a lone matrix: no scatter
-        parts = solve(flat, *groups)
+    union = functools.reduce(operator.or_, groups)
+    # one pattern, or a union solved in closed form (a zero 2x2 off-diagonal
+    # entry gives the 1x1 results): one solve, no scatter
+    if len(groups) == 1 or max(map(len, _blocks(union, n))) <= 2:
+        parts = solve(flat, union, *args)
     else:
         parts = None
         for key in groups:
             rows = keys == key
-            part = solve(flat[rows], key)
+            part = solve(flat[rows], key, *args)
             if parts is None:
                 parts = [np.empty((len(flat),) + p.shape[1:], p.dtype) for p in part]
             for out, p in zip(parts, part):
@@ -112,9 +123,10 @@ def hermitian_eigensystem(mat) -> HermitianEigensystem:
     The matrices of a stack are grouped by their exact nonzero pattern. When
     every block of a group's pattern has size 1 or 2 (X states, their partial
     transposes, and the 3x3 W and MIN Gram matrices of X states), each block
-    is solved in closed form (``_hermitian_2x2``). Otherwise the indices are
-    reordered so that every block is contiguous and the whole group goes to
-    one LAPACK ``eigh`` call, whose tridiagonal reduction then never mixes
+    is solved in closed form (``_hermitian_2x2``); a stack whose patterns
+    together have only such blocks is one such group. Otherwise the indices
+    are reordered so that every block is contiguous and the whole group goes
+    to one LAPACK ``eigh`` call, whose tridiagonal reduction then never mixes
     two blocks. Either way structural zeros stay exactly zero in the
     eigenvectors and an exactly singular block keeps its exact zero
     eigenvalue, and every matrix gets the result it would get on its own.
@@ -131,27 +143,55 @@ def hermitian_eigensystem(mat) -> HermitianEigensystem:
         Ascending eigenvalues and orthonormal eigenvector columns, so that
         V diag(w) V^dag reconstructs each input.
     """
-    return HermitianEigensystem(*_per_pattern(require_hermitian(mat), _eigensystem_by_blocks))
+    a = require_hermitian(mat).astype(complex, copy=False)
+    return HermitianEigensystem(*_per_pattern(a, _eigen_by_blocks, True))
 
 
-def _eigensystem_by_blocks(a: np.ndarray, pattern: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of a stack (k, n, n) of matrices that share ``pattern``."""
+def hermitian_eigenvalues(mat) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of each matrix of a
+    stack (..., m, m), as ``hermitian_eigensystem`` finds them but without
+    eigenvectors: closed-form blocks give the same values bit for bit, and a
+    pattern with a larger block goes to LAPACK ``eigvalsh``. Real symmetric
+    input is solved in real arithmetic."""
+    return _per_pattern(require_hermitian(mat), _eigen_by_blocks, False)[0]
+
+
+def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool) -> tuple[np.ndarray, ...]:
+    """Ascending eigenvalues, and the eigenvectors if ``vectors``, of a stack
+    (k, n, n) of matrices whose nonzero patterns lie inside ``pattern``."""
     n = a.shape[-1]
     blocks = _blocks(pattern, n)
     if max(map(len, blocks)) > 2:
         order = [i for b in blocks for i in b]
-        w, v = np.linalg.eigh(a.take(order, -2).take(order, -1))
-        return w, v.take(sorted(range(n), key=order.__getitem__), -2)
-    w, vt = np.empty(a.shape[:-1]), np.zeros_like(a)  # vt[:, c] is eigenvector c
+        reorder = order != list(range(n))
+        if reorder:
+            a = a.take(order, -2).take(order, -1)
+        if not vectors:
+            return (np.linalg.eigvalsh(a),)
+        w, v = np.linalg.eigh(a)
+        return w, v.take(sorted(range(n), key=order.__getitem__), -2) if reorder else v
+    w = np.empty(a.shape[:-1])
+    vt = np.zeros_like(a) if vectors else None  # vt[:, c] is eigenvector c
     for b in blocks:
         if len(b) == 1:
-            w[:, b[0]], vt[:, b[0], b[0]] = a[:, b[0], b[0]].real, 1.0
+            w[:, b[0]] = a[:, b[0], b[0]].real
+            if vectors:
+                vt[:, b[0], b[0]] = 1.0
             continue
-        i, j = b  # LAPACK reads the lower triangle; so does this
-        w[:, i], w[:, j], (x, y) = _hermitian_2x2(a[:, i, i].real, a[:, j, j].real,
-                                                   a[:, j, i].conj())
-        vt[:, j, i], vt[:, j, j] = x, y
-        vt[:, i, i], vt[:, i, j] = -y.conj(), x.conj()
+        i, j = b
+        lower = a[:, j, i]  # LAPACK reads the lower triangle; so does this
+        w[:, i], w[:, j], vec = _hermitian_2x2(a[:, i, i].real, a[:, j, j].real, lower.conj(),
+                                               vectors)
+        if vectors:
+            x, y = vec
+            vt[:, j, i], vt[:, j, j] = x, y
+            vt[:, i, i], vt[:, i, j] = -y.conj(), x.conj()
+        split = np.flatnonzero(lower == 0)  # a diagonal block: the results of its 1x1 blocks
+        w[split, i], w[split, j] = a[split, i, i].real, a[split, j, j].real
+        if vectors:
+            vt[np.ix_(split, b, b)] = np.eye(2)
+    if not vectors:
+        return (np.sort(w, axis=-1),)
     rows, k = np.arange(len(w))[:, None], np.argsort(w, axis=-1, kind="stable")
     return w[rows, k], vt[rows, k].swapaxes(-1, -2)
 
@@ -166,9 +206,10 @@ def _scaled(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
 
 
-def _hermitian_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray):
-    """(lower, upper eigenvalue, unit eigenvector (x, y) of the upper one) of
-    the Hermitian [[a, b], [b*, d]], elementwise over arrays.
+def _hermitian_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray, vectors: bool):
+    """(lower, upper eigenvalue, unit eigenvector (x, y) of the upper one if
+    ``vectors``, else None) of the Hermitian [[a, b], [b*, d]], elementwise
+    over arrays.
 
     With mid = (a + d)/2, h = (a - d)/2 and r = hypot(h, |b|), the eigenvalue
     of the larger magnitude is mid + sign(mid) r and the other one is the
@@ -184,11 +225,14 @@ def _hermitian_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray):
     big = mid + np.copysign(r, mid)
     small = np.divide(a * d - b_sq, big, out=np.zeros_like(big), where=big != 0.0)
     up = ~np.signbit(mid)  # big is the upper eigenvalue
+    lower, upper = np.ldexp(np.where(up, small, big), e), np.ldexp(np.where(up, big, small), e)
+    if not vectors:
+        return lower, upper, None
     t = r + abs(h)
     norm = np.hypot(t, np.sqrt(b_sq))
     t, norm = np.where(norm > 0.0, t, 1.0), np.where(norm > 0.0, norm, 1.0)  # b = 0, a = d: e1
     x, y = np.where(h >= 0.0, t, b) / norm, np.where(h >= 0.0, b.conj(), t) / norm
-    return (np.ldexp(np.where(up, small, big), e), np.ldexp(np.where(up, big, small), e), (x, y))
+    return lower, upper, (x, y)
 
 
 def singular_values(mat) -> np.ndarray:
@@ -198,8 +242,9 @@ def singular_values(mat) -> np.ndarray:
     As in ``hermitian_eigensystem``, matrices are grouped by nonzero pattern.
     A block [[m00, m01], [m10, m11]] of a pattern whose blocks all have size
     1 or 2 gives s_max = sqrt of the upper eigenvalue of M^dag M and
-    s_min = |det M| / s_max (the block scaled by a power of two first); a
-    1x1 block gives its modulus. Other patterns go to ``np.linalg.svd``.
+    s_min = |det M| / s_max (the block scaled by a power of two first), or
+    |m00| and |m11| when m01 = m10 = 0; a 1x1 block gives its modulus. Other
+    patterns go to ``np.linalg.svd``.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -226,6 +271,8 @@ def _singular_values_by_blocks(m: np.ndarray, pattern: int) -> tuple[np.ndarray]
         det = abs(m00 * m11 - m01 * m10)
         s[:, i] = np.ldexp(top, e)
         s[:, j] = np.ldexp(np.divide(det, top, out=np.zeros_like(top), where=top > 0.0), e)
+        split = np.flatnonzero((m[:, i, j] == 0) & (m[:, j, i] == 0))  # the 1x1 results
+        s[split, i], s[split, j] = abs(m[split, i, i]), abs(m[split, j, j])
     return (-np.sort(-s, axis=-1),)
 
 
@@ -245,7 +292,13 @@ def psd_sqrt(mat) -> np.ndarray:
     Eigenvalues in [-PSD_TOL, 0) are treated as integrator round-off and
     clamped to zero; anything below -PSD_TOL raises NotPSD (``require_psd``).
     """
-    es = require_psd(mat)
+    return _sqrt_of(require_psd(mat))
+
+
+def _sqrt_of(es: HermitianEigensystem) -> np.ndarray:
+    """The square root V diag(sqrt(w)) V^dag of the eigensystem of a PSD
+    matrix or stack, with w clamped at zero and the result made exactly
+    Hermitian."""
     w = np.sqrt(np.clip(es.eigenvalues, 0.0, None))
     root = (es.eigenvectors * w[..., None, :]) @ _dagger(es.eigenvectors)
     return (root + _dagger(root)) / 2.0
@@ -253,7 +306,7 @@ def psd_sqrt(mat) -> np.ndarray:
 
 def trace_norm(mat):
     """||M||_1 of a Hermitian matrix, i.e. the sum of absolute eigenvalues."""
-    return np.abs(hermitian_eigensystem(mat).eigenvalues).sum(-1)
+    return np.abs(hermitian_eigenvalues(mat)).sum(-1)
 
 
 def _two_qubit(rho) -> np.ndarray:

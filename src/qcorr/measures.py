@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckFailure, raise_first
-from .linalg import hermitian_eigensystem, partial_transpose_b, psd_sqrt, singular_values
+from .linalg import _sqrt_of, hermitian_eigenvalues, partial_transpose_b, psd_sqrt, singular_values
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
     DickeColumns,
@@ -46,6 +46,10 @@ _RANGES = {"concurrence": (0.0, 1.0), "negativity": (0.0, 0.5), "log_negativity"
 _SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 _OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
 _PAULI_A = np.array([np.kron(s, IDENTITY_2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+# M s_i^(A) = M[:, _PAULI_A_COLUMNS[i]] * _PAULI_A_PHASES[i]: each column of s_i ox 1
+# has one nonzero entry
+_PAULI_A_COLUMNS = abs(_PAULI_A).argmax(axis=1)
+_PAULI_A_PHASES = _PAULI_A.sum(axis=1)[:, None, :]
 # s_i ox 1 (the Bloch vector of A) and s_i ox s_j (the correlation matrix T),
 # flattened: tr(rho O) = sum_ab rho_ab O_ab* for Hermitian O
 _BLOCH_OPS = np.array([*_PAULI_A, *(pa @ np.kron(IDENTITY_2, pb) for pa in _PAULI_A
@@ -156,7 +160,7 @@ def concurrence_dicke(d: DickeColumns) -> float:
 def negativity(rho) -> float:
     """max{0, -lambda_min} of the partial transpose (at most one eigenvalue
     of the partial transpose of a two-qubit state is negative)."""
-    lam = hermitian_eigensystem(partial_transpose_b(rho)).eigenvalues
+    lam = hermitian_eigenvalues(partial_transpose_b(rho))
     return np.maximum(0.0, -lam[..., 0])
 
 
@@ -193,9 +197,11 @@ def concurrence_log_negativity_bounds(c: float) -> tuple[float, float]:
 
 
 def _w_matrix_general(sqrt_rho: np.ndarray) -> np.ndarray:
-    # W_ij = tr(A_i A_j) with A_i = sqrt(rho) sigma_i^(A), made exactly symmetric
-    prods = sqrt_rho[..., None, :, :] @ _PAULI_A
-    w = np.einsum("...iab,...jba->...ij", prods, prods).real
+    # W_ij = tr(A_i A_j) with A_i = sqrt(rho) sigma_i^(A), made exactly symmetric;
+    # A_i is sqrt(rho) with its columns permuted and multiplied by phases
+    a = np.multiply(sqrt_rho.take(_PAULI_A_COLUMNS, -1).swapaxes(-2, -3), _PAULI_A_PHASES,
+                    order="C")  # contiguous: einsum then sums in the order of the matmul form
+    w = np.einsum("...iab,...jba->...ij", a, a).real
     return (w + w.swapaxes(-1, -2)) / 2.0
 
 
@@ -209,7 +215,7 @@ def lqu(rho) -> float:
 
 
 def _lqu_from_sqrt(sqrt_rho: np.ndarray) -> float:
-    lam_max = hermitian_eigensystem(_w_matrix_general(sqrt_rho)).eigenvalues[..., -1]
+    lam_max = hermitian_eigenvalues(_w_matrix_general(sqrt_rho))[..., -1]
     return np.minimum(1.0, np.maximum(0.0, 1.0 - lam_max))
 
 
@@ -299,7 +305,7 @@ def min_trace_general(rho) -> float:
     n = np.divide(a, norm, out=np.zeros_like(a), where=norm > X_BRANCH_TOL)
     pt = t - n[:, :, None] * (n[:, None, :] @ t)
     # the Gram matrix of P T (not T^T (P T)) keeps a zero MIN at round-off squared
-    lam_max = hermitian_eigensystem(pt.swapaxes(1, 2) @ pt).eigenvalues[:, -1]
+    lam_max = hermitian_eigenvalues(pt.swapaxes(1, 2) @ pt)[:, -1]
     return np.sqrt(np.maximum(lam_max, 0.0)).reshape(rho.shape[:-2])[()]
 
 
@@ -357,10 +363,19 @@ def correlations(rho) -> CorrelationSet:
     X-shaped matrices (within X_SHAPE_TOL) use the closed forms, and every
     closed form is compared against its general-definition route; the first
     matrix where they disagree raises CrossCheckFailure (its flat position is
-    ``index``). Other matrices take the general routes throughout. One matrix
-    gives a CorrelationSet of floats, a stack a CorrelationSet of arrays over
-    its leading axes.
+    ``index``). Other matrices take the general routes throughout. The
+    general routes solve one eigensystem per matrix, that of sqrt(rho), and
+    read only eigenvalues from the partial transpose, W and Gram matrices.
+    One matrix gives a CorrelationSet of floats, a stack a CorrelationSet of
+    arrays over its leading axes.
     """
+    return _correlations(rho, None)
+
+
+def _correlations(rho, eigensystem) -> CorrelationSet:
+    """``correlations`` of ``rho`` given the eigensystem of its matrices
+    flattened to (n, 4, 4), as ``states._checked_eigensystem`` returns it;
+    with None the eigensystem is solved here."""
     rho = np.asarray(rho, dtype=complex)
     mats = rho.reshape(-1, 4, 4)
     x_rows = is_x_shaped(mats)
@@ -369,7 +384,8 @@ def correlations(rho) -> CorrelationSet:
     # general routes: the values of non-X rows and the cross-checks of X rows
     closed = np.array([concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
                        correlated_coherence(x)])
-    sqrt_rho = psd_sqrt(mats)  # shared by the concurrence and LQU routes
+    # shared by the concurrence and LQU routes
+    sqrt_rho = psd_sqrt(mats) if eigensystem is None else _sqrt_of(eigensystem)
     general = np.array([_concurrence_from_sqrt(sqrt_rho, clamp=True), negativity(mats),
                         _lqu_from_sqrt(sqrt_rho), min_trace_general(mats),
                         correlated_coherence_general(mats)])

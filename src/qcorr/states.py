@@ -7,7 +7,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
-from .linalg import _two_qubit, require_hermitian, require_psd
+from .linalg import HermitianEigensystem, _two_qubit, require_hermitian, require_psd
 
 TRACE_TOL = 1e-10
 X_SHAPE_TOL = 1e-9
@@ -61,6 +61,13 @@ def validate(rho) -> np.ndarray:
     the first failing matrix of a stack (its flat position is ``index``).
     """
     rho = np.asarray(rho, dtype=complex)
+    _checked_eigensystem(rho)
+    return rho
+
+
+def _checked_eigensystem(rho: np.ndarray) -> HermitianEigensystem:
+    """``validate`` of a complex ndarray that returns the eigensystem of its
+    matrices, flattened to (n, 4, 4), which the positivity check solved."""
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     mats = rho.reshape(-1, 4, 4)
@@ -68,12 +75,12 @@ def validate(rho) -> np.ndarray:
     # each check sees only the matrices before the first failure found so far
     for check in (require_hermitian, _require_unit_trace, require_psd):
         try:
-            check(mats[:stop])
+            checked = check(mats[:stop])
         except (NotHermitian, TraceNotOne, NotPSD) as exc:
             failure, stop = exc, exc.index
     if failure is not None:
         raise failure
-    return rho
+    return checked  # all three passed: the last one returned the eigensystem
 
 
 def _validated(x: XColumns) -> XColumns:
@@ -137,7 +144,7 @@ def purity(rho):
     """tr(rho^2) of a matrix or of every matrix of a stack; 1/4 for the
     maximally mixed state, 1 for pure states."""
     rho = np.asarray(rho, dtype=complex)
-    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return np.einsum("...ij,...ji->...", rho, rho).real
 
 
 def make_mixture(w: float) -> XColumns:

@@ -134,6 +134,15 @@ def w_matrix_by_pairs(sqrt_rho: np.ndarray) -> np.ndarray:
     return w
 
 
+def w_matrix_by_matmul(sqrt_rho: np.ndarray) -> np.ndarray:
+    """W from the products A_i = sqrt(rho) s_i^(A) formed by matmul, contracted
+    in one einsum and made exactly symmetric: the form the library's
+    permuted-column construction reproduces bit for bit."""
+    prods = sqrt_rho[..., None, :, :] @ _PAULI_A
+    w = np.einsum("...iab,...jba->...ij", prods, prods).real
+    return (w + w.swapaxes(-1, -2)) / 2.0
+
+
 def steady_state_zero_temp(params) -> XColumns:
     """The zero-temperature steady state in the paper's closed form, with
     den = gamma^2 + 4 Omega^2: rho11 = rho22 = rho33 = Delta^2 / den,

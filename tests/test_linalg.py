@@ -20,6 +20,7 @@ from qcorr import (
     NotHermitian,
     NotPSD,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     is_x_shaped,
     make_mixture,
     make_werner,
@@ -196,6 +197,16 @@ def small_block_matrices(draw, hermitian):
     return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e), blocks, e, m
 
 
+def beside_filled_blocks(m, blocks):
+    """The stack [m, f] where f fills every block of ``blocks`` with ones: m is
+    then solved with those blocks, as in a stack whose patterns differ, even
+    where its own off-diagonal entries are zero."""
+    filled = np.zeros_like(m)
+    for b in blocks:
+        filled[np.ix_(b, b)] = 1.0
+    return np.array([m, filled])
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_block_matrices(hermitian=True))
 def test_small_block_eigensystem_matches_eigh_of_each_block(case):
@@ -215,6 +226,36 @@ def test_small_block_eigensystem_matches_eigh_of_each_block(case):
     recon = (v * es.eigenvalues) @ v.conj().T
     assert np.abs(recon - m).max() <= 1e-14 * scale
     np.testing.assert_array_equal(recon[m == 0], 0.0)
+    # a 2x2 block whose off-diagonal entry is zero gives its two 1x1 results
+    stacked = hermitian_eigensystem(beside_filled_blocks(m, blocks))
+    np.testing.assert_array_equal(stacked.eigenvalues[0], es.eigenvalues)
+    np.testing.assert_array_equal(stacked.eigenvectors[0], v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_block_matrices(hermitian=True), st.booleans())
+def test_eigenvalues_alone_equal_the_eigensystem_eigenvalues_on_small_blocks(case, real):
+    m, blocks = (case[0].real if real else case[0]), case[1]
+    lam = hermitian_eigenvalues(m)
+    assert lam.dtype == np.float64
+    np.testing.assert_array_equal(lam, hermitian_eigensystem(m).eigenvalues)
+    np.testing.assert_array_equal(hermitian_eigenvalues(beside_filled_blocks(m, blocks))[0], lam)
+
+
+def test_eigenvalues_alone_match_the_eigensystem_on_lapack_patterns():
+    rng = np.random.default_rng(43)
+    mats = [random_hermitian(rng, n) for n in (3, 4) for _ in range(40)]
+    mats += [random_block_hermitian(rng, n, blocks) for n, blocks in BLOCK_PATTERNS
+             if max(map(len, blocks)) > 2 for _ in range(40)]
+    mats += [m.real for m in mats]  # real symmetric input, 3x3 included
+    for m in mats:
+        lam = hermitian_eigenvalues(m)
+        assert lam.dtype == np.float64
+        expected = hermitian_eigensystem(m).eigenvalues
+        np.testing.assert_allclose(lam, expected, rtol=0.0, atol=1e-14 * np.abs(m).max())
+    stack = np.array([m for m in mats if m.shape == (3, 3)])
+    np.testing.assert_array_equal(hermitian_eigenvalues(stack),
+                                  [hermitian_eigenvalues(m) for m in stack])
 
 
 def test_small_block_eigenvalue_has_the_error_of_its_determinant():
@@ -245,6 +286,7 @@ def test_small_block_singular_values_match_svd_of_each_block(case):
     assert np.all(np.diff(s) <= 0.0)
     rank = sum(np.linalg.matrix_rank(unscaled[np.ix_(b, b)], tol=1e-9) for b in blocks)
     assert np.count_nonzero(s == 0.0) >= len(m) - rank
+    np.testing.assert_array_equal(singular_values(beside_filled_blocks(m, blocks))[0], s)
 
 
 def test_singular_values_keep_lapack_on_larger_blocks():

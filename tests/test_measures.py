@@ -16,6 +16,7 @@ from helpers import (
     random_x_state,
     steady_state_zero_temp,
     valid_x,
+    w_matrix_by_matmul,
     w_matrix_by_pairs,
 )
 from qcorr import (
@@ -236,6 +237,7 @@ def test_w_matrix_symmetric_and_equal_to_pairwise_traces():
     w = _w_matrix_general(sqrt_rho)
     np.testing.assert_array_equal(w, w.swapaxes(-1, -2))
     assert np.abs(w - w_matrix_by_pairs(sqrt_rho)).max() <= 1e-15
+    np.testing.assert_array_equal(w, w_matrix_by_matmul(sqrt_rho))
     one = _w_matrix_general(sqrt_rho[7])
     assert one.shape == (3, 3) and np.abs(one - w[7]).max() <= 1e-15
 

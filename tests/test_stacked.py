@@ -14,13 +14,16 @@ from helpers import (
 )
 from qcorr import (
     CrossCheckFailure,
+    ModelParams,
     StepRejected,
     correlations,
+    evolve,
     hermitian_eigensystem,
     make_mixture,
     partial_transpose_b,
     psd_sqrt,
 )
+from qcorr import linalg
 from qcorr.dynamics import _evaluate_samples
 
 
@@ -100,6 +103,46 @@ def test_stack_matches_one_matrix_at_a_time(seed, counts):
             alone = hermitian_eigensystem(m)
             np.testing.assert_array_equal(w, alone.eigenvalues)
             np.testing.assert_array_equal(v, alone.eigenvectors)
+
+
+def test_each_eigenproblem_is_solved_once(monkeypatch):
+    # a dense evolve diagonalizes its sample stack once, for validation, and
+    # the general routes reuse that eigensystem
+    shapes, eigensystem = [], linalg.hermitian_eigensystem
+
+    def recorded(mat):
+        shapes.append(np.shape(mat))
+        return eigensystem(mat)
+
+    monkeypatch.setattr(linalg, "hermitian_eigensystem", recorded)
+    rho = random_density_matrix(np.random.default_rng(3))
+    traj = evolve(rho, ModelParams(nbar=0.5), t_max=1.0, dt=0.01, stride=1)
+    assert shapes.count((len(traj.times), 4, 4)) == 1
+
+    # the fig1 stack has several nonzero patterns (sample 0 is the w = 1/2
+    # mixture, rho33 = rho23 = 0) inside the X blocks: each stacked solve is
+    # one closed-form group
+    groups, per_pattern = [], linalg._per_pattern
+
+    def counted(a, solve, *args):
+        calls = []
+
+        def counted_solve(*solve_args):
+            calls.append(solve_args)
+            return solve(*solve_args)
+
+        parts = per_pattern(a, counted_solve, *args)
+        groups.append((len(a), len(calls)))
+        return parts
+
+    monkeypatch.setattr(linalg, "_per_pattern", counted)
+    traj = evolve(make_mixture(0.5).to_matrix(), ModelParams(), t_max=100.0, dt=1e-3,
+                  stride=100)
+    assert len({(m != 0).tobytes() for m in traj.states}) > 1
+    stacked = [n_solves for n, n_solves in groups if n == len(traj.times)]
+    # the eigensystem of validation, the partial transpose, W and the MIN Gram
+    # matrix, and the concurrence's singular values
+    assert stacked == [1] * 5
 
 
 def full_rank_x_stack(n=8, seed=31):
