@@ -10,21 +10,20 @@ import numpy as np
 
 from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NotHermitian, NotPSD,
                      StepRejected, TraceNotOne, raise_first)
-from .linalg import HermitianEigensystem
 from .measures import (
     CorrelationSet,
-    _correlations,
     balanced,
     check_routes,
     concurrence_signed,
     concurrence_x,
     correlated_coherence,
+    correlations,
     lqu_x,
     min_trace,
     negativity_x,
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
-from .states import XColumns, _checked_eigensystem, _validated, is_x_shaped, validate
+from .states import XColumns, _validated, is_x_shaped, validate
 
 STEADY_RHS_TOL = 1e-12
 X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
@@ -34,6 +33,7 @@ REVIVAL_THRESHOLD = 1e-9
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
 _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),
                                               spin_raising(1), spin_raising(2)))
+_BASIS = np.eye(16).reshape(16, 4, 4)  # the row-major basis matrices of vectorized rho
 
 
 @dataclass
@@ -80,14 +80,10 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
 
 
 def _liouvillian(params: ModelParams) -> np.ndarray:
-    """``lindblad_rhs`` on row-major vectorized rho, by vec(A rho B) = (A ox B^T) vec(rho)."""
-    h, eye = hamiltonian(params), np.eye(4)
+    """``lindblad_rhs`` on row-major vectorized rho: column k is the right-hand
+    side of the k-th row-major basis matrix."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: inf/nan, rejected later
-        lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for rate, op, num in _channels(params):
-            lv = lv + rate * (np.kron(op, op.conj())
-                              - 0.5 * (np.kron(num, eye) + np.kron(eye, num.T)))
-    return lv
+        return lindblad_rhs(_BASIS, params).reshape(16, 16).T.copy()  # C order
 
 
 def _increment_operator(lv: np.ndarray, dt: float, n: int) -> np.ndarray:
@@ -198,34 +194,28 @@ def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> Co
     """Validate every sampled state, check it stays on the X pattern when
     ``x_born`` and evaluate its correlations, all as one stack.
 
-    The eigensystem that validation solves for its positivity check is the
-    one the general routes of ``correlations`` take for sqrt(rho), so a
-    sample stack that validates is diagonalized once.
-
-    Raises for the first failing sample in time order: StepRejected for a
-    failed validation or X drift, CrossCheckFailure naming the sample's time
-    for a cross-check miss.
+    One ``correlations`` call validates and evaluates the samples up to and
+    including the first one that drifts off the X pattern, so a sample stack
+    that validates is diagonalized once. Raises for the first failing sample
+    in time order, and at one sample validation comes before drift, which
+    comes before the cross-check: StepRejected for a failed validation or X
+    drift, CrossCheckFailure naming the sample's time for a cross-check miss.
+    A validation failure at sample k evaluates ``states[:k]`` again, so that
+    an earlier cross-check miss is reported instead.
     """
-    failure, stop, eigensystem = None, len(states), None
+    drift = ~is_x_shaped(states, X_DRIFT_TOL) if x_born else np.zeros(len(states), dtype=bool)
+    stop = int(drift.argmax()) + 1 if drift.any() else len(states)
     try:
-        eigensystem = _checked_eigensystem(states)
-    except (NotHermitian, TraceNotOne, NotPSD) as exc:
-        stop = exc.index
-        failure = StepRejected(float(times[stop]), str(exc))
-    drift = ~is_x_shaped(states[:stop], X_DRIFT_TOL) if x_born else np.zeros(stop, dtype=bool)
-    if drift.any():
-        stop = int(drift.argmax())
-        failure = StepRejected(float(times[stop]),
-                               f"state drifted off the X pattern beyond {X_DRIFT_TOL:.1e}")
-    if eigensystem is not None:
-        eigensystem = HermitianEigensystem(eigensystem.eigenvalues[:stop],
-                                           eigensystem.eigenvectors[:stop])
-    try:
-        columns = _correlations(states[:stop], eigensystem)
+        try:
+            columns = correlations(states[:stop])
+        except (NotHermitian, TraceNotOne, NotPSD) as exc:
+            correlations(states[:exc.index])
+            raise StepRejected(float(times[exc.index]), str(exc)) from None
     except CrossCheckFailure as exc:
         raise CrossCheckFailure(f"at t = {times[exc.index]:.6g}: {exc}") from exc
-    if failure is not None:
-        raise failure
+    if drift.any():
+        raise StepRejected(float(times[stop - 1]),
+                           f"state drifted off the X pattern beyond {X_DRIFT_TOL:.1e}")
     return columns
 
 

@@ -27,6 +27,7 @@ from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import (
     DickeColumns,
     XColumns,
+    _checked_eigensystem,
     is_x_shaped,
     to_dicke,
     trace_out_a,
@@ -113,7 +114,7 @@ def concurrence_general(rho) -> float:
     (Wootters, PRL 80, 2245 (1998)), but no square root is taken of a
     round-off eigenvalue.
     """
-    return _concurrence_from_sqrt(psd_sqrt(rho), clamp=True)
+    return np.maximum(0.0, _concurrence_from_sqrt(psd_sqrt(rho)))
 
 
 def concurrence_signed(rho) -> float:
@@ -121,13 +122,12 @@ def concurrence_signed(rho) -> float:
 
     Useful for locating entanglement death/rebirth times by sign change.
     """
-    return _concurrence_from_sqrt(psd_sqrt(rho), clamp=False)
+    return _concurrence_from_sqrt(psd_sqrt(rho))
 
 
-def _concurrence_from_sqrt(sqrt_rho, clamp: bool):
+def _concurrence_from_sqrt(sqrt_rho):
     lam = singular_values(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj())
-    diff = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    return np.maximum(0.0, diff) if clamp else diff
+    return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
 
 
 def concurrence_branches(x: XColumns) -> tuple[float, float]:
@@ -161,7 +161,7 @@ def negativity(rho) -> float:
     """max{0, -lambda_min} of the partial transpose (at most one eigenvalue
     of the partial transpose of a two-qubit state is negative)."""
     lam = hermitian_eigenvalues(partial_transpose_b(rho))
-    return np.maximum(0.0, -lam[..., 0])
+    return 0.0 - np.minimum(lam[..., 0], 0.0)  # max{0, -lam}, and +0.0 (not -0.0) at lam = 0
 
 
 def negativity_x(x: XColumns) -> float:
@@ -172,7 +172,7 @@ def negativity_x(x: XColumns) -> float:
         return 0.5 * (a + d) - np.hypot(0.5 * (a - d), abs(b))
 
     lam = np.minimum(lower(x.rho11, x.rho44, x.rho23), lower(x.rho22, x.rho33, x.rho14))
-    return np.maximum(0.0, -lam)
+    return 0.0 - np.minimum(lam, 0.0)  # as in ``negativity``
 
 
 def log_negativity(rho) -> float:
@@ -357,26 +357,23 @@ def check_routes(checks, rows=True):
 
 
 def correlations(rho) -> CorrelationSet:
-    """Evaluate all seven quantifiers on a valid density matrix, or on every
+    """Evaluate all seven quantifiers on a density matrix, or on every
     matrix of a stack (..., 4, 4) at once.
 
-    X-shaped matrices (within X_SHAPE_TOL) use the closed forms, and every
-    closed form is compared against its general-definition route; the first
-    matrix where they disagree raises CrossCheckFailure (its flat position is
-    ``index``). Other matrices take the general routes throughout. The
-    general routes solve one eigensystem per matrix, that of sqrt(rho), and
-    read only eigenvalues from the partial transpose, W and Gram matrices.
-    One matrix gives a CorrelationSet of floats, a stack a CorrelationSet of
-    arrays over its leading axes.
+    The input is validated first (Hermiticity, unit trace and positivity, as
+    in ``validate``), so the first invalid matrix raises NotHermitian,
+    TraceNotOne or NotPSD with its flat position as ``index``. X-shaped
+    matrices (within X_SHAPE_TOL) use the closed forms, and every closed form
+    is compared against its general-definition route; the first matrix where
+    they disagree raises CrossCheckFailure (its flat position is ``index``).
+    Other matrices take the general routes throughout. The only eigensystem
+    solved is that of the positivity check, from which the general routes
+    take sqrt(rho); they read only eigenvalues from the partial transpose, W
+    and Gram matrices. One matrix gives a CorrelationSet of floats, a stack a
+    CorrelationSet of arrays over its leading axes.
     """
-    return _correlations(rho, None)
-
-
-def _correlations(rho, eigensystem) -> CorrelationSet:
-    """``correlations`` of ``rho`` given the eigensystem of its matrices
-    flattened to (n, 4, 4), as ``states._checked_eigensystem`` returns it;
-    with None the eigensystem is solved here."""
     rho = np.asarray(rho, dtype=complex)
+    sqrt_rho = _sqrt_of(_checked_eigensystem(rho))  # shared by the concurrence and LQU routes
     mats = rho.reshape(-1, 4, 4)
     x_rows = is_x_shaped(mats)
     x = x_columns(mats)
@@ -384,9 +381,7 @@ def _correlations(rho, eigensystem) -> CorrelationSet:
     # general routes: the values of non-X rows and the cross-checks of X rows
     closed = np.array([concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
                        correlated_coherence(x)])
-    # shared by the concurrence and LQU routes
-    sqrt_rho = psd_sqrt(mats) if eigensystem is None else _sqrt_of(eigensystem)
-    general = np.array([_concurrence_from_sqrt(sqrt_rho, clamp=True), negativity(mats),
+    general = np.array([np.maximum(0.0, _concurrence_from_sqrt(sqrt_rho)), negativity(mats),
                         _lqu_from_sqrt(sqrt_rho), min_trace_general(mats),
                         correlated_coherence_general(mats)])
     check_routes([

@@ -1,14 +1,17 @@
 """CLI surface: flags, CSV schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from helpers import csv_by_cells, random_rank_one_x_state
+from helpers import csv_by_cells, random_density_matrix, random_rank_one_x_state
 from qcorr import WeakCouplingWarning, concurrence_x, dumps_density_matrix, lqu_x, make_mixture
 from qcorr.cli import EVOLVE_HEADER, _csv, main
 
@@ -510,3 +513,119 @@ def test_evolve_range_violation_names_time(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("qcorr: run failed: correlation range violation at t = 0.5:"
                    " concurrence = 1.5 outside [0.0, 1.0]\n")
+
+
+# ------------------------------------------------------------------ grammar property
+
+# numbers as the command line spells them: mostly plain values, sometimes odd
+# ones (finite, non-finite, huge, integers too, and malformed)
+_ODD = st.one_of(
+    st.floats(-3.0, 3.0).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "5e-324", "-0",
+                     str(10**30), "abc", "", "1,5", "0x10"]),
+)
+_PLAIN = st.one_of(st.floats(0.01, 1.0).map(repr), st.integers(1, 2).map(str))
+_NUMBER = st.integers(0, 3).flatmap(lambda k: _ODD if k == 0 else _PLAIN)
+_COUNT = st.one_of(st.integers(-1, 40).map(str),
+                   st.sampled_from(["100001", str(10**30), "nan", "1.5", "x", ""]))
+# at most 2000 steps, or an odd step or horizon, which a run rejects or
+# turns into few steps
+_HORIZON = st.one_of(
+    st.builds(lambda dt, n: {"--dt": repr(dt), "--t-max": repr(dt * n)},
+              st.floats(1e-3, 10.0), st.integers(0, 2000)),
+    st.fixed_dictionaries({}, optional={
+        "--t-max": _ODD, "--dt": st.sampled_from(["0", "-1", "nan", "inf", "5e-324", "x"])}),
+)
+# custom@ files: the valid dense state, and files that are missing, a
+# directory, not UTF-8, malformed or invalid
+_FILES = ("dense", "missing", "directory", "not_utf8", "malformed", "no_i", "non_finite",
+          "not_hermitian", "trace")
+_MODEL = {"--gamma": _NUMBER, "--delta": _NUMBER, "--j": _NUMBER, "--omega": _NUMBER,
+          "--nbar": _NUMBER}
+_SWEEP = st.builds("{}:{}:{}:{}".format, st.sampled_from(["w", "nbar", "delta", "bogus"]),
+                   _NUMBER, _NUMBER, _COUNT)
+_FLAGS = {
+    "evolve": st.builds(
+        lambda model, stride, initial, horizon: {**model, "--stride": stride,
+                                                 "--initial": initial, **horizon},
+        st.fixed_dictionaries({}, optional=_MODEL),
+        st.one_of(st.just("100"), _COUNT, st.sampled_from(["1000", str(2**63)]),
+                  st.integers(1, 10**30).map(str)),
+        st.one_of(st.builds("{}:{}".format, st.sampled_from(["mixture", "werner", "bogus"]),
+                            _NUMBER),
+                  st.sampled_from([f"custom@{kind}" for kind in _FILES])),
+        _HORIZON),
+    "steady": st.fixed_dictionaries({}, optional={**_MODEL, "--sweep": _SWEEP}),
+    "esd": st.fixed_dictionaries({}, optional={"--gamma": _NUMBER, "--nbar": _NUMBER,
+                                               "--w": _NUMBER, "--sweep": _SWEEP}),
+}
+_COMMANDS = st.sampled_from(["evolve", "evolve", "steady", "esd"]).flatmap(
+    lambda command: st.tuples(st.just(command), _FLAGS[command]))
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    """A directory holding the custom@ files of _FILES (except the missing one)."""
+    root = tmp_path_factory.mktemp("grammar")
+    valid = dumps_density_matrix(random_density_matrix(np.random.default_rng(0))).splitlines()
+    texts = {
+        "dense": "\n".join(valid) + "\n",
+        "malformed": "\n".join(valid[:3]) + "\n",
+        "no_i": "\n".join(valid).replace("i", "") + "\n",
+        "non_finite": "\n".join(["nan+0i 0+0i 0+0i 0+0i", *valid[1:]]) + "\n",
+        "not_hermitian": dumps_density_matrix(np.triu(np.full((4, 4), 0.25))),
+        "trace": dumps_density_matrix(np.eye(4) / 2.0),
+    }
+    for kind, text in texts.items():
+        (root / kind).write_text(text, encoding="utf-8")
+    (root / "not_utf8").write_bytes(b"\xff\xfe")
+    (root / "directory").mkdir()
+    return root
+
+
+def _undying(command: str, flags: dict, sweep_value: float | None) -> bool:
+    """True for the esd row of the w = 0 mixture at nbar = 0: its death time is inf."""
+    if command != "esd":
+        return False
+    w, nbar = float(flags.get("--w", 0.5)), float(flags.get("--nbar", 0.0))
+    if sweep_value is not None:
+        w, nbar = (sweep_value, nbar) if flags["--sweep"].startswith("w:") else (w, sweep_value)
+    return w == 0.0 and nbar == 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(_COMMANDS)
+def test_every_argv_ends_in_exit_0_2_or_3(grammar_dir, command_and_flags):
+    # every argv ends in exit 0 with finite cells, or in exit 2 or 3 with a
+    # one-line message (or argparse's usage and exit 2), with warnings as errors
+    command, flags = command_and_flags
+    out = grammar_dir / "out.csv"
+    argv = [command, "--out", str(out)]
+    for flag, value in flags.items():
+        kind = value[len("custom@"):] if value.startswith("custom@") else None
+        argv += [flag, f"custom@{grammar_dir / kind}" if kind else value]
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            event(f"{command}: usage error")
+            return
+    event(f"{command}: exit {code}")
+    assert code in (0, 2, 3)
+    if code:
+        assert stderr.getvalue().count("\n") == 1
+        return
+    text = out.read_text(encoding="utf-8")
+    if text.startswith("gamma_tau = "):
+        value = float(text.split(" = ")[1])
+        assert math.isfinite(value) or (value == math.inf and _undying(command, flags, None))
+        return
+    for line in text.splitlines()[1:]:
+        *cells, last = map(float, line.split(","))
+        assert all(map(math.isfinite, cells))
+        assert math.isfinite(last) or (last == math.inf and _undying(command, flags, cells[0]))

@@ -402,6 +402,8 @@ def test_partial_transpose_diagonal_invariance_and_involution():
     np.testing.assert_array_equal(partial_transpose_b(diag), diag)
     rho = random_x_state(rng).to_matrix()
     np.testing.assert_array_equal(partial_transpose_b(partial_transpose_b(rho)), rho)
+    general = np.array([random_density_matrix(rng, rank) for rank in (1, 2, 3, 4)])
+    np.testing.assert_array_equal(partial_transpose_b(partial_transpose_b(general)), general)
 
 
 def test_partial_transpose_swaps_x_coherences():

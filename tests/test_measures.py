@@ -499,9 +499,16 @@ def test_negativity_closed_form_matches_partial_transpose(pops, f14, f23, ph14, 
 
 def test_negativity_closed_form_broadcasts_over_a_stack():
     rng = np.random.default_rng(331)
-    mats = np.array([random_x_state(rng).to_matrix() for _ in range(50)])
+    # the product state |01><01| last: its smallest partial-transpose eigenvalue is 0
+    product = make_mixture(1.0).to_matrix()
+    mats = np.array([random_x_state(rng).to_matrix() for _ in range(50)] + [product])
     np.testing.assert_allclose(negativity_x(x_columns(mats)), negativity(mats), rtol=0, atol=1e-12)
     assert correlations(mats).negativity.tolist() == negativity_x(x_columns(mats)).tolist()
+    # a zero negativity is +0.0, which the CSV writes as 0, not -0
+    for neg in (negativity_x(x_columns(mats)), negativity(mats), correlations(mats).negativity,
+                negativity_x(x_columns(product)), negativity(product),
+                correlations(product).negativity):
+        assert not np.signbit(neg).any()
 
 
 def test_range_violation_names_the_first_failing_row_of_a_stack():

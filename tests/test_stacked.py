@@ -16,6 +16,7 @@ from qcorr import (
     CrossCheckFailure,
     ModelParams,
     StepRejected,
+    TraceNotOne,
     correlations,
     evolve,
     hermitian_eigensystem,
@@ -171,6 +172,16 @@ def test_off_pattern_entry_names_its_sample():
     states[2, 0, 0] += 1e-3
     with pytest.raises(StepRejected, match=r"t = 1: trace = .*\|trace - 1\| = 1\.000e-03"):
         _evaluate_samples(times, states, x_born=True)
+    # at one sample validation comes before drift: a drifted sample that also
+    # fails the trace check, and an all-NaN sample, are reported as invalid
+    states, times = full_rank_x_stack()
+    states[3, 0, 1] = states[3, 1, 0] = 1e-6
+    states[3, 0, 0] += 1e-3
+    with pytest.raises(StepRejected, match=r"t = 1\.5: trace = .*\|trace - 1\| = 1\.000e-03"):
+        _evaluate_samples(times, states, x_born=True)
+    states[3] = np.nan
+    with pytest.raises(StepRejected, match=r"t = 1\.5: entry \(0, 0\) = .* is not finite"):
+        _evaluate_samples(times, states, x_born=True)
 
 
 def test_cross_check_input_names_its_sample():
@@ -186,4 +197,12 @@ def test_cross_check_input_names_its_sample():
     message = str(info.value)
     assert message.startswith("correlated coherence:") and "tolerance 1.0e-10" in message
     with pytest.raises(CrossCheckFailure, match=r"^at t = 2: correlated coherence: .* differ by 1\.6"):
+        _evaluate_samples(times, states, x_born=True)
+    # an invalid matrix is named by its flat position too, and validation
+    # comes first; in time order the earlier cross-check miss still wins
+    states[6] *= 1.001
+    with pytest.raises(TraceNotOne, match=r"\|trace - 1\| = 1\.000e-03") as info:
+        correlations(states.reshape(2, 4, 4, 4))
+    assert info.value.index == 6
+    with pytest.raises(CrossCheckFailure, match=r"^at t = 2: correlated coherence"):
         _evaluate_samples(times, states, x_born=True)
