@@ -165,7 +165,8 @@ def evolve(
     lv = _liouvillian(params)
     phi = _increment_operator(lv, dt, stride)
     phi_last = _increment_operator(lv, dt, n_steps % stride) if n_steps % stride else phi
-    times = np.minimum(np.arange(n_samples) * stride, n_steps) * dt
+    # float step counts: a stride or horizon past int64 must not overflow
+    times = np.minimum(np.arange(n_samples) * float(stride), float(n_steps)) * dt
     n_whole = n_steps // stride + 1  # samples a whole number of strides apart
     states = np.empty((n_samples, 16), dtype=complex)
     rhs = np.empty_like(states)  # L y of each sample

@@ -232,6 +232,17 @@ def test_evolve_keeps_exact_fixed_point_bit_identical():
     assert all(np.array_equal(mat, rho0) for mat in traj.states)
 
 
+def test_evolve_step_counts_past_int64():
+    # 1e19 steps and a stride of 1e30 do not fit in int64; both ends are sampled
+    params = ModelParams(j=0.1, delta=0.5, gamma=0.0)
+    rho0 = make_werner(-1.0 / 3.0).to_matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve(rho0, params, t_max=1e18, dt=0.1, stride=10**30)
+    assert traj.times.tolist() == [0.0, 1e18]
+    assert all(np.array_equal(mat, rho0) for mat in traj.states)
+
+
 def _stepwise_rk4_on_generator(rho0, params, n_steps, dt, stride):
     """``_stepwise_rk4`` on the 16x16 generator tabulated from lindblad_rhs
     (``liouvillian_by_columns``): the same classical RK4 steps, one at a time,
