@@ -188,8 +188,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    """``--flag VALUE`` as ``--flag=VALUE`` where VALUE is a float that starts
+    with '-': argparse takes -1e-3, -inf or -nan for an option, not a value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += f"={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:

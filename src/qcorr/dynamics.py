@@ -22,7 +22,8 @@ from .measures import (
     min_trace,
     negativity_x,
 )
-from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
+from .model import (ModelParams, _PAULI, _from_pauli, _to_pauli, hamiltonian, spin_lowering,
+                    spin_raising)
 from .states import XColumns, _validated, is_x_shaped, validate
 
 STEADY_RHS_TOL = 1e-12
@@ -33,7 +34,6 @@ REVIVAL_THRESHOLD = 1e-9
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
 _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),
                                               spin_raising(1), spin_raising(2)))
-_BASIS = np.eye(16).reshape(16, 4, 4)  # the row-major basis matrices of vectorized rho
 
 
 @dataclass
@@ -80,10 +80,14 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
 
 
 def _liouvillian(params: ModelParams) -> np.ndarray:
-    """``lindblad_rhs`` on row-major vectorized rho: column k is the right-hand
-    side of the k-th row-major basis matrix."""
+    """``lindblad_rhs`` in Pauli coordinates (see ``model._PAULI``): the real
+    16x16 matrix with entry (k, l) = tr(P_k rhs(P_l / 4)). Row 0, the trace of
+    the right-hand side, is set to exactly 0, so every propagated state keeps
+    its trace exactly and rebuilds to an exactly Hermitian matrix."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: inf/nan, rejected later
-        return lindblad_rhs(_BASIS, params).reshape(16, 16).T.copy()  # C order
+        lv = _to_pauli(lindblad_rhs(_PAULI / 4.0, params)).T.copy()  # C order
+    lv[0] = 0.0
+    return lv
 
 
 def _increment_operator(lv: np.ndarray, dt: float, n: int) -> np.ndarray:
@@ -95,7 +99,7 @@ def _increment_operator(lv: np.ndarray, dt: float, n: int) -> np.ndarray:
     of T4 keeps exact fixed points (L y = 0) bit-identical and adds only
     round-off of the size of the increment.
     """
-    eye = np.eye(len(lv), dtype=complex)
+    eye = np.eye(len(lv))
     with np.errstate(over="ignore", invalid="ignore"):  # unstable dt: inf/nan, rejected later
         a = lv * dt
         step = dt * (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
@@ -135,15 +139,20 @@ def evolve(
     stride : int
         Sampling interval in steps; the final step is always sampled.
 
-    The ``stride`` RK4 steps between two samples are one map T = I + Phi L
-    (see ``_increment_operator``). The samples are filled by doubling: with
-    the first m known and T^m = I + Phi_m L, the next m are y + Phi_m (L y)
-    of the first m, and Phi_2m = Phi_m (2I + L Phi_m); a final partial stride
+    The state is propagated as its real Pauli coordinates y (see
+    ``_liouvillian``), whose trace y_0 no step changes. The ``stride`` RK4
+    steps between two samples are one map T = I + Phi L (see
+    ``_increment_operator``). The samples are filled by doubling: with the
+    first m known and T^m = I + Phi_m L, the next m are y + Phi_m (L y) of
+    the first m, and Phi_2m = Phi_m (2I + L Phi_m); a final partial stride
     takes its own Phi. So the cost grows with the number of samples, not of
     steps, a state with L y = 0 stays bit-identical, and more than
-    MAX_SAMPLES samples raise DomainError. The sampled states are then checked and evaluated as one
-    stack (see ``_evaluate_samples``): a state that fails validation or, when
-    the initial state is X-shaped, drifts off the X pattern raises
+    MAX_SAMPLES samples raise DomainError. Every sample after the first is
+    rebuilt as an exactly Hermitian matrix; the first is ``rho0`` as given.
+    ``steady_time`` applies STEADY_RHS_TOL to the entries of the rebuilt
+    matrices of L y. The sampled states are then checked and evaluated as
+    one stack (see ``_evaluate_samples``): a state that fails validation or,
+    when the initial state is X-shaped, drifts off the X pattern raises
     StepRejected with its time.
     """
     if not 0.0 < dt < math.inf:
@@ -168,9 +177,9 @@ def evolve(
     # float step counts: a stride or horizon past int64 must not overflow
     times = np.minimum(np.arange(n_samples) * float(stride), float(n_steps)) * dt
     n_whole = n_steps // stride + 1  # samples a whole number of strides apart
-    states = np.empty((n_samples, 16), dtype=complex)
+    states = np.empty((n_samples, 16))  # Pauli coordinates
     rhs = np.empty_like(states)  # L y of each sample
-    states[0] = mat0.ravel()
+    states[0] = _to_pauli(mat0)
     with np.errstate(over="ignore", invalid="ignore"):  # unstable dt: inf/nan, rejected below
         rhs[:1] = _apply(lv, states[:1])
         done, phi_done = 1, phi  # T^done = I + phi_done L for the one-sample RK4 map T
@@ -184,11 +193,12 @@ def evolve(
         if n_samples > n_whole:
             states[-1:] = states[-2:-1] + _apply(phi_last, rhs[-2:-1])
             rhs[-1:] = _apply(lv, states[-1:])
-        steady = np.abs(rhs).max(axis=1) <= STEADY_RHS_TOL
-    states = states.reshape(-1, 4, 4)
-    corr = _evaluate_samples(times, states, bool(is_x_shaped(mat0)))
+        steady = np.abs(_from_pauli(rhs)).max(axis=(1, 2)) <= STEADY_RHS_TOL
+    mats = _from_pauli(states)
+    mats[0] = mat0  # the t = 0 sample is the given matrix, bit for bit
+    corr = _evaluate_samples(times, mats, bool(is_x_shaped(mat0)))
     steady_time = float(times[steady.argmax()]) if steady.any() else None
-    return Trajectory(times, states, corr, params, dt, steady_time)
+    return Trajectory(times, mats, corr, params, dt, steady_time)
 
 
 def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> CorrelationSet:
@@ -557,13 +567,13 @@ def _state_interpolator(traj: Trajectory):
     def at(t: float) -> np.ndarray:
         i = int(np.searchsorted(traj.times, t, side="right") - 1)
         i = max(0, min(i, len(traj.times) - 1))
-        y = traj.states[i].ravel().astype(complex)
+        y = _to_pauli(traj.states[i])
         remaining = t - traj.times[i]
         whole, frac = divmod(remaining, traj.dt)
         y = y + _increment_operator(lv, traj.dt, int(whole)) @ (lv @ y)
         if frac > 1e-15:
             y = y + _increment_operator(lv, frac, 1) @ (lv @ y)
-        return y.reshape(4, 4)
+        return _from_pauli(y)
 
     return at
 

@@ -17,13 +17,14 @@ New J. Phys. 17, 033004 (2015)).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CrossCheckFailure, raise_first
 from .linalg import _sqrt_of, hermitian_eigenvalues, partial_transpose_b, psd_sqrt, singular_values
-from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .model import _PAULI, _to_pauli
 from .states import (
     DickeColumns,
     XColumns,
@@ -44,17 +45,13 @@ _RANGES = {"concurrence": (0.0, 1.0), "negativity": (0.0, 0.5), "log_negativity"
            "lqu": (0.0, 1.0), "min_trace": (0.0, np.inf), "correlated_coherence": (0.0, np.inf),
            "l1_coherence": (0.0, np.inf)}
 
-_SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_SIGMA_YY = _PAULI[10]  # sy ox sy
 _OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
-_PAULI_A = np.array([np.kron(s, IDENTITY_2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+_PAULI_A = _PAULI[4::4]  # s_i ox 1, i = x, y, z
 # M s_i^(A) = M[:, _PAULI_A_COLUMNS[i]] * _PAULI_A_PHASES[i]: each column of s_i ox 1
 # has one nonzero entry
 _PAULI_A_COLUMNS = abs(_PAULI_A).argmax(axis=1)
 _PAULI_A_PHASES = _PAULI_A.sum(axis=1)[:, None, :]
-# s_i ox 1 (the Bloch vector of A) and s_i ox s_j (the correlation matrix T),
-# flattened: tr(rho O) = sum_ab rho_ab O_ab* for Hermitian O
-_BLOCH_OPS = np.array([*_PAULI_A, *(pa @ np.kron(IDENTITY_2, pb) for pa in _PAULI_A
-                                     for pb in (SIGMA_X, SIGMA_Y, SIGMA_Z))]).reshape(12, 16)
 
 
 @dataclass(frozen=True)
@@ -90,14 +87,8 @@ class CorrelationSet:
         return text if where is None else f"{where(k)}: {text}"
 
 
-@dataclass(frozen=True)
-class WMatrix:
-    """Nonzero entries of the symmetric 3x3 skew-information matrix of an X state."""
-
-    w11: float
-    w22: float
-    w33: float
-    w12: float
+# nonzero entries of the symmetric 3x3 skew-information matrix of an X state
+WMatrix = namedtuple("WMatrix", "w11 w22 w33 w12")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +278,9 @@ def balanced(x: XColumns):
 def min_trace_general(rho) -> float:
     """Trace-norm MIN of an arbitrary two-qubit state.
 
-    With the Bloch vector a_i = tr(rho s_i ox 1) of qubit A and the
-    correlation matrix T_ij = tr(rho s_i ox s_j), a projective measurement on
+    The Pauli coordinates r_ij = tr(rho s_i ox s_j) (s_0 = 1, see
+    ``model._PAULI``) hold the Bloch vector a_i = r_i0 of qubit A and the
+    correlation matrix T_ij = r_ij (i, j = 1..3). A projective measurement on
     A along n leaves the residual (1/4) sum_ij (P_n T)_ij s_i ox s_j, where P_n
     projects out n. That matrix has rank at most 2, so its trace norm is the
     largest singular value of P_n T. The only measurement that leaves the
@@ -298,9 +290,8 @@ def min_trace_general(rho) -> float:
     P = 1 there (cf. Hu and Fan, New J. Phys. 17, 033004 (2015)).
     """
     rho = np.asarray(rho, dtype=complex)
-    # einsum, not a BLAS product: a threaded gemm over all rows costs more CPU than it saves
-    coeffs = np.einsum("nk,mk->nm", rho.reshape(-1, 16), _BLOCH_OPS.conj()).real
-    a, t = coeffs[:, :3], coeffs[:, 3:].reshape(-1, 3, 3)
+    r = _to_pauli(rho).reshape(-1, 4, 4)  # r[:, i, j] = tr(rho s_i ox s_j), s_0 = 1
+    a, t = r[:, 1:, 0], r[:, 1:, 1:]
     norm = np.linalg.norm(a, axis=1, keepdims=True)
     n = np.divide(a, norm, out=np.zeros_like(a), where=norm > X_BRANCH_TOL)
     pt = t - n[:, :, None] * (n[:, None, :] @ t)

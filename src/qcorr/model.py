@@ -27,6 +27,43 @@ _H_J = np.kron(S_PLUS, S_MINUS) + np.kron(S_MINUS, S_PLUS)
 _H_DELTA = np.kron(S_PLUS, S_PLUS) + np.kron(S_MINUS, S_MINUS)
 _H_OMEGA = np.kron(S_Z, IDENTITY_2) + np.kron(IDENTITY_2, S_Z)
 
+# The 16 Pauli products P[4a + b] = s_a ox s_b (s_0 = 1). A 4x4 Hermitian
+# matrix is (1/4) sum_k r_k P_k with real coordinates r_k = tr(M P_k): r_0 is
+# the trace, r[4a] (a > 0) the Bloch vector of qubit A, r[4a + b] the
+# correlation matrix T_ab.
+_PAULI = np.array([np.kron(a, b) for a in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+                   for b in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)])
+# Row a of P_k has one nonzero entry p (1, -1, i or -i), in column c, so
+# tr(P_k M) = sum_a Re(p M[c, a]) sums one signed entry of the (re, im) float
+# view of M per row a: index _PICK[a, k] times _PICK_SIGN[a, k].
+_PICK_COL = abs(_PAULI).argmax(-1).T
+_PICK_P = _PAULI[np.arange(16), np.arange(4)[:, None], _PICK_COL]
+_PICK = 2 * (4 * _PICK_COL + np.arange(4)[:, None]) + (_PICK_P.imag != 0.0)
+_PICK_SIGN = _PICK_P.real - _PICK_P.imag
+_REBUILD = _PAULI.view(float).reshape(16, 32) / 4.0  # (1/4) P_k as (re, im) rows
+
+
+def _to_pauli(rho) -> np.ndarray:
+    """The real coordinates r_k = tr(rho P_k), shape (..., 16), of a 4x4
+    matrix or a stack; the real part of the trace for a non-Hermitian input.
+    Each r_k sums its four terms left to right, in the order of the rows of P_k."""
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    flat = rho.view(float).reshape(rho.shape[:-2] + (32,))
+    r = flat[..., _PICK[0]] * _PICK_SIGN[0]
+    for pick, sign in zip(_PICK[1:], _PICK_SIGN[1:]):
+        r += flat[..., pick] * sign
+    return r
+
+
+def _from_pauli(r) -> np.ndarray:
+    """The matrices (1/4) sum_k r_k P_k, shape (..., 4, 4), of coordinates
+    (..., 16). Real coordinates give exactly Hermitian matrices: the entries
+    (i, j) and (j, i) sum the same terms in the same order. A real einsum over
+    the (re, im) view, not a BLAS product, which would thread over the rows."""
+    r = np.asarray(r, dtype=float)
+    flat = np.einsum("...k,kj->...j", r, _REBUILD)
+    return flat.view(complex).reshape(r.shape[:-1] + (4, 4))
+
 
 @dataclass(frozen=True)
 class ModelParams:

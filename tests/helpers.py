@@ -113,15 +113,30 @@ def csv_by_cells(header: str, columns) -> str:
     return "\n".join([header, *(",".join(format(v, ".17g") for v in row) for row in rows)]) + "\n"
 
 
+_SIGMAS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULIS = [np.kron(a, b) for a in _SIGMAS for b in _SIGMAS]
+
+
+def pauli_coordinates(rho) -> np.ndarray:
+    """r_k = tr(rho P_k) of one 4x4 matrix for the Pauli products P[4a + b] =
+    s_a ox s_b (s_0 = 1), the diagonal of each product summed left to right."""
+    out = np.empty(16)
+    for k, pk in enumerate(_PAULIS):
+        diag = np.diagonal(pk @ rho)
+        out[k] = (((diag[0] + diag[1]) + diag[2]) + diag[3]).real
+    return out
+
+
+def pauli_matrix(r) -> np.ndarray:
+    """(1/4) sum_k r_k P_k: the inverse of ``pauli_coordinates``."""
+    return sum(rk * pk for rk, pk in zip(r, _PAULIS)) / 4.0
+
+
 def liouvillian_by_columns(params) -> np.ndarray:
-    """The 16x16 generator column by column: column k is lindblad_rhs of the
-    k-th row-major basis matrix."""
-    cols = []
-    for k in range(16):
-        basis = np.zeros((4, 4), dtype=complex)
-        basis.flat[k] = 1.0
-        cols.append(lindblad_rhs(basis, params).ravel())
-    return np.column_stack(cols)
+    """The 16x16 generator in Pauli coordinates, column by column: column l
+    holds tr(P_k rhs(P_l / 4)). Row 0, the trace of each right-hand side, is
+    zero up to round-off."""
+    return np.column_stack([pauli_coordinates(lindblad_rhs(pl / 4.0, params)) for pl in _PAULIS])
 
 
 def w_matrix_by_pairs(sqrt_rho: np.ndarray) -> np.ndarray:

@@ -172,6 +172,30 @@ def test_evolve_stride_beyond_the_horizon_samples_both_ends(tmp_path):
     assert len(ref[1].splitlines()) == 3
 
 
+def test_evolve_past_a_long_horizon_reaches_the_steady_state(tmp_path):
+    # one stride of 1e19 steps: a stable decay to the steady state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["evolve", "--t-max", "1e18", "--dt", "0.1",
+                              "--stride", str(10**21)], tmp_path)
+    assert code == 0
+    assert len(text.splitlines()) == 3
+
+
+@pytest.mark.parametrize("value, code, lines", [("-1e-3", 0, 2), ("-inf", 2, 0), ("-nan", 2, 0)])
+def test_negative_number_in_exponent_notation_is_a_flag_value(value, code, lines, tmp_path,
+                                                               capsys):
+    # argparse alone takes "-1e-3" or "-inf" for an option, not for the value of --delta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(["steady", "--delta", value], tmp_path)
+    assert got[0] == code and len(got[1].splitlines()) == lines
+    if code:
+        assert capsys.readouterr().err.count("\n") == 1
+    else:
+        assert got == run_cli(["steady", f"--delta={value}"], tmp_path)
+
+
 def test_solver_failure_exits_3(monkeypatch, capsys):
     def failing_evolve(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -524,6 +548,8 @@ _ODD = st.one_of(
     st.integers(-5, 5).map(str),
     st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "5e-324", "-0",
                      str(10**30), "abc", "", "1,5", "0x10"]),
+    # negative numbers that argparse alone would take for options
+    st.sampled_from(["-1e-3", "-2.5E+3", "-nan", "-Infinity", "-5e-324"]),
 )
 _PLAIN = st.one_of(st.floats(0.01, 1.0).map(repr), st.integers(1, 2).map(str))
 _NUMBER = st.integers(0, 3).flatmap(lambda k: _ODD if k == 0 else _PLAIN)
@@ -535,7 +561,8 @@ _HORIZON = st.one_of(
     st.builds(lambda dt, n: {"--dt": repr(dt), "--t-max": repr(dt * n)},
               st.floats(1e-3, 10.0), st.integers(0, 2000)),
     st.fixed_dictionaries({}, optional={
-        "--t-max": _ODD, "--dt": st.sampled_from(["0", "-1", "nan", "inf", "5e-324", "x"])}),
+        "--t-max": _ODD,
+        "--dt": st.sampled_from(["0", "-1", "-1e-3", "nan", "inf", "5e-324", "x"])}),
 )
 # custom@ files: the valid dense state, and files that are missing, a
 # directory, not UTF-8, malformed or invalid
@@ -594,11 +621,28 @@ def _undying(command: str, flags: dict, sweep_value: float | None) -> bool:
     return w == 0.0 and nbar == 0.0
 
 
+_FLOAT_FLAGS = ("--gamma", "--delta", "--j", "--omega", "--nbar", "--t-max", "--dt", "--w")
+
+
+def _argparse_rejects(flags: dict) -> bool:
+    """True if a value does not parse as its flag's type: a float flag's
+    value that float() rejects or a --stride that int() rejects."""
+    for flag, value in flags.items():
+        parse = float if flag in _FLOAT_FLAGS else int if flag == "--stride" else str
+        try:
+            parse(value)
+        except ValueError:
+            return True
+    return False
+
+
 @settings(max_examples=400, deadline=None)
 @given(_COMMANDS)
 def test_every_argv_ends_in_exit_0_2_or_3(grammar_dir, command_and_flags):
     # every argv ends in exit 0 with finite cells, or in exit 2 or 3 with a
-    # one-line message (or argparse's usage and exit 2), with warnings as errors
+    # one-line message, with warnings as errors; argparse's usage and exit 2
+    # only for a value that does not parse as its flag's type (a negative
+    # number such as -1e-3 or -inf, given as a separate argument, parses)
     command, flags = command_and_flags
     out = grammar_dir / "out.csv"
     argv = [command, "--out", str(out)]
@@ -612,7 +656,7 @@ def test_every_argv_ends_in_exit_0_2_or_3(grammar_dir, command_and_flags):
         try:
             code = main(argv)
         except SystemExit as exc:
-            assert exc.code == 2
+            assert exc.code == 2 and _argparse_rejects(flags), stderr.getvalue()
             event(f"{command}: usage error")
             return
     event(f"{command}: exit {code}")

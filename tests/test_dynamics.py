@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     concurrence_thermal_independent,
     liouvillian_by_columns,
+    pauli_coordinates,
+    pauli_matrix,
     random_density_matrix,
     random_x_state,
     steady_state_zero_temp,
@@ -58,7 +60,10 @@ def test_liouvillian_equals_rhs_of_basis_matrices(j, delta, omega, gamma, nbar):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # strong couplings are drawn on purpose
         p = ModelParams(j=j, delta=delta, omega=omega, gamma=gamma, nbar=nbar)
-    np.testing.assert_array_equal(_liouvillian(p), liouvillian_by_columns(p))
+    lv, gen = _liouvillian(p), liouvillian_by_columns(p)
+    np.testing.assert_array_equal(lv[1:], gen[1:])
+    assert not lv[0].any()  # the trace row is exactly zero
+    assert np.abs(gen[0]).max() <= 4.0 * np.finfo(float).eps * np.abs(gen).max()
 
 
 def test_rhs_vanishes_on_steady_state():
@@ -243,12 +248,59 @@ def test_evolve_step_counts_past_int64():
     assert all(np.array_equal(mat, rho0) for mat in traj.states)
 
 
+def test_evolve_long_stride_decays_to_the_steady_state():
+    # 1e19 steps in one stride: the increment operator grows like n dt along the
+    # steady state, which multiplies only the exactly zero trace row of L y
+    params = ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve(make_mixture(0.5).to_matrix(), params, t_max=1e18, dt=0.1, stride=10**30)
+    final = traj.states[-1]
+    assert np.abs(final - steady_state_thermal(params).to_matrix()).max() <= 1e-12
+    assert np.array_equal(final, final.conj().T)
+
+
+def test_steady_time_of_the_default_scenario():
+    # STEADY_RHS_TOL bounds the entries of the matrix of L y, not its coordinates
+    traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=600.0)
+    assert traj.steady_time == 268.7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.floats(0.0, 1.0),
+    nbar=st.floats(0.0, 2.0),
+    j=st.floats(-0.5, 0.5),
+    delta=st.floats(-0.5, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+    x_shaped=st.booleans(),
+    n_steps=st.integers(0, 400),
+    stride=st.integers(1, 50),
+)
+def test_evolve_samples_are_exactly_hermitian(gamma, nbar, j, delta, seed, x_shaped, n_steps,
+                                              stride):
+    # every sample after the first is rebuilt from real coordinates whose trace
+    # no step changes; an X-born run has exact zeros off the X pattern
+    params = ModelParams(j=j, delta=delta, gamma=gamma, nbar=nbar)
+    rng = np.random.default_rng(seed)
+    rho0 = random_x_state(rng).to_matrix() if x_shaped else random_density_matrix(rng)
+    traj = evolve(rho0, params, t_max=n_steps * 0.02, dt=0.02, stride=stride)
+    later = traj.states[1:]
+    np.testing.assert_array_equal(later, later.conj().swapaxes(-1, -2))
+    trace = np.trace(later, axis1=-2, axis2=-1)
+    assert np.all(abs(trace - 1.0) <= 4.0 * np.finfo(float).eps)
+    if x_shaped:
+        off_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+        assert not later[:, off_x].any()
+
+
 def _stepwise_rk4_on_generator(rho0, params, n_steps, dt, stride):
-    """``_stepwise_rk4`` on the 16x16 generator tabulated from lindblad_rhs
-    (``liouvillian_by_columns``): the same classical RK4 steps, one at a time,
-    fast enough for a run of 100k steps."""
+    """``_stepwise_rk4`` on the 16x16 generator tabulated from lindblad_rhs in
+    Pauli coordinates (``liouvillian_by_columns``): the same classical RK4
+    steps, one at a time, fast enough for a run of 100k steps."""
     gen = liouvillian_by_columns(params)
-    y = np.asarray(rho0, dtype=complex).ravel()
+    gen[0] = 0.0  # the trace row, zero up to round-off, is exactly zero in evolve too
+    y = pauli_coordinates(rho0)
     samples = [y]
     for step in range(1, n_steps + 1):
         k1 = gen @ y
@@ -258,7 +310,7 @@ def _stepwise_rk4_on_generator(rho0, params, n_steps, dt, stride):
         y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if step % stride == 0 or step == n_steps:
             samples.append(y)
-    return np.array(samples).reshape(-1, 4, 4)
+    return np.array([pauli_matrix(y) for y in samples])
 
 
 @pytest.mark.parametrize("t_max, n_samples", [(100.0, 1001), (10.05, 102)])
