@@ -1,5 +1,8 @@
 """Command-line front end: trajectory scenarios, ESD times and steady-state
-sweeps, all emitted as CSV in one pass of ``%.17g``, identical to ``format(v, ".17g")``."""
+sweeps, all emitted as CSV whose every cell is ``format(v, ".17g")`` byte for
+byte. A numpy kernel writes the cells it can certify as correctly rounded;
+the others (not finite, outside about [1e-280, 1e17) or near a rounding tie)
+go through one batched ``%.17g``."""
 
 from __future__ import annotations
 
@@ -88,10 +91,137 @@ def _initial_state(selector: str) -> np.ndarray:
     )
 
 
+# The CSV kernel writes each cell as format(v, ".17g") byte for byte. A finite
+# cell x with 1e-280 <= |x| < 1e17 is written from the 17-digit integer N nearest
+# to y = |x| * 10**(16 - e), e = floor(log10 |x|). y is formed as float64 ph + s
+# with an error below 1e-14, from Dekker's TwoProduct (Veltkamp split) of |x| and
+# hi plus |x| * lo, where 10**(16 - e) = hi + lo (Numer. Math. 18, 224 (1971)).
+# The cell is certified when y >= 1e16 (e was right), N < 1e17 (no carry into an
+# 18th digit) and the fraction of y is not within _TIE_TOL of .5 (N is the
+# correctly rounded one). Zeros are written directly; every other cell, not
+# certified, not finite or out of range, goes through one batched %.17g.
+_CSV_BLOCK_CELLS = 2048  # cells per kernel pass; keeps its temporaries in cache
+_TIE_TOL = 1e-9
+_EXP_MIN, _EXP_MAX = -280, 16  # the exponents e of certified cells
+
+
+def _veltkamp(x):
+    """x = hi + lo with hi on 26 bits, so that products of halves are exact."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _pow10_table():
+    """10**p = hi + lo for p = 0 ... _EXP_MAX - _EXP_MIN, hi split by _veltkamp."""
+    hi, lo, v = [], [], 1
+    for _ in range(_EXP_MAX - _EXP_MIN + 1):
+        hi.append(float(v))
+        lo.append(float(v - int(hi[-1])))
+        v *= 10
+    return (*_veltkamp(np.array(hi)), np.array(hi), np.array(lo))
+
+
+# A cell's text is picked from a row of 6 little-endian words (48 bytes): "-0.000"
+# D0 ".", four words "d.d.d.d." with digits D1 ... D16 each followed by a point,
+# and "e-", 3 exponent digits, the separator and 2 NULs. Digit d is byte 6 + 2d,
+# the point after it byte 7 + 2d. The bytes a cell does not keep become NUL
+# (the sign byte is NUL for a positive cell) and are deleted from the text.
+def _words(rows) -> np.ndarray:
+    return np.ascontiguousarray(rows, np.uint8).view("<u8")[:, 0]
+
+
+def _digit_tables():
+    """The 4 digits of 0 ... 9999, as bytes and as "d.d.d.d." words, and their
+    trailing zeros."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    dotted = np.full((10000, 8), ord("."), np.uint8)
+    dotted[:, ::2] = digits
+    trailing = np.zeros(10000, np.intp)
+    for k in (10, 100, 1000, 10000):
+        trailing[::k] += 1
+    return digits, _words(dotted), trailing
+
+
+def _keep_words() -> np.ndarray:
+    """Row 17 * layout + (trailing zeros of N): the bytes of a row that a cell
+    keeps as 0xff, the others as 0. Layouts 0-20 are fixed notation with
+    e = layout - 4, 21 and 22 scientific with 2 and 3 exponent digits, 23 zero."""
+    layout = np.arange(24)[:, None, None]
+    digits = 17 - np.arange(17)[:, None]
+    col = np.arange(48)
+    small, sci, zero = layout < 4, (layout == 21) | (layout == 22), layout == 23
+    whole = np.where((layout >= 4) & (layout <= 20), layout - 3, sci * 1)  # digits before '.'
+    digit = (col - 6) // 2  # of a digit byte or of the point after it
+    is_digit = (col >= 6) & (col <= 38) & (col % 2 == 0)
+    keep = (col == 0) | (col == 45) | (col == 1) & (small | zero) | (col == 2) & small
+    keep = keep | small & (col >= 3) & (col < 6 - layout)
+    keep = keep | is_digit & ~zero & (digit < np.maximum(digits, whole))
+    keep = keep | (col >= 7) & (col % 2 == 1) & (digit == whole - 1) & (digits > whole)
+    keep = keep | sci & (col >= 40) & (col <= 44) & ~((layout == 21) & (col == 42))
+    return (keep * np.uint8(255)).reshape(-1, 48).view("<u8")
+
+
+_POW10_HH, _POW10_HL, _POW10_HI, _POW10_LO = _pow10_table()
+_DIGITS, _DIGIT_WORDS, _TRAILING_ZEROS = _digit_tables()
+_LEAD_WORDS = _words([[sign, *b"0.000", d, ord(".")]
+                      for sign in (0, ord("-")) for d in b"0123456789"])  # [10 * sign + D0]
+_EXP_WORDS = _words(np.column_stack([np.tile(np.frombuffer(b"e-", np.uint8), (281, 1)),
+                                     _DIGITS[:281, 1:], np.zeros((281, 3), np.uint8)]))
+_KEEP_WORDS = _keep_words()
+# the layout of e = _EXP_MIN ... _EXP_MAX, times 17: e <= -100, -99 <= e <= -5, -4 <= e
+_LAYOUT_ROW = 17 * np.concatenate([np.full(-99 - _EXP_MIN, 22), np.full(95, 21), np.arange(21)])
+_ZERO_ROW = 17 * 23
+
+
+def _csv_block(block: np.ndarray, seps: np.ndarray) -> str:
+    """The rows of ``block`` as CSV text, each cell followed by its column's
+    separator, which ``seps`` holds at byte 5 of a word."""
+    cells = block.ravel()
+    a = np.abs(cells)
+    certifiable = (a >= 1e-280) & (a < 1e17)
+    a = np.where(certifiable, a, 1.0)  # keeps every step below finite
+    e = np.clip(np.floor(np.log10(a)), _EXP_MIN, _EXP_MAX).astype(np.intp)
+    p = _EXP_MAX - e
+    a_hi, a_lo = _veltkamp(a)
+    ph, t_hi, t_lo = a * _POW10_HI[p], _POW10_HH[p], _POW10_HL[p]
+    s = (((a_hi * t_hi - ph) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo) + a * _POW10_LO[p]
+    below = np.floor(s)
+    frac = s - below
+    floor_y = ph.astype(np.int64) + below.astype(np.int64)  # ph is an integer when >= 2**53
+    n = floor_y + (frac > 0.5)
+    ok = certifiable & (floor_y >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > _TIE_TOL)
+    high, low = np.divmod(np.where(ok, n, 10**16), 10**8)
+    groups = (high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4)
+    words = np.empty((6, cells.size), "<u8")
+    _LEAD_WORDS.take(high // 10**8 + 10 * np.signbit(cells), out=words[0])
+    tz = 0
+    for j, q in enumerate(groups, 1):
+        _DIGIT_WORDS.take(q, out=words[j])
+        t = _TRAILING_ZEROS.take(q)
+        tz = tz * (t == 4) + t
+    _EXP_WORDS.take(np.maximum(-e, 0), out=words[5])
+    words[5].reshape(block.shape)[...] |= seps
+    text = _KEEP_WORDS.take(np.where(cells == 0.0, _ZERO_ROW, _LAYOUT_ROW.take(e - _EXP_MIN) + tz),
+                            axis=0)
+    text &= words.T
+    fallback = np.flatnonzero(~ok & (cells != 0.0))
+    if fallback.size:
+        batch = ("%.17g " * fallback.size) % tuple(cells[fallback].tolist())
+        chars = text.view(np.uint8)
+        chars[fallback, :45] = 0
+        chars[fallback, :24] = np.array(batch.split(), "S24").view(np.uint8).reshape(-1, 24)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv(header: str, columns) -> str:
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return f"{header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    seps = np.full(table.shape[1], ord(","), np.uint64)
+    seps[-1] = ord("\n")
+    seps <<= np.uint64(40)
+    rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
+    return "".join([f"{header}\n", *(_csv_block(table[i:i + rows], seps)
+                                      for i in range(0, len(table), rows))])
 
 
 def _require_in_range(cs: CorrelationSet, where):

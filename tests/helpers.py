@@ -108,7 +108,8 @@ def measurement_disturbance(rho: np.ndarray, basis: np.ndarray) -> float:
 
 def csv_by_cells(header: str, columns) -> str:
     """The CSV table formatted one cell at a time with format(v, ".17g"): the
-    definition the one-pass writer of the CLI must reproduce byte for byte."""
+    definition the CLI's writer must reproduce byte for byte. That writer's
+    numpy kernel writes the cells it certifies; the others go through %.17g."""
     rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
     return "\n".join([header, *(",".join(format(v, ".17g") for v in row) for row in rows)]) + "\n"
 

@@ -14,6 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 from helpers import csv_by_cells, random_density_matrix, random_rank_one_x_state
 from qcorr import WeakCouplingWarning, concurrence_x, dumps_density_matrix, lqu_x, make_mixture
 from qcorr.cli import EVOLVE_HEADER, _csv, main
+from qcorr.dynamics import MAX_SAMPLES
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -29,10 +30,22 @@ def parse_csv(text):
     return header, rows
 
 
+def _with_neighbours(values):
+    values = np.array(values)
+    return [*values, *np.nextafter(values, 0.0), *np.nextafter(values, math.inf)]
+
+
+# The CSV kernel's hard cases, each also negated: exact ties halfway between two
+# 17-digit decimals; the doubles nearest 10**k and their neighbours (the carry
+# into an 18th digit, an exponent guess off by one); the %g layout edges; the
+# edge of the certified range and of 3-digit exponents.
+_HARD_CELLS = [1 + 2**-17, 1 + 3 * 2**-17, 0.5 + 2**-18,
+               *_with_neighbours([float(f"1e{k}") for k in range(-30, 31)]),
+               *_with_neighbours([1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e-100])]
 _CELLS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225e-308,
-                     1e300, -1e-300, 1e16, 0.1]),
+                     1e300, -1e-300, 1e16, 0.1, *_HARD_CELLS, *(-v for v in _HARD_CELLS)]),
 )
 
 
@@ -44,6 +57,20 @@ def test_csv_writer_equals_per_cell_format(shape_and_rows):
     k, rows = shape_and_rows
     columns = tuple(np.array(rows, dtype=float).reshape(-1, k).T)
     assert _csv("h", columns) == csv_by_cells("h", columns)
+
+
+def test_csv_writer_equals_per_cell_format_on_long_tables():
+    """The MAX_SAMPLES evolve shape, over several of the kernel's row blocks:
+    random bit patterns, log-uniform magnitudes and short decimals."""
+    rng = np.random.default_rng(17)
+    n = MAX_SAMPLES
+    bits = rng.integers(0, 2**64, (n, 2), dtype=np.uint64).view(float)
+    exponents = np.column_stack([rng.uniform(-300, 300, (n, 2)), rng.uniform(-20, 18, (n, 3))])
+    magnitudes = rng.choice([-1.0, 1.0], (n, 5)) * 10.0**exponents
+    decimals = rng.integers(-10**6, 10**6, (n, 3)) / 10.0 ** rng.integers(0, 8, (n, 3))
+    table = np.column_stack([bits, magnitudes, decimals])
+    for rows in (table[:0], table[:1], table):
+        assert _csv("h", tuple(rows.T)) == csv_by_cells("h", tuple(rows.T))
 
 
 def test_evolve_csv_schema_and_determinism(tmp_path):
