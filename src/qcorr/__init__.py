@@ -19,14 +19,12 @@ from .linalg import (
     partial_transpose_b,
     psd_sqrt,
     singular_values,
-    trace_norm,
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
 from .states import (
     DickeColumns,
     XColumns,
     dumps_density_matrix,
-    from_dicke,
     is_x_shaped,
     loads_density_matrix,
     make_mixture,
@@ -43,9 +41,6 @@ from .measures import (
     concurrence_branches,
     concurrence_dicke,
     concurrence_general,
-    concurrence_log_negativity_bounds,
-    concurrence_negativity_bounds,
-    concurrence_signed,
     concurrence_x,
     correlated_coherence,
     correlated_coherence_general,
@@ -65,10 +60,8 @@ from .dynamics import (
     analytic_independent_mixture,
     analytic_mixture,
     analytic_werner,
-    dark_intervals_of_series,
     esd_gamma_tau,
     evolve,
-    find_dark_intervals,
     lindblad_rhs,
     steady_ccc_thermal,
     steady_concurrence_thermal,

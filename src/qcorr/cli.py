@@ -46,7 +46,10 @@ def _write_output(out: str | None, text: str):
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def _parse_sweep(spec: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:

@@ -14,7 +14,6 @@ from .measures import (
     CorrelationSet,
     balanced,
     check_routes,
-    concurrence_signed,
     concurrence_x,
     correlated_coherence,
     correlations,
@@ -28,9 +27,9 @@ from .states import XColumns, _validated, is_x_shaped, validate
 
 STEADY_RHS_TOL = 1e-12
 X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
-MAX_SAMPLES = 100_000  # bound on the samples of one evolve run (about 26 MB of states)
-DARK_THRESHOLD = 1e-12
-REVIVAL_THRESHOLD = 1e-9
+# bound on the samples of one evolve run: about 26 MB of states, but a run at the
+# bound peaks at about 300 MB RSS, as ``correlations`` holds about 7x its input
+MAX_SAMPLES = 100_000
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
 _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),
                                               spin_raising(1), spin_raising(2)))
@@ -498,95 +497,3 @@ def esd_gamma_tau(w, gamma: float, nbar):
         x = 2.0 * q / den  # overflows only for subnormal w; log1p(x) is then log(2q) - log(den)
         gt = np.where(x < math.inf, np.log1p(x), np.log(2.0 * q) - np.log(den))
     return np.where(w == 1.0, 0.0, 0.5 * (gt / half))[()]
-
-
-# ---------------------------------------------------------------------------
-# dark periods and revivals
-
-
-def dark_intervals_of_series(values) -> list[tuple[int, int]]:
-    """Index pairs (first dark sample, first revived sample) of dark runs.
-
-    A run starts when the series drops to <= DARK_THRESHOLD and ends at the
-    first sample above REVIVAL_THRESHOLD (values in between count as round-off
-    flicker and extend the run). An unfinished run ends at index len(values).
-    """
-    spans = []
-    start = None
-    for i, v in enumerate(values):
-        if start is None:
-            if v <= DARK_THRESHOLD:
-                start = i
-        elif v > REVIVAL_THRESHOLD:
-            spans.append((start, i))
-            start = None
-    if start is not None:
-        spans.append((start, len(values)))
-    return spans
-
-
-def find_dark_intervals(
-    traj: Trajectory, state_at=None, refine_tol: float = 1e-6
-) -> list[tuple[float, float]]:
-    """Maximal (death, rebirth) intervals of zero concurrence along a trajectory.
-
-    Endpoints are refined by bisection on ``concurrence_signed`` of the 4x4
-    matrix ``state_at(t)`` when given (e.g. ``analytic_mixture(t,
-    params).to_matrix()``) and of a re-integration from the nearest stored
-    sample otherwise. A dark interval still open at the end of the horizon
-    gets rebirth = math.inf.
-    """
-    spans = dark_intervals_of_series(traj.correlations.concurrence)
-    if not spans:
-        return []
-
-    if state_at is None:
-        state_at = _state_interpolator(traj)
-    intervals = []
-    n = len(traj.times)
-    for first_dark, revived in spans:
-        if first_dark == 0:
-            death = float(traj.times[0])
-        else:
-            death = _bisect_sign_change(
-                state_at, traj.times[first_dark - 1], traj.times[first_dark], refine_tol
-            )
-        if revived >= n:
-            rebirth = math.inf
-        else:
-            rebirth = _bisect_sign_change(
-                state_at, traj.times[revived], traj.times[revived - 1], refine_tol
-            )
-        intervals.append((death, rebirth))
-    return intervals
-
-
-def _state_interpolator(traj: Trajectory):
-    lv = _liouvillian(traj.params)
-
-    def at(t: float) -> np.ndarray:
-        i = int(np.searchsorted(traj.times, t, side="right") - 1)
-        i = max(0, min(i, len(traj.times) - 1))
-        y = _to_pauli(traj.states[i])
-        remaining = t - traj.times[i]
-        whole, frac = divmod(remaining, traj.dt)
-        y = y + _increment_operator(lv, traj.dt, int(whole)) @ (lv @ y)
-        if frac > 1e-15:
-            y = y + _increment_operator(lv, frac, 1) @ (lv @ y)
-        return _from_pauli(y)
-
-    return at
-
-
-def _bisect_sign_change(state_at, t_pos: float, t_neg: float, tol: float) -> float:
-    """Locate the sign change of f(t) = concurrence_signed(state_at(t))
-    between f(t_pos) > 0 and f(t_neg) <= 0."""
-    for _ in range(200):
-        if abs(t_pos - t_neg) <= tol:
-            break
-        mid = 0.5 * (t_pos + t_neg)
-        if concurrence_signed(state_at(mid)) > 0.0:
-            t_pos = mid
-        else:
-            t_neg = mid
-    return 0.5 * (t_pos + t_neg)

@@ -1,7 +1,7 @@
 """Dense linear algebra for the small Hermitian matrices used here: the
-eigensolver, singular values, the PSD check and square root, the trace norm
-and the two-qubit partial transpose (on the second qubit; the partial
-transpose on the first has the same spectrum).
+eigensolver, singular values, the PSD check and square root, and the
+two-qubit partial transpose (on the second qubit; the partial transpose on
+the first has the same spectrum).
 
 All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
 of shape (..., m, m). Every eigenproblem goes through
@@ -302,11 +302,6 @@ def _sqrt_of(es: HermitianEigensystem) -> np.ndarray:
     w = np.sqrt(np.clip(es.eigenvalues, 0.0, None))
     root = (es.eigenvectors * w[..., None, :]) @ _dagger(es.eigenvectors)
     return (root + _dagger(root)) / 2.0
-
-
-def trace_norm(mat):
-    """||M||_1 of a Hermitian matrix, i.e. the sum of absolute eigenvalues."""
-    return np.abs(hermitian_eigenvalues(mat)).sum(-1)
 
 
 def _two_qubit(rho) -> np.ndarray:

@@ -108,14 +108,6 @@ def concurrence_general(rho) -> float:
     return np.maximum(0.0, _concurrence_from_sqrt(psd_sqrt(rho)))
 
 
-def concurrence_signed(rho) -> float:
-    """l1 - l2 - l3 - l4 without the final clamp; negative for separable states.
-
-    Useful for locating entanglement death/rebirth times by sign change.
-    """
-    return _concurrence_from_sqrt(psd_sqrt(rho))
-
-
 def _concurrence_from_sqrt(sqrt_rho):
     lam = singular_values(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj())
     return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
@@ -169,18 +161,6 @@ def negativity_x(x: XColumns) -> float:
 def log_negativity(rho) -> float:
     """log2(||rho^TB||_1) = log2(2 N + 1)."""
     return np.log2(2.0 * negativity(rho) + 1.0)
-
-
-def concurrence_negativity_bounds(c: float) -> tuple[float, float]:
-    """Lower/upper bounds on the negativity of a state with concurrence c."""
-    lo = (np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)) / 2.0
-    return float(lo), c / 2.0
-
-
-def concurrence_log_negativity_bounds(c: float) -> tuple[float, float]:
-    """Lower/upper bounds on the log-negativity of a state with concurrence c."""
-    lo = np.log2(np.sqrt((1.0 - c) ** 2 + c**2) + c)
-    return float(lo), float(np.log2(c + 1.0))
 
 
 # ---------------------------------------------------------------------------

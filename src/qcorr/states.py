@@ -116,20 +116,6 @@ def to_dicke(x: XColumns) -> DickeColumns:
     )
 
 
-def from_dicke(d: DickeColumns) -> XColumns:
-    """The inverse of ``to_dicke``; the result is validated."""
-    half_sum = 0.5 * (d.ss + d.aa)
-    rho32 = (d.ss - d.aa) / 2.0 + 1j * d.sa.imag
-    return _validated(XColumns(
-        rho11=d.ee,
-        rho22=half_sum + d.sa.real,
-        rho33=half_sum - d.sa.real,
-        rho44=d.gg,
-        rho14=d.eg,
-        rho23=np.conj(rho32),
-    ))
-
-
 def trace_out_b(rho) -> np.ndarray:
     """Reduced 2x2 state of qubit A for an arbitrary two-qubit matrix."""
     return np.trace(_two_qubit(rho), axis1=-3, axis2=-1)

@@ -1,11 +1,19 @@
 """Shared generators for randomized tests (all callers pass a seeded rng) and
 independent formulas the library is checked against."""
 
+import math
+
 import numpy as np
 
 from qcorr import XColumns, lindblad_rhs, validate
-from qcorr.linalg import partial_transpose_b, trace_norm
-from qcorr.measures import _PAULI_A
+from qcorr.dynamics import Trajectory, _increment_operator, _liouvillian
+from qcorr.linalg import hermitian_eigenvalues, partial_transpose_b, psd_sqrt
+from qcorr.measures import _PAULI_A, _concurrence_from_sqrt
+from qcorr.model import _from_pauli, _to_pauli
+from qcorr.states import DickeColumns, _validated
+
+DARK_THRESHOLD = 1e-12
+REVIVAL_THRESHOLD = 1e-9
 
 
 def valid_x(*entries) -> XColumns:
@@ -198,3 +206,130 @@ def partial_transpose_a(rho) -> np.ndarray:
     of the output equals entry (l ox i, k ox j) of the input."""
     r = np.asarray(rho).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
     return r.swapaxes(-4, -2).reshape(r.shape[:-4] + (4, 4))
+
+
+def trace_norm(mat):
+    """||M||_1 of a Hermitian matrix, i.e. the sum of absolute eigenvalues."""
+    return np.abs(hermitian_eigenvalues(mat)).sum(-1)
+
+
+def from_dicke(d: DickeColumns) -> XColumns:
+    """The inverse of ``to_dicke``; the result is validated."""
+    half_sum = 0.5 * (d.ss + d.aa)
+    rho32 = (d.ss - d.aa) / 2.0 + 1j * d.sa.imag
+    return _validated(XColumns(
+        rho11=d.ee,
+        rho22=half_sum + d.sa.real,
+        rho33=half_sum - d.sa.real,
+        rho44=d.gg,
+        rho14=d.eg,
+        rho23=np.conj(rho32),
+    ))
+
+
+def concurrence_signed(rho) -> float:
+    """l1 - l2 - l3 - l4 without the final clamp; negative for separable states.
+
+    Useful for locating entanglement death/rebirth times by sign change.
+    """
+    return _concurrence_from_sqrt(psd_sqrt(rho))
+
+
+def concurrence_negativity_bounds(c: float) -> tuple[float, float]:
+    """Lower/upper bounds on the negativity of a state with concurrence c."""
+    lo = (np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)) / 2.0
+    return float(lo), c / 2.0
+
+
+def concurrence_log_negativity_bounds(c: float) -> tuple[float, float]:
+    """Lower/upper bounds on the log-negativity of a state with concurrence c."""
+    lo = np.log2(np.sqrt((1.0 - c) ** 2 + c**2) + c)
+    return float(lo), float(np.log2(c + 1.0))
+
+
+def dark_intervals_of_series(values) -> list[tuple[int, int]]:
+    """Index pairs (first dark sample, first revived sample) of dark runs.
+
+    A run starts when the series drops to <= DARK_THRESHOLD and ends at the
+    first sample above REVIVAL_THRESHOLD (values in between count as round-off
+    flicker and extend the run). An unfinished run ends at index len(values).
+    """
+    spans = []
+    start = None
+    for i, v in enumerate(values):
+        if start is None:
+            if v <= DARK_THRESHOLD:
+                start = i
+        elif v > REVIVAL_THRESHOLD:
+            spans.append((start, i))
+            start = None
+    if start is not None:
+        spans.append((start, len(values)))
+    return spans
+
+
+def find_dark_intervals(
+    traj: Trajectory, state_at=None, refine_tol: float = 1e-6
+) -> list[tuple[float, float]]:
+    """Maximal (death, rebirth) intervals of zero concurrence along a trajectory.
+
+    Endpoints are refined by bisection on ``concurrence_signed`` of the 4x4
+    matrix ``state_at(t)`` when given (e.g. ``analytic_mixture(t,
+    params).to_matrix()``) and of a re-integration from the nearest stored
+    sample otherwise. A dark interval still open at the end of the horizon
+    gets rebirth = math.inf.
+    """
+    spans = dark_intervals_of_series(traj.correlations.concurrence)
+    if not spans:
+        return []
+
+    if state_at is None:
+        state_at = _state_interpolator(traj)
+    intervals = []
+    n = len(traj.times)
+    for first_dark, revived in spans:
+        if first_dark == 0:
+            death = float(traj.times[0])
+        else:
+            death = _bisect_sign_change(
+                state_at, traj.times[first_dark - 1], traj.times[first_dark], refine_tol
+            )
+        if revived >= n:
+            rebirth = math.inf
+        else:
+            rebirth = _bisect_sign_change(
+                state_at, traj.times[revived], traj.times[revived - 1], refine_tol
+            )
+        intervals.append((death, rebirth))
+    return intervals
+
+
+def _state_interpolator(traj: Trajectory):
+    lv = _liouvillian(traj.params)
+
+    def at(t: float) -> np.ndarray:
+        i = int(np.searchsorted(traj.times, t, side="right") - 1)
+        i = max(0, min(i, len(traj.times) - 1))
+        y = _to_pauli(traj.states[i])
+        remaining = t - traj.times[i]
+        whole, frac = divmod(remaining, traj.dt)
+        y = y + _increment_operator(lv, traj.dt, int(whole)) @ (lv @ y)
+        if frac > 1e-15:
+            y = y + _increment_operator(lv, frac, 1) @ (lv @ y)
+        return _from_pauli(y)
+
+    return at
+
+
+def _bisect_sign_change(state_at, t_pos: float, t_neg: float, tol: float) -> float:
+    """Locate the sign change of f(t) = concurrence_signed(state_at(t))
+    between f(t_pos) > 0 and f(t_neg) <= 0."""
+    for _ in range(200):
+        if abs(t_pos - t_neg) <= tol:
+            break
+        mid = 0.5 * (t_pos + t_neg)
+        if concurrence_signed(state_at(mid)) > 0.0:
+            t_pos = mid
+        else:
+            t_neg = mid
+    return 0.5 * (t_pos + t_neg)

@@ -10,7 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import negativity_trace_norm, random_x_state, steady_state_zero_temp
+from helpers import (
+    concurrence_log_negativity_bounds,
+    concurrence_negativity_bounds,
+    dark_intervals_of_series,
+    find_dark_intervals,
+    negativity_trace_norm,
+    random_x_state,
+    steady_state_zero_temp,
+)
 from qcorr import (
     ModelParams,
     analytic_independent_mixture,
@@ -18,14 +26,10 @@ from qcorr import (
     analytic_werner,
     concurrence_dicke,
     concurrence_general,
-    concurrence_log_negativity_bounds,
-    concurrence_negativity_bounds,
     concurrence_x,
     correlated_coherence,
-    dark_intervals_of_series,
     esd_gamma_tau,
     evolve,
-    find_dark_intervals,
     hamiltonian,
     make_mixture,
     make_werner,

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -616,6 +619,9 @@ _FLAGS = {
 }
 _COMMANDS = st.sampled_from(["evolve", "evolve", "steady", "esd"]).flatmap(
     lambda command: st.tuples(st.just(command), _FLAGS[command]))
+# --out under the grammar directory: a writable file, the directory itself and
+# a file in a directory that does not exist
+_OUTS = st.sampled_from(["out.csv", ".", "missing/out.csv"])
 
 
 @pytest.fixture(scope="module")
@@ -664,19 +670,20 @@ def _argparse_rejects(flags: dict) -> bool:
 
 
 @settings(max_examples=400, deadline=None)
-@given(_COMMANDS)
-def test_every_argv_ends_in_exit_0_2_or_3(grammar_dir, command_and_flags):
+@given(_COMMANDS, _OUTS)
+def test_every_argv_ends_in_exit_0_2_or_3(grammar_dir, command_and_flags, out_name):
     # every argv ends in exit 0 with finite cells, or in exit 2 or 3 with a
     # one-line message, with warnings as errors; argparse's usage and exit 2
     # only for a value that does not parse as its flag's type (a negative
     # number such as -1e-3 or -inf, given as a separate argument, parses)
     command, flags = command_and_flags
-    out = grammar_dir / "out.csv"
+    out = grammar_dir / out_name
     argv = [command, "--out", str(out)]
     for flag, value in flags.items():
         kind = value[len("custom@"):] if value.startswith("custom@") else None
         argv += [flag, f"custom@{grammar_dir / kind}" if kind else value]
-    out.unlink(missing_ok=True)
+    if out.is_file():
+        out.unlink()
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -700,3 +707,16 @@ def test_every_argv_ends_in_exit_0_2_or_3(grammar_dir, command_and_flags):
         *cells, last = map(float, line.split(","))
         assert all(map(math.isfinite, cells))
         assert math.isfinite(last) or (last == math.inf and _undying(command, flags, cells[0]))
+
+
+def test_package_imports_only_numpy_of_the_test_dependencies():
+    # numpy is the only runtime dependency, and the test oracles in helpers
+    # stay out of reach of the package
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys, qcorr, qcorr.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    loaded = set(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, check=True).stdout.split())
+    assert "numpy" in loaded
+    tops = {name.split(".", 1)[0] for name in loaded}
+    assert not tops & {"scipy", "mpmath", "hypothesis", "pytest", "helpers"}

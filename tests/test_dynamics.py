@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     concurrence_thermal_independent,
+    dark_intervals_of_series,
+    find_dark_intervals,
     liouvillian_by_columns,
     pauli_coordinates,
     pauli_matrix,
@@ -27,10 +29,8 @@ from qcorr import (
     analytic_werner,
     concurrence_x,
     correlations,
-    dark_intervals_of_series,
     esd_gamma_tau,
     evolve,
-    find_dark_intervals,
     lindblad_rhs,
     lqu_x,
     make_mixture,

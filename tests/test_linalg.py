@@ -15,6 +15,7 @@ from helpers import (
     random_hermitian,
     random_unitary,
     random_x_state,
+    trace_norm,
 )
 from qcorr import (
     NotHermitian,
@@ -28,7 +29,6 @@ from qcorr import (
     partial_transpose_b,
     psd_sqrt,
     singular_values,
-    trace_norm,
 )
 
 

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     bell_phi_plus,
+    concurrence_log_negativity_bounds,
+    concurrence_negativity_bounds,
+    concurrence_signed,
     measurement_disturbance,
     negativity_trace_norm,
     random_balanced_x_state,
@@ -25,9 +28,6 @@ from qcorr import (
     concurrence_branches,
     concurrence_dicke,
     concurrence_general,
-    concurrence_log_negativity_bounds,
-    concurrence_negativity_bounds,
-    concurrence_signed,
     concurrence_x,
     correlated_coherence,
     correlated_coherence_general,

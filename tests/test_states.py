@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import random_x_state
+from helpers import from_dicke, random_x_state
 from qcorr import (
     DomainError,
     ModelParams,
@@ -16,7 +16,6 @@ from qcorr import (
     analytic_mixture,
     dumps_density_matrix,
     evolve,
-    from_dicke,
     hermitian_eigensystem,
     is_x_shaped,
     loads_density_matrix,
