@@ -8,11 +8,12 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from helpers import csv_by_cells, random_density_matrix, random_rank_one_x_state
 from qcorr import WeakCouplingWarning, concurrence_x, dumps_density_matrix, lqu_x, make_mixture
@@ -38,11 +39,20 @@ def _with_neighbours(values):
     return [*values, *np.nextafter(values, 0.0), *np.nextafter(values, math.inf)]
 
 
+def _tie(e):
+    """The least double above 10**e that lies exactly halfway between two
+    17-digit decimals: an odd multiple of 2**(e - 17)."""
+    x = (math.ceil(Fraction(10) ** e * 2 ** (17 - e)) | 1) / 2 ** (17 - e)
+    assert (Fraction(x) * 10 ** (16 - e)).denominator == 2
+    return x
+
+
 # The CSV kernel's hard cases, each also negated: exact ties halfway between two
-# 17-digit decimals; the doubles nearest 10**k and their neighbours (the carry
-# into an 18th digit, an exponent guess off by one); the %g layout edges; the
-# edge of the certified range and of 3-digit exponents.
-_HARD_CELLS = [1 + 2**-17, 1 + 3 * 2**-17, 0.5 + 2**-18,
+# 17-digit decimals, one for each exponent that has them in fixed notation; the
+# doubles nearest 10**k and their neighbours (the carry into an 18th digit, an
+# exponent guess off by one); the %g layout edges, 1e-4 and 1e17 being the ends
+# of the certified range; the edge of 3-digit exponents.
+_HARD_CELLS = [1 + 3 * 2**-17, 0.5 + 2**-18, *(_tie(e) for e in range(-4, 16)),
                *_with_neighbours([float(f"1e{k}") for k in range(-30, 31)]),
                *_with_neighbours([1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e-100])]
 _CELLS = st.one_of(
@@ -53,6 +63,7 @@ _CELLS = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
+@example((1, [[v] for v in [*_HARD_CELLS, *(-v for v in _HARD_CELLS)]]))
 @given(st.integers(1, 10).flatmap(
     lambda k: st.tuples(st.just(k), st.lists(st.lists(_CELLS, min_size=k, max_size=k),
                                              max_size=12))))
@@ -233,6 +244,23 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("qcorr.cli.evolve", failing_evolve)
     assert main(["evolve", "--t-max", "1"]) == 3
     assert capsys.readouterr().err.startswith("qcorr: run failed: Eigenvalues")
+
+
+@pytest.mark.parametrize("command", ["evolve", "steady", "esd"])
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_unwritable_out_exits_2_before_the_run(command, out, monkeypatch, tmp_path, capsys):
+    from qcorr import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("evolve", "steady_correlations_thermal", "esd_gamma_tau"):
+        monkeypatch.setattr(cli, name, never)
+    assert main([command, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error: cannot write output file ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_esd_single_value(tmp_path):
