@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -43,12 +45,17 @@ def _fmt(value: float) -> str:
 
 
 def _check_output(out: str):
-    """Fail before the run on an --out path that cannot be a file, without
-    creating or truncating it; _write_output still maps what this cannot see."""
-    path = Path(out)
-    if path.is_dir() or not path.parent.is_dir():
-        reason = "it is a directory" if path.is_dir() else "its parent is not a directory"
-        raise DomainError(f"cannot write output file {out!r}: {reason}")
+    """Fail before the run, without creating or truncating the file, on an
+    --out path that is a directory, whose parent is not one or that cannot be
+    looked up; _write_output still maps what this cannot see (permissions)."""
+    try:
+        writable = not stat.S_ISDIR(os.stat(out).st_mode)
+    except FileNotFoundError:
+        writable = os.path.isdir(os.path.dirname(out) or ".")
+    except OSError as exc:  # the open would fail alike: a name too long, a parent not searchable
+        raise DomainError(f"cannot write output file {out!r}: {exc}") from exc
+    if not writable:
+        raise DomainError(f"cannot write output file {out!r}")
 
 
 def _write_output(out: str | None, text: str):
