@@ -7,6 +7,7 @@ scientific notation, or an exact tie) go through one batched ``%.17g``."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import stat
@@ -286,7 +287,10 @@ def _add_model_flags(parser: argparse.ArgumentParser, couplings: bool = True):
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser that every call of ``main`` in this process shares, built
+    at first use; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Two-qubit XY-model decoherence: trajectories, ESD times and steady states.",

@@ -371,12 +371,11 @@ def _steady_scales(params: ModelParams):
     return d, w, g, inv_k, 0.5 * (nb / half), 0.5 * ((nb + 1.0) / half), root
 
 
-def _steady_columns(params: ModelParams) -> XColumns:
+def _steady_columns(d, w, g, inv_k, a, b, root) -> XColumns:
     """Thermal steady-state entries as arrays. With p = Delta / sqrt(den) and
     v = (4 omega^2 + gamma^2 k^2) / den = 1 - 4 p^2: rho11 = p^2 + (nbar/k)^2 v,
     rho44 = p^2 + ((nbar + 1)/k)^2 v, rho22 = rho33 = (p/k)^2 + nbar (nbar + 1)/k^2
     and rho14 = -p (2 omega + i gamma k) / (k sqrt(den))."""
-    d, w, g, inv_k, a, b, root = _steady_scales(params)
     p = d * inv_k / root
     v = np.square(np.hypot(2.0 * w * inv_k, g) / root)
     r22 = np.square(p * inv_k) + a * b
@@ -384,39 +383,12 @@ def _steady_columns(params: ModelParams) -> XColumns:
     return XColumns(p * p + a * a * v, r22, r22, p * p + b * b * v, r14, np.zeros_like(r14))
 
 
-def steady_state_thermal(params: ModelParams) -> XColumns:
-    """Thermal steady state; the same for every X-shaped initial condition.
-    At nbar = 0 it is entangled iff |Delta| < sqrt(gamma^2 + 4 omega^2), and
-    for Delta = 0 it is diagonal. Array-valued ``params`` fields give one
-    state per element. Validated."""
-    return _validated(_steady_columns(params))
-
-
-def steady_ccc_thermal(params: ModelParams) -> float:
-    """Closed-form steady-state correlated coherence 2 |Delta| sqrt(4 omega^2
-    + gamma^2 k^2) / (k den), written in the terms of ``_steady_scales``
-    (arrays for array-valued fields); the steady MIN equals it unless the
-    marginal of A is degenerate."""
-    d, w, g, inv_k, _, _, root = _steady_scales(params)
-    return 2.0 * (abs(d) * inv_k / root) * (inv_k * np.hypot(2.0 * w * inv_k, g) / root)
-
-
-def steady_concurrence_thermal(params: ModelParams) -> float:
-    """Closed-form steady-state concurrence 2 max{0, (k |Delta| sqrt(4 omega^2
-    + gamma^2 k^2) - Delta^2) / (k^2 den) - nbar (nbar + 1) / k^2}, the first
-    term being CC / 2."""
-    d, _, _, inv_k, a, b, root = _steady_scales(params)
+def _steady_closed_forms(d, w, g, inv_k, a, b, root):
+    """The paper's closed forms from the terms of ``_steady_scales``: CC, the
+    concurrence and the zero-temperature (W11, W33)."""
+    cc = 2.0 * (abs(d) * inv_k / root) * (inv_k * np.hypot(2.0 * w * inv_k, g) / root)
     population = np.square(d * inv_k / root * inv_k)  # Delta^2 / (k^2 den)
-    return 2.0 * np.maximum(0.0, 0.5 * steady_ccc_thermal(params) - population - a * b)
-
-
-def steady_w_entries_zero_temp(params: ModelParams) -> tuple[float, float]:
-    """(W11, W33) of the zero-temperature steady state in closed form.
-
-    The steady W matrix is diagonal with W11 = W22, so the LQU is
-    1 - max{W11, W33}.
-    """
-    d, w, g = _steady_scales(params)[:3]
+    concurrence = 2.0 * np.maximum(0.0, 0.5 * cc - population - a * b)
     om2 = d * d + w * w
     den = g * g + 4.0 * om2
     radical = np.sqrt((g * g + 4.0 * w * w) * den)
@@ -425,7 +397,39 @@ def steady_w_entries_zero_temp(params: ModelParams) -> tuple[float, float]:
         np.sqrt(np.maximum(core - radical, 0.0)) + np.sqrt(core + radical)
     )
     w33 = (g**4 + 4.0 * g * g * (w * w + om2) + 16.0 * (d**4 + w * w * om2)) / den**2
-    return w11[()], w33[()]
+    return cc, concurrence, w11[()], w33[()]
+
+
+def steady_state_thermal(params: ModelParams) -> XColumns:
+    """Thermal steady state; the same for every X-shaped initial condition.
+    At nbar = 0 it is entangled iff |Delta| < sqrt(gamma^2 + 4 omega^2), and
+    for Delta = 0 it is diagonal. Array-valued ``params`` fields give one
+    state per element. Validated."""
+    return _validated(_steady_columns(*_steady_scales(params)))
+
+
+def steady_ccc_thermal(params: ModelParams) -> float:
+    """Closed-form steady-state correlated coherence 2 |Delta| sqrt(4 omega^2
+    + gamma^2 k^2) / (k den), written in the terms of ``_steady_scales``
+    (arrays for array-valued fields); the steady MIN equals it unless the
+    marginal of A is degenerate."""
+    return _steady_closed_forms(*_steady_scales(params))[0]
+
+
+def steady_concurrence_thermal(params: ModelParams) -> float:
+    """Closed-form steady-state concurrence 2 max{0, (k |Delta| sqrt(4 omega^2
+    + gamma^2 k^2) - Delta^2) / (k^2 den) - nbar (nbar + 1) / k^2}, the first
+    term being CC / 2."""
+    return _steady_closed_forms(*_steady_scales(params))[1]
+
+
+def steady_w_entries_zero_temp(params: ModelParams) -> tuple[float, float]:
+    """(W11, W33) of the zero-temperature steady state in closed form.
+
+    The steady W matrix is diagonal with W11 = W22, so the LQU is
+    1 - max{W11, W33}.
+    """
+    return _steady_closed_forms(*_steady_scales(params))[2:]
 
 
 def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
@@ -436,19 +440,19 @@ def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
     and the LQU at nbar = 0 (1 - max{W11, W33}); the first failing row
     raises CrossCheckFailure with its flat position as ``index``.
     """
-    columns = _steady_columns(params)
+    scales = _steady_scales(params)
+    columns = _steady_columns(*scales)
     x = XColumns(*map(np.ravel, columns))  # scalar params too: one array path for every row
     conc, neg, unc, mt, cc = (f(x) for f in (concurrence_x, negativity_x, lqu_x, min_trace,
                                              correlated_coherence))
-    paper_cc = np.ravel(steady_ccc_thermal(params))
+    paper_cc, paper_conc, w11, w33 = _steady_closed_forms(*scales)
     shape = np.shape(columns.rho11)
-    w11, w33 = steady_w_entries_zero_temp(params)
     paper_lqu = np.where(np.equal(params.nbar, 0.0), 1.0 - np.maximum(w11, w33), unc.reshape(shape))
     check_routes([
-        ("concurrence", conc, steady_concurrence_thermal(params)),
+        ("concurrence", conc, paper_conc),
         ("lqu", unc, paper_lqu),
         ("correlated coherence", cc, paper_cc),
-        ("min_trace", mt, np.where(balanced(x), mt, paper_cc)),
+        ("min_trace", mt, np.where(balanced(x), mt, np.ravel(paper_cc))),
     ])
     rows = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, cc)
     return CorrelationSet(*(c.reshape(shape)[()] for c in rows))

@@ -97,7 +97,7 @@ class ModelParams:
                 " exceeds omega/2); equations stay exact but the equal-rate"
                 " relaxation assumption degrades",
                 WeakCouplingWarning,
-                stacklevel=2,
+                stacklevel=3,  # the line that built the params, past the generated __init__
             )
 
     def __eq__(self, other):

@@ -17,7 +17,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from helpers import csv_by_cells, random_density_matrix, random_rank_one_x_state
 from qcorr import WeakCouplingWarning, concurrence_x, dumps_density_matrix, lqu_x, make_mixture
-from qcorr.cli import EVOLVE_HEADER, _csv, main
+from qcorr.cli import EVOLVE_HEADER, _csv, build_parser, cmd_steady, main
 from qcorr.dynamics import MAX_SAMPLES
 
 
@@ -500,6 +500,7 @@ def test_weak_coupling_warning_fires_once_per_sweep(tmp_path):
         code, _ = run_cli(["steady", "--gamma", "0.1", "--sweep", "delta:0:2.2:23"], tmp_path)
     assert code == 0
     assert [w.category for w in caught] == [WeakCouplingWarning]
+    assert caught[0].filename == cmd_steady.__code__.co_filename  # where ModelParams is built
     assert issubclass(WeakCouplingWarning, UserWarning)
 
 
@@ -537,9 +538,13 @@ def test_steady_sweep_rows_equal_single_rows(sweep, flags, tmp_path):
 def test_steady_cross_check_miss_names_swept_value(monkeypatch, tmp_path, capsys):
     from qcorr import dynamics
 
-    real = dynamics.steady_ccc_thermal
-    monkeypatch.setattr(dynamics, "steady_ccc_thermal",
-                        lambda p: real(p) + 1e-6 * (np.asarray(p.nbar) > 0.5))
+    real = dynamics._steady_closed_forms
+
+    def missed(*scales):  # the paper's CC misses by 1e-6 where nbar > 0.5
+        paper_cc, *rest = real(*scales)
+        return paper_cc + 1e-6 * (np.linspace(0.0, 1.0, 11) > 0.5), *rest
+
+    monkeypatch.setattr(dynamics, "_steady_closed_forms", missed)
     code, _ = run_cli(["steady", "--sweep", "nbar:0:1:11"], tmp_path)
     assert code == 3
     err = capsys.readouterr().err
@@ -735,6 +740,50 @@ def test_every_argv_ends_in_exit_0_2_or_3(grammar_dir, command_and_flags, out_na
         *cells, last = map(float, line.split(","))
         assert all(map(math.isfinite, cells))
         assert math.isfinite(last) or (last == math.inf and _undying(command, flags, cells[0]))
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """Calls of main in one process, through the one shared parser, end as the
+    same arguments do in a fresh interpreter: exit code, stdout, stderr and
+    --out file alike, after argparse rejections and configuration errors."""
+    assert build_parser() is build_parser()
+    steady = ["steady", "--gamma", "0.01", "--sweep", "nbar:0:2:21"]
+    sequence = [
+        steady,
+        ["esd", "--delta", "0.3"],  # argparse rejects a flag esd does not take
+        ["steady", "--sweep", "nbar:0:1:0"],  # configuration error
+        ["esd", "--w", "0.5", "--sweep", "nbar:0:1:50", "--out", "esd.csv"],
+        ["evolve", "--t-max", "1"],
+        steady,
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def ending(args, run):
+        out = Path("esd.csv")
+        out.unlink(missing_ok=True)
+        code, stdout, stderr = run(args)
+        return code, stdout, stderr, out.read_bytes() if out.exists() else None
+
+    def in_process(args):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out.encode(), captured.err.encode()
+
+    def fresh(args):
+        done = subprocess.run([sys.executable, "-m", "qcorr", *args], env=env, capture_output=True)
+        return done.returncode, done.stdout, done.stderr
+
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    for args in sequence:
+        got = ending(args, in_process)
+        assert got == ending(args, fresh), args
+        codes.append(got[0])
+    assert codes == [0, 2, 2, 0, 0, 0]
 
 
 def test_package_imports_only_numpy_of_the_test_dependencies():

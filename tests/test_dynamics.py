@@ -566,6 +566,17 @@ def test_steady_lqu_closed_w_entries():
     assert steady_correlations_thermal(P_REF).lqu == pytest.approx(1.0 - max(w11, w33), abs=1e-14)
 
 
+@pytest.mark.parametrize("nbar", [0.3, np.linspace(0.0, 2.0, 21)])
+def test_steady_correlations_evaluate_the_scales_once(nbar, monkeypatch):
+    from qcorr import dynamics
+
+    calls = []
+    real = dynamics._steady_scales
+    monkeypatch.setattr(dynamics, "_steady_scales", lambda params: calls.append(params) or real(params))
+    steady_correlations_thermal(ModelParams(j=0.1, delta=0.5, gamma=0.1, nbar=nbar))
+    assert len(calls) == 1
+
+
 def test_steady_entanglement_cutoff_zero_temp():
     gamma = 0.1
     cutoff = math.sqrt(4.0 + gamma * gamma)
