@@ -12,6 +12,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -341,16 +342,23 @@ def _join_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
-    try:
-        if args.out is not None:
-            _check_output(args.out)
-        return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"qcorr: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (StepRejected, CrossCheckFailure, RangeViolation, np.linalg.LinAlgError) as exc:
-        print(f"qcorr: run failed: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings(record=True) as caught:  # under -W error a warning raises
+        try:
+            if args.out is not None:
+                _check_output(args.out)
+            code = args.func(args)
+        except _CONFIG_ERRORS as exc:
+            print(f"qcorr: configuration error: {exc}", file=sys.stderr)
+            code = 2
+        except (StepRejected, CrossCheckFailure, RangeViolation, np.linalg.LinAlgError) as exc:
+            print(f"qcorr: run failed: {exc}", file=sys.stderr)
+            code = 3
+    for w in caught:
+        if issubclass(w.category, WeakCouplingWarning):
+            print(f"qcorr: warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return code
 
 
 if __name__ == "__main__":

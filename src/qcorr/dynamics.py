@@ -28,7 +28,7 @@ from .states import XColumns, _validated, is_x_shaped, validate
 STEADY_RHS_TOL = 1e-12
 X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
 # bound on the samples of one evolve run: about 26 MB of states, but a run at the
-# bound peaks at about 300 MB RSS, as ``correlations`` holds about 7x its input
+# bound peaks at about 210 MB RSS, as ``correlations`` holds about 4.3x its input
 MAX_SAMPLES = 100_000
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
 _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),

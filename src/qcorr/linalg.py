@@ -301,7 +301,8 @@ def _sqrt_of(es: HermitianEigensystem) -> np.ndarray:
     Hermitian."""
     w = np.sqrt(np.clip(es.eigenvalues, 0.0, None))
     root = (es.eigenvectors * w[..., None, :]) @ _dagger(es.eigenvectors)
-    return (root + _dagger(root)) / 2.0
+    root += _dagger(root)
+    return np.multiply(root, 0.5, out=root)
 
 
 def _two_qubit(rho) -> np.ndarray:

@@ -45,13 +45,12 @@ _RANGES = {"concurrence": (0.0, 1.0), "negativity": (0.0, 0.5), "log_negativity"
            "lqu": (0.0, 1.0), "min_trace": (0.0, np.inf), "correlated_coherence": (0.0, np.inf),
            "l1_coherence": (0.0, np.inf)}
 
-_SIGMA_YY = _PAULI[10]  # sy ox sy
+_SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
 _OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
-_PAULI_A = _PAULI[4::4]  # s_i ox 1, i = x, y, z
-# M s_i^(A) = M[:, _PAULI_A_COLUMNS[i]] * _PAULI_A_PHASES[i]: each column of s_i ox 1
-# has one nonzero entry
-_PAULI_A_COLUMNS = abs(_PAULI_A).argmax(axis=1)
-_PAULI_A_PHASES = _PAULI_A.sum(axis=1)[:, None, :]
+# _W_TABLE[a, c, i, j] = Re tr(P_4a Q_i P_4c Q_j) / 16 (0 or +-1/4), Q_i = s_i ox 1; the
+# products P_4a Q_i come first, far cheaper at import than one four-operand einsum
+_PAULI_A_PRODUCTS = _PAULI[::4, None] @ _PAULI[4::4]
+_W_TABLE = np.einsum("aimn,cjnm->acij", _PAULI_A_PRODUCTS, _PAULI_A_PRODUCTS).real / 16.0
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def concurrence_general(rho) -> float:
 
 
 def _concurrence_from_sqrt(sqrt_rho):
-    lam = singular_values(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj())
+    lam = singular_values((sqrt_rho[..., ::-1] * _SPIN_FLIP_SIGNS) @ sqrt_rho.conj())
     return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
 
 
@@ -168,19 +167,20 @@ def log_negativity(rho) -> float:
 
 
 def _w_matrix_general(sqrt_rho: np.ndarray) -> np.ndarray:
-    # W_ij = tr(A_i A_j) with A_i = sqrt(rho) sigma_i^(A), made exactly symmetric;
-    # A_i is sqrt(rho) with its columns permuted and multiplied by phases
-    a = np.multiply(sqrt_rho.take(_PAULI_A_COLUMNS, -1).swapaxes(-2, -3), _PAULI_A_PHASES,
-                    order="C")  # contiguous: einsum then sums in the order of the matmul form
-    w = np.einsum("...iab,...jba->...ij", a, a).real
+    # W = C : _W_TABLE (see ``lqu``), exact as tr(P_4a+b Q_i P_4c+d Q_j) vanishes unless
+    # b = d and does not depend on b; then made exactly symmetric
+    s = _to_pauli(sqrt_rho).reshape(sqrt_rho.shape[:-2] + (4, 4))
+    w = np.einsum("...ac,acij->...ij", np.einsum("...ab,...cb->...ac", s, s), _W_TABLE)
     return (w + w.swapaxes(-1, -2)) / 2.0
 
 
 def lqu(rho) -> float:
     """Local quantum uncertainty 1 - lambda_max(W) for measurements on qubit A.
 
-    W_ij = tr( sqrt(rho) sigma_i^(A) sqrt(rho) sigma_j^(A) ) is real symmetric;
-    the result is clamped into [0, 1] against round-off.
+    W_ij = tr( sqrt(rho) sigma_i^(A) sqrt(rho) sigma_j^(A) ) is real symmetric and
+    equals sum_ac C_ac L_acij, with the Pauli Gram matrix C = X X^T of sqrt(rho),
+    X[a, b] = tr(sqrt(rho) s_a ox s_b), and L_acij = Re tr(P_4a Q_i P_4c Q_j) / 16
+    in {0, +-1/4}, Q_i = s_i ox 1. The result is clamped into [0, 1].
     """
     return _lqu_from_sqrt(psd_sqrt(rho))
 
@@ -287,7 +287,7 @@ def min_trace_general(rho) -> float:
 def l1_coherence(rho) -> float:
     """Sum of the magnitudes of all off-diagonal entries."""
     a = np.abs(np.asarray(rho, dtype=complex))
-    return (a * _OFF_DIAGONAL[a.shape[-1]]).sum(axis=(-2, -1))
+    return np.multiply(a, _OFF_DIAGONAL[a.shape[-1]], out=a).sum(axis=(-2, -1))
 
 
 def correlated_coherence(x: XColumns) -> float:
@@ -299,11 +299,11 @@ def correlated_coherence(x: XColumns) -> float:
 def correlated_coherence_general(rho) -> float:
     """CC from its definition: global l1 coherence minus both marginal coherences."""
     rho = np.asarray(rho, dtype=complex)
-    return (
-        l1_coherence(rho)
-        - l1_coherence(trace_out_b(rho))
-        - l1_coherence(trace_out_a(rho))
-    )
+    return _correlated_coherence_from_l1(rho, l1_coherence(rho))
+
+
+def _correlated_coherence_from_l1(rho: np.ndarray, l1) -> float:
+    return l1 - l1_coherence(trace_out_b(rho)) - l1_coherence(trace_out_a(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +352,10 @@ def correlations(rho) -> CorrelationSet:
     # general routes: the values of non-X rows and the cross-checks of X rows
     closed = np.array([concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
                        correlated_coherence(x)])
+    l1 = l1_coherence(mats)
     general = np.array([np.maximum(0.0, _concurrence_from_sqrt(sqrt_rho)), negativity(mats),
                         _lqu_from_sqrt(sqrt_rho), min_trace_general(mats),
-                        correlated_coherence_general(mats)])
+                        _correlated_coherence_from_l1(mats, l1)])
     check_routes([
         ("concurrence", closed[0], general[0]),
         ("concurrence (Dicke basis)", closed[0], concurrence_dicke(to_dicke(x))),
@@ -365,7 +366,7 @@ def correlations(rho) -> CorrelationSet:
     ], x_rows)
 
     conc, neg, unc, mt, cc = np.where(x_rows, closed, general)
-    columns = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, l1_coherence(mats))
+    columns = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, l1)
     if rho.ndim == 2:
         return CorrelationSet(*(float(c[0]) for c in columns))
     return CorrelationSet(*(c.reshape(rho.shape[:-2]) for c in columns))

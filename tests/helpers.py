@@ -8,7 +8,7 @@ import numpy as np
 from qcorr import XColumns, lindblad_rhs, validate
 from qcorr.dynamics import Trajectory, _increment_operator, _liouvillian
 from qcorr.linalg import hermitian_eigenvalues, partial_transpose_b, psd_sqrt
-from qcorr.measures import _PAULI_A, _concurrence_from_sqrt
+from qcorr.measures import _concurrence_from_sqrt
 from qcorr.model import _from_pauli, _to_pauli
 from qcorr.states import DickeColumns, _validated
 
@@ -59,6 +59,26 @@ def random_balanced_x_state(rng) -> XColumns:
     mag23 = np.sqrt(r22 * r33) * rng.random()
     ph14, ph23 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     return valid_x(r11, r22, r33, r44, mag14 * np.exp(1j * ph14), mag23 * np.exp(1j * ph23))
+
+
+def rank_deficient_x_state(rng) -> np.ndarray:
+    """X state with one population, and the coherence that shares its block,
+    exactly zero. (A rank-one block built from |rho14|^2 = rho11 rho44 in
+    floating point is only singular to round-off, which the square roots of
+    the general routes amplify to ~sqrt(eps), beyond the 1e-8 cross-check.)"""
+    rho = random_x_state(rng).to_matrix()
+    i = rng.integers(4)
+    rho[i, :] = rho[:, i] = 0.0
+    return rho / np.trace(rho).real
+
+
+def degenerate_marginal_state(rng) -> np.ndarray:
+    """Non-X state with a maximally mixed marginal of A: a maximally entangled
+    pure state turned by a random unitary on B, mixed with white noise."""
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    psi = (np.kron([1.0, 0.0], q[:, 0]) + np.kron([0.0, 1.0], q[:, 1])) / np.sqrt(2.0)
+    p = rng.uniform(0.2, 0.9)
+    return p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
 
 
 def random_hermitian(rng, n: int) -> np.ndarray:
@@ -150,21 +170,12 @@ def liouvillian_by_columns(params) -> np.ndarray:
 
 def w_matrix_by_pairs(sqrt_rho: np.ndarray) -> np.ndarray:
     """W_ij = tr(sqrt(rho) s_i^(A) sqrt(rho) s_j^(A)) one pair (i <= j) at a time."""
-    prods = [sqrt_rho @ op for op in _PAULI_A]
+    prods = [sqrt_rho @ op for op in _PAULIS[4::4]]  # s_i ox 1
     w = np.empty(sqrt_rho.shape[:-2] + (3, 3))
     for i in range(3):
         for j in range(i, 3):
             w[..., i, j] = w[..., j, i] = np.trace(prods[i] @ prods[j], axis1=-2, axis2=-1).real
     return w
-
-
-def w_matrix_by_matmul(sqrt_rho: np.ndarray) -> np.ndarray:
-    """W from the products A_i = sqrt(rho) s_i^(A) formed by matmul, contracted
-    in one einsum and made exactly symmetric: the form the library's
-    permuted-column construction reproduces bit for bit."""
-    prods = sqrt_rho[..., None, :, :] @ _PAULI_A
-    w = np.einsum("...iab,...jba->...ij", prods, prods).real
-    return (w + w.swapaxes(-1, -2)) / 2.0
 
 
 def steady_state_zero_temp(params) -> XColumns:

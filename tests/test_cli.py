@@ -17,7 +17,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from helpers import csv_by_cells, random_density_matrix, random_rank_one_x_state
 from qcorr import WeakCouplingWarning, concurrence_x, dumps_density_matrix, lqu_x, make_mixture
-from qcorr.cli import EVOLVE_HEADER, _csv, build_parser, cmd_steady, main
+from qcorr.cli import EVOLVE_HEADER, _csv, build_parser, main
 from qcorr.dynamics import MAX_SAMPLES
 
 
@@ -494,14 +494,44 @@ def test_extreme_sweeps_end_cleanly_without_warnings(args, tmp_path, capsys):
     assert err == "" if code == 0 else err.count("\n") == 1
 
 
-def test_weak_coupling_warning_fires_once_per_sweep(tmp_path):
+_WEAK_LINE = ("qcorr: warning: coupling beyond the weak-interaction regime (|J| or |Delta|"
+              " exceeds omega/2); equations stay exact but the equal-rate relaxation"
+              " assumption degrades")
+
+
+def test_weak_coupling_warning_fires_once_per_sweep(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run_cli(["steady", "--gamma", "0.1", "--sweep", "delta:0:2.2:23"], tmp_path)
     assert code == 0
-    assert [w.category for w in caught] == [WeakCouplingWarning]
-    assert caught[0].filename == cmd_steady.__code__.co_filename  # where ModelParams is built
+    assert caught == []  # main prints it as one line instead
+    assert capsys.readouterr().err.splitlines() == [_WEAK_LINE]
     assert issubclass(WeakCouplingWarning, UserWarning)
+
+
+def test_other_warnings_pass_through_main(monkeypatch, tmp_path, capsys):
+    from qcorr import cli
+
+    def probe(out):
+        warnings.warn("probe", RuntimeWarning)
+
+    monkeypatch.setattr(cli, "_check_output", probe)
+    with pytest.warns(RuntimeWarning, match="^probe$") as caught:
+        code, _ = run_cli(["steady"], tmp_path)
+    assert code == 0 and caught[0].filename == probe.__code__.co_filename
+    assert capsys.readouterr().err == ""
+
+
+def test_weak_coupling_warning_is_one_stderr_line_on_exit_0(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "qcorr", "steady", "--delta", "0.9"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, cwd=tmp_path)
+    assert done.returncode == 0
+    assert done.stderr.splitlines() == [_WEAK_LINE]
+    assert done.stdout == ("nbar,concurrence,log_negativity,lqu,min,ccc\n"
+                           "0,0.27372375048415737,0.34905241493942962,0.24718002378121284,"
+                           "0.49717202634622626,0.49717202634622626\n")
 
 
 def test_weak_coupling_warning_as_error_exits_2(monkeypatch, capsys):
