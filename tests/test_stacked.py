@@ -210,9 +210,7 @@ def random_dense_stack(rng, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("make, n", [(random_x_stack, 20_000), (random_dense_stack, 4_000)])
 def test_correlations_peak_memory_is_bounded_by_its_input(make, n):
-    # the general routes' temporaries, W's above all, set the peak; 4.3x was
-    # measured on both stacks (7.3x and 7.5x when W was built from
-    # sqrt(rho) sigma_i^(A) products)
+    # the general routes' temporaries set the peak; both stacks measure about 4.3x
     stack = make(np.random.default_rng(7), n)
     correlations(stack[:3])  # one-off caches and imports stay out of the peak
     tracemalloc.start()
