@@ -7,7 +7,9 @@ All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
 of shape (..., m, m). Every eigenproblem goes through
 ``hermitian_eigensystem``, or through ``hermitian_eigenvalues`` when only
 the eigenvalues are read, and every singular-value problem through
-``singular_values``. All three group a stack by exact nonzero pattern and
+``singular_values``; internal solves of matrices that are already checked
+or Hermitian by construction skip the re-check (``_psd_eigenpairs``,
+``_eigenvalues``). All of them group a stack by exact nonzero pattern and
 split each pattern into its blocks. Blocks of size 1 and 2 (the X pattern
 above all) are solved in closed form, with the smaller 2x2 eigenvalue or
 singular value taken as the determinant over the larger one; a pattern with
@@ -99,7 +101,8 @@ def _per_pattern(a: np.ndarray, solve, *args) -> list[np.ndarray]:
         raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
     flat = a.reshape(-1, n, n)
     keys = (flat != 0).reshape(len(flat), n * n).view(np.uint8) @ _PATTERN_BITS[: n * n]
-    groups = set(keys.tolist()) or {0}  # not np.unique: its first call imports numpy.ma
+    one = len(keys) > 0 and keys.min() == keys.max()  # one pattern: no set of the whole stack
+    groups = set((keys[:1] if one else keys).tolist()) or {0}  # not np.unique: imports numpy.ma
     union = functools.reduce(operator.or_, groups)
     # one pattern, or a union solved in closed form (a zero 2x2 off-diagonal
     # entry gives the 1x1 results): one solve, no scatter
@@ -153,12 +156,16 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     eigenvectors: closed-form blocks give the same values bit for bit, and a
     pattern with a larger block goes to LAPACK ``eigvalsh``. Real symmetric
     input is solved in real arithmetic."""
-    return _per_pattern(require_hermitian(mat), _eigen_by_blocks, False)[0]
+    return _eigenvalues(require_hermitian(mat))
 
 
-def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool) -> tuple[np.ndarray, ...]:
-    """Ascending eigenvalues, and the eigenvectors if ``vectors``, of a stack
-    (k, n, n) of matrices whose nonzero patterns lie inside ``pattern``."""
+def _eigenvalues(a: np.ndarray) -> np.ndarray:  # of matrices Hermitian by construction: no check
+    return _per_pattern(a, _eigen_by_blocks, False)[0]
+
+
+def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool, sort: bool = True):
+    """Eigenvalues (ascending, or unordered from closed-form blocks unless ``sort``), and the
+    eigenvectors if ``vectors``, of a stack (k, n, n) of matrices with patterns in ``pattern``."""
     n = a.shape[-1]
     blocks = _blocks(pattern, n)
     if max(map(len, blocks)) > 2:
@@ -190,6 +197,8 @@ def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool) -> tuple[np.nda
         w[split, i], w[split, j] = a[split, i, i].real, a[split, j, j].real
         if vectors:
             vt[np.ix_(split, b, b)] = np.eye(2)
+    if not sort:
+        return (w, vt.swapaxes(-1, -2)) if vectors else (w,)
     if not vectors:
         return (np.sort(w, axis=-1),)
     rows, k = np.arange(len(w))[:, None], np.argsort(w, axis=-1, kind="stable")
@@ -279,11 +288,17 @@ def _singular_values_by_blocks(m: np.ndarray, pattern: int) -> tuple[np.ndarray]
 def require_psd(mat) -> HermitianEigensystem:
     """Eigensystem of a Hermitian matrix (or of each matrix of a stack),
     raising NotPSD if a minimum eigenvalue lies below -PSD_TOL."""
-    es = hermitian_eigensystem(mat)
-    lam_min = es.eigenvalues[..., 0]
+    return HermitianEigensystem(*_psd_eigenpairs(require_hermitian(mat)))
+
+
+def _psd_eigenpairs(a: np.ndarray, sort: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``require_psd`` of a stack already checked Hermitian, as (w, V): no second check,
+    and the pairs of closed-form blocks unordered unless ``sort``."""
+    w, v = _per_pattern(a.astype(complex, copy=False), _eigen_by_blocks, True, sort)
+    lam_min = w.min(-1)
     raise_first(lam_min < -PSD_TOL, NotPSD,
                 lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} below -{PSD_TOL:.1e}")
-    return es
+    return w, v
 
 
 def psd_sqrt(mat) -> np.ndarray:
@@ -292,15 +307,16 @@ def psd_sqrt(mat) -> np.ndarray:
     Eigenvalues in [-PSD_TOL, 0) are treated as integrator round-off and
     clamped to zero; anything below -PSD_TOL raises NotPSD (``require_psd``).
     """
-    return _sqrt_of(require_psd(mat))
+    es = require_psd(mat)
+    return _sqrt_of(es.eigenvalues, es.eigenvectors)
 
 
-def _sqrt_of(es: HermitianEigensystem) -> np.ndarray:
-    """The square root V diag(sqrt(w)) V^dag of the eigensystem of a PSD
-    matrix or stack, with w clamped at zero and the result made exactly
-    Hermitian."""
-    w = np.sqrt(np.clip(es.eigenvalues, 0.0, None))
-    root = (es.eigenvectors * w[..., None, :]) @ _dagger(es.eigenvectors)
+def _sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The square root V diag(sqrt(w)) V^dag of the eigenpairs (w, V) of a
+    PSD matrix or stack, in any order, with w clamped at zero and the result
+    made exactly Hermitian. It consumes V: V is conjugated in place."""
+    root = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    root = root @ np.conjugate(v, out=v).swapaxes(-1, -2)
     root += _dagger(root)
     return np.multiply(root, 0.5, out=root)
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckFailure, raise_first
-from .linalg import _sqrt_of, hermitian_eigenvalues, partial_transpose_b, psd_sqrt, singular_values
+from .linalg import (_eigenvalues, _sqrt_of, hermitian_eigenvalues, partial_transpose_b,
+                     psd_sqrt, singular_values)
 from .model import _PAULI, _to_pauli
 from .states import (
     DickeColumns,
@@ -186,7 +187,7 @@ def lqu(rho) -> float:
 
 
 def _lqu_from_sqrt(sqrt_rho: np.ndarray) -> float:
-    lam_max = hermitian_eigenvalues(_w_matrix_general(sqrt_rho))[..., -1]
+    lam_max = _eigenvalues(_w_matrix_general(sqrt_rho))[..., -1]  # W is exactly symmetric
     return np.minimum(1.0, np.maximum(0.0, 1.0 - lam_max))
 
 
@@ -340,11 +341,12 @@ def correlations(rho) -> CorrelationSet:
     Other matrices take the general routes throughout. The only eigensystem
     solved is that of the positivity check, from which the general routes
     take sqrt(rho); they read only eigenvalues from the partial transpose, W
-    and Gram matrices. One matrix gives a CorrelationSet of floats, a stack a
-    CorrelationSet of arrays over its leading axes.
+    and Gram matrices, and re-check only the Gram matrices' Hermiticity. One
+    matrix gives a CorrelationSet of floats, a stack a CorrelationSet of
+    arrays over its leading axes.
     """
     rho = np.asarray(rho, dtype=complex)
-    sqrt_rho = _sqrt_of(_checked_eigensystem(rho))  # shared by the concurrence and LQU routes
+    sqrt_rho = _sqrt_of(*_checked_eigensystem(rho))  # shared by the concurrence and LQU routes
     mats = rho.reshape(-1, 4, 4)
     x_rows = is_x_shaped(mats)
     x = x_columns(mats)
@@ -353,7 +355,9 @@ def correlations(rho) -> CorrelationSet:
     closed = np.array([concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
                        correlated_coherence(x)])
     l1 = l1_coherence(mats)
-    general = np.array([np.maximum(0.0, _concurrence_from_sqrt(sqrt_rho)), negativity(mats),
+    # ``negativity`` without its check: the partial transpose permutes validated entries
+    neg_pt = 0.0 - np.minimum(_eigenvalues(partial_transpose_b(mats))[:, 0], 0.0)
+    general = np.array([np.maximum(0.0, _concurrence_from_sqrt(sqrt_rho)), neg_pt,
                         _lqu_from_sqrt(sqrt_rho), min_trace_general(mats),
                         _correlated_coherence_from_l1(mats, l1)])
     check_routes([

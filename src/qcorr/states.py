@@ -7,7 +7,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
-from .linalg import HermitianEigensystem, _two_qubit, require_hermitian, require_psd
+from .linalg import _psd_eigenpairs, _two_qubit, require_hermitian
 
 TRACE_TOL = 1e-10
 X_SHAPE_TOL = 1e-9
@@ -65,22 +65,23 @@ def validate(rho) -> np.ndarray:
     return rho
 
 
-def _checked_eigensystem(rho: np.ndarray) -> HermitianEigensystem:
-    """``validate`` of a complex ndarray that returns the eigensystem of its
-    matrices, flattened to (n, 4, 4), which the positivity check solved."""
+def _checked_eigensystem(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``validate`` of a complex ndarray that returns the eigenpairs (w, V) of its
+    matrices, flattened to (n, 4, 4), which the positivity check solved without a
+    second Hermiticity check, unordered from closed-form blocks (it reads their minimum)."""
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     mats = rho.reshape(-1, 4, 4)
     failure, stop = None, len(mats)
     # each check sees only the matrices before the first failure found so far
-    for check in (require_hermitian, _require_unit_trace, require_psd):
+    for check in (require_hermitian, _require_unit_trace, lambda m: _psd_eigenpairs(m, False)):
         try:
             checked = check(mats[:stop])
         except (NotHermitian, TraceNotOne, NotPSD) as exc:
             failure, stop = exc, exc.index
     if failure is not None:
         raise failure
-    return checked  # all three passed: the last one returned the eigensystem
+    return checked  # all three passed: the last one returned the eigenpairs
 
 
 def _validated(x: XColumns) -> XColumns:
@@ -118,12 +119,12 @@ def to_dicke(x: XColumns) -> DickeColumns:
 
 def trace_out_b(rho) -> np.ndarray:
     """Reduced 2x2 state of qubit A for an arbitrary two-qubit matrix."""
-    return np.trace(_two_qubit(rho), axis1=-3, axis2=-1)
+    return np.einsum("...ijkj->...ik", _two_qubit(rho))
 
 
 def trace_out_a(rho) -> np.ndarray:
     """Reduced 2x2 state of qubit B for an arbitrary two-qubit matrix."""
-    return np.trace(_two_qubit(rho), axis1=-4, axis2=-2)
+    return np.einsum("...ijil->...jl", _two_qubit(rho))
 
 
 def purity(rho):

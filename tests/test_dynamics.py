@@ -43,7 +43,8 @@ from qcorr import (
     w_matrix_x,
     correlated_coherence,
 )
-from qcorr.dynamics import _liouvillian
+from qcorr.dynamics import STEADY_RHS_TOL, _liouvillian, _steady_rows
+from qcorr.model import _from_pauli
 
 P_REF = ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
 
@@ -264,6 +265,31 @@ def test_steady_time_of_the_default_scenario():
     # STEADY_RHS_TOL bounds the entries of the matrix of L y, not its coordinates
     traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=600.0)
     assert traj.steady_time == 268.7
+
+
+_TOL_LOG = (math.log(STEADY_RHS_TOL / 16.0), math.log(16.0 * STEADY_RHS_TOL))
+
+
+_SIGNED_NEAR_TOL = st.tuples(st.floats(*_TOL_LOG), st.booleans()).map(
+    lambda t: math.copysign(math.exp(t[0]), -1.0 if t[1] else 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    # one coordinate alone: its rebuilt entries are r_k / 4, the tightest case of the upper bound
+    st.tuples(_SIGNED_NEAR_TOL, st.integers(0, 15)).map(lambda t: np.eye(16)[t[1]] * t[0]),
+    # one magnitude with random signs: the row crosses both bounds as a whole
+    st.tuples(st.floats(*_TOL_LOG), st.lists(st.booleans(), min_size=16, max_size=16)).map(
+        lambda t: [math.copysign(math.exp(t[0]), -1.0 if neg else 1.0) for neg in t[1]]),
+    st.lists(st.one_of(_SIGNED_NEAR_TOL,
+                       st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])),
+             min_size=16, max_size=16),
+), min_size=1, max_size=20))
+def test_bounded_steady_flag_equals_the_rebuilt_entry_test(rows):
+    rhs = np.array([np.asarray(row, dtype=float) for row in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.abs(_from_pauli(rhs)).max(axis=(1, 2)) <= STEADY_RHS_TOL
+        np.testing.assert_array_equal(_steady_rows(rhs), full)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,12 +17,14 @@ from helpers import (
     random_x_state,
     trace_norm,
 )
+from qcorr import linalg
 from qcorr import (
     NotHermitian,
     NotPSD,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     is_x_shaped,
+    lqu,
     make_mixture,
     make_werner,
     negativity,
@@ -316,6 +318,41 @@ def test_not_hermitian_rejected():
             warnings.simplefilter("error")
             with pytest.raises(NotHermitian, match=r"entry \(1, 1\).*not finite"):
                 fn(m)
+
+
+def test_public_entries_keep_their_hermiticity_check():
+    # the private solver entries skip the check; the public ones must not
+    rho = np.stack([make_mixture(0.5).to_matrix()] * 3)
+    rho[1, 0, 1] = 1e-6
+    for fn in (negativity, lqu, psd_sqrt, hermitian_eigenvalues):
+        with pytest.raises(NotHermitian, match=r"1\.000e-06 exceeds") as info:
+            fn(rho)
+        assert info.value.index == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.sampled_from(
+    [blocks for n, blocks in BLOCK_PATTERNS if n == 4 and max(map(len, blocks)) <= 2]
+    + [[[0], [1], [2], [3]]]))
+def test_unsorted_closed_form_pairs_give_the_sorted_square_root(seed, blocks):
+    # validation's 4x4 square root from unordered pairs: every entry of
+    # V diag(sqrt(w)) V^dag sums at most two nonzero terms on 1x1 and 2x2
+    # blocks, so the order of the pairs changes no bit, the sign of an exact
+    # zero included (on the 3x3 pattern [[0, 2], [1]] that sign can differ)
+    n = 4
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(12):
+        g = random_block_hermitian(rng, n, blocks)
+        m = g @ g.conj().T * rng.uniform(0.0, 2.0)
+        m[rng.random((n, n)) < 0.15] = 0.0  # zero matrices and split blocks too
+        stack.append((m + m.conj().T) / 2.0)
+    stack = np.array(stack)
+    w, v = linalg._per_pattern(stack, linalg._eigen_by_blocks, True, True)
+    w_any, v_any = linalg._per_pattern(stack, linalg._eigen_by_blocks, True, False)
+    np.testing.assert_array_equal(np.sort(w_any, axis=-1), w)
+    np.testing.assert_array_equal(w_any.min(-1), w[:, 0])
+    assert linalg._sqrt_of(w_any, v_any).tobytes() == linalg._sqrt_of(w, v).tobytes()
 
 
 def test_unsupported_size_rejected():

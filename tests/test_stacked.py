@@ -19,6 +19,8 @@ from helpers import (
 from qcorr import (
     CrossCheckFailure,
     ModelParams,
+    NotHermitian,
+    NotPSD,
     StepRejected,
     TraceNotOne,
     XColumns,
@@ -28,6 +30,7 @@ from qcorr import (
     make_mixture,
     partial_transpose_b,
     psd_sqrt,
+    validate,
 )
 from qcorr import linalg
 from qcorr.dynamics import _evaluate_samples
@@ -93,17 +96,20 @@ def test_stack_matches_one_matrix_at_a_time(seed, counts):
 
 def test_each_eigenproblem_is_solved_once(monkeypatch):
     # a dense evolve diagonalizes its sample stack once, for validation, and
-    # the general routes reuse that eigensystem
-    shapes, eigensystem = [], linalg.hermitian_eigensystem
+    # the general routes reuse that eigensystem; validation takes the private
+    # solver entry, so count the vector solves that reach it
+    shapes, per_pattern = [], linalg._per_pattern
 
-    def recorded(mat):
-        shapes.append(np.shape(mat))
-        return eigensystem(mat)
+    def recorded(a, solve, *args):
+        if solve is linalg._eigen_by_blocks and args[0]:  # vectors: an eigensystem
+            shapes.append(np.shape(a))
+        return per_pattern(a, solve, *args)
 
-    monkeypatch.setattr(linalg, "hermitian_eigensystem", recorded)
+    monkeypatch.setattr(linalg, "_per_pattern", recorded)
     rho = random_density_matrix(np.random.default_rng(3))
     traj = evolve(rho, ModelParams(nbar=0.5), t_max=1.0, dt=0.01, stride=1)
     assert shapes.count((len(traj.times), 4, 4)) == 1
+    monkeypatch.undo()
 
     # the fig1 stack has several nonzero patterns (sample 0 is the w = 1/2
     # mixture, rho33 = rho23 = 0) inside the X blocks: each stacked solve is
@@ -129,6 +135,60 @@ def test_each_eigenproblem_is_solved_once(monkeypatch):
     # the eigensystem of validation, the partial transpose, W and the MIN Gram
     # matrix, and the concurrence's singular values
     assert stacked == [1] * 5
+
+
+# one fixed invalid sample per fault, X-shaped and dense, with the class and
+# message it raised before validation solved its stack without a second check
+_X_SAMPLE = XColumns(0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.1j).to_matrix()
+_PSI = np.array([1.0, 2j, 3.0, 4.0 - 1j]) / np.sqrt(31.0)
+_DENSE_SAMPLE = 0.225 * np.eye(4) + 0.1 * np.outer(_PSI, _PSI.conj())  # no zero entry
+_HERMITIAN_MESSAGE = "max |M - M^dag| entry = 1.000e-06 exceeds 1.0e-10"
+_NAN_MESSAGE = "entry (2, 1) = (nan+0j) is not finite"
+PINNED_FAULTS = {
+    ("x", "hermitian"): (NotHermitian, _HERMITIAN_MESSAGE),
+    ("x", "trace"): (TraceNotOne, "trace = (1.5+0j), |trace - 1| = 5.000e-01"),
+    ("x", "psd"): (NotPSD, "minimum eigenvalue -4.095e-01 below -1.0e-10"),
+    ("x", "nan"): (NotHermitian, _NAN_MESSAGE),
+    ("dense", "hermitian"): (NotHermitian, _HERMITIAN_MESSAGE),
+    ("dense", "trace"): (TraceNotOne,
+                         "trace = (1.5-1.6087965854621213e-18j), |trace - 1| = 5.000e-01"),
+    ("dense", "psd"): (NotPSD, "minimum eigenvalue -2.250e-01 below -1.0e-10"),
+    ("dense", "nan"): (NotHermitian, _NAN_MESSAGE),
+}
+
+
+def faulty_sample(kind: str, fault: str) -> np.ndarray:
+    m = (_X_SAMPLE if kind == "x" else _DENSE_SAMPLE).copy()
+    if fault == "hermitian":
+        m[0, 3] += 1e-6
+    elif fault == "trace":
+        m *= 1.5
+    elif fault == "psd":
+        m += np.diag([0.5, 0.0, 0.0, -0.5])
+    else:
+        m[2, 1] = np.nan
+    return m
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), data=st.data())
+@pytest.mark.parametrize("kind", ["x", "dense"])
+def test_injected_fault_raises_its_pinned_class_index_and_message(kind, seed, n, data):
+    # a fault at a random index of a valid stack, and maybe a second fault of
+    # another kind after it: the first one raises, as it did before
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_x_state(rng).to_matrix() if kind == "x" else random_density_matrix(rng)
+                      for _ in range(n)])
+    faults = data.draw(st.permutations(["hermitian", "trace", "psd", "nan"]))
+    first = data.draw(st.integers(0, n - 1))
+    stack[first] = faulty_sample(kind, faults[0])
+    if first + 1 < n and data.draw(st.booleans()):
+        stack[data.draw(st.integers(first + 1, n - 1))] = faulty_sample(kind, faults[1])
+    error, message = PINNED_FAULTS[kind, faults[0]]
+    for fn in (validate, correlations):
+        with pytest.raises(error) as info:
+            fn(stack)
+        assert (info.value.index, str(info.value)) == (first, message)
 
 
 def full_rank_x_stack(n=8, seed=31):

@@ -163,6 +163,20 @@ def test_dicke_round_trip_and_spectrum():
         assert d.ee + d.gg + d.ss + d.aa == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=hnp.array_shapes(max_dims=2, max_side=8))
+def test_partial_traces_equal_the_np_trace_forms_bit_for_bit(seed, shape):
+    # entries of magnitude 1e-8 to 1e8 with random signs, and some -0.0
+    rng = np.random.default_rng(seed)
+    size = (2,) + shape + (4, 4)
+    parts = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+    parts[rng.random(size) < 0.1] = -0.0
+    rho = parts[0] + 1j * parts[1]
+    blocks = rho.reshape(shape + (2, 2, 2, 2))
+    assert trace_out_b(rho).tobytes() == np.trace(blocks, axis1=-3, axis2=-1).tobytes()
+    assert trace_out_a(rho).tobytes() == np.trace(blocks, axis1=-4, axis2=-2).tobytes()
+
+
 def test_reduced_states():
     w1 = make_werner(1.0).to_matrix()
     np.testing.assert_allclose(trace_out_b(w1), np.diag([0.5, 0.5]), atol=1e-15)
