@@ -1,6 +1,11 @@
 """Two-qubit open-system toolkit: XY-model decoherence dynamics, X-state
 algebra and quantum-correlation measures."""
 
+import os
+
+# Before numpy loads: qcorr's operands stay below OpenBLAS's thread thresholds, so a pool only spins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     CrossCheckFailure,
     DegenerateParams,

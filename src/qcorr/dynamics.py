@@ -115,7 +115,7 @@ def _increment_operator(lv: np.ndarray, dt: float, n: int) -> np.ndarray:
 
 def _apply(op: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """op @ y for each row y of ``ys``; einsum, not a BLAS product, keeps an exact
-    L y = 0 exactly zero and runs on one thread."""
+    L y = 0 exactly zero."""
     return np.einsum("ij,nj->ni", op, ys)
 
 

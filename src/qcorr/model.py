@@ -58,8 +58,8 @@ def _to_pauli(rho) -> np.ndarray:
 def _from_pauli(r) -> np.ndarray:
     """The matrices (1/4) sum_k r_k P_k, shape (..., 4, 4), of coordinates
     (..., 16). Real coordinates give exactly Hermitian matrices: the entries
-    (i, j) and (j, i) sum the same terms in the same order. A real einsum over
-    the (re, im) view, not a BLAS product, which would thread over the rows."""
+    (i, j) and (j, i) sum the same terms in the same order, which a real einsum
+    over the (re, im) view keeps and a BLAS product's blocked kernels need not."""
     r = np.asarray(r, dtype=float)
     flat = np.einsum("...k,kj->...j", r, _REBUILD)
     return flat.view(complex).reshape(r.shape[:-1] + (4, 4))

@@ -827,3 +827,22 @@ def test_package_imports_only_numpy_of_the_test_dependencies():
     assert "numpy" in loaded
     tops = {name.split(".", 1)[0] for name in loaded}
     assert not tops & {"scipy", "mpmath", "hypothesis", "pytest", "helpers"}
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_importing_the_cli_pins_openblas_to_one_thread_unless_the_caller_set_it(given):
+    # qcorr's operands stay below OpenBLAS's thread thresholds, so a second
+    # worker would only spin; a value already in the environment still wins
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import os, qcorr.cli; tasks = '/proc/self/task'; "
+              "print(os.environ['OPENBLAS_NUM_THREADS'], "
+              "len(os.listdir(tasks)) if os.path.isdir(tasks) else 'none')")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    value, threads = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                    text=True, check=True).stdout.split()
+    assert value == (given or "1")
+    if given is None and threads != "none":  # Linux lists one directory per thread
+        assert threads == "1"
