@@ -13,7 +13,6 @@ import os
 import stat
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -65,7 +64,8 @@ def _write_output(out: str | None, text: str):
         sys.stdout.write(text)
     else:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise DomainError(f"cannot write output file {out!r}: {exc}") from exc
 
@@ -100,7 +100,8 @@ def _initial_state(selector: str) -> np.ndarray:
     if selector.startswith("custom@"):
         path = selector.split("@", 1)[1]
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read initial-state file {path!r}: {exc}") from exc
         try:
@@ -342,22 +343,23 @@ def _join_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    failure = None  # printed after the warnings, so that the outcome is the last stderr line
     with warnings.catch_warnings(record=True) as caught:  # under -W error a warning raises
         try:
             if args.out is not None:
                 _check_output(args.out)
             code = args.func(args)
         except _CONFIG_ERRORS as exc:
-            print(f"qcorr: configuration error: {exc}", file=sys.stderr)
-            code = 2
+            failure, code = f"qcorr: configuration error: {exc}", 2
         except (StepRejected, CrossCheckFailure, RangeViolation, np.linalg.LinAlgError) as exc:
-            print(f"qcorr: run failed: {exc}", file=sys.stderr)
-            code = 3
+            failure, code = f"qcorr: run failed: {exc}", 3
     for w in caught:
         if issubclass(w.category, WeakCouplingWarning):
             print(f"qcorr: warning: {w.message}", file=sys.stderr)
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    if failure is not None:
+        print(failure, file=sys.stderr)
     return code
 
 

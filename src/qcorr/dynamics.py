@@ -4,12 +4,11 @@ entanglement-sudden-death times for the two-qubit XY model."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NotHermitian, NotPSD,
-                     StepRejected, TraceNotOne, raise_first)
+                     Record, StepRejected, TraceNotOne, raise_first)
 from .measures import (
     CorrelationSet,
     balanced,
@@ -35,8 +34,7 @@ _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),
                                               spin_raising(1), spin_raising(2)))
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Time grid with one density matrix per sample (``states`` is an
     (n, 4, 4) array) and the correlations of all samples as one CorrelationSet
     of arrays of length n.
@@ -46,12 +44,16 @@ class Trajectory:
     finished before that happened.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    correlations: CorrelationSet
-    params: ModelParams
-    dt: float
-    steady_time: float | None = None
+    __match_args__ = ("times", "states", "correlations", "params", "dt", "steady_time")
+
+    def __init__(self, times: np.ndarray, states: np.ndarray, correlations: CorrelationSet,
+                 params: ModelParams, dt: float, steady_time: float | None = None) -> None:
+        self.times = times
+        self.states = states
+        self.correlations = correlations
+        self.params = params
+        self.dt = dt
+        self.steady_time = steady_time
 
 
 def _channels(params: ModelParams):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and record base classes shared across the package."""
 
 import numpy as np
 
@@ -57,3 +57,45 @@ def raise_first(failed, error: type[Exception], describe) -> None:
         exc = error(describe(k))
         exc.index = k
         raise exc
+
+
+class Record:
+    """Base of the package's record types (``HermitianEigensystem``,
+    ``ModelParams``, ``CorrelationSet``, ``Trajectory``): a repr that lists the
+    fields, and field-wise ``==``. The methods are plain ones, so creating a
+    record class runs no generated code at import, as ``dataclasses`` would. A
+    subclass lists its fields in constructor order as ``__match_args__`` and
+    writes its own ``__init__``. A Record is mutable and unhashable. The bases
+    live in this module, which every other imports, because a module of their
+    own would cost one more load at every start-up."""
+
+    __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class FrozenRecord(Record):
+    """A Record whose fields ``__init__`` sets once, through ``_set``; its hash
+    is that of the fields (a TypeError when one is an array)."""
+
+    def _set(self, **fields):
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, raise_first
+from .errors import FrozenRecord, NotHermitian, NotPSD, raise_first
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -39,13 +38,14 @@ PSD_TOL = 1e-10
 _PATTERN_BITS = 1 << np.arange(16)
 
 
-@dataclass(frozen=True)
-class HermitianEigensystem:
+class HermitianEigensystem(FrozenRecord):
     """Eigenvalues in ascending order; eigenvectors as matching orthonormal
     columns. Both carry the leading (stack) axes of the input."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __match_args__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> None:
+        self._set(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def _dagger(mat: np.ndarray) -> np.ndarray:

@@ -18,11 +18,10 @@ New J. Phys. 17, 033004 (2015)).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckFailure, raise_first
+from .errors import CrossCheckFailure, FrozenRecord, raise_first
 from .linalg import (_eigenvalues, _sqrt_of, hermitian_eigenvalues, partial_transpose_b,
                      psd_sqrt, singular_values)
 from .model import _PAULI, _to_pauli
@@ -54,21 +53,22 @@ _PAULI_A_PRODUCTS = _PAULI[::4, None] @ _PAULI[4::4]
 _W_TABLE = np.einsum("aimn,cjnm->acij", _PAULI_A_PRODUCTS, _PAULI_A_PRODUCTS).real / 16.0
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
+class CorrelationSet(FrozenRecord):
     """All correlation/coherence quantifiers evaluated on one state (floats)
     or on a stack of states (one array per field)."""
 
-    concurrence: float
-    negativity: float
-    log_negativity: float
-    lqu: float
-    min_trace: float
-    correlated_coherence: float
-    l1_coherence: float
+    __match_args__ = ("concurrence", "negativity", "log_negativity", "lqu", "min_trace",
+                      "correlated_coherence", "l1_coherence")
+
+    def __init__(self, concurrence: float, negativity: float, log_negativity: float,
+                 lqu: float, min_trace: float, correlated_coherence: float,
+                 l1_coherence: float) -> None:
+        self._set(concurrence=concurrence, negativity=negativity,
+                  log_negativity=log_negativity, lqu=lqu, min_trace=min_trace,
+                  correlated_coherence=correlated_coherence, l1_coherence=l1_coherence)
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(vars(self).values())  # the fields, in declaration order
+        return tuple(vars(self).values())  # the fields, in constructor order
 
     def range_violation(self, where=None) -> str | None:
         """Describe the first field outside its allowed range (NaN and inf

@@ -8,11 +8,10 @@ and relaxation accumulates population in |11>.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, WeakCouplingWarning, raise_first
+from .errors import DomainError, FrozenRecord, WeakCouplingWarning, raise_first
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -22,17 +21,26 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 S_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 S_PLUS = S_MINUS.conj().T
 S_Z = SIGMA_Z / 2.0
+
+
+def _krons(a, b) -> np.ndarray:
+    """``np.kron(a[k], b[k])`` of two broadcast stacks of 2x2 matrices, shape
+    (..., 4, 4): bit for bit, as np.kron is the same element-wise product."""
+    a, b = np.asarray(a), np.asarray(b)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (4, 4))
+
+
 # the operators that J, Delta and omega multiply in the XY Hamiltonian
-_H_J = np.kron(S_PLUS, S_MINUS) + np.kron(S_MINUS, S_PLUS)
-_H_DELTA = np.kron(S_PLUS, S_PLUS) + np.kron(S_MINUS, S_MINUS)
-_H_OMEGA = np.kron(S_Z, IDENTITY_2) + np.kron(IDENTITY_2, S_Z)
+_H_J, _H_DELTA, _H_OMEGA = _krons([[S_PLUS, S_MINUS], [S_PLUS, S_MINUS], [S_Z, IDENTITY_2]],
+                                  [[S_MINUS, S_PLUS], [S_PLUS, S_MINUS], [IDENTITY_2, S_Z]]).sum(1)
 
 # The 16 Pauli products P[4a + b] = s_a ox s_b (s_0 = 1). A 4x4 Hermitian
 # matrix is (1/4) sum_k r_k P_k with real coordinates r_k = tr(M P_k): r_0 is
 # the trace, r[4a] (a > 0) the Bloch vector of qubit A, r[4a + b] the
 # correlation matrix T_ab.
-_PAULI = np.array([np.kron(a, b) for a in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-                   for b in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)])
+_SIGMAS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+_PAULI = _krons(_SIGMAS[:, None], _SIGMAS).reshape(16, 4, 4)
 # Row a of P_k has one nonzero entry p (1, -1, i or -i), in column c, so
 # tr(P_k M) = sum_a Re(p M[c, a]) sums one signed entry of the (re, im) float
 # view of M per row a: index _PICK[a, k] times _PICK_SIGN[a, k].
@@ -65,8 +73,7 @@ def _from_pauli(r) -> np.ndarray:
     return flat.view(complex).reshape(r.shape[:-1] + (4, 4))
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(FrozenRecord):
     """Model parameters, all rates and couplings in units of omega.
 
     j is the isotropic qubit-qubit coupling, delta the anisotropy, omega the
@@ -75,29 +82,26 @@ class ModelParams:
     make a sweep: the steady-state functions give one value per element.
     """
 
-    j: float = 0.1
-    delta: float = 0.5
-    omega: float = 1.0
-    gamma: float = 0.1
-    nbar: float = 0.0
+    __match_args__ = ("j", "delta", "omega", "gamma", "nbar")
 
-    def __post_init__(self):
+    def __init__(self, j: float = 0.1, delta: float = 0.5, omega: float = 1.0,
+                 gamma: float = 0.1, nbar: float = 0.0) -> None:
+        self._set(j=j, delta=delta, omega=omega, gamma=gamma, nbar=nbar)
         for name, bad, must in (
-            *((n, ~np.isfinite(getattr(self, n)), "finite")
-              for n in ("j", "delta", "omega", "gamma", "nbar")),
-            ("omega", np.less_equal(self.omega, 0.0), "positive"),
-            ("gamma", np.less(self.gamma, 0.0), "non-negative"),
-            ("nbar", np.less(self.nbar, 0.0), "non-negative"),
+            *((n, ~np.isfinite(getattr(self, n)), "finite") for n in self.__match_args__),
+            ("omega", np.less_equal(omega, 0.0), "positive"),
+            ("gamma", np.less(gamma, 0.0), "non-negative"),
+            ("nbar", np.less(nbar, 0.0), "non-negative"),
         ):
             raise_first(bad, DomainError,
                         lambda k: f"{name} must be {must}, got {np.ravel(getattr(self, name))[k]}")
-        if np.any(np.maximum(abs(self.j), abs(self.delta)) > 0.5 * self.omega):
+        if np.any(np.maximum(abs(j), abs(delta)) > 0.5 * omega):
             warnings.warn(
                 "coupling beyond the weak-interaction regime (|J| or |Delta|"
                 " exceeds omega/2); equations stay exact but the equal-rate"
                 " relaxation assumption degrades",
                 WeakCouplingWarning,
-                stacklevel=3,  # the line that built the params, past the generated __init__
+                stacklevel=2,  # the line that built the params
             )
 
     def __eq__(self, other):
@@ -105,8 +109,9 @@ class ModelParams:
         shapes differ. Hashing an instance with an array field raises TypeError."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
+        return all(np.array_equal(a, b) for a, b in zip(self._values(), other._values()))
+
+    __hash__ = FrozenRecord.__hash__  # a class that defines __eq__ alone gets __hash__ = None
 
     @property
     def big_omega(self) -> float:
@@ -118,9 +123,9 @@ class ModelParams:
 def spin_lowering(qubit: int) -> np.ndarray:
     """Two-qubit lowering operator S- acting on qubit 1 or 2."""
     if qubit == 1:
-        return np.kron(S_MINUS, IDENTITY_2)
+        return _krons(S_MINUS, IDENTITY_2)
     if qubit == 2:
-        return np.kron(IDENTITY_2, S_MINUS)
+        return _krons(IDENTITY_2, S_MINUS)
     raise DomainError(f"qubit index must be 1 or 2, got {qubit}")
 
 

@@ -107,6 +107,18 @@ def test_evolve_csv_schema_and_determinism(tmp_path):
         assert row[1] == pytest.approx(0.1 * row[0], abs=1e-15)
 
 
+def test_correlation_set_tuple_follows_the_evolve_measure_columns():
+    # cmd_evolve writes as_tuple() under these header names, whatever the keyword order
+    from qcorr import CorrelationSet
+
+    columns = EVOLVE_HEADER.split(",")[2:-1]
+    names = [{"min": "min_trace", "ccc": "correlated_coherence"}.get(c, c) for c in columns]
+    cs = CorrelationSet(**{name: float(k) for k, name in reversed(list(enumerate(names)))})
+    assert cs.as_tuple() == tuple(float(k) for k in range(len(names)))
+    with pytest.raises(AttributeError):
+        cs.lqu = 0.5
+
+
 def test_evolve_constant_columns_without_decay(tmp_path):
     args = [
         "evolve", "--initial", "werner:0.5", "--gamma", "0",
@@ -202,6 +214,17 @@ def test_evolve_rejects_non_utf8_custom_state_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("qcorr: configuration error: cannot read initial-state file")
     assert err.count("\n") == 1
+
+
+def test_evolve_reads_the_custom_state_path_as_given(tmp_path, capsys):
+    # a trailing slash names a directory, so a file path with one is refused,
+    # as --out refuses it, rather than read with the slash dropped
+    state_file = tmp_path / "rho.txt"
+    state_file.write_text(dumps_density_matrix(make_mixture(0.5).to_matrix()), encoding="utf-8")
+    assert main(["evolve", "--initial", f"custom@{state_file}/", "--t-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error: cannot read initial-state file")
+    assert "Not a directory" in err and err.count("\n") == 1
 
 
 def test_evolve_stride_beyond_the_horizon_samples_both_ends(tmp_path):
@@ -534,6 +557,18 @@ def test_weak_coupling_warning_is_one_stderr_line_on_exit_0(tmp_path):
                            "0.49717202634622626,0.49717202634622626\n")
 
 
+@pytest.mark.parametrize("args, code, failure", [
+    (["steady", "--delta", "0.9", "--gamma", "0"], 2,
+     "qcorr: configuration error: gamma > 0 is required for a unique steady state"),
+    (["evolve", "--delta", "1e16", "--t-max", "0.01"], 3,
+     "qcorr: run failed: integration rejected at t = 0.01: entry (0, 0) = (nan+nanj) is not finite"),
+], ids=["steady", "evolve"])
+def test_failure_line_follows_the_weak_coupling_warning(args, code, failure, capsys):
+    # the outcome is always the last stderr line
+    assert main(args) == code
+    assert capsys.readouterr().err.splitlines() == [_WEAK_LINE, failure]
+
+
 def test_weak_coupling_warning_as_error_exits_2(monkeypatch, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -612,16 +647,14 @@ def test_esd_range_violation_names_swept_value(bad, monkeypatch, tmp_path, capsy
 
 
 def test_evolve_range_violation_names_time(monkeypatch, tmp_path, capsys):
-    from dataclasses import replace
-
-    from qcorr import evolve
+    from qcorr import CorrelationSet, evolve
     from qcorr import cli
 
     def broken(*args, **kwargs):
         traj = evolve(*args, **kwargs)
         concurrence = traj.correlations.concurrence.copy()
         concurrence[2] = 1.5
-        traj.correlations = replace(traj.correlations, concurrence=concurrence)
+        traj.correlations = CorrelationSet(**{**vars(traj.correlations), "concurrence": concurrence})
         return traj
 
     monkeypatch.setattr(cli, "evolve", broken)
@@ -827,6 +860,19 @@ def test_package_imports_only_numpy_of_the_test_dependencies():
     assert "numpy" in loaded
     tops = {name.split(".", 1)[0] for name in loaded}
     assert not tops & {"scipy", "mpmath", "hypothesis", "pytest", "helpers"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_pathlib():
+    # start-up cost: the record types are plain classes and the CLI reads and
+    # writes files with open(); a site hook that preloads pathlib hides that half
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; before = set(sys.modules); import qcorr, qcorr.cli; "
+              "print(' '.join(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    loaded = set(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, check=True).stdout.split())
+    assert "qcorr.cli" in loaded
+    assert not loaded & {"dataclasses", "pathlib"}
 
 
 @pytest.mark.parametrize("given", [None, "2"])

@@ -151,6 +151,13 @@ def test_trajectory_correlations_are_the_columns_of_the_stack():
         np.testing.assert_array_equal(column, getattr(direct, name), err_msg=name)
 
 
+def test_trajectory_fields_stay_assignable():
+    traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=0.01, dt=1e-3, stride=5)
+    traj.steady_time = 1.0
+    traj.times = traj.times * 2.0
+    assert traj.steady_time == 1.0 and traj.times[-1] == pytest.approx(0.02)
+
+
 def test_x_shape_preserved_over_long_horizon():
     traj = evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=200.0, dt=1e-2, stride=200)
     pattern = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}

@@ -91,6 +91,12 @@ def test_identity_eigensystem():
     np.testing.assert_allclose(es.eigenvalues, np.ones(4))
 
 
+def test_eigensystem_is_frozen():
+    es = hermitian_eigensystem(np.eye(2))
+    with pytest.raises(AttributeError):
+        es.eigenvalues = np.zeros(2)
+
+
 def test_field_hamiltonian_spectrum():
     es = hermitian_eigensystem(np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex))
     np.testing.assert_allclose(es.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-14)

@@ -127,6 +127,16 @@ def test_params_with_array_fields_compare_elementwise():
         hash(ModelParams(nbar=nbar))
 
 
+def test_params_are_frozen_positional_and_print_their_fields():
+    p = ModelParams()
+    with pytest.raises(AttributeError):
+        p.j = 0.2
+    assert p == ModelParams()
+    assert repr(p) == "ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)"
+    q = ModelParams(0.2, 0.3)
+    assert (q.j, q.delta, q.omega, q.gamma, q.nbar) == (0.2, 0.3, 1.0, 0.1, 0.0)
+
+
 def test_params_with_scalar_fields_compare_and_hash_as_before():
     assert ModelParams() == ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
     assert ModelParams(gamma=1) == ModelParams(gamma=1.0)

@@ -1,8 +1,10 @@
 """The paper's qualitative claims, as properties over the model parameters."""
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from qcorr import ModelParams, steady_correlations_thermal
+from qcorr import (ModelParams, analytic_independent_mixture, concurrence_x, correlated_coherence,
+                   esd_gamma_tau, lqu_x, min_trace, steady_correlations_thermal)
 
 
 @settings(max_examples=200, deadline=None)
@@ -18,3 +20,47 @@ def test_zero_temperature_steady_lqu_is_below_every_other_correlation(gamma, del
     assert c.lqu <= others
     if delta == 0.0:
         assert c.lqu == others == 0.0
+
+
+_NBAR = np.linspace(1e-3, 50.0, 400)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(1e-3, 10.0), delta=st.floats(1e-2, 0.5), sign=st.sampled_from([-1.0, 1.0]),
+       j=st.floats(-0.5, 0.5))
+def test_finite_temperature_steady_correlations_beyond_entanglement_survive(gamma, delta, sign, j):
+    # "steady-state correlations stay non-zero at finite temperature, and those
+    # beyond entanglement are more robust": with Delta != 0 and gamma, nbar > 0
+    # the LQU, MIN and CC are positive on every row of a 400-point nbar sweep,
+    # while the concurrence is exactly zero at its hot end. |Delta| starts at
+    # 1e-2, where the smallest LQU of the range is 3.8e-14 (gamma = 10, nbar =
+    # 50). Below it lqu_x's 1 - lambda_max loses the LQU to round-off: at
+    # gamma = 9.5, Delta = -1e-3, J = 0 it reads 0 or 2.2e-16 near nbar = 50.
+    c = steady_correlations_thermal(ModelParams(j=j, delta=sign * delta, omega=1.0, gamma=gamma,
+                                                nbar=_NBAR))
+    assert (c.lqu > 0.0).all() and (c.min_trace > 0.0).all()
+    assert (c.correlated_coherence > 0.0).all()
+    assert c.concurrence[-1] == 0.0
+
+
+_BEFORE = np.linspace(0.0, 0.999, 200)  # times in units of the death time tau
+_AFTER = np.linspace(1.001, 3.0, 200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.floats(0.01, 0.99), gamma=st.floats(1e-3, 10.0))
+def test_independent_qubits_lose_entanglement_suddenly_but_no_other_correlation(w, gamma):
+    # "entanglement dies suddenly for independent qubits; the other correlations
+    # do not": on the J = Delta = 0 closed form the concurrence is positive
+    # before the death time tau of esd_gamma_tau and exactly zero from just
+    # after it up to 3 tau, while the LQU, MIN and CC stay positive. The range
+    # stops at 3 tau: past about 5 tau at w = 0.02 the LQU's 1 - lambda_max
+    # falls below round-off and lqu_x rounds to exactly zero.
+    tau = float(esd_gamma_tau(w, gamma, 0.0)) / gamma
+    before = analytic_independent_mixture(tau * _BEFORE, w, gamma)
+    after = analytic_independent_mixture(tau * _AFTER, w, gamma)
+    assert (concurrence_x(before) > 0.0).all()
+    assert (concurrence_x(after) == 0.0).all()
+    for x in (before, after):
+        assert (lqu_x(x) > 0.0).all() and (min_trace(x) > 0.0).all()
+        assert (correlated_coherence(x) > 0.0).all()
