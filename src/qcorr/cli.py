@@ -31,7 +31,7 @@ from .errors import (
 )
 from .measures import CorrelationSet
 from .model import ModelParams
-from .states import loads_density_matrix, make_mixture, make_werner, purity
+from .states import _mixture, _werner, loads_density_matrix, purity
 
 EVOLVE_HEADER = "t,gamma_t,concurrence,negativity,log_negativity,lqu,min,ccc,l1_coherence,purity"
 STEADY_COLUMNS = "concurrence,log_negativity,lqu,min,ccc"
@@ -89,14 +89,14 @@ def _parse_sweep(spec: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
 
 
 def _initial_state(selector: str) -> np.ndarray:
-    """The initial density matrix; ``evolve`` validates it."""
+    """The initial density matrix, unvalidated: ``evolve`` validates it."""
     family, colon, value = selector.partition(":")
     if colon and family in ("mixture", "werner"):
         try:
             param = float(value)
         except ValueError as exc:
             raise DomainError(f"malformed number in initial state {selector!r}: {exc}") from exc
-        return (make_mixture if family == "mixture" else make_werner)(param).to_matrix()
+        return (_mixture if family == "mixture" else _werner)(param).to_matrix()
     if selector.startswith("custom@"):
         path = selector.split("@", 1)[1]
         try:

@@ -6,21 +6,26 @@ the first has the same spectrum).
 All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
 of shape (..., m, m). Every eigenproblem goes through
 ``hermitian_eigensystem``, or through ``hermitian_eigenvalues`` when only
-the eigenvalues are read, and every singular-value problem through
-``singular_values``; internal solves of matrices that are already checked
-or Hermitian by construction skip the re-check (``_psd_eigenpairs``,
-``_eigenvalues``). All of them group a stack by exact nonzero pattern and
-split each pattern into its blocks. Blocks of size 1 and 2 (the X pattern
-above all) are solved in closed form, with the smaller 2x2 eigenvalue or
-singular value taken as the determinant over the larger one; a pattern with
-a larger block goes whole to one LAPACK call (``eigh`` or ``eigvalsh`` with
-its indices reordered into blocks, or ``svd``). When the union of a stack's
-patterns has no block larger than 2x2, the whole stack is one closed-form
-solve over the union's blocks, and a 2x2 block whose off-diagonal entry is
-exactly zero gives exactly the results of its two 1x1 blocks, so every
-matrix still gets what it gets alone. Either way structural zeros survive
-the solve exactly. A function given a stack raises for its first failing
-matrix, whose flat position the exception keeps as ``index``.
+the eigenvalues are read, or through ``psd_sqrt`` when the square root is
+read, and every singular-value problem through ``singular_values``; internal
+solves of matrices that are already checked or Hermitian by construction
+skip the re-check (``_psd_root``, ``_eigenvalues``). All of them group a
+stack by exact nonzero pattern and split each pattern into its blocks.
+Blocks of size 1 and 2 (the X pattern above all) are solved in closed form,
+with the smaller 2x2 eigenvalue or singular value taken as the determinant
+over the larger one, and the square root built from each block's eigenpairs
+without an eigenvector matrix; the concurrence's spin-flip product of such
+square roots is formed entry by entry (``_spin_flip_singular_values``). So a
+stack whose patterns have no block larger than 2x2 takes no dense complex
+matrix product. A pattern with a larger block goes whole to one LAPACK call
+(``eigh`` or ``eigvalsh`` with its indices reordered into blocks, or
+``svd``) and to dense products. When the union of a stack's patterns has no
+block larger than 2x2, the whole stack is one closed-form solve over the
+union's blocks, and a 2x2 block whose off-diagonal entry is exactly zero
+gives exactly the results of its two 1x1 blocks, so every matrix still gets
+what it gets alone. Either way structural zeros survive the solve exactly.
+A function given a stack raises for its first failing matrix, whose flat
+position the exception keeps as ``index``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 
 _PATTERN_BITS = 1 << np.arange(16)
+_SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
 
 
 class HermitianEigensystem(FrozenRecord):
@@ -163,9 +169,14 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:  # of matrices Hermitian by const
     return _per_pattern(a, _eigen_by_blocks, False)[0]
 
 
-def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool, sort: bool = True):
-    """Eigenvalues (ascending, or unordered from closed-form blocks unless ``sort``), and the
-    eigenvectors if ``vectors``, of a stack (k, n, n) of matrices with patterns in ``pattern``."""
+def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool, root: bool = False):
+    """Eigenvalues (ascending) and, if ``vectors``, the eigenvectors of a stack (k, n, n) of
+    matrices with patterns in ``pattern``; with ``root`` as well, the eigenvalues (unordered
+    from closed-form blocks) and the square roots V diag(sqrt(w)) V^dag (w clamped at zero)
+    in place of the eigenvectors. A closed-form block [[a, b], [b*, d]] with the unit upper
+    eigenvector u = (x, y) has the root s_up |u><u| + s_lo (1 - |u><u|), whose entries are
+    the two-term sums s_up |x|^2 + s_lo |y|^2, s_up |y|^2 + s_lo |x|^2 and (s_up - s_lo) x y*;
+    no eigenvector matrix is built and nothing is multiplied as a matrix."""
     n = a.shape[-1]
     blocks = _blocks(pattern, n)
     if max(map(len, blocks)) > 2:
@@ -176,33 +187,43 @@ def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool, sort: bool = Tr
         if not vectors:
             return (np.linalg.eigvalsh(a),)
         w, v = np.linalg.eigh(a)
-        return w, v.take(sorted(range(n), key=order.__getitem__), -2) if reorder else v
+        v = v.take(sorted(range(n), key=order.__getitem__), -2) if reorder else v
+        return (w, _sqrt_of(w, v)) if root else (w, v)
     w = np.empty(a.shape[:-1])
-    vt = np.zeros_like(a) if vectors else None  # vt[:, c] is eigenvector c
+    out = np.zeros_like(a) if vectors else None  # the roots, or V^T: out[:, c] is eigenvector c
     for b in blocks:
         if len(b) == 1:
             w[:, b[0]] = a[:, b[0], b[0]].real
             if vectors:
-                vt[:, b[0], b[0]] = 1.0
+                out[:, b[0], b[0]] = np.sqrt(np.maximum(w[:, b[0]], 0.0)) if root else 1.0
             continue
         i, j = b
         lower = a[:, j, i]  # LAPACK reads the lower triangle; so does this
         w[:, i], w[:, j], vec = _hermitian_2x2(a[:, i, i].real, a[:, j, j].real, lower.conj(),
                                                vectors)
-        if vectors:
+        if root:
             x, y = vec
-            vt[:, j, i], vt[:, j, j] = x, y
-            vt[:, i, i], vt[:, i, j] = -y.conj(), x.conj()
+            s_lo, s_up = np.sqrt(np.maximum(w[:, i], 0.0)), np.sqrt(np.maximum(w[:, j], 0.0))
+            xx, yy = x.real * x.real + x.imag * x.imag, y.real * y.real + y.imag * y.imag
+            out[:, i, i], out[:, j, j] = s_up * xx + s_lo * yy, s_up * yy + s_lo * xx
+            out[:, i, j] = (s_up - s_lo) * (x * y.conj())
+            out[:, j, i] = out[:, i, j].conj()
+        elif vectors:
+            x, y = vec
+            out[:, j, i], out[:, j, j] = x, y
+            out[:, i, i], out[:, i, j] = -y.conj(), x.conj()
         split = np.flatnonzero(lower == 0)  # a diagonal block: the results of its 1x1 blocks
         w[split, i], w[split, j] = a[split, i, i].real, a[split, j, j].real
-        if vectors:
-            vt[np.ix_(split, b, b)] = np.eye(2)
-    if not sort:
-        return (w, vt.swapaxes(-1, -2)) if vectors else (w,)
+        if root:
+            out[np.ix_(split, b, b)] = np.sqrt(np.maximum(w[split][:, b], 0.0))[:, None] * np.eye(2)
+        elif vectors:
+            out[np.ix_(split, b, b)] = np.eye(2)
+    if root:
+        return w, out
     if not vectors:
         return (np.sort(w, axis=-1),)
     rows, k = np.arange(len(w))[:, None], np.argsort(w, axis=-1, kind="stable")
-    return w[rows, k], vt[rows, k].swapaxes(-1, -2)
+    return w[rows, k], out[rows, k].swapaxes(-1, -2)
 
 
 def _power_of_two(*parts: np.ndarray) -> np.ndarray:
@@ -285,30 +306,40 @@ def _singular_values_by_blocks(m: np.ndarray, pattern: int) -> tuple[np.ndarray]
     return (-np.sort(-s, axis=-1),)
 
 
+def _require_min_eigenvalue(lam_min: np.ndarray):
+    raise_first(lam_min < -PSD_TOL, NotPSD,
+                lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} below -{PSD_TOL:.1e}")
+
+
 def require_psd(mat) -> HermitianEigensystem:
     """Eigensystem of a Hermitian matrix (or of each matrix of a stack),
     raising NotPSD if a minimum eigenvalue lies below -PSD_TOL."""
-    return HermitianEigensystem(*_psd_eigenpairs(require_hermitian(mat)))
-
-
-def _psd_eigenpairs(a: np.ndarray, sort: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """``require_psd`` of a stack already checked Hermitian, as (w, V): no second check,
-    and the pairs of closed-form blocks unordered unless ``sort``."""
-    w, v = _per_pattern(a.astype(complex, copy=False), _eigen_by_blocks, True, sort)
-    lam_min = w.min(-1)
-    raise_first(lam_min < -PSD_TOL, NotPSD,
-                lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} below -{PSD_TOL:.1e}")
-    return w, v
+    es = hermitian_eigensystem(mat)
+    _require_min_eigenvalue(es.eigenvalues[..., 0])
+    return es
 
 
 def psd_sqrt(mat) -> np.ndarray:
     """Hermitian square root of a PSD matrix (or of each matrix of a stack).
 
     Eigenvalues in [-PSD_TOL, 0) are treated as integrator round-off and
-    clamped to zero; anything below -PSD_TOL raises NotPSD (``require_psd``).
+    clamped to zero; anything below -PSD_TOL raises NotPSD, as in
+    ``require_psd``. The matrices are grouped by nonzero pattern as in
+    ``hermitian_eigensystem``: a pattern whose blocks all have size 1 or 2
+    gets each block's root in closed form from its eigenpairs, without an
+    eigenvector matrix or a matrix product, and an off-diagonal entry that is
+    exactly zero gives exactly the roots of the two diagonal entries. Other
+    patterns take V diag(sqrt(w)) V^dag of the LAPACK eigensystem. Both are
+    exactly Hermitian and keep every structural zero.
     """
-    es = require_psd(mat)
-    return _sqrt_of(es.eigenvalues, es.eigenvectors)
+    return _psd_root(require_hermitian(mat))
+
+
+def _psd_root(a: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` of a stack already checked Hermitian: no second check."""
+    w, root = _per_pattern(a.astype(complex, copy=False), _eigen_by_blocks, True, True)
+    _require_min_eigenvalue(w.min(-1))
+    return root
 
 
 def _sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -319,6 +350,46 @@ def _sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     root = root @ np.conjugate(v, out=v).swapaxes(-1, -2)
     root += _dagger(root)
     return np.multiply(root, 0.5, out=root)
+
+
+def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
+    """Descending singular values of M = S (sy ox sy) S* for every Hermitian S of
+    a stack (..., 4, 4), as ``singular_values`` finds them. M is complex
+    symmetric: with S* = S^T, M_pq = sum_l sign(3 - l) S_pl S_q(3-l), where the
+    sign is that of row 3 - l in sy ox sy. On a nonzero pattern whose blocks all
+    have size 1 or 2 each entry with p <= q is that sum over the at most two l in
+    the block of p (``_spin_flip_terms``); other patterns take the dense product."""
+    return _per_pattern(s, _spin_flip_by_blocks)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _spin_flip_terms(pattern: int):
+    """(entries, nonzero pattern of M) of ``_spin_flip_singular_values`` for S of
+    ``pattern``, whose blocks have size 1 or 2: one (p, q, ((l, sign), ...)) per
+    entry p <= q with a term, l in the block of p and 3 - l in the block of q."""
+    block = {i: b for b in _blocks(pattern, 4) for i in b}
+    entries = [(p, q, tuple((l, _SPIN_FLIP_SIGNS[3 - l]) for l in block[p] if q in block[3 - l]))
+               for p in range(4) for q in range(p, 4)]
+    entries = [e for e in entries if e[2]]
+    bits = [(1 << (4 * p + q)) | (1 << (4 * q + p)) for p, q, _ in entries]
+    return entries, functools.reduce(operator.or_, bits, 0)
+
+
+def _spin_flip_by_blocks(s: np.ndarray, pattern: int) -> tuple[np.ndarray]:
+    if max(map(len, _blocks(pattern, 4))) > 2:
+        return (singular_values((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj()),)
+    entries, m_pattern = _spin_flip_terms(pattern)
+    m = np.zeros_like(s)
+    for p, q, ((l, sign), *more) in entries:
+        entry = s[:, p, l] * s[:, q, 3 - l]
+        for k, k_sign in more:
+            term = s[:, p, k] * s[:, q, 3 - k]
+            entry = entry + term if k_sign == sign else entry - term
+        m[:, p, q] = entry if sign > 0 else -entry
+        m[:, q, p] = m[:, p, q]
+    if max(map(len, _blocks(m_pattern, 4))) > 2:  # M's own patterns decide, as alone
+        return (singular_values(m),)
+    return _singular_values_by_blocks(m, m_pattern)
 
 
 def _two_qubit(rho) -> np.ndarray:

@@ -22,13 +22,13 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import CrossCheckFailure, FrozenRecord, raise_first
-from .linalg import (_eigenvalues, _sqrt_of, hermitian_eigenvalues, partial_transpose_b,
-                     psd_sqrt, singular_values)
+from .linalg import (_eigenvalues, _spin_flip_singular_values, hermitian_eigenvalues,
+                     partial_transpose_b, psd_sqrt)
 from .model import _PAULI, _to_pauli
 from .states import (
     DickeColumns,
     XColumns,
-    _checked_eigensystem,
+    _checked_sqrt,
     is_x_shaped,
     to_dicke,
     trace_out_a,
@@ -45,7 +45,6 @@ _RANGES = {"concurrence": (0.0, 1.0), "negativity": (0.0, 0.5), "log_negativity"
            "lqu": (0.0, 1.0), "min_trace": (0.0, np.inf), "correlated_coherence": (0.0, np.inf),
            "l1_coherence": (0.0, np.inf)}
 
-_SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
 _OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
 # _W_TABLE[a, c, i, j] = Re tr(P_4a Q_i P_4c Q_j) / 16 (0 or +-1/4), Q_i = s_i ox 1; the
 # products P_4a Q_i come first, far cheaper at import than one four-operand einsum
@@ -109,7 +108,7 @@ def concurrence_general(rho) -> float:
 
 
 def _concurrence_from_sqrt(sqrt_rho):
-    lam = singular_values((sqrt_rho[..., ::-1] * _SPIN_FLIP_SIGNS) @ sqrt_rho.conj())
+    lam = _spin_flip_singular_values(sqrt_rho)
     return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
 
 
@@ -239,15 +238,14 @@ def min_trace(x: XColumns) -> float:
     """Trace-norm MIN of an X state.
 
     With x = rho11 + rho22 - (rho33 + rho44) the invariant measurement on A is
-    unique for x != 0 and the MIN equals 2(|rho14| + |rho23|); at x = 0 (|x| <=
-    X_BRANCH_TOL) the measurement basis is free and the maximum over bases is
-    max{|u1|,|u2|,|u3|}.
+    unique for x != 0 and the MIN equals u1 = 2(|rho14| + |rho23|); at x = 0
+    (|x| <= X_BRANCH_TOL) the measurement basis is free and the maximum over
+    bases is max{u1, |u3|} with u3 = rho11 - rho22 - rho33 + rho44. (The third
+    candidate 2 ||rho23| - |rho14|| never exceeds u1, in floating point too.)
     """
     u1 = 2.0 * (abs(x.rho14) + abs(x.rho23))
-    u2 = 2.0 * (-abs(x.rho14) + abs(x.rho23))
     u3 = x.rho11 - x.rho22 - x.rho33 + x.rho44
-    free = np.maximum(np.maximum(abs(u1), abs(u2)), abs(u3))
-    return np.where(balanced(x), free, u1)[()]
+    return np.where(balanced(x), np.maximum(u1, abs(u3)), u1)[()]
 
 
 def balanced(x: XColumns):
@@ -338,15 +336,18 @@ def correlations(rho) -> CorrelationSet:
     matrices (within X_SHAPE_TOL) use the closed forms, and every closed form
     is compared against its general-definition route; the first matrix where
     they disagree raises CrossCheckFailure (its flat position is ``index``).
-    Other matrices take the general routes throughout. The only eigensystem
-    solved is that of the positivity check, from which the general routes
-    take sqrt(rho); they read only eigenvalues from the partial transpose, W
-    and Gram matrices, and re-check only the Gram matrices' Hermiticity. One
-    matrix gives a CorrelationSet of floats, a stack a CorrelationSet of
-    arrays over its leading axes.
+    Other matrices take the general routes throughout. The positivity check
+    solves each matrix's eigenvalues once and returns sqrt(rho), which the
+    concurrence and LQU routes share (for X-shaped matrices it is built per
+    2x2 block, without an eigenvector matrix, see ``linalg.psd_sqrt``); the
+    general routes read only eigenvalues from the partial transpose, W and
+    Gram matrices and singular values from the spin-flip product, and
+    re-check only the Gram matrices' Hermiticity. One matrix gives a
+    CorrelationSet of floats, a stack a CorrelationSet of arrays over its
+    leading axes.
     """
     rho = np.asarray(rho, dtype=complex)
-    sqrt_rho = _sqrt_of(*_checked_eigensystem(rho))  # shared by the concurrence and LQU routes
+    sqrt_rho = _checked_sqrt(rho)  # shared by the concurrence and LQU routes
     mats = rho.reshape(-1, 4, 4)
     x_rows = is_x_shaped(mats)
     x = x_columns(mats)

@@ -7,7 +7,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
-from .linalg import _psd_eigenpairs, _two_qubit, require_hermitian
+from .linalg import _psd_root, _two_qubit, require_hermitian
 
 TRACE_TOL = 1e-10
 X_SHAPE_TOL = 1e-9
@@ -61,27 +61,27 @@ def validate(rho) -> np.ndarray:
     the first failing matrix of a stack (its flat position is ``index``).
     """
     rho = np.asarray(rho, dtype=complex)
-    _checked_eigensystem(rho)
+    _checked_sqrt(rho)
     return rho
 
 
-def _checked_eigensystem(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``validate`` of a complex ndarray that returns the eigenpairs (w, V) of its
-    matrices, flattened to (n, 4, 4), which the positivity check solved without a
-    second Hermiticity check, unordered from closed-form blocks (it reads their minimum)."""
+def _checked_sqrt(rho: np.ndarray) -> np.ndarray:
+    """``validate`` of a complex ndarray that returns the square roots of its matrices,
+    flattened to (n, 4, 4), which the positivity check builds from the eigenvalues it
+    solves (``linalg._psd_root``) without a second Hermiticity check."""
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     mats = rho.reshape(-1, 4, 4)
     failure, stop = None, len(mats)
     # each check sees only the matrices before the first failure found so far
-    for check in (require_hermitian, _require_unit_trace, lambda m: _psd_eigenpairs(m, False)):
+    for check in (require_hermitian, _require_unit_trace, _psd_root):
         try:
             checked = check(mats[:stop])
         except (NotHermitian, TraceNotOne, NotPSD) as exc:
             failure, stop = exc, exc.index
     if failure is not None:
         raise failure
-    return checked  # all three passed: the last one returned the eigenpairs
+    return checked  # all three passed: the last one returned the square roots
 
 
 def _validated(x: XColumns) -> XColumns:
@@ -136,24 +136,32 @@ def purity(rho):
 
 def make_mixture(w: float) -> XColumns:
     """Mixture w |01><01| + (1-w) |phi+><phi+| with |phi+> = (|00>+|11>)/sqrt(2)."""
+    return _validated(_mixture(w))
+
+
+def _mixture(w: float) -> XColumns:  # ``make_mixture`` without the validation of its matrix
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must lie in [0, 1], got {w}")
     q = (1.0 - w) / 2.0
-    return _validated(XColumns(rho11=q, rho22=w, rho33=0.0, rho44=q, rho14=q, rho23=0.0))
+    return XColumns(rho11=q, rho22=w, rho33=0.0, rho44=q, rho14=q, rho23=0.0)
 
 
 def make_werner(p: float) -> XColumns:
     """Werner state: p |psi-><psi-| + (1-p)/4 identity, p in [-1/3, 1]."""
+    return _validated(_werner(p))
+
+
+def _werner(p: float) -> XColumns:  # ``make_werner`` without the validation of its matrix
     if not -1.0 / 3.0 <= p <= 1.0:
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
-    return _validated(XColumns(
+    return XColumns(
         rho11=(1.0 - p) / 4.0,
         rho22=(1.0 + p) / 4.0,
         rho33=(1.0 + p) / 4.0,
         rho44=(1.0 - p) / 4.0,
         rho14=0.0,
         rho23=-p / 2.0,
-    ))
+    )
 
 
 def dumps_density_matrix(rho) -> str:

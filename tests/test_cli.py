@@ -665,6 +665,26 @@ def test_evolve_range_violation_names_time(monkeypatch, tmp_path, capsys):
                    " concurrence = 1.5 outside [0.0, 1.0]\n")
 
 
+def test_evolve_of_the_bell_state_writes_a_concurrence_of_exactly_one(tmp_path, capsys):
+    # a value exactly at a range end is inside the range: Werner p = 1 is the
+    # singlet, whose concurrence at t = 0 is 1.0
+    code, text = run_cli(["evolve", "--initial", "werner:1", "--t-max", "1"], tmp_path)
+    assert code == 0 and capsys.readouterr().err == ""
+    _, rows = parse_csv(text)
+    assert len(rows) == 11 and rows[0][2] == 1.0
+
+
+@pytest.mark.parametrize("selector, code", [
+    ("werner:-0.3333333333333333", 0), ("werner:-0.34", 2), ("werner:1.0000000000000002", 2),
+    ("mixture:0", 0), ("mixture:1", 0), ("mixture:-1e-300", 2)])
+def test_initial_state_parameters_at_and_past_their_domain_ends(selector, code, tmp_path, capsys):
+    # the CLI builds these states without the constructors' validation; the
+    # domain checks stay, and evolve validates the state it is given
+    assert run_cli(["evolve", "--initial", selector, "--t-max", "1"], tmp_path)[0] == code
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.startswith("qcorr: configuration error: ")
+
+
 # ------------------------------------------------------------------ grammar property
 
 # numbers as the command line spells them: mostly plain values, sometimes odd

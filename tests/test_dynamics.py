@@ -440,6 +440,24 @@ def test_evolve_matches_analytic_werner():
 def test_analytic_werner_domain():
     with pytest.raises(DomainError):
         analytic_werner(1.0, 1.2, P_REF)
+    # the lower end p = -1/3 is a state; just below it is not
+    analytic_werner(1.0, -1.0 / 3.0, P_REF)
+    make_werner(-1.0 / 3.0)
+    for make in (lambda p: analytic_werner(1.0, p, P_REF), make_werner):
+        with pytest.raises(DomainError, match=r"must lie in \[-1/3, 1\], got -0\.34"):
+            make(-0.34)
+
+
+@pytest.mark.parametrize("omega", [0.6, 1.7, 3.0])
+def test_evolve_matches_the_closed_form_trajectories_at_other_field_strengths(omega):
+    # omega enters the closed forms beside Delta and J; every other trajectory
+    # test runs at omega = 1, where omega and 1/omega agree. Within RK4's error
+    # (about 6e-11 here); J and Delta stay weak, below omega/2
+    params = ModelParams(j=0.1, delta=0.25, omega=omega, gamma=0.1)
+    traj = evolve(make_mixture(0.5).to_matrix(), params, t_max=20.0, dt=1e-3, stride=500)
+    _assert_x_entries_within(traj, analytic_mixture(traj.times, params).to_matrix(), 1e-9)
+    traj = evolve(make_werner(0.7).to_matrix(), params, t_max=20.0, dt=1e-3, stride=500)
+    _assert_x_entries_within(traj, analytic_werner(traj.times, 0.7, params).to_matrix(), 1e-9)
 
 
 def test_independent_mixture_limits_and_concurrence():

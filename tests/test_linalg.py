@@ -21,6 +21,7 @@ from qcorr import linalg
 from qcorr import (
     NotHermitian,
     NotPSD,
+    XColumns,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     is_x_shaped,
@@ -179,11 +180,12 @@ def _small_block(rng, kind, size, hermitian):
 
 
 @st.composite
-def small_block_matrices(draw, hermitian):
-    """(matrix, blocks, exponent, unscaled matrix) with every block of the nonzero
-    pattern of size 1 or 2, scaled by 2**exponent. Blocks of kind 'repeat' copy
-    the previous block of their size, so the spectrum is degenerate."""
-    n = draw(st.integers(2, 4))
+def small_block_matrices(draw, hermitian, n=None):
+    """(matrix, blocks, exponent, unscaled matrix) of size ``n`` (drawn from 2..4
+    if None) with every block of the nonzero pattern of size 1 or 2, scaled by
+    2**exponent. Blocks of kind 'repeat' copy the previous block of their size,
+    so the spectrum is degenerate."""
+    n = draw(st.integers(2, 4)) if n is None else n
     perm = draw(st.permutations(range(n)))
     sizes = draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n))
     blocks, at = [], 0
@@ -336,29 +338,93 @@ def test_public_entries_keep_their_hermiticity_check():
         assert info.value.index == 1
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), blocks=st.sampled_from(
-    [blocks for n, blocks in BLOCK_PATTERNS if n == 4 and max(map(len, blocks)) <= 2]
-    + [[[0], [1], [2], [3]]]))
-def test_unsorted_closed_form_pairs_give_the_sorted_square_root(seed, blocks):
-    # validation's 4x4 square root from unordered pairs: every entry of
-    # V diag(sqrt(w)) V^dag sums at most two nonzero terms on 1x1 and 2x2
-    # blocks, so the order of the pairs changes no bit, the sign of an exact
-    # zero included (on the 3x3 pattern [[0, 2], [1]] that sign can differ)
-    n = 4
-    rng = np.random.default_rng(seed)
-    stack = []
-    for _ in range(12):
-        g = random_block_hermitian(rng, n, blocks)
-        m = g @ g.conj().T * rng.uniform(0.0, 2.0)
-        m[rng.random((n, n)) < 0.15] = 0.0  # zero matrices and split blocks too
-        stack.append((m + m.conj().T) / 2.0)
-    stack = np.array(stack)
-    w, v = linalg._per_pattern(stack, linalg._eigen_by_blocks, True, True)
-    w_any, v_any = linalg._per_pattern(stack, linalg._eigen_by_blocks, True, False)
-    np.testing.assert_array_equal(np.sort(w_any, axis=-1), w)
-    np.testing.assert_array_equal(w_any.min(-1), w[:, 0])
-    assert linalg._sqrt_of(w_any, v_any).tobytes() == linalg._sqrt_of(w, v).tobytes()
+def _dense_square_root(m):
+    """V diag(sqrt(w)) V^dag of the public eigensystem: the square root of
+    patterns with a block larger than 2x2."""
+    es = hermitian_eigensystem(m)
+    return linalg._sqrt_of(es.eigenvalues, es.eigenvectors.copy())
+
+
+def small_block_psd(case):
+    """(PSD matrix, blocks, its unscaled form) from a ``small_block_matrices``
+    case: G G^dag keeps the blocks, and a rank-one block of small Gaussian
+    integers stays exactly singular. The scale 2**e with even e is exact."""
+    _, blocks, e, g = case
+    psd = g @ g.conj().T
+    psd = (psd + psd.conj().T) / 2.0
+    return np.ldexp(psd.real, e) + 1j * np.ldexp(psd.imag, e), blocks, psd
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_block_matrices(hermitian=True))
+def test_block_square_root_matches_the_dense_square_root(case):
+    # the closed-form root of 1x1 and 2x2 blocks against V diag(sqrt(w)) V^dag
+    # of the same eigenpairs: a few ulps of the largest root eigenvalue
+    m, blocks, unscaled = small_block_psd(case)
+    root = psd_sqrt(m)
+    top = np.sqrt(hermitian_eigensystem(m).eigenvalues[-1])
+    assert np.abs(root - _dense_square_root(m)).max() <= 4.0 * np.finfo(float).eps * top
+    # exactly Hermitian, every structural zero kept, and it squares back
+    np.testing.assert_array_equal(root, root.conj().T)
+    np.testing.assert_array_equal(root[m == 0], 0.0)
+    assert np.abs(root @ root - m).max() <= 1e-14 * np.abs(m).max()
+    # a block whose off-diagonal entry is exactly zero has the roots of its
+    # diagonal entries, bit for bit, alone and beside a stack that fills it
+    for b in blocks:
+        if len(b) == 2 and m[b[1], b[0]] == 0:
+            np.testing.assert_array_equal(root[np.ix_(b, b)], np.diag(np.sqrt(m.real[b, b])))
+    np.testing.assert_array_equal(psd_sqrt(beside_filled_blocks(m, blocks))[0], root)
+
+
+def test_square_root_of_larger_blocks_is_the_dense_square_root_bit_for_bit():
+    rng = np.random.default_rng(5)
+    mats = [random_density_matrix(rng, rank) for rank in (1, 2, 4) for _ in range(10)]
+    mats += [g @ g.conj().T for g in (random_block_hermitian(rng, 4, [[0, 1, 3], [2]])
+                                      for _ in range(10))]
+    for m in mats:
+        assert psd_sqrt(m).tobytes() == _dense_square_root(m).tobytes()
+
+
+def test_square_roots_of_a_mixed_stack_are_those_of_each_matrix():
+    # X states with zero coherences, a rank-one outer block and a diagonal
+    # sample beside dense states: each pattern group takes its own route
+    rng = np.random.default_rng(17)
+    x = random_x_state(rng)
+    mats = [random_x_state(rng).to_matrix() for _ in range(5)]
+    mats += [make_mixture(1.0).to_matrix(), make_werner(1.0).to_matrix(), np.eye(4) / 4.0]
+    mats += [XColumns(x.rho11, x.rho22, x.rho33, x.rho44, np.sqrt(x.rho11 * x.rho44), 0.0)
+             .to_matrix()]
+    mats += [random_density_matrix(rng, rank) for rank in (1, 3, 4)]
+    stack = np.array([mats[i] for i in rng.permutation(len(mats))])
+    roots = psd_sqrt(stack)
+    for m, root in zip(stack, roots):
+        assert root.tobytes() == psd_sqrt(m).tobytes()
+    # the X members alone form one closed-form group, as on an evolve stack
+    x_rows = is_x_shaped(stack, 0.0)
+    for m, root in zip(stack[x_rows], psd_sqrt(stack[x_rows])):
+        assert root.tobytes() == psd_sqrt(m).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_block_matrices(hermitian=True, n=4))
+def test_block_spin_flip_product_matches_the_dense_product(case):
+    # the singular values of S (sy ox sy) S*, S = sqrt(rho), from the entry sums
+    # of 1x1 and 2x2 blocks against the dense complex product
+    m, blocks, _ = small_block_psd(case)
+    root = psd_sqrt(m)
+    dense = singular_values((root[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ root.conj())
+    lam = linalg._spin_flip_singular_values(root)
+    assert np.abs(lam - dense).max() <= 8.0 * np.finfo(float).eps * max(dense[0], np.abs(m).max())
+    assert np.all(np.diff(lam) <= 0.0)
+    np.testing.assert_array_equal(linalg._spin_flip_singular_values(
+        psd_sqrt(beside_filled_blocks(m, blocks)))[0], lam)
+
+
+def test_spin_flip_product_of_larger_blocks_is_the_dense_product_bit_for_bit():
+    rng = np.random.default_rng(9)
+    roots = psd_sqrt(np.array([random_density_matrix(rng, rank) for rank in (1, 2, 4, 4)]))
+    dense = singular_values((roots[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ roots.conj())
+    assert linalg._spin_flip_singular_values(roots).tobytes() == dense.tobytes()
 
 
 def test_unsupported_size_rejected():

@@ -26,6 +26,7 @@ from helpers import (
 from qcorr import (
     CrossCheckFailure,
     ModelParams,
+    XColumns,
     concurrence_branches,
     concurrence_dicke,
     concurrence_general,
@@ -47,7 +48,7 @@ from qcorr import (
     w_matrix_x,
 )
 from qcorr.linalg import psd_sqrt
-from qcorr.measures import _w_matrix_general, check_routes
+from qcorr.measures import _w_matrix_general, balanced, check_routes
 from qcorr.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qcorr.states import is_x_shaped, trace_out_b, x_columns
 
@@ -289,6 +290,43 @@ def test_min_equals_cc_on_unbalanced_branch():
             assert min_trace(x) == correlated_coherence(x)
 
 
+def _min_trace_with_u2(x):
+    """``min_trace`` as it was written with the third candidate
+    u2 = 2 (|rho23| - |rho14|) in the balanced branch."""
+    u1 = 2.0 * (abs(x.rho14) + abs(x.rho23))
+    u2 = 2.0 * (-abs(x.rho14) + abs(x.rho23))
+    u3 = x.rho11 - x.rho22 - x.rho33 + x.rho44
+    free = np.maximum(np.maximum(abs(u1), abs(u2)), abs(u3))
+    return np.where(balanced(x), free, u1)[()]
+
+
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(diag=st.lists(_ANY_FINITE, min_size=4, max_size=4), c14=st.complex_numbers(allow_nan=False,
+       allow_infinity=False, max_magnitude=1e300), c23=st.complex_numbers(
+       allow_nan=False, allow_infinity=False, max_magnitude=1e300), balance=st.booleans())
+def test_min_trace_without_u2_is_the_old_value_bit_for_bit(diag, c14, c23, balance):
+    # |u2| = 2 ||rho23| - |rho14|| <= u1 holds after rounding too, so the
+    # balanced branch is max(u1, |u3|); unvalidated columns of any magnitude
+    if balance:  # rho11 + rho22 = rho33 + rho44 exactly
+        diag[3] = diag[0]
+        diag[2] = diag[1]
+    x = XColumns(*diag, c14, c23)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new, old = min_trace(x), _min_trace_with_u2(x)
+    assert np.array(new).tobytes() == np.array(old).tobytes()
+
+
+def test_min_trace_without_u2_on_balanced_states_over_a_stack():
+    rng = np.random.default_rng(151)
+    xs = [random_balanced_x_state(rng) for _ in range(200)] + [make_werner(p) for p in (-1 / 3, 1)]
+    x = x_columns(np.array([x.to_matrix() for x in xs]))
+    assert balanced(x).all()
+    assert min_trace(x).tobytes() == _min_trace_with_u2(x).tobytes()
+
+
 def test_min_general_matches_closed_form_unbalanced():
     rng = np.random.default_rng(139)
     for _ in range(40):
@@ -457,6 +495,36 @@ def test_range_violation_reporting():
     assert good.range_violation() is None
     bad = CorrelationSet(1.5, 0.05, 0.14, 0.2, 0.3, 0.3, 0.3)
     assert "concurrence" in bad.range_violation()
+
+
+def test_range_ends_are_inside_the_range():
+    from qcorr import CorrelationSet
+
+    # every field exactly at each end of its range, and within RANGE_TOL past it
+    lo = CorrelationSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    hi = CorrelationSet(1.0, 0.5, 1.0, 1.0, 1e300, 1e300, 1e300)
+    past = CorrelationSet(1.0 + 5e-10, 0.5 + 5e-10, 1.0 + 5e-10, 1.0 + 5e-10, 0.0, 0.0, -5e-10)
+    for cs in (lo, hi, past):
+        assert cs.range_violation() is None
+    assert CorrelationSet(1.0 + 2e-9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0).range_violation() == (
+        f"concurrence = {1.0 + 2e-9!r} outside [0.0, 1.0]")
+    assert CorrelationSet(0.0, 0.0, 0.0, -2e-9, 0.0, 0.0, 0.0).range_violation() == (
+        "lqu = -2e-09 outside [0.0, 1.0]")
+
+
+def test_correlations_cross_checks_pass_on_round_off_rank_one_outer_blocks():
+    # the near-rank-one states of the concurrence fix, through the block square
+    # root and the block spin-flip product: one stack, then one state at a time
+    rng = np.random.default_rng(2027)
+    xs = [random_rank_one_x_state(rng) for _ in range(200)]
+    stack = np.array([x.to_matrix() for x in xs])
+    cs = correlations(stack)  # raises CrossCheckFailure on a miss above 1e-8
+    general = concurrence_general(stack)
+    closed = concurrence_x(x_columns(stack))
+    assert np.abs(general - closed).max() < 1e-8
+    np.testing.assert_array_equal(cs.concurrence, closed)
+    for k, rho in enumerate(stack[:50]):
+        assert correlations(rho).concurrence == cs.concurrence[k]
 
 
 # ---------------------------------------------------------------------- invariants

@@ -132,8 +132,8 @@ def test_each_eigenproblem_is_solved_once(monkeypatch):
                   stride=100)
     assert len({(m != 0).tobytes() for m in traj.states}) > 1
     stacked = [n_solves for n, n_solves in groups if n == len(traj.times)]
-    # the eigensystem of validation, the partial transpose, W and the MIN Gram
-    # matrix, and the concurrence's singular values
+    # the square roots of validation, the eigenvalues of the partial transpose,
+    # W and the MIN Gram matrix, and the concurrence's singular values
     assert stacked == [1] * 5
 
 
@@ -172,19 +172,23 @@ def faulty_sample(kind: str, fault: str) -> np.ndarray:
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), data=st.data())
-@pytest.mark.parametrize("kind", ["x", "dense"])
+@pytest.mark.parametrize("kind", ["x", "dense", "mixed"])
 def test_injected_fault_raises_its_pinned_class_index_and_message(kind, seed, n, data):
     # a fault at a random index of a valid stack, and maybe a second fault of
-    # another kind after it: the first one raises, as it did before
+    # another kind after it: the first one raises, as it did before; a mixed
+    # stack holds X and dense states, and its faulty samples are either
     rng = np.random.default_rng(seed)
-    stack = np.array([random_x_state(rng).to_matrix() if kind == "x" else random_density_matrix(rng)
-                      for _ in range(n)])
+    kinds = [kind if kind != "mixed" else data.draw(st.sampled_from(["x", "dense"]))
+             for _ in range(n)]
+    stack = np.array([random_x_state(rng).to_matrix() if k == "x" else random_density_matrix(rng)
+                      for k in kinds])
     faults = data.draw(st.permutations(["hermitian", "trace", "psd", "nan"]))
     first = data.draw(st.integers(0, n - 1))
-    stack[first] = faulty_sample(kind, faults[0])
+    stack[first] = faulty_sample(kinds[first], faults[0])
     if first + 1 < n and data.draw(st.booleans()):
-        stack[data.draw(st.integers(first + 1, n - 1))] = faulty_sample(kind, faults[1])
-    error, message = PINNED_FAULTS[kind, faults[0]]
+        second = data.draw(st.integers(first + 1, n - 1))
+        stack[second] = faulty_sample(kinds[second], faults[1])
+    error, message = PINNED_FAULTS[kinds[first], faults[0]]
     for fn in (validate, correlations):
         with pytest.raises(error) as info:
             fn(stack)
