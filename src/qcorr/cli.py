@@ -2,7 +2,9 @@
 sweeps, all emitted as CSV whose every cell is ``format(v, ".17g")`` byte for
 byte. A numpy kernel writes the cells it can certify as correctly rounded;
 the others (not finite, non-zero outside [1e-4, 1e17), where ``%.17g`` uses
-scientific notation, or an exact tie) go through one batched ``%.17g``."""
+scientific notation, or an exact tie) go through one batched ``%.17g``. The
+kernel writes bytes, a block of rows at a time, and the blocks go to ``--out``
+as they are, in binary mode; stdout receives them joined as one ASCII text."""
 
 from __future__ import annotations
 
@@ -59,15 +61,19 @@ def _check_output(out: str):
         raise DomainError(f"cannot write output file {out!r}")
 
 
-def _write_output(out: str | None, text: str):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write output file {out!r}: {exc}") from exc
+def _write_output(out: str | None, chunks: list[bytes]):
+    """Write ``chunks`` to the file ``out`` in binary mode, or to stdout as one
+    ASCII text, so that a replaced text stream (capsys) still receives it."""
+    try:
+        if out is None:
+            sys.stdout.write(b"".join(chunks).decode("ascii"))
+            sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        else:
+            with open(out, "wb") as fh:
+                fh.writelines(chunks)
+    except OSError as exc:
+        where = "standard output" if out is None else f"output file {out!r}"
+        raise DomainError(f"cannot write {where}: {exc}") from exc
 
 
 def _parse_sweep(spec: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
@@ -133,11 +139,13 @@ def _veltkamp(x):
     return hi, x - hi
 
 
-# A cell's text is picked from a row of 6 little-endian words (48 bytes): "-0.000"
-# D0 ".", four words "d.d.d.d." with digits D1 ... D16 each followed by a point,
-# and a word holding only the separator, at byte 45. Digit d is byte 6 + 2d, the
-# point after it byte 7 + 2d. The bytes a cell does not keep become NUL (the sign
-# byte is NUL for a positive cell) and are deleted from the text.
+# A cell's text is picked from a row of 5 little-endian words (40 bytes): "-0.000"
+# D0 ".", then four words "d.d.d.d." with digits D1 ... D16 each followed by a
+# point. Digit d is byte 6 + 2d, the point after it byte 7 + 2d. The point after
+# D16, byte 39, is never kept (it would follow a 17th digit before the point, and
+# %.17g has at most 17 digits), so it carries the column's separator instead.
+# The bytes a cell does not keep become NUL (the sign byte is NUL for a positive
+# cell) and are deleted from the text.
 def _words(rows) -> np.ndarray:
     return np.ascontiguousarray(rows, np.uint8).view("<u8")[:, 0]
 
@@ -146,7 +154,7 @@ def _digit_tables():
     """The 4 digits of 0 ... 9999 as "d.d.d.d." words, and their trailing zeros."""
     dotted = np.full((10000, 8), ord("."), np.uint8)
     dotted[:, ::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
-    trailing = np.zeros(10000, np.intp)
+    trailing = np.zeros(10000, np.uint8)
     for k in (10, 100, 1000, 10000):
         trailing[::k] += 1
     return _words(dotted), trailing
@@ -154,20 +162,20 @@ def _digit_tables():
 
 def _keep_words() -> np.ndarray:
     """Row 17 * layout + (trailing zeros of N): the bytes of a row that a cell
-    keeps as 0xff, the others as 0. Layout e + 4 is the fixed notation of the
-    exponent e = -4 ... 16, layout 21 is zero."""
+    keeps as 0xff, the others (the separator byte 39 among them) as 0. Layout
+    e + 4 is the fixed notation of the exponent e = -4 ... 16, layout 21 is zero."""
     layout = np.arange(22)[:, None, None]
     digits = 17 - np.arange(17)[:, None]
-    col = np.arange(48)
+    col = np.arange(40)
     small, zero = layout < 4, layout == 21
     whole = np.where(small | zero, 0, layout - 3)  # digits before '.'
     digit = (col - 6) // 2  # of a digit byte or of the point after it
-    is_digit = (col >= 6) & (col <= 38) & (col % 2 == 0)
-    keep = (col == 0) | (col == 45) | (col == 1) & (small | zero) | (col == 2) & small
+    is_digit = (col >= 6) & (col % 2 == 0)
+    keep = (col == 0) | (col == 1) & (small | zero) | (col == 2) & small
     keep = keep | small & (col >= 3) & (col < 6 - layout)
     keep = keep | is_digit & ~zero & (digit < np.maximum(digits, whole))
     keep = keep | (col >= 7) & (col % 2 == 1) & (digit == whole - 1) & (digits > whole)
-    return (keep * np.uint8(255)).reshape(-1, 48).view("<u8")
+    return (keep * np.uint8(255)).reshape(-1, 40).view("<u8")
 
 
 _POW10 = np.array([float(10**p) for p in range(_EXP_MAX - _EXP_MIN + 1)])  # all exact
@@ -179,9 +187,9 @@ _KEEP_WORDS = _keep_words()
 _ZERO_ROW = 17 * 21
 
 
-def _csv_block(block: np.ndarray, seps: np.ndarray) -> str:
-    """The rows of ``block`` as CSV text, each cell followed by its column's
-    separator, which ``seps`` holds at byte 5 of a word."""
+def _csv_block(block: np.ndarray, seps: np.ndarray) -> bytes:
+    """The rows of ``block`` as CSV bytes, each cell followed by its column's
+    separator, which ``seps`` holds for each cell of a full block at byte 7 of a word."""
     cells = block.ravel()
     a = np.abs(cells)
     certifiable = (a >= 1e-4) & (a < 1e17)
@@ -196,35 +204,44 @@ def _csv_block(block: np.ndarray, seps: np.ndarray) -> str:
     floor_y = ph.astype(np.int64) + below.astype(np.int64)  # ph is an integer when >= 2**53
     n = floor_y + (frac > 0.5)
     ok = certifiable & (floor_y >= 10**16) & (n < 10**17) & (frac != 0.5)
-    high, low = np.divmod(np.where(ok, n, 10**16), 10**8)
-    groups = (high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4)
-    words = np.empty((6, cells.size), "<u8")
-    _LEAD_WORDS.take(high // 10**8 + 10 * np.signbit(cells), out=words[0])
-    tz = 0
-    for j, q in enumerate(groups, 1):
-        _DIGIT_WORDS.take(q, out=words[j])
-        t = _TRAILING_ZEROS.take(q)
-        tz = tz * (t == 4) + t
-    words[5].reshape(block.shape)[...] = seps
+    n = np.where(ok, n, 10**16)
+    # N = D0 * 10**16 + the 4-digit groups g1 ... g4, split with // and
+    # multiply-subtract only, the parts below 10**9 in uint32
+    high = n // 10**8
+    halves = np.empty((2, cells.size), np.uint32)  # D1 ... D8 and D9 ... D16
+    halves[1] = n - high * 10**8
+    high = high.astype(np.uint32)
+    lead = high // 10**8
+    halves[0] = high - lead * 10**8
+    groups = np.empty((4, cells.size), np.uint32)
+    np.floor_divide(halves, 10**4, out=groups[::2])
+    np.subtract(halves, groups[::2] * 10**4, out=groups[1::2])
+    words = np.empty((5, cells.size), "<u8")
+    _LEAD_WORDS.take(lead + 10 * np.signbit(cells), out=words[0])
+    _DIGIT_WORDS.take(groups, out=words[1:])
+    t = _TRAILING_ZEROS.take(groups)
+    tz = ((t[0] * (t[1] == 4) + t[1]) * (t[2] == 4) + t[2]) * (t[3] == 4) + t[3]
     text = _KEEP_WORDS.take(np.where(cells == 0.0, _ZERO_ROW, 17 * (e - _EXP_MIN) + tz), axis=0)
     text &= words.T
+    text[:, 4] |= seps[:cells.size]
     fallback = np.flatnonzero(~ok & (cells != 0.0))
     if fallback.size:
         batch = ("%.17g " * fallback.size) % tuple(cells[fallback].tolist())
         chars = text.view(np.uint8)
-        chars[fallback, :40] = 0
+        chars[fallback, :39] = 0
         chars[fallback, :24] = np.array(batch.split(), "S24").view(np.uint8).reshape(-1, 24)
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().translate(None, b"\0")
 
 
-def _csv(header: str, columns) -> str:
+def _csv(header: str, columns) -> list[bytes]:
+    """The CSV table as chunks of bytes: the header line, then row blocks."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
     seps = np.full(table.shape[1], ord(","), np.uint64)
     seps[-1] = ord("\n")
-    seps <<= np.uint64(40)
-    rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
-    return "".join([f"{header}\n", *(_csv_block(table[i:i + rows], seps)
-                                      for i in range(0, len(table), rows))])
+    seps = np.tile(seps << np.uint64(56), rows)
+    return [f"{header}\n".encode(), *(_csv_block(table[i:i + rows], seps)
+                                      for i in range(0, len(table), rows))]
 
 
 def _require_in_range(cs: CorrelationSet, where):
@@ -257,7 +274,7 @@ def cmd_esd(args) -> int:
     raise_first(~ok, RangeViolation,
                 lambda k: f"death time at {name} = {_fmt(values[k])} is gamma_tau = {gamma_tau[k]}")
     _write_output(args.out, _csv(f"{name},gamma_tau", (values, gamma_tau))
-                  if args.sweep is not None else f"gamma_tau = {_fmt(gamma_tau[0])}\n")
+                  if args.sweep is not None else [f"gamma_tau = {_fmt(gamma_tau[0])}\n".encode()])
     return 0
 
 
@@ -362,6 +379,3 @@ def main(argv=None) -> int:
         print(failure, file=sys.stderr)
     return code
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -107,16 +107,14 @@ def _per_pattern(a: np.ndarray, solve, *args) -> list[np.ndarray]:
         raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
     flat = a.reshape(-1, n, n)
     keys = (flat != 0).reshape(len(flat), n * n).view(np.uint8) @ _PATTERN_BITS[: n * n]
-    one = len(keys) > 0 and keys.min() == keys.max()  # one pattern: no set of the whole stack
-    groups = set((keys[:1] if one else keys).tolist()) or {0}  # not np.unique: imports numpy.ma
-    union = functools.reduce(operator.or_, groups)
+    union = int(np.bitwise_or.reduce(keys))  # 0 for an empty stack
     # one pattern, or a union solved in closed form (a zero 2x2 off-diagonal
     # entry gives the 1x1 results): one solve, no scatter
-    if len(groups) == 1 or max(map(len, _blocks(union, n))) <= 2:
+    if (keys == union).all() or max(map(len, _blocks(union, n))) <= 2:
         parts = solve(flat, union, *args)
     else:
         parts = None
-        for key in groups:
+        for key in set(keys.tolist()):  # not np.unique: imports numpy.ma
             rows = keys == key
             part = solve(flat[rows], key, *args)
             if parts is None:

@@ -70,7 +70,7 @@ _CELLS = st.one_of(
 def test_csv_writer_equals_per_cell_format(shape_and_rows):
     k, rows = shape_and_rows
     columns = tuple(np.array(rows, dtype=float).reshape(-1, k).T)
-    assert _csv("h", columns) == csv_by_cells("h", columns)
+    assert b"".join(_csv("h", columns)) == csv_by_cells("h", columns).encode()
 
 
 def test_csv_writer_equals_per_cell_format_on_long_tables():
@@ -84,7 +84,7 @@ def test_csv_writer_equals_per_cell_format_on_long_tables():
     decimals = rng.integers(-10**6, 10**6, (n, 3)) / 10.0 ** rng.integers(0, 8, (n, 3))
     table = np.column_stack([bits, magnitudes, decimals])
     for rows in (table[:0], table[:1], table):
-        assert _csv("h", tuple(rows.T)) == csv_by_cells("h", tuple(rows.T))
+        assert b"".join(_csv("h", tuple(rows.T))) == csv_by_cells("h", tuple(rows.T)).encode()
 
 
 def test_evolve_csv_schema_and_determinism(tmp_path):
@@ -284,6 +284,44 @@ def test_unwritable_out_exits_2_before_the_run(command, out, monkeypatch, tmp_pa
     assert err.startswith("qcorr: configuration error: cannot write output file ")
     assert err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--t-max", "1"],
+    ["steady", "--gamma", "0.01", "--sweep", "nbar:0:2:2000"],  # several row blocks
+    ["esd", "--w", "0.5", "--sweep", "nbar:0:1:2000"],
+    ["esd"],
+    ["steady"],
+])
+def test_stdout_equals_the_out_file(args, tmp_path, capsys):
+    # stdout receives the joined, decoded blocks; --out receives them in binary mode
+    out = tmp_path / "out.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("args", [["steady", "--sweep", "nbar:0:2:20000"], ["esd"]])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_2_with_one_stderr_line(args, unbuffered, tmp_path):
+    # the reader is gone before the run starts: one configuration-error line,
+    # and no second failure when the interpreter flushes stdout at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "qcorr", *args], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, cwd=tmp_path)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("qcorr: configuration error: cannot write standard output: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_esd_single_value(tmp_path):

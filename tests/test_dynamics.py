@@ -43,7 +43,7 @@ from qcorr import (
     w_matrix_x,
     correlated_coherence,
 )
-from qcorr.dynamics import STEADY_RHS_TOL, _liouvillian, _steady_rows
+from qcorr.dynamics import STEADY_RHS_TOL, _increment_operator, _liouvillian, _steady_rows
 from qcorr.model import _from_pauli
 
 P_REF = ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
@@ -65,6 +65,36 @@ def test_liouvillian_equals_rhs_of_basis_matrices(j, delta, omega, gamma, nbar):
     np.testing.assert_array_equal(lv[1:], gen[1:])
     assert not lv[0].any()  # the trace row is exactly zero
     assert np.abs(gen[0]).max() <= 4.0 * np.finfo(float).eps * np.abs(gen).max()
+
+
+# the Pauli coordinates 4a + b of the products s_a ox s_b that are X-shaped
+_X_COORDS = [0, 3, 5, 6, 9, 10, 12, 15]
+_OTHER_COORDS = [k for k in range(16) if k not in _X_COORDS]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _between_blocks(op):
+    return np.concatenate([op[np.ix_(_X_COORDS, _OTHER_COORDS)].ravel(),
+                           op[np.ix_(_OTHER_COORDS, _X_COORDS)].ravel()])
+
+
+@settings(max_examples=100, deadline=None)
+@example(j=1e5, delta=0.5, omega=1.0, gamma=0.1, nbar=1e9, dt=1e-3, n=100)  # unstable: NaN
+@given(j=_FINITE, delta=_FINITE, omega=st.floats(0.0, exclude_min=True, allow_infinity=False),
+       gamma=st.floats(0.0, allow_infinity=False), nbar=st.floats(0.0, allow_infinity=False),
+       dt=st.floats(1e-6, 10.0), n=st.integers(1, 10**6))
+def test_generator_and_increment_operator_are_exactly_block_diagonal(j, delta, omega, gamma, nbar,
+                                                                     dt, n):
+    # X states never leave the X pattern because no entry couples the X
+    # coordinates to the others; an entry there is exactly zero wherever it is
+    # finite (NaN where the generator overflows or the step is unstable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # strong couplings are drawn on purpose
+        p = ModelParams(j=j, delta=delta, omega=omega, gamma=gamma, nbar=nbar)
+    lv = _liouvillian(p)
+    for op in (lv, _increment_operator(lv, dt, n)):
+        between = _between_blocks(op)
+        assert ((between == 0.0) | np.isnan(between)).all()
 
 
 def test_rhs_vanishes_on_steady_state():

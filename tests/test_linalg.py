@@ -328,6 +328,20 @@ def test_not_hermitian_rejected():
                 fn(m)
 
 
+def test_hermiticity_bound_is_inclusive():
+    # |M - M^dag| = HERMITICITY_TOL exactly, in one entry, passes; the next
+    # double fails, and in a stack it does not drag the matrix at the bound along
+    tol = linalg.HERMITICITY_TOL
+    at = np.array([[0.0, tol], [0.0, 1.0]])
+    past = np.array([[0.0, np.nextafter(tol, 1.0)], [0.0, 1.0]])
+    hermitian_eigensystem(at)
+    with pytest.raises(NotHermitian):
+        hermitian_eigensystem(past)
+    with pytest.raises(NotHermitian) as failure:
+        hermitian_eigensystem(np.array([at, past]))
+    assert failure.value.index == 1
+
+
 def test_public_entries_keep_their_hermiticity_check():
     # the private solver entries skip the check; the public ones must not
     rho = np.stack([make_mixture(0.5).to_matrix()] * 3)
@@ -464,6 +478,10 @@ def test_psd_sqrt_random_property():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD):
         psd_sqrt(np.diag([1.0, 1.0, 1.0, -1e-6]))
+    # a minimum eigenvalue of exactly -PSD_TOL is round-off; the next double below is not
+    assert np.array_equal(psd_sqrt(np.diag([1.0, -linalg.PSD_TOL])), np.diag([1.0, 0.0]))
+    with pytest.raises(NotPSD):
+        psd_sqrt(np.diag([1.0, np.nextafter(-linalg.PSD_TOL, -1.0)]))
 
 
 def test_trace_norm_values():

@@ -48,7 +48,7 @@ from qcorr import (
     w_matrix_x,
 )
 from qcorr.linalg import psd_sqrt
-from qcorr.measures import _w_matrix_general, balanced, check_routes
+from qcorr.measures import RANGE_TOL, X_BRANCH_TOL, _w_matrix_general, balanced, check_routes
 from qcorr.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qcorr.states import is_x_shaped, trace_out_b, x_columns
 
@@ -347,6 +347,17 @@ def test_min_general_matches_closed_form_balanced():
         assert min_trace_general(x.to_matrix()) == pytest.approx(min_trace(x), abs=1e-12)
 
 
+def test_balanced_branch_includes_exactly_x_branch_tol():
+    # |x| = |a| = X_BRANCH_TOL takes the free-basis branch in the closed form and
+    # in the general route alike (MIN = |u3| = T_zz); the next double does not
+    at, past = X_BRANCH_TOL, np.nextafter(X_BRANCH_TOL, 1.0)
+    for x, balanced_branch, expected in ((XColumns(at, 0.0, 0.0, 0.0, 0.0, 0.0), True, at),
+                                         (XColumns(past, 0.0, 0.0, 0.0, 0.0, 0.0), False, 0.0)):
+        assert balanced(x) == balanced_branch
+        assert min_trace(x) == expected
+        assert min_trace_general(x.to_matrix()) == expected
+
+
 def test_min_general_equals_disturbance_at_marginal_eigenbasis():
     # a non-degenerate marginal of A leaves its eigenbasis as the only
     # invariant measurement, so the definition is one trace norm
@@ -503,8 +514,15 @@ def test_range_ends_are_inside_the_range():
     lo = CorrelationSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     hi = CorrelationSet(1.0, 0.5, 1.0, 1.0, 1e300, 1e300, 1e300)
     past = CorrelationSet(1.0 + 5e-10, 0.5 + 5e-10, 1.0 + 5e-10, 1.0 + 5e-10, 0.0, 0.0, -5e-10)
-    for cs in (lo, hi, past):
+    at = CorrelationSet(1.0 + RANGE_TOL, 0.5 + RANGE_TOL, 1.0 + RANGE_TOL, 1.0 + RANGE_TOL,
+                        -RANGE_TOL, -RANGE_TOL, -RANGE_TOL)
+    for cs in (lo, hi, past, at):
         assert cs.range_violation() is None
+    # the next double beyond RANGE_TOL past either end is outside
+    assert CorrelationSet(np.nextafter(1.0 + RANGE_TOL, 2.0), 0.0, 0.0, 0.0, 0.0, 0.0,
+                          0.0).range_violation().startswith("concurrence = ")
+    assert CorrelationSet(0.0, 0.0, 0.0, 0.0, np.nextafter(-RANGE_TOL, -1.0), 0.0,
+                          0.0).range_violation().startswith("min_trace = ")
     assert CorrelationSet(1.0 + 2e-9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0).range_violation() == (
         f"concurrence = {1.0 + 2e-9!r} outside [0.0, 1.0]")
     assert CorrelationSet(0.0, 0.0, 0.0, -2e-9, 0.0, 0.0, 0.0).range_violation() == (

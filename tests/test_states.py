@@ -28,7 +28,7 @@ from qcorr import (
     l1_coherence,
     validate,
 )
-from qcorr.states import x_columns
+from qcorr.states import TRACE_TOL, x_columns
 
 
 def test_validate_accepts_maximally_mixed():
@@ -38,6 +38,19 @@ def test_validate_accepts_maximally_mixed():
 def test_validate_trace_error():
     with pytest.raises(TraceNotOne):
         validate(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
+
+
+def test_validate_trace_bound_is_inclusive():
+    # |trace - 1| = TRACE_TOL exactly, as the imaginary part of the trace (the
+    # real part of a trace near 1 cannot differ from 1 by exactly TRACE_TOL);
+    # one ulp of real part on top puts it past the bound
+    at = np.diag([0.25 + 0.25j * TRACE_TOL] * 4)
+    assert abs(np.trace(at) - 1.0) == TRACE_TOL
+    validate(at)
+    past = at.copy()
+    past[0, 0] += 2.0**-52
+    with pytest.raises(TraceNotOne):
+        validate(past)
 
 
 def test_validate_positivity_error():
