@@ -18,8 +18,6 @@ from .errors import (
     WeakCouplingWarning,
 )
 from .linalg import (
-    HermitianEigensystem,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     partial_transpose_b,
     psd_sqrt,
@@ -42,7 +40,6 @@ from .states import (
 )
 from .measures import (
     CorrelationSet,
-    WMatrix,
     concurrence_branches,
     concurrence_dicke,
     concurrence_general,
@@ -58,7 +55,6 @@ from .measures import (
     min_trace_general,
     negativity,
     negativity_x,
-    w_matrix_x,
 )
 from .dynamics import (
     Trajectory,

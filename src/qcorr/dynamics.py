@@ -469,7 +469,7 @@ def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
         ("correlated coherence", cc, paper_cc),
         ("min_trace", mt, np.where(balanced(x), mt, np.ravel(paper_cc))),
     ])
-    rows = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, cc)
+    rows = (conc, neg, np.log1p(2.0 * neg) / np.log(2.0), unc, mt, cc, cc)
     return CorrelationSet(*(c.reshape(shape)[()] for c in rows))
 
 

@@ -60,14 +60,14 @@ def raise_first(failed, error: type[Exception], describe) -> None:
 
 
 class Record:
-    """Base of the package's record types (``HermitianEigensystem``,
-    ``ModelParams``, ``CorrelationSet``, ``Trajectory``): a repr that lists the
-    fields, and field-wise ``==``. The methods are plain ones, so creating a
-    record class runs no generated code at import, as ``dataclasses`` would. A
-    subclass lists its fields in constructor order as ``__match_args__`` and
-    writes its own ``__init__``. A Record is mutable and unhashable. The bases
-    live in this module, which every other imports, because a module of their
-    own would cost one more load at every start-up."""
+    """Base of the package's record types (``ModelParams``, ``CorrelationSet``,
+    ``Trajectory``): a repr that lists the fields, and field-wise ``==``. The
+    methods are plain ones, so creating a record class runs no generated code
+    at import, as ``dataclasses`` would. A subclass lists its fields in
+    constructor order as ``__match_args__`` and writes its own ``__init__``. A
+    Record is mutable and unhashable. The bases live in this module, which
+    every other imports, because a module of their own would cost one more
+    load at every start-up."""
 
     __match_args__ = ()
 

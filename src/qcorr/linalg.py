@@ -4,17 +4,17 @@ two-qubit partial transpose (on the second qubit; the partial transpose on
 the first has the same spectrum).
 
 All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
-of shape (..., m, m). Every eigenproblem goes through
-``hermitian_eigensystem``, or through ``hermitian_eigenvalues`` when only
-the eigenvalues are read, or through ``psd_sqrt`` when the square root is
-read, and every singular-value problem through ``singular_values``; internal
-solves of matrices that are already checked or Hermitian by construction
-skip the re-check (``_psd_root``, ``_eigenvalues``). All of them group a
-stack by exact nonzero pattern and split each pattern into its blocks.
-Blocks of size 1 and 2 (the X pattern above all) are solved in closed form,
-with the smaller 2x2 eigenvalue or singular value taken as the determinant
-over the larger one, and the square root built from each block's eigenpairs
-without an eigenvector matrix; the concurrence's spin-flip product of such
+of shape (..., m, m). The program reads two answers from its one
+eigensolver: the eigenvalues (``hermitian_eigenvalues``), or the eigenvalues
+together with the square root (``psd_sqrt``); every singular-value problem
+goes through ``singular_values``. Internal solves of matrices that are
+already checked or Hermitian by construction skip the re-check
+(``_psd_root``, ``_eigenvalues``). All of them group a stack by exact
+nonzero pattern and split each pattern into its blocks. Blocks of size 1
+and 2 (the X pattern above all) are solved in closed form, with the smaller
+2x2 eigenvalue or singular value taken as the determinant over the larger
+one, and the square root built from each block's eigenpairs without an
+eigenvector matrix; the concurrence's spin-flip product of such
 square roots is formed entry by entry (``_spin_flip_singular_values``). So a
 stack whose patterns have no block larger than 2x2 takes no dense complex
 matrix product. A pattern with a larger block goes whole to one LAPACK call
@@ -35,23 +35,13 @@ import operator
 
 import numpy as np
 
-from .errors import FrozenRecord, NotHermitian, NotPSD, raise_first
+from .errors import NotHermitian, NotPSD, raise_first
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 
 _PATTERN_BITS = 1 << np.arange(16)
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
-
-
-class HermitianEigensystem(FrozenRecord):
-    """Eigenvalues in ascending order; eigenvectors as matching orthonormal
-    columns. Both carry the leading (stack) axes of the input."""
-
-    __match_args__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> None:
-        self._set(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def _dagger(mat: np.ndarray) -> np.ndarray:
@@ -124,8 +114,9 @@ def _per_pattern(a: np.ndarray, solve, *args) -> list[np.ndarray]:
     return [p.reshape(a.shape[:-2] + p.shape[1:]) for p in parts]
 
 
-def hermitian_eigensystem(mat) -> HermitianEigensystem:
-    """Diagonalize Hermitian matrices block by block of their nonzero pattern.
+def hermitian_eigenvalues(mat) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian matrices, solved block by block of
+    their nonzero pattern.
 
     The matrices of a stack are grouped by their exact nonzero pattern. When
     every block of a group's pattern has size 1 or 2 (X states, their partial
@@ -133,33 +124,13 @@ def hermitian_eigensystem(mat) -> HermitianEigensystem:
     is solved in closed form (``_hermitian_2x2``); a stack whose patterns
     together have only such blocks is one such group. Otherwise the indices
     are reordered so that every block is contiguous and the whole group goes
-    to one LAPACK ``eigh`` call, whose tridiagonal reduction then never mixes
-    two blocks. Either way structural zeros stay exactly zero in the
-    eigenvectors and an exactly singular block keeps its exact zero
-    eigenvalue, and every matrix gets the result it would get on its own.
-
-    Parameters
-    ----------
-    mat : array_like
-        Hermitian matrix (within HERMITICITY_TOL on max |M - M^dag|) of size
-        2, 3 or 4, or a stack (..., m, m) of them.
-
-    Returns
-    -------
-    HermitianEigensystem
-        Ascending eigenvalues and orthonormal eigenvector columns, so that
-        V diag(w) V^dag reconstructs each input.
+    to one LAPACK ``eigvalsh`` call, whose tridiagonal reduction then never
+    mixes two blocks. Either way an exactly singular block keeps its exact
+    zero eigenvalue, and every matrix gets the result it would get on its
+    own. ``mat`` is one matrix or a stack (..., m, m) of size 2, 3 or 4,
+    Hermitian within HERMITICITY_TOL; real symmetric input is solved in real
+    arithmetic.
     """
-    a = require_hermitian(mat).astype(complex, copy=False)
-    return HermitianEigensystem(*_per_pattern(a, _eigen_by_blocks, True))
-
-
-def hermitian_eigenvalues(mat) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or of each matrix of a
-    stack (..., m, m), as ``hermitian_eigensystem`` finds them but without
-    eigenvectors: closed-form blocks give the same values bit for bit, and a
-    pattern with a larger block goes to LAPACK ``eigvalsh``. Real symmetric
-    input is solved in real arithmetic."""
     return _eigenvalues(require_hermitian(mat))
 
 
@@ -167,14 +138,13 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:  # of matrices Hermitian by const
     return _per_pattern(a, _eigen_by_blocks, False)[0]
 
 
-def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool, root: bool = False):
-    """Eigenvalues (ascending) and, if ``vectors``, the eigenvectors of a stack (k, n, n) of
-    matrices with patterns in ``pattern``; with ``root`` as well, the eigenvalues (unordered
-    from closed-form blocks) and the square roots V diag(sqrt(w)) V^dag (w clamped at zero)
-    in place of the eigenvectors. A closed-form block [[a, b], [b*, d]] with the unit upper
-    eigenvector u = (x, y) has the root s_up |u><u| + s_lo (1 - |u><u|), whose entries are
-    the two-term sums s_up |x|^2 + s_lo |y|^2, s_up |y|^2 + s_lo |x|^2 and (s_up - s_lo) x y*;
-    no eigenvector matrix is built and nothing is multiplied as a matrix."""
+def _eigen_by_blocks(a: np.ndarray, pattern: int, root: bool):
+    """Ascending eigenvalues of a stack (k, n, n) of matrices with patterns in ``pattern``;
+    with ``root``, the eigenvalues (unordered from closed-form blocks) and the square roots
+    V diag(sqrt(w)) V^dag (w clamped at zero). A closed-form block [[a, b], [b*, d]] with the
+    unit upper eigenvector u = (x, y) has the root s_up |u><u| + s_lo (1 - |u><u|), whose
+    entries are the two-term sums s_up |x|^2 + s_lo |y|^2, s_up |y|^2 + s_lo |x|^2 and
+    (s_up - s_lo) x y*; no eigenvector matrix is built and nothing is multiplied as a matrix."""
     n = a.shape[-1]
     blocks = _blocks(pattern, n)
     if max(map(len, blocks)) > 2:
@@ -182,23 +152,25 @@ def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool, root: bool = Fa
         reorder = order != list(range(n))
         if reorder:
             a = a.take(order, -2).take(order, -1)
-        if not vectors:
+        if not root:
             return (np.linalg.eigvalsh(a),)
         w, v = np.linalg.eigh(a)
         v = v.take(sorted(range(n), key=order.__getitem__), -2) if reorder else v
-        return (w, _sqrt_of(w, v)) if root else (w, v)
+        out = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+        out = out @ np.conjugate(v, out=v).swapaxes(-1, -2)  # V is not read again
+        out += _dagger(out)  # made exactly Hermitian
+        return w, np.multiply(out, 0.5, out=out)
     w = np.empty(a.shape[:-1])
-    out = np.zeros_like(a) if vectors else None  # the roots, or V^T: out[:, c] is eigenvector c
+    out = np.zeros_like(a) if root else None
     for b in blocks:
         if len(b) == 1:
             w[:, b[0]] = a[:, b[0], b[0]].real
-            if vectors:
-                out[:, b[0], b[0]] = np.sqrt(np.maximum(w[:, b[0]], 0.0)) if root else 1.0
+            if root:
+                out[:, b[0], b[0]] = np.sqrt(np.maximum(w[:, b[0]], 0.0))
             continue
         i, j = b
         lower = a[:, j, i]  # LAPACK reads the lower triangle; so does this
-        w[:, i], w[:, j], vec = _hermitian_2x2(a[:, i, i].real, a[:, j, j].real, lower.conj(),
-                                               vectors)
+        w[:, i], w[:, j], vec = _hermitian_2x2(a[:, i, i].real, a[:, j, j].real, lower.conj(), root)
         if root:
             x, y = vec
             s_lo, s_up = np.sqrt(np.maximum(w[:, i], 0.0)), np.sqrt(np.maximum(w[:, j], 0.0))
@@ -206,22 +178,11 @@ def _eigen_by_blocks(a: np.ndarray, pattern: int, vectors: bool, root: bool = Fa
             out[:, i, i], out[:, j, j] = s_up * xx + s_lo * yy, s_up * yy + s_lo * xx
             out[:, i, j] = (s_up - s_lo) * (x * y.conj())
             out[:, j, i] = out[:, i, j].conj()
-        elif vectors:
-            x, y = vec
-            out[:, j, i], out[:, j, j] = x, y
-            out[:, i, i], out[:, i, j] = -y.conj(), x.conj()
         split = np.flatnonzero(lower == 0)  # a diagonal block: the results of its 1x1 blocks
         w[split, i], w[split, j] = a[split, i, i].real, a[split, j, j].real
         if root:
             out[np.ix_(split, b, b)] = np.sqrt(np.maximum(w[split][:, b], 0.0))[:, None] * np.eye(2)
-        elif vectors:
-            out[np.ix_(split, b, b)] = np.eye(2)
-    if root:
-        return w, out
-    if not vectors:
-        return (np.sort(w, axis=-1),)
-    rows, k = np.arange(len(w))[:, None], np.argsort(w, axis=-1, kind="stable")
-    return w[rows, k], out[rows, k].swapaxes(-1, -2)
+    return (w, out) if root else (np.sort(w, axis=-1),)
 
 
 def _power_of_two(*parts: np.ndarray) -> np.ndarray:
@@ -267,7 +228,7 @@ def singular_values(mat) -> np.ndarray:
     """Singular values, descending, of a complex matrix of size 2, 3 or 4 or
     of each matrix of a stack (..., m, m).
 
-    As in ``hermitian_eigensystem``, matrices are grouped by nonzero pattern.
+    As in ``hermitian_eigenvalues``, matrices are grouped by nonzero pattern.
     A block [[m00, m01], [m10, m11]] of a pattern whose blocks all have size
     1 or 2 gives s_max = sqrt of the upper eigenvalue of M^dag M and
     s_min = |det M| / s_max (the block scaled by a power of two first), or
@@ -309,25 +270,17 @@ def _require_min_eigenvalue(lam_min: np.ndarray):
                 lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} below -{PSD_TOL:.1e}")
 
 
-def require_psd(mat) -> HermitianEigensystem:
-    """Eigensystem of a Hermitian matrix (or of each matrix of a stack),
-    raising NotPSD if a minimum eigenvalue lies below -PSD_TOL."""
-    es = hermitian_eigensystem(mat)
-    _require_min_eigenvalue(es.eigenvalues[..., 0])
-    return es
-
-
 def psd_sqrt(mat) -> np.ndarray:
     """Hermitian square root of a PSD matrix (or of each matrix of a stack).
 
     Eigenvalues in [-PSD_TOL, 0) are treated as integrator round-off and
-    clamped to zero; anything below -PSD_TOL raises NotPSD, as in
-    ``require_psd``. The matrices are grouped by nonzero pattern as in
-    ``hermitian_eigensystem``: a pattern whose blocks all have size 1 or 2
-    gets each block's root in closed form from its eigenpairs, without an
-    eigenvector matrix or a matrix product, and an off-diagonal entry that is
-    exactly zero gives exactly the roots of the two diagonal entries. Other
-    patterns take V diag(sqrt(w)) V^dag of the LAPACK eigensystem. Both are
+    clamped to zero; anything below -PSD_TOL raises NotPSD. The matrices are
+    grouped by nonzero pattern as in ``hermitian_eigenvalues``: a pattern
+    whose blocks all have size 1 or 2 gets each block's root in closed form
+    from its eigenpairs, without an eigenvector matrix or a matrix product,
+    and an off-diagonal entry that is exactly zero gives exactly the roots of
+    the two diagonal entries. Other patterns take V diag(sqrt(w)) V^dag of
+    one LAPACK ``eigh`` call on the indices reordered into blocks. Both are
     exactly Hermitian and keep every structural zero.
     """
     return _psd_root(require_hermitian(mat))
@@ -335,19 +288,9 @@ def psd_sqrt(mat) -> np.ndarray:
 
 def _psd_root(a: np.ndarray) -> np.ndarray:
     """``psd_sqrt`` of a stack already checked Hermitian: no second check."""
-    w, root = _per_pattern(a.astype(complex, copy=False), _eigen_by_blocks, True, True)
+    w, root = _per_pattern(a.astype(complex, copy=False), _eigen_by_blocks, True)
     _require_min_eigenvalue(w.min(-1))
     return root
-
-
-def _sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The square root V diag(sqrt(w)) V^dag of the eigenpairs (w, V) of a
-    PSD matrix or stack, in any order, with w clamped at zero and the result
-    made exactly Hermitian. It consumes V: V is conjugated in place."""
-    root = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    root = root @ np.conjugate(v, out=v).swapaxes(-1, -2)
-    root += _dagger(root)
-    return np.multiply(root, 0.5, out=root)
 
 
 def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:

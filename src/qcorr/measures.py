@@ -17,8 +17,6 @@ New J. Phys. 17, 033004 (2015)).
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from .errors import CrossCheckFailure, FrozenRecord, raise_first
@@ -84,10 +82,6 @@ class CorrelationSet(FrozenRecord):
         name = list(_RANGES)[i]
         text = f"{name} = {float(values[i, k])!r} outside [{lo[i, 0]}, {hi[i, 0]}]"
         return text if where is None else f"{where(k)}: {text}"
-
-
-# nonzero entries of the symmetric 3x3 skew-information matrix of an X state
-WMatrix = namedtuple("WMatrix", "w11 w22 w33 w12")
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +152,9 @@ def negativity_x(x: XColumns) -> float:
 
 
 def log_negativity(rho) -> float:
-    """log2(||rho^TB||_1) = log2(2 N + 1)."""
-    return np.log2(2.0 * negativity(rho) + 1.0)
+    """log2(||rho^TB||_1) = log2(2 N + 1), as log1p(2 N) / ln 2: log2 of the
+    rounded 2 N + 1 reads 0 for N below about 1e-16."""
+    return np.log1p(2.0 * negativity(rho)) / np.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +204,22 @@ def sqrt_x_entries(x: XColumns) -> tuple[float, float, float, float, complex, co
     return m11, m22, m33, m44, m14, m23
 
 
-def w_matrix_x(x: XColumns) -> WMatrix:
-    """Closed-form nonzero W entries for an X state; W13 = W23 = 0 by structure."""
-    m11, m22, m33, m44, m14, m23 = sqrt_x_entries(x)
-    base = 2.0 * (m11 * m33 + m22 * m44)
-    cross = m14 * m23
-    return WMatrix(
-        w11=base + 4.0 * cross.real,
-        w22=base - 4.0 * cross.real,
-        w33=m11**2 + m22**2 + m33**2 + m44**2
-        - 2.0 * (abs(m14) ** 2 + abs(m23) ** 2),
-        w12=-4.0 * cross.imag,
-    )
-
-
 def lqu_x(x: XColumns) -> float:
-    """Closed-form X-state LQU: the in-plane W block is diagonalized algebraically."""
-    w = w_matrix_x(x)
-    lam_plane = 0.5 * (w.w11 + w.w22 + np.hypot(w.w11 - w.w22, 2.0 * w.w12))
-    return np.minimum(1.0, np.maximum(0.0, 1.0 - np.maximum(lam_plane, w.w33)))
+    """Closed-form X-state LQU, with no cancellation against 1.
+
+    M = sqrt(rho) is X-shaped, so W13 = W23 = 0, the larger eigenvalue of
+    the in-plane W block is lambda_plane = 2 (m11 m33 + m22 m44) + 4 a b, with
+    a = |m14| and b = |m23|, and W33 = tr M^2 - 4 (a^2 + b^2). With tr M^2 =
+    tr rho = 1, 1 - W33 = 4 (a^2 + b^2) and 1 - lambda_plane = (m11 - m33)^2
+    + (m22 - m44)^2 + 2 (a - b)^2: sums of squares, which keep a small LQU to
+    full relative accuracy. The LQU is the smaller one, capped at 1. The form
+    assumes tr rho = 1: on validated input, off by up to ``states.TRACE_TOL``,
+    it differs from 1 - lambda_max(W) by 1 - tr rho.
+    """
+    m11, m22, m33, m44, m14, m23 = sqrt_x_entries(x)
+    a, b = abs(m14), abs(m23)
+    plane = (m11 - m33) ** 2 + (m22 - m44) ** 2 + 2.0 * (a - b) ** 2
+    return np.minimum(1.0, np.minimum(4.0 * (a * a + b * b), plane))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +363,7 @@ def correlations(rho) -> CorrelationSet:
     ], x_rows)
 
     conc, neg, unc, mt, cc = np.where(x_rows, closed, general)
-    columns = (conc, neg, np.log2(2.0 * neg + 1.0), unc, mt, cc, l1)
+    columns = (conc, neg, np.log1p(2.0 * neg) / np.log(2.0), unc, mt, cc, l1)
     if rho.ndim == 2:
         return CorrelationSet(*(float(c[0]) for c in columns))
     return CorrelationSet(*(c.reshape(rho.shape[:-2]) for c in columns))

@@ -2,13 +2,14 @@
 independent formulas the library is checked against."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from qcorr import XColumns, lindblad_rhs, validate
 from qcorr.dynamics import Trajectory, _increment_operator, _liouvillian
 from qcorr.linalg import hermitian_eigenvalues, partial_transpose_b, psd_sqrt
-from qcorr.measures import _concurrence_from_sqrt
+from qcorr.measures import _concurrence_from_sqrt, sqrt_x_entries
 from qcorr.model import _from_pauli, _to_pauli
 from qcorr.states import DickeColumns, _validated
 
@@ -114,9 +115,27 @@ def bell_phi_plus() -> np.ndarray:
     return np.outer(psi, psi.conj()).astype(complex)
 
 
-def assert_block_supported(vectors, blocks):
-    """Every column is exactly zero outside one of the blocks."""
-    for col in vectors.T:
+def blocks_of(mat) -> list[list[int]]:
+    """Connected components of the nonzero pattern, found by graph search."""
+    nonzero = (mat != 0) | (mat != 0).T
+    seen, blocks = set(), []
+    for start in range(len(mat)):
+        if start in seen:
+            continue
+        block, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            if i not in seen:
+                seen.add(i)
+                block.append(i)
+                todo.extend(np.flatnonzero(nonzero[i]).tolist())
+        blocks.append(sorted(block))
+    return blocks
+
+
+def assert_block_supported(mat, blocks):
+    """Every column of ``mat`` is exactly zero outside one of the blocks."""
+    for col in mat.T:
         support = set(np.flatnonzero(col).tolist())
         assert any(support <= set(b) for b in blocks), (support, blocks)
 
@@ -176,6 +195,24 @@ def w_matrix_by_pairs(sqrt_rho: np.ndarray) -> np.ndarray:
         for j in range(i, 3):
             w[..., i, j] = w[..., j, i] = np.trace(prods[i] @ prods[j], axis1=-2, axis2=-1).real
     return w
+
+
+# nonzero entries of the symmetric 3x3 skew-information matrix of an X state
+WMatrix = namedtuple("WMatrix", "w11 w22 w33 w12")
+
+
+def w_matrix_x(x: XColumns) -> WMatrix:
+    """Closed-form nonzero W entries for an X state, from the closed-form
+    sqrt(rho) of ``sqrt_x_entries``; W13 = W23 = 0 by structure."""
+    m11, m22, m33, m44, m14, m23 = sqrt_x_entries(x)
+    base = 2.0 * (m11 * m33 + m22 * m44)
+    cross = m14 * m23
+    return WMatrix(
+        w11=base + 4.0 * cross.real,
+        w22=base - 4.0 * cross.real,
+        w33=m11**2 + m22**2 + m33**2 + m44**2 - 2.0 * (abs(m14) ** 2 + abs(m23) ** 2),
+        w12=-4.0 * cross.imag,
+    )
 
 
 def steady_state_zero_temp(params) -> XColumns:

@@ -591,7 +591,7 @@ def test_weak_coupling_warning_is_one_stderr_line_on_exit_0(tmp_path):
     assert done.returncode == 0
     assert done.stderr.splitlines() == [_WEAK_LINE]
     assert done.stdout == ("nbar,concurrence,log_negativity,lqu,min,ccc\n"
-                           "0,0.27372375048415737,0.34905241493942962,0.24718002378121284,"
+                           "0,0.27372375048415737,0.34905241493942957,0.24718002378121282,"
                            "0.49717202634622626,0.49717202634622626\n")
 
 

@@ -17,6 +17,7 @@ from helpers import (
     random_density_matrix,
     random_x_state,
     steady_state_zero_temp,
+    w_matrix_x,
 )
 from qcorr import (
     DegenerateParams,
@@ -40,7 +41,6 @@ from qcorr import (
     steady_correlations_thermal,
     steady_state_thermal,
     steady_w_entries_zero_temp,
-    w_matrix_x,
     correlated_coherence,
 )
 from qcorr.dynamics import STEADY_RHS_TOL, _increment_operator, _liouvillian, _steady_rows
@@ -645,6 +645,28 @@ def test_steady_lqu_closed_w_entries():
     assert abs(wx.w12) <= 1e-15
     assert abs(wx.w11 - wx.w22) <= 1e-15
     assert steady_correlations_thermal(P_REF).lqu == pytest.approx(1.0 - max(w11, w33), abs=1e-14)
+
+
+# LQU of rows of the sweep nbar:1e-3:50:400 at J = 0, Delta = -1e-3, gamma = 9.5,
+# to 60 digits: mpmath at 80 digits on the closed-form steady state of the exact
+# float parameters, sqrt(rho) by eigendecomposition and 1 - lambda_max(W)
+_STEADY_LQU_REFERENCES = {
+    0: "0.0000000421096102342544777240963561418142260270203306690214533327809",
+    40: "0.00000000000299672383761447242224885740011932904685513623674986327249653",
+    200: "0.00000000000000648675648195391259194325418384422691651730881224677250688985",
+    397: "0.000000000000000434478325124074966189636699600374961997084374901009710369695",
+    398: "0.000000000000000430171250868251717618343207045161235456306571874798572306829",
+    399: "0.000000000000000425917415722045766367356393367562333758125825498312726509735",
+}
+
+
+def test_steady_lqu_keeps_full_relative_accuracy_down_to_1e_16():
+    # 1 - lambda_max rounds these to 0 or 4.4e-16; the sums of squares of lqu_x do not
+    rows = list(_STEADY_LQU_REFERENCES)
+    p = ModelParams(j=0.0, delta=-1e-3, gamma=9.5, nbar=np.linspace(1e-3, 50.0, 400)[rows])
+    reference = np.array([float(v) for v in _STEADY_LQU_REFERENCES.values()])
+    got = steady_correlations_thermal(p).lqu
+    assert (np.abs(got - reference) <= 1e-14 * reference).all()
 
 
 @pytest.mark.parametrize("nbar", [0.3, np.linspace(0.0, 2.0, 21)])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    assert_block_supported,
     bell_phi_plus,
+    blocks_of,
     partial_transpose_a,
     random_density_matrix,
     random_hermitian,
@@ -22,7 +22,6 @@ from qcorr import (
     NotHermitian,
     NotPSD,
     XColumns,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     is_x_shaped,
     lqu,
@@ -87,74 +86,48 @@ def charpoly_roots_by_bisection(mat, tol=1e-12):
     return np.array(sorted(roots))
 
 
+def _root_mode_eigenvalues(m):
+    """The eigenvalues that the square-root mode of the solver returns beside
+    the root, sorted: the solver's other answer for the same matrices."""
+    a = np.asarray(m, dtype=complex)
+    return np.sort(linalg._per_pattern(a, linalg._eigen_by_blocks, True)[0], axis=-1)
+
+
 def test_identity_eigensystem():
-    es = hermitian_eigensystem(np.eye(4, dtype=complex))
-    np.testing.assert_allclose(es.eigenvalues, np.ones(4))
-
-
-def test_eigensystem_is_frozen():
-    es = hermitian_eigensystem(np.eye(2))
-    with pytest.raises(AttributeError):
-        es.eigenvalues = np.zeros(2)
+    np.testing.assert_allclose(hermitian_eigenvalues(np.eye(4, dtype=complex)), np.ones(4))
 
 
 def test_field_hamiltonian_spectrum():
-    es = hermitian_eigensystem(np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex))
-    np.testing.assert_allclose(es.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-14)
+    lam = hermitian_eigenvalues(np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex))
+    np.testing.assert_allclose(lam, [-1.0, 0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_eigenvalues_match_charpoly_bisection():
     rng = np.random.default_rng(7)
     for _ in range(5):
         m = random_hermitian(rng, 4)
-        es = hermitian_eigensystem(m)
         oracle = charpoly_roots_by_bisection(m)
         assert len(oracle) == 4
-        np.testing.assert_allclose(es.eigenvalues, oracle, atol=1e-10)
-
-
-def test_eigensystem_reconstructs_and_is_orthonormal():
-    rng = np.random.default_rng(11)
-    for n in (2, 3, 4):
-        for _ in range(40):
-            m = random_hermitian(rng, n)
-            es = hermitian_eigensystem(m)
-            v = es.eigenvectors
-            recon = (v * es.eigenvalues) @ v.conj().T
-            assert np.abs(recon - m).max() <= 1e-12 * max(1.0, np.abs(m).max())
-            assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
-            assert np.all(np.diff(es.eigenvalues) >= -1e-15)
-    for n, blocks in BLOCK_PATTERNS:
-        for _ in range(20):
-            m = random_block_hermitian(rng, n, blocks)
-            es = hermitian_eigensystem(m)
-            v = es.eigenvectors
-            recon = (v * es.eigenvalues) @ v.conj().T
-            assert np.abs(recon - m).max() <= 1e-12 * max(1.0, np.abs(m).max())
-            assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
-            assert_block_supported(v, blocks)
-            np.testing.assert_array_equal(recon[m == 0], 0.0)
+        np.testing.assert_allclose(hermitian_eigenvalues(m), oracle, atol=1e-10)
 
 
 def test_x_state_blocks_stay_exact():
     rng = np.random.default_rng(29)
     for _ in range(50):
-        rho = random_x_state(rng).to_matrix()
-        assert_block_supported(hermitian_eigensystem(rho).eigenvectors, [[0, 3], [1, 2]])
-        assert is_x_shaped(psd_sqrt(rho), tol=0.0)
+        assert is_x_shaped(psd_sqrt(random_x_state(rng).to_matrix()), tol=0.0)
 
 
 def test_mixture_zero_eigenvalues_are_exact():
-    lam = hermitian_eigensystem(make_mixture(0.2).to_matrix()).eigenvalues
+    lam = hermitian_eigenvalues(make_mixture(0.2).to_matrix())
     np.testing.assert_array_equal(lam[:2], [0.0, 0.0])
     np.testing.assert_allclose(lam[2:], [0.2, 0.8], atol=1e-15)
     # the Bell singlet has an exactly singular 2x2 block, and a power-of-two
     # scale moves every eigenvalue by that power exactly
-    lam = hermitian_eigensystem(make_werner(1.0).to_matrix()).eigenvalues
+    lam = hermitian_eigenvalues(make_werner(1.0).to_matrix())
     np.testing.assert_array_equal(lam[:3], [0.0, 0.0, 0.0])
     np.testing.assert_allclose(lam[3:], [1.0], atol=1e-15)
     for e in (900, -900):
-        lam = hermitian_eigensystem(np.ldexp(make_mixture(0.2).to_matrix().real, e)).eigenvalues
+        lam = hermitian_eigenvalues(np.ldexp(make_mixture(0.2).to_matrix().real, e))
         np.testing.assert_array_equal(lam[:2], [0.0, 0.0])
         np.testing.assert_allclose(np.ldexp(lam[2:], -e), [0.2, 0.8], atol=1e-15)
 
@@ -221,38 +194,31 @@ def beside_filled_blocks(m, blocks):
 @given(small_block_matrices(hermitian=True))
 def test_small_block_eigensystem_matches_eigh_of_each_block(case):
     m, blocks, e, unscaled = case
-    es = hermitian_eigensystem(m)
-    per_block = [np.linalg.eigh(unscaled[np.ix_(b, b)]) for b in blocks]
-    expected = np.ldexp(np.sort(np.concatenate([w for w, _ in per_block])), e)
-    scale = np.abs(m).max()
-    np.testing.assert_allclose(es.eigenvalues, expected, rtol=0.0, atol=1e-14 * scale)
-    assert np.all(np.diff(es.eigenvalues) >= 0.0)
+    lam = hermitian_eigenvalues(m)
+    per_block = [np.linalg.eigvalsh(unscaled[np.ix_(b, b)]) for b in blocks]
+    expected = np.ldexp(np.sort(np.concatenate(per_block)), e)
+    np.testing.assert_allclose(lam, expected, rtol=0.0, atol=1e-14 * np.abs(m).max())
+    assert np.all(np.diff(lam) >= 0.0)
     # an exactly singular block keeps an exact zero eigenvalue
     rank = sum(np.linalg.matrix_rank(unscaled[np.ix_(b, b)], tol=1e-9) for b in blocks)
-    assert np.count_nonzero(es.eigenvalues == 0.0) >= len(m) - rank
-    v = es.eigenvectors
-    assert np.abs(v.conj().T @ v - np.eye(len(m))).max() <= 1e-14
-    assert_block_supported(v, blocks)
-    recon = (v * es.eigenvalues) @ v.conj().T
-    assert np.abs(recon - m).max() <= 1e-14 * scale
-    np.testing.assert_array_equal(recon[m == 0], 0.0)
+    assert np.count_nonzero(lam == 0.0) >= len(m) - rank
     # a 2x2 block whose off-diagonal entry is zero gives its two 1x1 results
-    stacked = hermitian_eigensystem(beside_filled_blocks(m, blocks))
-    np.testing.assert_array_equal(stacked.eigenvalues[0], es.eigenvalues)
-    np.testing.assert_array_equal(stacked.eigenvectors[0], v)
+    np.testing.assert_array_equal(hermitian_eigenvalues(beside_filled_blocks(m, blocks))[0], lam)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_block_matrices(hermitian=True), st.booleans())
 def test_eigenvalues_alone_equal_the_eigensystem_eigenvalues_on_small_blocks(case, real):
+    # the eigenvalue mode and the square-root mode solve closed-form blocks alike
     m, blocks = (case[0].real if real else case[0]), case[1]
     lam = hermitian_eigenvalues(m)
     assert lam.dtype == np.float64
-    np.testing.assert_array_equal(lam, hermitian_eigensystem(m).eigenvalues)
+    np.testing.assert_array_equal(lam, _root_mode_eigenvalues(m))
     np.testing.assert_array_equal(hermitian_eigenvalues(beside_filled_blocks(m, blocks))[0], lam)
 
 
 def test_eigenvalues_alone_match_the_eigensystem_on_lapack_patterns():
+    # eigvalsh in the eigenvalue mode against eigh in the square-root mode
     rng = np.random.default_rng(43)
     mats = [random_hermitian(rng, n) for n in (3, 4) for _ in range(40)]
     mats += [random_block_hermitian(rng, n, blocks) for n, blocks in BLOCK_PATTERNS
@@ -261,7 +227,7 @@ def test_eigenvalues_alone_match_the_eigensystem_on_lapack_patterns():
     for m in mats:
         lam = hermitian_eigenvalues(m)
         assert lam.dtype == np.float64
-        expected = hermitian_eigensystem(m).eigenvalues
+        expected = _root_mode_eigenvalues(m)
         np.testing.assert_allclose(lam, expected, rtol=0.0, atol=1e-14 * np.abs(m).max())
     stack = np.array([m for m in mats if m.shape == (3, 3)])
     np.testing.assert_array_equal(hermitian_eigenvalues(stack),
@@ -277,7 +243,7 @@ def test_small_block_eigenvalue_has_the_error_of_its_determinant():
     u[:, 1] *= 10.0 ** rng.uniform(-8.0, 0.0, 500)
     blocks = u[:, :, None] * u[:, None, :].conj()
     blocks[:, 1, 0] = blocks[:, 0, 1].conj()
-    lam = hermitian_eigensystem(blocks).eigenvalues
+    lam = hermitian_eigenvalues(blocks)
     for (a, b), (_, d), (lo, hi) in zip(blocks[:, 0], blocks[:, 1], lam):
         det = (Fraction(a.real) * Fraction(d.real) - Fraction(b.real) ** 2
                - Fraction(b.imag) ** 2)
@@ -313,15 +279,15 @@ def test_not_hermitian_rejected():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-6
     with pytest.raises(NotHermitian):
-        hermitian_eigensystem(m)
+        hermitian_eigenvalues(m)
     for bad in (np.nan, np.inf, complex(0.0, np.nan)):
         m = np.eye(4, dtype=complex)
         m[2, 1] = bad
         with pytest.raises(NotHermitian, match=r"entry \(2, 1\).*not finite"):
-            hermitian_eigensystem(m)
+            hermitian_eigenvalues(m)
     m = np.eye(4, dtype=complex)
     m[1, 1] = np.inf  # inf - inf in M - M^dag must not leak a numpy warning
-    for fn in (hermitian_eigensystem, psd_sqrt, trace_norm, negativity):
+    for fn in (hermitian_eigenvalues, psd_sqrt, trace_norm, negativity):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotHermitian, match=r"entry \(1, 1\).*not finite"):
@@ -334,11 +300,11 @@ def test_hermiticity_bound_is_inclusive():
     tol = linalg.HERMITICITY_TOL
     at = np.array([[0.0, tol], [0.0, 1.0]])
     past = np.array([[0.0, np.nextafter(tol, 1.0)], [0.0, 1.0]])
-    hermitian_eigensystem(at)
+    hermitian_eigenvalues(at)
     with pytest.raises(NotHermitian):
-        hermitian_eigensystem(past)
+        hermitian_eigenvalues(past)
     with pytest.raises(NotHermitian) as failure:
-        hermitian_eigensystem(np.array([at, past]))
+        hermitian_eigenvalues(np.array([at, past]))
     assert failure.value.index == 1
 
 
@@ -353,10 +319,18 @@ def test_public_entries_keep_their_hermiticity_check():
 
 
 def _dense_square_root(m):
-    """V diag(sqrt(w)) V^dag of the public eigensystem: the square root of
-    patterns with a block larger than 2x2."""
-    es = hermitian_eigensystem(m)
-    return linalg._sqrt_of(es.eigenvalues, es.eigenvectors.copy())
+    """(V diag(sqrt(w)) V^dag with w clamped at zero and the result made
+    exactly Hermitian, ascending w) from ``np.linalg.eigh`` of each block of
+    the nonzero pattern: a reference for the square root that does not call
+    the module."""
+    m = np.asarray(m, dtype=complex)
+    root, lam = np.zeros_like(m), []
+    for b in blocks_of(m):
+        w, v = np.linalg.eigh(m[np.ix_(b, b)])
+        r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        root[np.ix_(b, b)] = (r + r.conj().T) * 0.5
+        lam.extend(w)
+    return root, np.sort(lam)
 
 
 def small_block_psd(case):
@@ -373,11 +347,15 @@ def small_block_psd(case):
 @given(small_block_matrices(hermitian=True))
 def test_block_square_root_matches_the_dense_square_root(case):
     # the closed-form root of 1x1 and 2x2 blocks against V diag(sqrt(w)) V^dag
-    # of the same eigenpairs: a few ulps of the largest root eigenvalue
+    # of LAPACK's eigenpairs: a few ulps of the largest root eigenvalue, plus
+    # the gap between the two solvers' sqrt(w), which near a singular block
+    # is as large as sqrt(eps) times it (LAPACK's round-off eigenvalue there)
     m, blocks, unscaled = small_block_psd(case)
     root = psd_sqrt(m)
-    top = np.sqrt(hermitian_eigensystem(m).eigenvalues[-1])
-    assert np.abs(root - _dense_square_root(m)).max() <= 4.0 * np.finfo(float).eps * top
+    lam = np.clip(hermitian_eigenvalues(m), 0.0, None)
+    dense, dense_lam = _dense_square_root(m)
+    gap = np.abs(np.sqrt(lam) - np.sqrt(np.clip(dense_lam, 0.0, None))).max()
+    assert np.abs(root - dense).max() <= 8.0 * np.finfo(float).eps * np.sqrt(lam[-1]) + gap
     # exactly Hermitian, every structural zero kept, and it squares back
     np.testing.assert_array_equal(root, root.conj().T)
     np.testing.assert_array_equal(root[m == 0], 0.0)
@@ -392,11 +370,14 @@ def test_block_square_root_matches_the_dense_square_root(case):
 
 def test_square_root_of_larger_blocks_is_the_dense_square_root_bit_for_bit():
     rng = np.random.default_rng(5)
-    mats = [random_density_matrix(rng, rank) for rank in (1, 2, 4) for _ in range(10)]
-    mats += [g @ g.conj().T for g in (random_block_hermitian(rng, 4, [[0, 1, 3], [2]])
-                                      for _ in range(10))]
-    for m in mats:
-        assert psd_sqrt(m).tobytes() == _dense_square_root(m).tobytes()
+    for m in [random_density_matrix(rng, rank) for rank in (1, 2, 4) for _ in range(10)]:
+        assert psd_sqrt(m).tobytes() == _dense_square_root(m)[0].tobytes()
+    # a 3x3 block beside an isolated index: the solver's eigh takes the whole
+    # matrix reordered, the reference the block alone, so they agree to ulps
+    for g in (random_block_hermitian(rng, 4, [[0, 1, 3], [2]]) for _ in range(10)):
+        m = g @ g.conj().T
+        top = np.sqrt(np.linalg.eigvalsh(m)[-1])
+        assert np.abs(psd_sqrt(m) - _dense_square_root(m)[0]).max() <= 8.0 * np.finfo(float).eps * top
 
 
 def test_square_roots_of_a_mixed_stack_are_those_of_each_matrix():
@@ -443,12 +424,11 @@ def test_spin_flip_product_of_larger_blocks_is_the_dense_product_bit_for_bit():
 
 def test_unsupported_size_rejected():
     with pytest.raises(ValueError, match="sizes 2..4"):
-        hermitian_eigensystem(np.eye(5, dtype=complex))
+        hermitian_eigenvalues(np.eye(5, dtype=complex))
 
 
 def test_zero_matrix():
-    es = hermitian_eigensystem(np.zeros((3, 3)))
-    np.testing.assert_allclose(es.eigenvalues, np.zeros(3))
+    np.testing.assert_allclose(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
 
 
 def test_psd_sqrt_identity_and_diagonal():
@@ -468,8 +448,8 @@ def test_psd_sqrt_random_property():
     rng = np.random.default_rng(3)
     for _ in range(50):
         m = random_hermitian(rng, 4)
-        es = hermitian_eigensystem(m)
-        psd = (es.eigenvectors * np.abs(es.eigenvalues)) @ es.eigenvectors.conj().T
+        w, v = np.linalg.eigh(m)
+        psd = (v * np.abs(w)) @ v.conj().T
         root = psd_sqrt(psd)
         assert np.abs(root @ root - psd).max() <= 1e-10 * max(1.0, np.abs(psd).max())
         assert np.abs(root - root.conj().T).max() <= 1e-13
@@ -487,7 +467,7 @@ def test_psd_sqrt_rejects_indefinite():
 def test_trace_norm_values():
     assert trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-13)
     pt = partial_transpose_b(bell_phi_plus())
-    lam = hermitian_eigensystem(pt).eigenvalues
+    lam = hermitian_eigenvalues(pt)
     np.testing.assert_allclose(sorted(lam), [-0.5, 0.5, 0.5, 0.5], atol=1e-13)
     assert trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
 
@@ -544,7 +524,7 @@ def test_partial_transpose_swaps_x_coherences():
 
 
 def test_bell_partial_transpose_minimum_eigenvalue():
-    lam = hermitian_eigensystem(partial_transpose_b(bell_phi_plus())).eigenvalues
+    lam = hermitian_eigenvalues(partial_transpose_b(bell_phi_plus()))
     assert lam[0] == pytest.approx(-0.5, abs=1e-13)
 
 
@@ -553,11 +533,11 @@ def test_partial_transpose_spectrum_party_independent():
     states = [random_x_state(rng).to_matrix() for _ in range(25)]
     states += [random_density_matrix(rng, rank) for rank in (1, 2, 3, 4) for _ in range(25)]
     for rho in states:
-        lam_b = hermitian_eigensystem(partial_transpose_b(rho)).eigenvalues
-        lam_a = hermitian_eigensystem(partial_transpose_a(rho)).eigenvalues
+        lam_b = hermitian_eigenvalues(partial_transpose_b(rho))
+        lam_a = hermitian_eigenvalues(partial_transpose_a(rho))
         np.testing.assert_allclose(lam_b, lam_a, atol=1e-12)
         assert abs(np.trace(partial_transpose_b(rho)) - 1.0) <= 1e-14
         # local unitaries U_A ox U_B leave the spectrum of the partial transpose alone
         u = np.kron(*random_unitary(rng, (2,)))
-        lam_u = hermitian_eigensystem(partial_transpose_b(u @ rho @ u.conj().T)).eigenvalues
+        lam_u = hermitian_eigenvalues(partial_transpose_b(u @ rho @ u.conj().T))
         np.testing.assert_allclose(lam_u, lam_b, rtol=0.0, atol=1e-12)

@@ -22,6 +22,7 @@ from helpers import (
     steady_state_zero_temp,
     valid_x,
     w_matrix_by_pairs,
+    w_matrix_x,
 )
 from qcorr import (
     CrossCheckFailure,
@@ -45,7 +46,6 @@ from qcorr import (
     negativity,
     negativity_x,
     to_dicke,
-    w_matrix_x,
 )
 from qcorr.linalg import psd_sqrt
 from qcorr.measures import RANGE_TOL, X_BRANCH_TOL, _w_matrix_general, balanced, check_routes

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     assert_block_supported,
+    blocks_of,
     degenerate_marginal_state,
     random_balanced_x_state,
     random_density_matrix,
@@ -26,7 +27,7 @@ from qcorr import (
     XColumns,
     correlations,
     evolve,
-    hermitian_eigensystem,
+    hermitian_eigenvalues,
     make_mixture,
     partial_transpose_b,
     psd_sqrt,
@@ -40,24 +41,6 @@ def x_state_with_zeros(rng, zero14: bool, zero23: bool) -> np.ndarray:
     x = random_x_state(rng)
     return valid_x(x.rho11, x.rho22, x.rho33, x.rho44,
                    0.0 if zero14 else x.rho14, 0.0 if zero23 else x.rho23).to_matrix()
-
-
-def blocks_of(mat) -> list[list[int]]:
-    """Connected components of the nonzero pattern, found by graph search."""
-    nonzero = (mat != 0) | (mat != 0).T
-    seen, blocks = set(), []
-    for start in range(len(mat)):
-        if start in seen:
-            continue
-        block, todo = [], [start]
-        while todo:
-            i = todo.pop()
-            if i not in seen:
-                seen.add(i)
-                block.append(i)
-                todo.extend(np.flatnonzero(nonzero[i]).tolist())
-        blocks.append(sorted(block))
-    return blocks
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,24 +67,47 @@ def test_stack_matches_one_matrix_at_a_time(seed, counts):
         np.testing.assert_allclose(table[:, i], single, rtol=0.0, atol=1e-12)
 
     # every pattern group keeps its exact zeros, and each matrix gets the
-    # result it gets on its own
-    for mats in (stack, partial_transpose_b(stack), psd_sqrt(stack)):
-        es = hermitian_eigensystem(mats)
-        for m, w, v in zip(mats, es.eigenvalues, es.eigenvectors):
-            assert_block_supported(v, blocks_of(m))
-            alone = hermitian_eigensystem(m)
-            np.testing.assert_array_equal(w, alone.eigenvalues)
-            np.testing.assert_array_equal(v, alone.eigenvectors)
+    # result it gets on its own: the square roots of the states and of their
+    # roots, and the eigenvalues of the partial transposes
+    for mats in (stack, psd_sqrt(stack)):
+        for m, root in zip(mats, psd_sqrt(mats)):
+            assert_block_supported(root, blocks_of(m))
+            np.testing.assert_array_equal(root, psd_sqrt(m))
+    pts = partial_transpose_b(stack)
+    for m, lam in zip(pts, hermitian_eigenvalues(pts)):
+        np.testing.assert_array_equal(lam, hermitian_eigenvalues(m))
+
+
+def test_square_roots_on_lapack_patterns_keep_their_zeros_and_stack():
+    # patterns with a block larger than 2x2 go to LAPACK eigh: each root is
+    # exactly Hermitian, exactly zero outside the blocks of its matrix, squares
+    # back, and is the same bytes stacked (beside X states) as alone
+    rng = np.random.default_rng(41)
+    mats = []
+    for blocks in ([[0, 1, 2, 3]], [[0, 1, 3], [2]], [[1, 2, 3], [0]], [[0, 2], [1, 3]]):
+        for rank in (1, 2, 4):
+            g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            full, m = g @ g.conj().T, np.zeros((4, 4), dtype=complex)
+            for b in blocks:
+                m[np.ix_(b, b)] = full[np.ix_(b, b)]
+            mats.append((m + m.conj().T) / 2.0)
+    mats += [random_x_state(rng).to_matrix() for _ in range(4)]
+    stack = np.array([mats[i] for i in rng.permutation(len(mats))])
+    for m, root in zip(stack, psd_sqrt(stack)):
+        np.testing.assert_array_equal(root, root.conj().T)
+        assert_block_supported(root, blocks_of(m))
+        assert np.abs(root @ root - m).max() <= 1e-13 * np.abs(m).max()
+        assert root.tobytes() == psd_sqrt(m).tobytes()
 
 
 def test_each_eigenproblem_is_solved_once(monkeypatch):
     # a dense evolve diagonalizes its sample stack once, for validation, and
-    # the general routes reuse that eigensystem; validation takes the private
-    # solver entry, so count the vector solves that reach it
+    # the general routes reuse the square root it returns; validation takes
+    # the private solver entry, so count the root solves that reach it
     shapes, per_pattern = [], linalg._per_pattern
 
     def recorded(a, solve, *args):
-        if solve is linalg._eigen_by_blocks and args[0]:  # vectors: an eigensystem
+        if solve is linalg._eigen_by_blocks and args[0]:  # root: a square root
             shapes.append(np.shape(a))
         return per_pattern(a, solve, *args)
 
