@@ -68,7 +68,6 @@ from .dynamics import (
     steady_concurrence_thermal,
     steady_correlations_thermal,
     steady_state_thermal,
-    steady_w_entries_zero_temp,
 )
 
 __version__ = "0.1.0"

@@ -22,10 +22,9 @@ from .measures import (
 )
 from .model import (ModelParams, _PAULI, _from_pauli, _to_pauli, hamiltonian, spin_lowering,
                     spin_raising)
-from .states import XColumns, _validated, is_x_shaped, validate
+from .states import XColumns, _validated, validate
 
 STEADY_RHS_TOL = 1e-12
-X_DRIFT_TOL = 1e-8  # sampled states must stay this close to the X pattern
 # bound on the samples of one evolve run: about 26 MB of states, but a run at the
 # bound peaks at about 173 MB RSS, as ``correlations`` holds about 4.2x its input
 MAX_SAMPLES = 100_000
@@ -153,9 +152,10 @@ def evolve(
     ``steady_time`` applies STEADY_RHS_TOL to the entries of the rebuilt
     matrices of L y, rebuilding only where L y does not decide it
     (``_steady_rows``). The sampled states are then checked and evaluated as
-    one stack (``_evaluate_samples``): a state that fails validation or,
-    when the initial state is X-shaped, drifts off the X pattern raises
-    StepRejected with its time.
+    one stack (``_evaluate_samples``): a state that fails validation raises
+    StepRejected with its time. The generator never couples the X Pauli
+    coordinates to the others, so an exactly X-shaped ``rho0`` gives exactly
+    X-shaped samples, which take the X closed forms.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"dt must be positive and finite, got {dt}")
@@ -199,7 +199,7 @@ def evolve(
     mats = _from_pauli(states)
     del states, rhs
     mats[0] = mat0  # the t = 0 sample is the given matrix, bit for bit
-    corr = _evaluate_samples(times, mats, bool(is_x_shaped(mat0)))
+    corr = _evaluate_samples(times, mats)
     steady_time = float(times[steady.argmax()]) if steady.any() else None
     return Trajectory(times, mats, corr, params, dt, steady_time)
 
@@ -215,33 +215,26 @@ def _steady_rows(rhs: np.ndarray) -> np.ndarray:
     return steady
 
 
-def _evaluate_samples(times: np.ndarray, states: np.ndarray, x_born: bool) -> CorrelationSet:
-    """Validate every sampled state, check it stays on the X pattern when
-    ``x_born`` and evaluate its correlations, all as one stack.
+def _evaluate_samples(times: np.ndarray, states: np.ndarray) -> CorrelationSet:
+    """Validate every sampled state and evaluate its correlations, all as one
+    stack.
 
-    One ``correlations`` call validates and evaluates the samples up to and
-    including the first one that drifts off the X pattern, so a sample stack
-    that validates is diagonalized once. Raises for the first failing sample
-    in time order, and at one sample validation comes before drift, which
-    comes before the cross-check: StepRejected for a failed validation or X
-    drift, CrossCheckFailure naming the sample's time for a cross-check miss.
-    A validation failure at sample k evaluates ``states[:k]`` again, so that
-    an earlier cross-check miss is reported instead.
+    One ``correlations`` call validates and evaluates the samples, so a
+    sample stack that validates is diagonalized once. Raises for the first
+    failing sample in time order, and at one sample validation comes before
+    the cross-check: StepRejected for a failed validation, CrossCheckFailure
+    naming the sample's time for a cross-check miss. A validation failure at
+    sample k evaluates ``states[:k]`` again, so that an earlier cross-check
+    miss is reported instead.
     """
-    drift = ~is_x_shaped(states, X_DRIFT_TOL) if x_born else np.zeros(len(states), dtype=bool)
-    stop = int(drift.argmax()) + 1 if drift.any() else len(states)
     try:
         try:
-            columns = correlations(states[:stop])
+            return correlations(states)
         except (NotHermitian, TraceNotOne, NotPSD) as exc:
             correlations(states[:exc.index])
             raise StepRejected(float(times[exc.index]), str(exc)) from None
     except CrossCheckFailure as exc:
         raise CrossCheckFailure(f"at t = {times[exc.index]:.6g}: {exc}") from exc
-    if drift.any():
-        raise StepRejected(float(times[stop - 1]),
-                           f"state drifted off the X pattern beyond {X_DRIFT_TOL:.1e}")
-    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +393,22 @@ def _steady_columns(d, w, g, inv_k, a, b, root) -> XColumns:
 
 def _steady_closed_forms(d, w, g, inv_k, a, b, root):
     """The paper's closed forms from the terms of ``_steady_scales``: CC, the
-    concurrence and the zero-temperature (W11, W33)."""
-    cc = 2.0 * (abs(d) * inv_k / root) * (inv_k * np.hypot(2.0 * w * inv_k, g) / root)
-    population = np.square(d * inv_k / root * inv_k)  # Delta^2 / (k^2 den)
+    concurrence and the zero-temperature LQU (only meaningful at nbar = 0).
+
+    With p and v as in ``_steady_columns``, at nbar = 0 sqrt(rho) has m11 =
+    2 p^2, m22 = m33 = |p|, m44 = 2 p^2 + v, |m14| = |p| sqrt(v) and m23 = 0,
+    so the paper's 1 - max{W11, W33} is min{4 p^2 v, p^2 (1 - 2|p|)^2 +
+    (|p| - 2 p^2 - v)^2 + 2 p^2 v}: sums of squares, with nothing to cancel
+    against 1 when the LQU is small."""
+    p, h = d * inv_k / root, np.hypot(2.0 * w * inv_k, g)
+    v = np.square(h / root)
+    cc = 2.0 * abs(p) * (inv_k * h / root)
+    population = np.square(p * inv_k)  # Delta^2 / (k^2 den)
     concurrence = 2.0 * np.maximum(0.0, 0.5 * cc - population - a * b)
-    om2 = d * d + w * w
-    den = g * g + 4.0 * om2
-    radical = np.sqrt((g * g + 4.0 * w * w) * den)
-    core = g * g + 2.0 * w * w + 2.0 * om2
-    w11 = (np.sqrt(2.0) * abs(d) / den) * (
-        np.sqrt(np.maximum(core - radical, 0.0)) + np.sqrt(core + radical)
-    )
-    w33 = (g**4 + 4.0 * g * g * (w * w + om2) + 16.0 * (d**4 + w * w * om2)) / den**2
-    return cc, concurrence, w11[()], w33[()]
+    p2 = p * p
+    lqu = np.minimum(4.0 * p2 * v, np.square(p * (1.0 - 2.0 * abs(p)))
+                     + np.square(abs(p) - 2.0 * p2 - v) + 2.0 * p2 * v)
+    return cc, concurrence, lqu
 
 
 def steady_state_thermal(params: ModelParams) -> XColumns:
@@ -438,31 +434,23 @@ def steady_concurrence_thermal(params: ModelParams) -> float:
     return _steady_closed_forms(*_steady_scales(params))[1]
 
 
-def steady_w_entries_zero_temp(params: ModelParams) -> tuple[float, float]:
-    """(W11, W33) of the zero-temperature steady state in closed form.
-
-    The steady W matrix is diagonal with W11 = W22, so the LQU is
-    1 - max{W11, W33}.
-    """
-    return _steady_closed_forms(*_steady_scales(params))[2:]
-
-
 def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
     """All steady-state quantifiers from the X closed forms on the thermal
     steady state. Array-valued ``params`` fields give one row per element
     (a CorrelationSet of arrays). The paper's closed forms cross-check them:
     concurrence, CC and the MIN (unless the marginal of A is degenerate),
-    and the LQU at nbar = 0 (1 - max{W11, W33}); the first failing row
-    raises CrossCheckFailure with its flat position as ``index``.
+    and the LQU at nbar = 0 (the paper's 1 - max{W11, W33} as a sum of
+    squares, see ``_steady_closed_forms``); the first failing row raises
+    CrossCheckFailure with its flat position as ``index``.
     """
     scales = _steady_scales(params)
     columns = _steady_columns(*scales)
     x = XColumns(*map(np.ravel, columns))  # scalar params too: one array path for every row
     conc, neg, unc, mt, cc = (f(x) for f in (concurrence_x, negativity_x, lqu_x, min_trace,
                                              correlated_coherence))
-    paper_cc, paper_conc, w11, w33 = _steady_closed_forms(*scales)
+    paper_cc, paper_conc, zero_temp_lqu = _steady_closed_forms(*scales)
     shape = np.shape(columns.rho11)
-    paper_lqu = np.where(np.equal(params.nbar, 0.0), 1.0 - np.maximum(w11, w33), unc.reshape(shape))
+    paper_lqu = np.where(np.equal(params.nbar, 0.0), zero_temp_lqu, unc.reshape(shape))
     check_routes([
         ("concurrence", conc, paper_conc),
         ("lqu", unc, paper_lqu),

@@ -79,9 +79,11 @@ class Record:
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __eq__(self, other):
+        """Field-wise ``np.array_equal``: records with array fields compare too,
+        and fields of different shapes differ."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(np.array_equal(a, b) for a, b in zip(self._values(), other._values()))
 
 
 class FrozenRecord(Record):

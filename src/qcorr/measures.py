@@ -325,10 +325,12 @@ def correlations(rho) -> CorrelationSet:
     The input is validated first (Hermiticity, unit trace and positivity, as
     in ``validate``), so the first invalid matrix raises NotHermitian,
     TraceNotOne or NotPSD with its flat position as ``index``. X-shaped
-    matrices (within X_SHAPE_TOL) use the closed forms, and every closed form
-    is compared against its general-definition route; the first matrix where
+    matrices (every entry off the X pattern exactly zero, see
+    ``states.is_x_shaped``) use the closed forms, and every closed form is
+    compared against its general-definition route; the first matrix where
     they disagree raises CrossCheckFailure (its flat position is ``index``).
-    Other matrices take the general routes throughout. The positivity check
+    Other matrices, however close to the X pattern, take the general routes
+    throughout, which are exact for every state. The positivity check
     solves each matrix's eigenvalues once and returns sqrt(rho), which the
     concurrence and LQU routes share (for X-shaped matrices it is built per
     2x2 block, without an eigenvector matrix, see ``linalg.psd_sqrt``); the

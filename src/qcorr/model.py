@@ -104,15 +104,6 @@ class ModelParams(FrozenRecord):
                 stacklevel=2,  # the line that built the params
             )
 
-    def __eq__(self, other):
-        """Field-wise ``np.array_equal``: sweeps compare too, and fields of different
-        shapes differ. Hashing an instance with an array field raises TypeError."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self._values(), other._values()))
-
-    __hash__ = FrozenRecord.__hash__  # a class that defines __eq__ alone gets __hash__ = None
-
     @property
     def big_omega(self) -> float:
         """Dressed frequency sqrt(delta^2 + omega^2), always recomputed; an

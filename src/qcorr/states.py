@@ -10,7 +10,6 @@ from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
 from .linalg import _psd_root, _two_qubit, require_hermitian
 
 TRACE_TOL = 1e-10
-X_SHAPE_TOL = 1e-9
 
 # entries that must vanish in the X pattern
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
@@ -23,7 +22,8 @@ class XColumns(namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")):
     rho41 and rho32 are implied by Hermiticity. The X closed forms in
     ``measures`` take XColumns and give one value per matrix. XColumns itself
     is not validated: the constructors that return one validate what they
-    build, and ``validate`` and ``is_x_shaped`` check matrices.
+    build, and ``validate`` checks matrices. ``to_matrix`` writes exact zeros
+    off the X pattern, which ``is_x_shaped`` requires.
     """
 
     __slots__ = ()
@@ -96,10 +96,10 @@ def _require_unit_trace(mats: np.ndarray):
                 lambda k: f"trace = {complex(trace[k])!r}, |trace - 1| = {abs(trace[k] - 1.0):.3e}")
 
 
-def is_x_shaped(rho, tol: float = X_SHAPE_TOL):
-    """True iff every entry outside the X pattern has magnitude <= tol; one
-    flag per matrix for a stack."""
-    return np.abs(np.asarray(rho, dtype=complex)[..., _OFF_X]).max(-1) <= tol
+def is_x_shaped(rho):
+    """True iff every entry outside the X pattern is exactly zero (-0.0
+    counts as zero); one flag per matrix for a stack."""
+    return ~np.asarray(rho)[..., _OFF_X].any(-1)
 
 
 def to_dicke(x: XColumns) -> DickeColumns:

@@ -227,6 +227,21 @@ def steady_state_zero_temp(params) -> XColumns:
                    -d * (2.0 * w + 1j * g) / den, 0.0)
 
 
+def steady_w_entries_zero_temp(delta, omega, gamma, sqrt=math.sqrt):
+    """(W11, W33) of the zero-temperature steady state in the paper's closed
+    form, for floats, or for ``Decimal``s with ``sqrt=lambda x: Decimal(x).sqrt()``.
+    The steady W matrix is diagonal with W11 = W22, so the LQU is
+    1 - max{W11, W33}."""
+    d, w, g = delta, omega, gamma
+    om2 = d * d + w * w
+    den = g * g + 4 * om2
+    radical = sqrt((g * g + 4 * w * w) * den)
+    core = g * g + 2 * w * w + 2 * om2
+    w11 = (sqrt(2) * abs(d) / den) * (sqrt(max(core - radical, 0)) + sqrt(core + radical))
+    w33 = (g**4 + 4 * g * g * (w * w + om2) + 16 * (d**4 + w * w * om2)) / den**2
+    return w11, w33
+
+
 def concurrence_thermal_independent(t, w: float, gamma: float, nbar: float):
     """Concurrence max{0, (1 - w) exp(-k gamma t) - sqrt(f)/k^2} of the
     decaying w-mixture of independent qubits (J = Delta = 0) at bath

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from helpers import csv_by_cells, random_density_matrix, random_rank_one_x_state
-from qcorr import WeakCouplingWarning, concurrence_x, dumps_density_matrix, lqu_x, make_mixture
+from qcorr import (WeakCouplingWarning, concurrence_x, dumps_density_matrix, lqu_x, make_mixture,
+                   make_werner)
 from qcorr.cli import EVOLVE_HEADER, _csv, build_parser, main
 from qcorr.dynamics import MAX_SAMPLES
 
@@ -143,6 +144,62 @@ def test_evolve_custom_initial_state(tmp_path):
     assert code == 0
     _, rows = parse_csv(text)
     assert rows[0][2] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_evolve_of_a_near_x_custom_state_takes_the_general_routes(tmp_path, capsys):
+    # Werner(0.3) with 1e-10 on every entry off the X pattern is not X-shaped:
+    # its samples take the general routes, which no closed form cross-checks
+    rho = make_werner(0.3).to_matrix() + 1e-10 * (1.0 - np.eye(4) - np.eye(4)[::-1])
+    state_file = tmp_path / "near_x.txt"
+    state_file.write_text(dumps_density_matrix(rho), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["evolve", "--initial", f"custom@{state_file}", "--t-max", "5"],
+                             tmp_path)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert len(text.splitlines()) == 52
+
+
+_ROWS = dumps_density_matrix(make_mixture(0.5).to_matrix()).splitlines()
+
+
+@pytest.mark.parametrize("rows, reason", [
+    (_ROWS[:3], "expected 4 matrix rows, got 3"),
+    ([_ROWS[0], _ROWS[1].rsplit(" ", 1)[0], *_ROWS[2:]], "row 2: expected 4 entries, got 3"),
+    ([_ROWS[0][:-1], *_ROWS[1:]], "row 1 entry 4: missing trailing 'i'"),
+    (["x+0i " + _ROWS[0].split(" ", 1)[1], *_ROWS[1:]], "complex()"),
+])
+def test_evolve_rejects_malformed_custom_state_file(rows, reason, tmp_path, capsys):
+    state_file = tmp_path / "rho.txt"
+    state_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["evolve", "--initial", f"custom@{state_file}", "--t-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qcorr: configuration error: malformed initial-state file "
+                          f"{str(state_file)!r}: ")
+    assert reason in err and err.count("\n") == 1
+
+
+_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+
+
+@_DEV_FULL
+def test_full_output_file_exits_2_with_one_stderr_line(capsys):
+    assert main(["steady", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcorr: configuration error: cannot write output file '/dev/full': ")
+    assert err.count("\n") == 1
+
+
+@_DEV_FULL
+def test_full_stdout_exits_2_with_one_stderr_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "qcorr", "steady"], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, cwd=tmp_path)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("qcorr: configuration error: cannot write standard output: ")
 
 
 def test_evolve_rank_one_x_state_passes_cross_checks(tmp_path):

@@ -1,5 +1,6 @@
 """Master-equation integration against closed forms, steady states and ESD."""
 
+import decimal
 import math
 import warnings
 
@@ -17,9 +18,11 @@ from helpers import (
     random_density_matrix,
     random_x_state,
     steady_state_zero_temp,
+    steady_w_entries_zero_temp,
     w_matrix_x,
 )
 from qcorr import (
+    CorrelationSet,
     DegenerateParams,
     DomainError,
     ModelParams,
@@ -40,11 +43,12 @@ from qcorr import (
     steady_concurrence_thermal,
     steady_correlations_thermal,
     steady_state_thermal,
-    steady_w_entries_zero_temp,
     correlated_coherence,
 )
-from qcorr.dynamics import STEADY_RHS_TOL, _increment_operator, _liouvillian, _steady_rows
+from qcorr.dynamics import (STEADY_RHS_TOL, _increment_operator, _liouvillian, _steady_closed_forms,
+                            _steady_rows, _steady_scales)
 from qcorr.model import _from_pauli
+from qcorr.states import is_x_shaped
 
 P_REF = ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
 
@@ -95,6 +99,22 @@ def test_generator_and_increment_operator_are_exactly_block_diagonal(j, delta, o
     for op in (lv, _increment_operator(lv, dt, n)):
         between = _between_blocks(op)
         assert ((between == 0.0) | np.isnan(between)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(j=_COUPLING, delta=_COUPLING, omega=st.floats(1e-3, 1e2), gamma=_RATE, nbar=_RATE,
+       seed=st.integers(0, 2**32 - 1), n_steps=st.integers(0, 400), stride=st.integers(1, 50))
+def test_exactly_x_starts_give_exactly_x_samples(j, delta, omega, gamma, nbar, seed, n_steps,
+                                                 stride):
+    # the block structure above, carried through the doubling and the rebuild:
+    # every sample keeps exact zeros off the X pattern and takes the closed forms
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # strong couplings are drawn on purpose
+        p = ModelParams(j=j, delta=delta, omega=omega, gamma=gamma, nbar=nbar)
+    dt = 0.5 / (abs(j) + math.hypot(delta, omega) + gamma * (2.0 * nbar + 1.0))  # RK4-stable
+    rho0 = random_x_state(np.random.default_rng(seed)).to_matrix()
+    traj = evolve(rho0, p, t_max=n_steps * dt, dt=dt, stride=stride)
+    assert is_x_shaped(traj.states).all()
 
 
 def test_rhs_vanishes_on_steady_state():
@@ -210,6 +230,25 @@ def test_integrator_is_fourth_order():
 
     ratio = max_err(0.02) / max_err(0.01)
     assert 12.0 <= ratio <= 20.0
+
+
+def test_records_with_array_fields_compare_field_by_field():
+    # two identical runs give equal trajectories and equal correlation sets
+    # of arrays; one changed field in either makes them unequal
+    a, b = (evolve(make_mixture(0.5).to_matrix(), P_REF, t_max=1.0) for _ in range(2))
+    assert a == b and a.correlations == b.correlations
+    states = a.states.copy()
+    states[-1, 0, 0] += 1e-15
+    assert a != Trajectory(a.times, states, a.correlations, a.params, a.dt, a.steady_time)
+    assert a != Trajectory(a.times, a.states, a.correlations, a.params, a.dt, 0.5)
+    lqu = a.correlations.lqu.copy()
+    lqu[3] = 0.0
+    assert a.correlations != CorrelationSet(**{**vars(a.correlations), "lqu": lqu})
+    with pytest.raises(TypeError):
+        hash(a.correlations)
+    # a CorrelationSet of floats still hashes, by its fields
+    one, other = (correlations(make_werner(0.3).to_matrix()) for _ in range(2))
+    assert one == other and hash(one) == hash(other)
 
 
 def test_trace_drift_stays_tiny():
@@ -638,7 +677,7 @@ def test_steady_correlations_agree_with_measures():
 
 
 def test_steady_lqu_closed_w_entries():
-    w11, w33 = steady_w_entries_zero_temp(P_REF)
+    w11, w33 = steady_w_entries_zero_temp(P_REF.delta, P_REF.omega, P_REF.gamma)
     wx = w_matrix_x(steady_state_zero_temp(P_REF))
     assert w11 == pytest.approx(wx.w11, abs=1e-12)
     assert w33 == pytest.approx(wx.w33, abs=1e-12)
@@ -667,6 +706,27 @@ def test_steady_lqu_keeps_full_relative_accuracy_down_to_1e_16():
     reference = np.array([float(v) for v in _STEADY_LQU_REFERENCES.values()])
     got = steady_correlations_thermal(p).lqu
     assert (np.abs(got - reference) <= 1e-14 * reference).all()
+
+
+_SIGNED_DELTA = st.one_of(st.floats(1e-12, 10.0), st.floats(-10.0, -1e-12))
+
+
+@settings(max_examples=200, deadline=None)
+@example(delta=1e-5, omega=1.0, gamma=1.0)  # 1 - max{W11, W33} in floats: 8.0000006619e-11
+@given(delta=_SIGNED_DELTA, omega=st.floats(1e-2, 1e2), gamma=st.floats(1e-3, 1e3))
+def test_zero_temperature_lqu_reference_keeps_full_relative_accuracy(delta, omega, gamma):
+    # the reference of the steady LQU cross-check at nbar = 0 against the paper's
+    # 1 - max{W11, W33} at 60 digits, where the float form loses the small values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # strong couplings are drawn on purpose
+        params = ModelParams(j=0.0, delta=delta, omega=omega, gamma=gamma)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        w11, w33 = steady_w_entries_zero_temp(*map(decimal.Decimal, (delta, omega, gamma)),
+                                              sqrt=lambda x: decimal.Decimal(x).sqrt())
+        exact = float(1 - max(w11, w33))
+    reference = _steady_closed_forms(*_steady_scales(params))[2]
+    assert abs(reference - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("nbar", [0.3, np.linspace(0.0, 2.0, 21)])

@@ -114,7 +114,7 @@ def test_eigenvalues_match_charpoly_bisection():
 def test_x_state_blocks_stay_exact():
     rng = np.random.default_rng(29)
     for _ in range(50):
-        assert is_x_shaped(psd_sqrt(random_x_state(rng).to_matrix()), tol=0.0)
+        assert is_x_shaped(psd_sqrt(random_x_state(rng).to_matrix()))
 
 
 def test_mixture_zero_eigenvalues_are_exact():
@@ -395,7 +395,7 @@ def test_square_roots_of_a_mixed_stack_are_those_of_each_matrix():
     for m, root in zip(stack, roots):
         assert root.tobytes() == psd_sqrt(m).tobytes()
     # the X members alone form one closed-form group, as on an evolve stack
-    x_rows = is_x_shaped(stack, 0.0)
+    x_rows = is_x_shaped(stack)
     for m, root in zip(stack[x_rows], psd_sqrt(stack[x_rows])):
         assert root.tobytes() == psd_sqrt(m).tobytes()
 

@@ -25,15 +25,23 @@ from qcorr import (
     StepRejected,
     TraceNotOne,
     XColumns,
+    concurrence_general,
+    correlated_coherence_general,
     correlations,
     evolve,
     hermitian_eigenvalues,
+    l1_coherence,
+    log_negativity,
+    lqu,
     make_mixture,
+    make_werner,
+    min_trace_general,
+    negativity,
     partial_transpose_b,
     psd_sqrt,
     validate,
 )
-from qcorr import linalg
+from qcorr import linalg, measures
 from qcorr.dynamics import _evaluate_samples
 
 
@@ -208,51 +216,44 @@ def full_rank_x_stack(n=8, seed=31):
 
 def test_evaluate_samples_matches_per_sample_correlations():
     states, times = full_rank_x_stack()
-    columns = _evaluate_samples(times, states, x_born=True)
+    columns = _evaluate_samples(times, states)
     for k, rho in enumerate(states):
         row = [c[k] for c in columns.as_tuple()]
         np.testing.assert_allclose(row, correlations(rho).as_tuple(), atol=1e-12)
 
 
-def test_off_pattern_entry_names_its_sample():
-    states, times = full_rank_x_stack()
-    states[3, 0, 1] = states[3, 1, 0] = 1e-6
-    with pytest.raises(StepRejected, match=r"t = 1\.5: state drifted off the X pattern") as info:
-        _evaluate_samples(times, states, x_born=True)
-    assert info.value.time == times[3]
-    # a validation failure later in time does not hide it; an earlier one wins
-    states[5, 2, 2] += 1e-3
-    with pytest.raises(StepRejected, match=r"t = 1\.5: state drifted"):
-        _evaluate_samples(times, states, x_born=True)
-    states[2, 0, 0] += 1e-3
-    with pytest.raises(StepRejected, match=r"t = 1: trace = .*\|trace - 1\| = 1\.000e-03"):
-        _evaluate_samples(times, states, x_born=True)
-    # at one sample validation comes before drift: a drifted sample that also
-    # fails the trace check, and an all-NaN sample, are reported as invalid
-    states, times = full_rank_x_stack()
-    states[3, 0, 1] = states[3, 1, 0] = 1e-6
-    states[3, 0, 0] += 1e-3
-    with pytest.raises(StepRejected, match=r"t = 1\.5: trace = .*\|trace - 1\| = 1\.000e-03"):
-        _evaluate_samples(times, states, x_born=True)
-    states[3] = np.nan
-    with pytest.raises(StepRejected, match=r"t = 1\.5: entry \(0, 0\) = .* is not finite"):
-        _evaluate_samples(times, states, x_born=True)
+def test_near_x_states_take_the_general_routes():
+    # off-X entries of 1e-10 with random phases: not X-shaped, so no closed
+    # form ignores them and nothing is cross-checked; each row is its general
+    # route, within the measures' sensitivity of the X projection's values
+    rng = np.random.default_rng(29)
+    werner = make_werner(0.3).to_matrix()
+    off_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+    upper = np.triu(1e-10 * np.exp(2j * np.pi * rng.random((50, 4, 4))) * off_x)
+    stack = werner + upper + upper.conj().swapaxes(1, 2)
+    columns = correlations(stack)
+    general = (concurrence_general, negativity, log_negativity, lqu, min_trace_general,
+               correlated_coherence_general, l1_coherence)
+    for got, route in zip(columns.as_tuple(), general):
+        np.testing.assert_allclose(got, route(stack), rtol=0.0, atol=1e-15)
+    projection = correlations(werner).as_tuple()
+    for got, want in zip(columns.as_tuple(), projection):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
 
 
-def test_cross_check_input_names_its_sample():
+def test_cross_check_input_names_its_sample(monkeypatch):
     states, times = full_rank_x_stack()
-    # opposite coherences below the X-shape tolerance: the marginals stay
-    # diagonal, so only the general correlated-coherence route sees them
-    eps = 4e-10
-    states[4, 0, 1] = states[4, 1, 0] = eps
-    states[4, 2, 3] = states[4, 3, 2] = -eps
+    # the closed-form CC of sample 4 alone misses its general route by 1.6e-10
+    real = measures.correlated_coherence
+    monkeypatch.setattr(measures, "correlated_coherence",
+                        lambda x: real(x) + 1.6e-10 * (np.arange(np.size(x.rho14)) == 4))
     with pytest.raises(CrossCheckFailure) as info:
         correlations(states)
     assert info.value.index == 4
     message = str(info.value)
     assert message.startswith("correlated coherence:") and "tolerance 1.0e-10" in message
     with pytest.raises(CrossCheckFailure, match=r"^at t = 2: correlated coherence: .* differ by 1\.6"):
-        _evaluate_samples(times, states, x_born=True)
+        _evaluate_samples(times, states)
     # an invalid matrix is named by its flat position too, and validation
     # comes first; in time order the earlier cross-check miss still wins
     states[6] *= 1.001
@@ -260,7 +261,20 @@ def test_cross_check_input_names_its_sample():
         correlations(states.reshape(2, 4, 4, 4))
     assert info.value.index == 6
     with pytest.raises(CrossCheckFailure, match=r"^at t = 2: correlated coherence"):
-        _evaluate_samples(times, states, x_born=True)
+        _evaluate_samples(times, states)
+    # without a miss, a failed validation raises StepRejected at its sample's
+    # time, the earlier of two failures wins, and an all-NaN sample is not finite
+    monkeypatch.undo()
+    states, times = full_rank_x_stack()
+    states[5, 2, 2] += 1e-3
+    states[2, 0, 0] += 1e-3
+    with pytest.raises(StepRejected, match=r"t = 1: trace = .*\|trace - 1\| = 1\.000e-03") as info:
+        _evaluate_samples(times, states)
+    assert info.value.time == times[2]
+    states, times = full_rank_x_stack()
+    states[3] = np.nan
+    with pytest.raises(StepRejected, match=r"t = 1\.5: entry \(0, 0\) = .* is not finite"):
+        _evaluate_samples(times, states)
 
 
 def random_x_stack(rng, n: int) -> np.ndarray:

@@ -115,7 +115,7 @@ def test_is_x_shaped():
 def test_evolved_mixture_stays_x_shaped():
     p = ModelParams(j=0.1, delta=0.5, gamma=0.1)
     for t in (0.0, 0.7, 3.3, 12.0, 40.0):
-        assert is_x_shaped(analytic_mixture(t, p).to_matrix(), 1e-12)
+        assert is_x_shaped(analytic_mixture(t, p).to_matrix())
 
 
 # (dtype, elements) of the populations and of the two coherences
@@ -138,6 +138,19 @@ def test_is_x_shaped_rejects_off_pattern():
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1] = rho[1, 0] = 0.05
     assert not is_x_shaped(rho)
+
+
+@pytest.mark.parametrize("entry, x_shaped", [(5e-324, False), (-5e-324j, False), (-0.0, True),
+                                             (complex(-0.0, -0.0), True)])
+def test_is_x_shaped_means_exact_zeros_off_the_pattern(entry, x_shaped):
+    # the X closed forms ignore the entries off the pattern, so the least
+    # subnormal there makes a matrix non-X, while a negative zero is a zero
+    off_x = np.argwhere(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
+    stack = np.repeat(make_werner(0.3).to_matrix()[None], len(off_x), axis=0)
+    for k, (i, j) in enumerate(off_x):
+        stack[k, i, j] = entry
+        assert is_x_shaped(stack[k]) == x_shaped
+    np.testing.assert_array_equal(is_x_shaped(stack), x_shaped)
 
 
 def test_dicke_of_single_excitation():
