@@ -11,6 +11,7 @@ from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NotHermit
                      Record, StepRejected, TraceNotOne, raise_first)
 from .measures import (
     CorrelationSet,
+    _log_negativity_from,
     balanced,
     check_routes,
     concurrence_x,
@@ -457,7 +458,7 @@ def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
         ("correlated coherence", cc, paper_cc),
         ("min_trace", mt, np.where(balanced(x), mt, np.ravel(paper_cc))),
     ])
-    rows = (conc, neg, np.log1p(2.0 * neg) / np.log(2.0), unc, mt, cc, cc)
+    rows = (conc, neg, _log_negativity_from(neg), unc, mt, cc, cc)
     return CorrelationSet(*(c.reshape(shape)[()] for c in rows))
 
 

@@ -14,24 +14,24 @@ nonzero pattern and split each pattern into its blocks. Blocks of size 1
 and 2 (the X pattern above all) are solved in closed form, with the smaller
 2x2 eigenvalue or singular value taken as the determinant over the larger
 one, and the square root built from each block's eigenpairs without an
-eigenvector matrix; the concurrence's spin-flip product of such
-square roots is formed entry by entry (``_spin_flip_singular_values``). So a
-stack whose patterns have no block larger than 2x2 takes no dense complex
-matrix product. A pattern with a larger block goes whole to one LAPACK call
-(``eigh`` or ``eigvalsh`` with its indices reordered into blocks, or
-``svd``) and to dense products. When the union of a stack's patterns has no
-block larger than 2x2, the whole stack is one closed-form solve over the
-union's blocks, and a 2x2 block whose off-diagonal entry is exactly zero
-gives exactly the results of its two 1x1 blocks, so every matrix still gets
-what it gets alone. Either way structural zeros survive the solve exactly.
-A function given a stack raises for its first failing matrix, whose flat
-position the exception keeps as ``index``.
+eigenvector matrix. The concurrence's spin-flip product of a square root
+inside the X pattern has only the six X entries, which are formed one by one
+(``_spin_flip_singular_values``); that of any other root has a block larger
+than 2x2, so it is a dense product. So a stack of X-shaped matrices takes no
+dense complex matrix product. A pattern with a larger block goes whole to
+one LAPACK call (``eigh`` or ``eigvalsh`` with its indices reordered into
+blocks, or ``svd``) and to dense products. When the union of a stack's
+patterns has no block larger than 2x2, the whole stack is one closed-form
+solve over the union's blocks, and a 2x2 block whose off-diagonal entry is
+exactly zero gives exactly the results of its two 1x1 blocks, so every
+matrix still gets what it gets alone. Either way structural zeros survive
+the solve exactly. A function given a stack raises for its first failing
+matrix, whose flat position the exception keeps as ``index``.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
@@ -41,6 +41,8 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 
 _PATTERN_BITS = 1 << np.arange(16)
+_X_ENTRIES = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]  # the X pattern of a 4x4 matrix
+_X_PATTERN = int(_PATTERN_BITS[_X_ENTRIES.ravel()].sum())
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
 
 
@@ -297,40 +299,22 @@ def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
     """Descending singular values of M = S (sy ox sy) S* for every Hermitian S of
     a stack (..., 4, 4), as ``singular_values`` finds them. M is complex
     symmetric: with S* = S^T, M_pq = sum_l sign(3 - l) S_pl S_q(3-l), where the
-    sign is that of row 3 - l in sy ox sy. On a nonzero pattern whose blocks all
-    have size 1 or 2 each entry with p <= q is that sum over the at most two l in
-    the block of p (``_spin_flip_terms``); other patterns take the dense product."""
+    sign is that of row 3 - l in sy ox sy. l -> 3 - l maps each X block onto
+    itself, so for S inside the X pattern M has only the six X entries, written
+    out here; it maps any other pair onto other blocks, which makes M one 4x4
+    block, so every other S takes the dense product."""
     return _per_pattern(s, _spin_flip_by_blocks)[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _spin_flip_terms(pattern: int):
-    """(entries, nonzero pattern of M) of ``_spin_flip_singular_values`` for S of
-    ``pattern``, whose blocks have size 1 or 2: one (p, q, ((l, sign), ...)) per
-    entry p <= q with a term, l in the block of p and 3 - l in the block of q."""
-    block = {i: b for b in _blocks(pattern, 4) for i in b}
-    entries = [(p, q, tuple((l, _SPIN_FLIP_SIGNS[3 - l]) for l in block[p] if q in block[3 - l]))
-               for p in range(4) for q in range(p, 4)]
-    entries = [e for e in entries if e[2]]
-    bits = [(1 << (4 * p + q)) | (1 << (4 * q + p)) for p, q, _ in entries]
-    return entries, functools.reduce(operator.or_, bits, 0)
-
-
 def _spin_flip_by_blocks(s: np.ndarray, pattern: int) -> tuple[np.ndarray]:
-    if max(map(len, _blocks(pattern, 4))) > 2:
+    if pattern & ~_X_PATTERN:
         return (singular_values((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj()),)
-    entries, m_pattern = _spin_flip_terms(pattern)
     m = np.zeros_like(s)
-    for p, q, ((l, sign), *more) in entries:
-        entry = s[:, p, l] * s[:, q, 3 - l]
-        for k, k_sign in more:
-            term = s[:, p, k] * s[:, q, 3 - k]
-            entry = entry + term if k_sign == sign else entry - term
-        m[:, p, q] = entry if sign > 0 else -entry
-        m[:, q, p] = m[:, p, q]
-    if max(map(len, _blocks(m_pattern, 4))) > 2:  # M's own patterns decide, as alone
-        return (singular_values(m),)
-    return _singular_values_by_blocks(m, m_pattern)
+    m[:, 0, 0], m[:, 3, 3] = -2.0 * (s[:, 0, 0] * s[:, 0, 3]), -2.0 * (s[:, 3, 0] * s[:, 3, 3])
+    m[:, 1, 1], m[:, 2, 2] = 2.0 * (s[:, 1, 1] * s[:, 1, 2]), 2.0 * (s[:, 2, 1] * s[:, 2, 2])
+    m[:, 0, 3] = m[:, 3, 0] = -(s[:, 0, 0] * s[:, 3, 3] + s[:, 0, 3] * s[:, 3, 0])
+    m[:, 1, 2] = m[:, 2, 1] = s[:, 1, 1] * s[:, 2, 2] + s[:, 1, 2] * s[:, 2, 1]
+    return _singular_values_by_blocks(m, _X_PATTERN)
 
 
 def _two_qubit(rho) -> np.ndarray:

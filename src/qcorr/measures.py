@@ -136,8 +136,11 @@ def concurrence_dicke(d: DickeColumns) -> float:
 def negativity(rho) -> float:
     """max{0, -lambda_min} of the partial transpose (at most one eigenvalue
     of the partial transpose of a two-qubit state is negative)."""
-    lam = hermitian_eigenvalues(partial_transpose_b(rho))
-    return 0.0 - np.minimum(lam[..., 0], 0.0)  # max{0, -lam}, and +0.0 (not -0.0) at lam = 0
+    return _negativity_from(hermitian_eigenvalues(partial_transpose_b(rho))[..., 0])
+
+
+def _negativity_from(lam_min):
+    return 0.0 - np.minimum(lam_min, 0.0)  # max{0, -lam_min}, and +0.0 (not -0.0) at lam_min = 0
 
 
 def negativity_x(x: XColumns) -> float:
@@ -147,14 +150,19 @@ def negativity_x(x: XColumns) -> float:
     def lower(a, d, b):  # lower eigenvalue of the Hermitian [[a, b], [b*, d]]
         return 0.5 * (a + d) - np.hypot(0.5 * (a - d), abs(b))
 
-    lam = np.minimum(lower(x.rho11, x.rho44, x.rho23), lower(x.rho22, x.rho33, x.rho14))
-    return 0.0 - np.minimum(lam, 0.0)  # as in ``negativity``
+    return _negativity_from(np.minimum(lower(x.rho11, x.rho44, x.rho23),
+                                       lower(x.rho22, x.rho33, x.rho14)))
 
 
 def log_negativity(rho) -> float:
-    """log2(||rho^TB||_1) = log2(2 N + 1), as log1p(2 N) / ln 2: log2 of the
-    rounded 2 N + 1 reads 0 for N below about 1e-16."""
-    return np.log1p(2.0 * negativity(rho)) / np.log(2.0)
+    """log2(||rho^TB||_1) = log2(2 N + 1) of the negativity N."""
+    return _log_negativity_from(negativity(rho))
+
+
+def _log_negativity_from(neg):
+    # log2(2 N + 1) as log1p(2 N) / ln 2: log2 of the rounded 2 N + 1 reads 0
+    # for N below about 1e-16
+    return np.log1p(2.0 * neg) / np.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +359,7 @@ def correlations(rho) -> CorrelationSet:
                        correlated_coherence(x)])
     l1 = l1_coherence(mats)
     # ``negativity`` without its check: the partial transpose permutes validated entries
-    neg_pt = 0.0 - np.minimum(_eigenvalues(partial_transpose_b(mats))[:, 0], 0.0)
+    neg_pt = _negativity_from(_eigenvalues(partial_transpose_b(mats))[:, 0])
     general = np.array([np.maximum(0.0, _concurrence_from_sqrt(sqrt_rho)), neg_pt,
                         _lqu_from_sqrt(sqrt_rho), min_trace_general(mats),
                         _correlated_coherence_from_l1(mats, l1)])
@@ -365,7 +373,7 @@ def correlations(rho) -> CorrelationSet:
     ], x_rows)
 
     conc, neg, unc, mt, cc = np.where(x_rows, closed, general)
-    columns = (conc, neg, np.log1p(2.0 * neg) / np.log(2.0), unc, mt, cc, l1)
+    columns = (conc, neg, _log_negativity_from(neg), unc, mt, cc, l1)
     if rho.ndim == 2:
         return CorrelationSet(*(float(c[0]) for c in columns))
     return CorrelationSet(*(c.reshape(rho.shape[:-2]) for c in columns))

@@ -22,6 +22,8 @@ from qcorr import (
     NotHermitian,
     NotPSD,
     XColumns,
+    concurrence_x,
+    correlations,
     hermitian_eigenvalues,
     is_x_shaped,
     lqu,
@@ -403,13 +405,15 @@ def test_square_roots_of_a_mixed_stack_are_those_of_each_matrix():
 @settings(max_examples=300, deadline=None)
 @given(small_block_matrices(hermitian=True, n=4))
 def test_block_spin_flip_product_matches_the_dense_product(case):
-    # the singular values of S (sy ox sy) S*, S = sqrt(rho), from the entry sums
-    # of 1x1 and 2x2 blocks against the dense complex product
+    # the singular values of S (sy ox sy) S*, S = sqrt(rho), against those of the
+    # dense complex product: close from the six X entries, equal off the X pattern
     m, blocks, _ = small_block_psd(case)
     root = psd_sqrt(m)
     dense = singular_values((root[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ root.conj())
     lam = linalg._spin_flip_singular_values(root)
     assert np.abs(lam - dense).max() <= 8.0 * np.finfo(float).eps * max(dense[0], np.abs(m).max())
+    if (root[~linalg._X_ENTRIES] != 0).any():  # off the X pattern: the dense product itself
+        assert lam.tobytes() == dense.tobytes()
     assert np.all(np.diff(lam) <= 0.0)
     np.testing.assert_array_equal(linalg._spin_flip_singular_values(
         psd_sqrt(beside_filled_blocks(m, blocks)))[0], lam)
@@ -420,6 +424,53 @@ def test_spin_flip_product_of_larger_blocks_is_the_dense_product_bit_for_bit():
     roots = psd_sqrt(np.array([random_density_matrix(rng, rank) for rank in (1, 2, 4, 4)]))
     dense = singular_values((roots[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ roots.conj())
     assert linalg._spin_flip_singular_values(roots).tobytes() == dense.tobytes()
+
+
+# the 10 ways to split {0, 1, 2, 3} into blocks of size 1 or 2
+SMALL_BLOCK_SPLITS = [[[0], [1], [2], [3]]]
+SMALL_BLOCK_SPLITS += [[[i, j]] + [[k] for k in range(4) if k not in (i, j)]
+                       for i in range(4) for j in range(i + 1, 4)]
+SMALL_BLOCK_SPLITS += [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]
+
+
+def test_spin_flip_product_has_small_blocks_only_inside_the_x_pattern():
+    # a PSD root S with exactly the pattern of each split: M = S (sy ox sy) S* has
+    # only blocks of size 1 or 2 exactly when S lies inside the X pattern, which
+    # then takes the six X entries of M; every other S takes the dense product
+    rng = np.random.default_rng(13)
+    roots = []
+    for blocks in SMALL_BLOCK_SPLITS:
+        g = random_block_hermitian(rng, 4, blocks)
+        roots.append(g @ g.conj().T)
+    roots = np.array(roots)
+    assert len({(r != 0).tobytes() for r in roots}) == 10
+    dense = (roots[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ roots.conj()
+    lam = linalg._spin_flip_singular_values(roots)
+    for root, m, lam_root in zip(roots, dense, lam):
+        inside_x = not (root[~linalg._X_ENTRIES] != 0).any()
+        assert (max(map(len, blocks_of(m))) <= 2) == inside_x
+        expected = singular_values(m)
+        if inside_x:
+            assert np.abs(lam_root - expected).max() <= 8.0 * np.finfo(float).eps * expected[0]
+        else:
+            assert lam_root.tobytes() == expected.tobytes()
+        assert linalg._spin_flip_singular_values(root).tobytes() == lam_root.tobytes()
+
+
+def test_eigenvector_block_root_of_a_clamped_block_stays_bounded():
+    # the t = 60250 sample of j = 0, delta = 0, omega = gamma = 1e-3, nbar = 0 from
+    # random_x_state seed 0: the inner block's lower eigenvalue is clamped from
+    # -2.8e-17. The root from the block's eigenpairs stays within the root's scale;
+    # the Cayley-Hamilton root (A + s_lo s_up I) / (s_lo + s_up) divides by the tiny
+    # s_up there and misses the concurrence cross-check
+    x = XColumns(2.7755575615628914e-17, 0.0, -2.7755575615628914e-17, 1.0,
+                 -1.016e-27 + 5.554e-28j, -1.199e-28 - 8.835e-28j)
+    m = x.to_matrix()
+    root = psd_sqrt(m)
+    assert np.abs(root).max() <= 1.0
+    assert np.abs(root @ root - m).max() <= np.finfo(float).eps
+    conc = correlations(m).concurrence
+    assert conc == concurrence_x(x) and conc < 1e-26
 
 
 def test_unsupported_size_rejected():
