@@ -49,12 +49,12 @@ def _fmt(value: float) -> str:
 
 def _check_output(out: str):
     """Fail before the run, without creating or truncating the file, on an
-    --out path that is a directory, whose parent is not one or that cannot be
-    looked up; _write_output still maps what this cannot see (permissions)."""
+    --out path that is empty or a directory, whose parent is not one or that
+    cannot be looked up; _write_output maps what this cannot see (permissions)."""
     try:
         writable = not stat.S_ISDIR(os.stat(out).st_mode)
     except FileNotFoundError:
-        writable = os.path.isdir(os.path.dirname(out) or ".")
+        writable = out != "" and os.path.isdir(os.path.dirname(out) or ".")
     except OSError as exc:  # the open would fail alike: a name too long, a parent not searchable
         raise DomainError(f"cannot write output file {out!r}: {exc}") from exc
     if not writable:

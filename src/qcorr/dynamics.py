@@ -26,8 +26,9 @@ from .model import (ModelParams, _PAULI, _from_pauli, _to_pauli, hamiltonian, sp
 from .states import XColumns, _validated, validate
 
 STEADY_RHS_TOL = 1e-12
-# bound on the samples of one evolve run: about 26 MB of states, but a run at the
-# bound peaks at about 173 MB RSS, as ``correlations`` holds about 4.2x its input
+# bound on the samples of one evolve run: about 26 MB of states. A run at the bound peaks
+# at 135-141 MB RSS (x86-64 Linux, numpy 2.4.6); the tests/smoke.py case
+# "evolve --t-max 99.999 --stride 1" fails above 250 MB
 MAX_SAMPLES = 100_000
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
 _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),

@@ -327,7 +327,7 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["evolve", "steady", "esd"])
-@pytest.mark.parametrize("out", ["missing/x.csv", ".", "a" * 300 + ".csv"])
+@pytest.mark.parametrize("out", ["missing/x.csv", ".", "a" * 300 + ".csv", ""])
 def test_unwritable_out_exits_2_before_the_run(command, out, monkeypatch, tmp_path, capsys):
     from qcorr import cli
 
@@ -336,7 +336,8 @@ def test_unwritable_out_exits_2_before_the_run(command, out, monkeypatch, tmp_pa
 
     for name in ("evolve", "steady_correlations_thermal", "esd_gamma_tau"):
         monkeypatch.setattr(cli, name, never)
-    assert main([command, "--out", str(tmp_path / out)]) == 2
+    monkeypatch.chdir(tmp_path)  # out as given: tmp_path / "" would be tmp_path itself
+    assert main([command, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("qcorr: configuration error: cannot write output file ")
     assert err.count("\n") == 1
