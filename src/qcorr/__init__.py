@@ -3,8 +3,13 @@ algebra and quantum-correlation measures."""
 
 import os
 
-# Before numpy loads: qcorr's operands stay below OpenBLAS's thread thresholds, so a pool only spins
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# numpy loads with one OpenBLAS thread: qcorr's operands stay below OpenBLAS's thread thresholds,
+# so a pool only spins. OpenBLAS reads the variable once, as numpy loads, so a value set here is
+# removed again and the caller's environment, and that of its subprocesses, stays as it was
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # noqa: F401
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import (
     CrossCheckFailure,

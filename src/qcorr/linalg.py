@@ -9,23 +9,22 @@ eigensolver: the eigenvalues (``hermitian_eigenvalues``), or the eigenvalues
 together with the square root (``psd_sqrt``); every singular-value problem
 goes through ``singular_values``. Internal solves of matrices that are
 already checked or Hermitian by construction skip the re-check
-(``_psd_root``, ``_eigenvalues``). All of them group a stack by exact
-nonzero pattern and split each pattern into its blocks. Blocks of size 1
-and 2 (the X pattern above all) are solved in closed form, with the smaller
-2x2 eigenvalue or singular value taken as the determinant over the larger
-one, and the square root built from each block's eigenpairs without an
-eigenvector matrix. The concurrence's spin-flip product of a square root
-inside the X pattern has only the six X entries, which are formed one by one
-(``_spin_flip_singular_values``); that of any other root has a block larger
-than 2x2, so it is a dense product. So a stack of X-shaped matrices takes no
-dense complex matrix product. A pattern with a larger block goes whole to
-one LAPACK call (``eigh`` or ``eigvalsh`` with its indices reordered into
-blocks, or ``svd``) and to dense products. When the union of a stack's
-patterns has no block larger than 2x2, the whole stack is one closed-form
-solve over the union's blocks, and a 2x2 block whose off-diagonal entry is
-exactly zero gives exactly the results of its two 1x1 blocks, so every
-matrix still gets what it gets alone. Either way structural zeros survive
-the solve exactly. A function given a stack raises for its first failing
+(``_psd_root``, ``_eigenvalues``). Each size has fixed closed-form blocks:
+the X pattern ((0, 3) and (1, 2)) of a 4x4 matrix, (0, 1) and (2,) of a 3x3
+one and the whole of a 2x2 one. A matrix that is exactly zero outside them
+is solved block by block in closed form, with the smaller 2x2 eigenvalue or
+singular value taken as the determinant over the larger one, and the square
+root built from each block's eigenpairs without an eigenvector matrix; its
+exact zeros survive the solve, and a 2x2 block whose off-diagonal entry is
+exactly zero gives exactly the results of its two 1x1 blocks. The
+concurrence's spin-flip product of a square root inside the X pattern has
+only the six X entries, which are formed one by one
+(``_spin_flip_singular_values``). So a stack of X-shaped matrices takes no
+dense complex matrix product. Every other matrix goes as it is to LAPACK
+(``eigvalsh``, ``eigh`` or ``svd``) and to dense products, and carries
+LAPACK's round-off even where it is block-sparse. A stack that holds both
+kinds is solved as those two groups, so every matrix gets what it gets
+alone. A function given a stack raises for its first failing
 matrix, whose flat position the exception keeps as ``index``.
 """
 
@@ -40,9 +39,12 @@ from .errors import NotHermitian, NotPSD, raise_first
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 
-_PATTERN_BITS = 1 << np.arange(16)
-_X_ENTRIES = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]  # the X pattern of a 4x4 matrix
-_X_PATTERN = int(_PATTERN_BITS[_X_ENTRIES.ravel()].sum())
+# the blocks solved in closed form, per size: the X pattern of a 4x4 matrix (X
+# states, their partial transposes and square roots), and the patterns of the
+# 3x3 W and MIN Gram matrices and of 2x2 matrices; and the entries outside them
+_SMALL_BLOCKS = {4: ((0, 3), (1, 2)), 3: ((0, 1), (2,)), 2: ((0, 1),)}
+_OFF_BLOCKS = {n: np.array([[not any(i in b and j in b for b in blocks) for j in range(n)]
+                            for i in range(n)]) for n, blocks in _SMALL_BLOCKS.items()}
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
 
 
@@ -74,41 +76,22 @@ def require_hermitian(mat) -> np.ndarray:
     raise_first(~(deviation <= HERMITICITY_TOL), NotHermitian, describe)
 
 
-@functools.lru_cache(maxsize=None)
-def _blocks(pattern: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the nonzero pattern (bit i*n + j set iff
-    entry (i, j) is nonzero, read symmetrically), each ascending, in the order
-    of their smallest index."""
-    nonzero = [[bool(pattern >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
-    label = list(range(n))  # smallest index of each index's component
-    for i, row in enumerate(nonzero):
-        for j in range(i):
-            if (row[j] or nonzero[j][i]) and label[i] != label[j]:
-                lo, hi = sorted((label[i], label[j]))
-                label = [lo if lab == hi else lab for lab in label]
-    return tuple(tuple(i for i in range(n) if label[i] == lab) for lab in sorted(set(label)))
-
-
-def _per_pattern(a: np.ndarray, solve, *args) -> list[np.ndarray]:
-    """``solve(matrices, pattern, *args)``, which returns arrays over the
-    matrices' leading axis, applied to each group of a stack (..., n, n) that
-    shares an exact nonzero pattern; the results come back in stack order and
-    shape."""
+def _per_route(a: np.ndarray, solve, *args) -> list[np.ndarray]:
+    """``solve(matrices, small, *args)``, which returns arrays over the
+    matrices' leading axis, applied to the matrices of a stack (..., n, n)
+    that are zero outside the closed-form blocks of size n (``small``) and to
+    the others; the results come back in stack order and shape."""
     n = a.shape[-1]
-    if n not in (2, 3, 4):
+    if n not in _SMALL_BLOCKS:
         raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
     flat = a.reshape(-1, n, n)
-    keys = (flat != 0).reshape(len(flat), n * n).view(np.uint8) @ _PATTERN_BITS[: n * n]
-    union = int(np.bitwise_or.reduce(keys))  # 0 for an empty stack
-    # one pattern, or a union solved in closed form (a zero 2x2 off-diagonal
-    # entry gives the 1x1 results): one solve, no scatter
-    if (keys == union).all() or max(map(len, _blocks(union, n))) <= 2:
-        parts = solve(flat, union, *args)
+    small = ~(flat != 0)[:, _OFF_BLOCKS[n]].any(-1)
+    if small.all() or not small.any():  # one route (an empty stack is small): no scatter
+        parts = solve(flat, bool(small.all()), *args)
     else:
         parts = None
-        for key in set(keys.tolist()):  # not np.unique: imports numpy.ma
-            rows = keys == key
-            part = solve(flat[rows], key, *args)
+        for route, rows in ((True, small), (False, ~small)):
+            part = solve(flat[rows], route, *args)
             if parts is None:
                 parts = [np.empty((len(flat),) + p.shape[1:], p.dtype) for p in part]
             for out, p in zip(parts, part):
@@ -117,54 +100,43 @@ def _per_pattern(a: np.ndarray, solve, *args) -> list[np.ndarray]:
 
 
 def hermitian_eigenvalues(mat) -> np.ndarray:
-    """Ascending eigenvalues of Hermitian matrices, solved block by block of
-    their nonzero pattern.
+    """Ascending eigenvalues of Hermitian matrices.
 
-    The matrices of a stack are grouped by their exact nonzero pattern. When
-    every block of a group's pattern has size 1 or 2 (X states, their partial
-    transposes, and the 3x3 W and MIN Gram matrices of X states), each block
-    is solved in closed form (``_hermitian_2x2``); a stack whose patterns
-    together have only such blocks is one such group. Otherwise the indices
-    are reordered so that every block is contiguous and the whole group goes
-    to one LAPACK ``eigvalsh`` call, whose tridiagonal reduction then never
-    mixes two blocks. Either way an exactly singular block keeps its exact
-    zero eigenvalue, and every matrix gets the result it would get on its
-    own. ``mat`` is one matrix or a stack (..., m, m) of size 2, 3 or 4,
-    Hermitian within HERMITICITY_TOL; real symmetric input is solved in real
-    arithmetic.
+    A matrix that is zero outside the closed-form blocks of its size (X
+    states, their partial transposes, and the 3x3 W and MIN Gram matrices of
+    X states) is solved block by block in closed form (``_hermitian_2x2``),
+    and an exactly singular block keeps its exact zero eigenvalue. Every
+    other matrix goes to LAPACK ``eigvalsh``. Each matrix of a stack gets the
+    result it would get on its own. ``mat`` is one matrix or a stack
+    (..., m, m) of size 2, 3 or 4, Hermitian within HERMITICITY_TOL; real
+    symmetric input is solved in real arithmetic.
     """
     return _eigenvalues(require_hermitian(mat))
 
 
 def _eigenvalues(a: np.ndarray) -> np.ndarray:  # of matrices Hermitian by construction: no check
-    return _per_pattern(a, _eigen_by_blocks, False)[0]
+    return _per_route(a, _eigen_by_blocks, False)[0]
 
 
-def _eigen_by_blocks(a: np.ndarray, pattern: int, root: bool):
-    """Ascending eigenvalues of a stack (k, n, n) of matrices with patterns in ``pattern``;
-    with ``root``, the eigenvalues (unordered from closed-form blocks) and the square roots
-    V diag(sqrt(w)) V^dag (w clamped at zero). A closed-form block [[a, b], [b*, d]] with the
-    unit upper eigenvector u = (x, y) has the root s_up |u><u| + s_lo (1 - |u><u|), whose
-    entries are the two-term sums s_up |x|^2 + s_lo |y|^2, s_up |y|^2 + s_lo |x|^2 and
-    (s_up - s_lo) x y*; no eigenvector matrix is built and nothing is multiplied as a matrix."""
-    n = a.shape[-1]
-    blocks = _blocks(pattern, n)
-    if max(map(len, blocks)) > 2:
-        order = [i for b in blocks for i in b]
-        reorder = order != list(range(n))
-        if reorder:
-            a = a.take(order, -2).take(order, -1)
+def _eigen_by_blocks(a: np.ndarray, small: bool, root: bool):
+    """Ascending eigenvalues of a stack (k, n, n) of matrices, all inside the closed-form
+    blocks if ``small`` and all LAPACK's otherwise; with ``root``, the eigenvalues (unordered
+    from closed-form blocks) and the square roots V diag(sqrt(w)) V^dag (w clamped at zero).
+    A closed-form block [[a, b], [b*, d]] with the unit upper eigenvector u = (x, y) has the
+    root s_up |u><u| + s_lo (1 - |u><u|), whose entries are the two-term sums
+    s_up |x|^2 + s_lo |y|^2, s_up |y|^2 + s_lo |x|^2 and (s_up - s_lo) x y*; no eigenvector
+    matrix is built and nothing is multiplied as a matrix."""
+    if not small:
         if not root:
             return (np.linalg.eigvalsh(a),)
         w, v = np.linalg.eigh(a)
-        v = v.take(sorted(range(n), key=order.__getitem__), -2) if reorder else v
         out = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
         out = out @ np.conjugate(v, out=v).swapaxes(-1, -2)  # V is not read again
         out += _dagger(out)  # made exactly Hermitian
         return w, np.multiply(out, 0.5, out=out)
     w = np.empty(a.shape[:-1])
     out = np.zeros_like(a) if root else None
-    for b in blocks:
+    for b in _SMALL_BLOCKS[a.shape[-1]]:
         if len(b) == 1:
             w[:, b[0]] = a[:, b[0], b[0]].real
             if root:
@@ -230,25 +202,24 @@ def singular_values(mat) -> np.ndarray:
     """Singular values, descending, of a complex matrix of size 2, 3 or 4 or
     of each matrix of a stack (..., m, m).
 
-    As in ``hermitian_eigenvalues``, matrices are grouped by nonzero pattern.
-    A block [[m00, m01], [m10, m11]] of a pattern whose blocks all have size
-    1 or 2 gives s_max = sqrt of the upper eigenvalue of M^dag M and
-    s_min = |det M| / s_max (the block scaled by a power of two first), or
-    |m00| and |m11| when m01 = m10 = 0; a 1x1 block gives its modulus. Other
-    patterns go to ``np.linalg.svd``.
+    As in ``hermitian_eigenvalues``, a matrix that is zero outside the
+    closed-form blocks gives, for each block [[m00, m01], [m10, m11]],
+    s_max = sqrt of the upper eigenvalue of M^dag M and s_min = |det M| / s_max
+    (the block scaled by a power of two first), or |m00| and |m11| when
+    m01 = m10 = 0; a 1x1 block gives its modulus. Every other matrix goes to
+    ``np.linalg.svd``.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return _per_pattern(m, _singular_values_by_blocks)[0]
+    return _per_route(m, _singular_values_by_blocks)[0]
 
 
-def _singular_values_by_blocks(m: np.ndarray, pattern: int) -> tuple[np.ndarray]:
-    blocks = _blocks(pattern, m.shape[-1])
-    if max(map(len, blocks)) > 2:
+def _singular_values_by_blocks(m: np.ndarray, small: bool) -> tuple[np.ndarray]:
+    if not small:
         return (np.linalg.svd(m, compute_uv=False),)
     s = np.empty(m.shape[:-1])
-    for b in blocks:
+    for b in _SMALL_BLOCKS[m.shape[-1]]:
         if len(b) == 1:
             s[:, b[0]] = abs(m[:, b[0], b[0]])
             continue
@@ -276,21 +247,20 @@ def psd_sqrt(mat) -> np.ndarray:
     """Hermitian square root of a PSD matrix (or of each matrix of a stack).
 
     Eigenvalues in [-PSD_TOL, 0) are treated as integrator round-off and
-    clamped to zero; anything below -PSD_TOL raises NotPSD. The matrices are
-    grouped by nonzero pattern as in ``hermitian_eigenvalues``: a pattern
-    whose blocks all have size 1 or 2 gets each block's root in closed form
-    from its eigenpairs, without an eigenvector matrix or a matrix product,
-    and an off-diagonal entry that is exactly zero gives exactly the roots of
-    the two diagonal entries. Other patterns take V diag(sqrt(w)) V^dag of
-    one LAPACK ``eigh`` call on the indices reordered into blocks. Both are
-    exactly Hermitian and keep every structural zero.
+    clamped to zero; anything below -PSD_TOL raises NotPSD. As in
+    ``hermitian_eigenvalues``, a matrix that is zero outside the closed-form
+    blocks gets each block's root in closed form from its eigenpairs, without
+    an eigenvector matrix or a matrix product; it keeps every exact zero, and
+    an off-diagonal entry that is exactly zero gives exactly the roots of the
+    two diagonal entries. Every other matrix takes V diag(sqrt(w)) V^dag of
+    LAPACK ``eigh``. Both are exactly Hermitian.
     """
     return _psd_root(require_hermitian(mat))
 
 
 def _psd_root(a: np.ndarray) -> np.ndarray:
     """``psd_sqrt`` of a stack already checked Hermitian: no second check."""
-    w, root = _per_pattern(a.astype(complex, copy=False), _eigen_by_blocks, True)
+    w, root = _per_route(a.astype(complex, copy=False), _eigen_by_blocks, True)
     _require_min_eigenvalue(w.min(-1))
     return root
 
@@ -302,19 +272,19 @@ def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
     sign is that of row 3 - l in sy ox sy. l -> 3 - l maps each X block onto
     itself, so for S inside the X pattern M has only the six X entries, written
     out here; it maps any other pair onto other blocks, which makes M one 4x4
-    block, so every other S takes the dense product."""
-    return _per_pattern(s, _spin_flip_by_blocks)[0]
+    block, so every other S takes the dense product and ``np.linalg.svd``."""
+    return _per_route(s, _spin_flip_by_blocks)[0]
 
 
-def _spin_flip_by_blocks(s: np.ndarray, pattern: int) -> tuple[np.ndarray]:
-    if pattern & ~_X_PATTERN:
-        return (singular_values((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj()),)
+def _spin_flip_by_blocks(s: np.ndarray, small: bool) -> tuple[np.ndarray]:
+    if not small:
+        return (np.linalg.svd((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj(), compute_uv=False),)
     m = np.zeros_like(s)
     m[:, 0, 0], m[:, 3, 3] = -2.0 * (s[:, 0, 0] * s[:, 0, 3]), -2.0 * (s[:, 3, 0] * s[:, 3, 3])
     m[:, 1, 1], m[:, 2, 2] = 2.0 * (s[:, 1, 1] * s[:, 1, 2]), 2.0 * (s[:, 2, 1] * s[:, 2, 2])
     m[:, 0, 3] = m[:, 3, 0] = -(s[:, 0, 0] * s[:, 3, 3] + s[:, 0, 3] * s[:, 3, 0])
     m[:, 1, 2] = m[:, 2, 1] = s[:, 1, 1] * s[:, 2, 2] + s[:, 1, 2] * s[:, 2, 1]
-    return _singular_values_by_blocks(m, _X_PATTERN)
+    return _singular_values_by_blocks(m, True)
 
 
 def _two_qubit(rho) -> np.ndarray:

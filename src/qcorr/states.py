@@ -7,12 +7,12 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
-from .linalg import _X_ENTRIES, _psd_root, _two_qubit, require_hermitian
+from .linalg import _OFF_BLOCKS, _psd_root, _two_qubit, require_hermitian
 
 TRACE_TOL = 1e-10
 
-# entries that must vanish in the X pattern
-_OFF_X = ~_X_ENTRIES
+# entries that must vanish in the X pattern: those outside linalg's 4x4 closed-form blocks
+_OFF_X = _OFF_BLOCKS[4]
 
 
 class XColumns(namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")):

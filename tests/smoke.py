@@ -17,7 +17,7 @@ from collections import namedtuple
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-ENV = dict(os.environ, PYTHONPATH=str(SRC))  # before qcorr's import sets OPENBLAS_NUM_THREADS
+ENV = dict(os.environ, PYTHONPATH=str(SRC))  # qcorr's import below leaves os.environ as it was
 sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
@@ -39,6 +39,8 @@ def _seeded(mask) -> bytes:  # the seeded full-rank state, zero where mask is
 INPUTS = {
     "dense.txt": lambda: _seeded(1),  # entangled, full rank, not X
     "blocks.txt": lambda: _seeded(np.kron(np.eye(2), np.ones((2, 2)))),  # a non-X block pattern
+    "product_plus.txt": lambda: dumps_density_matrix(  # |+><+| ox |0><0|: rank one, pattern {0, 2}
+        np.kron(np.full((2, 2), 0.5), np.diag([1.0, 0.0]))).encode(),
     "rank_one.txt": lambda: dumps_density_matrix(  # |rho14|^2 = rho11 rho44 up to round-off
         random_rank_one_x_state(np.random.default_rng(60)).to_matrix()).encode(),
     "near_x.txt": lambda: dumps_density_matrix(  # Werner 0.3, 1e-10 on every off-X entry
@@ -107,6 +109,7 @@ CASES = [
     Case("evolve --initial custom@rank_one.txt --t-max 1 --out rank_one.csv", 12),
     Case("evolve --initial custom@near_x.txt --t-max 5 --out near_x.csv", 52),  # general routes
     Case("evolve --initial custom@blocks.txt --t-max 2 --dt 0.01 --stride 1 --out blocks.csv", 202),
+    Case("evolve --initial custom@product_plus.txt --t-max 1 --out product_plus.csv", 12),  # LAPACK
     Case("evolve --initial custom@dense.txt --nbar 0.5 --t-max 1 --dt 0.01 --stride 1"
          " --out dense.csv", 102),
     Case("evolve --t-max 99.999 --stride 1 --out max_samples.csv", 100_001, checks=(rss_250_mb,)),

@@ -994,17 +994,29 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_pathlib():
 @pytest.mark.parametrize("given", [None, "2"])
 def test_importing_the_cli_pins_openblas_to_one_thread_unless_the_caller_set_it(given):
     # qcorr's operands stay below OpenBLAS's thread thresholds, so a second
-    # worker would only spin; a value already in the environment still wins
+    # worker would only spin; a value already in the environment still wins,
+    # and one that qcorr set is gone again after the import, from the
+    # importing process and from the processes it starts, while BLAS keeps
+    # its one thread through an eigensolve and a 300x300 product
     src = Path(__file__).resolve().parent.parent / "src"
-    script = ("import os, qcorr.cli; tasks = '/proc/self/task'; "
-              "print(os.environ['OPENBLAS_NUM_THREADS'], "
-              "len(os.listdir(tasks)) if os.path.isdir(tasks) else 'none')")
+    script = "\n".join([
+        "import os, subprocess, sys",
+        "import qcorr.cli",
+        "import numpy as np",
+        "np.linalg.eigh(np.eye(4)); np.ones((300, 300)) @ np.ones((300, 300))",
+        "child = subprocess.run([sys.executable, '-c', 'import os; "
+        "print(os.environ.get(\"OPENBLAS_NUM_THREADS\"))'], capture_output=True, text=True)",
+        "tasks = '/proc/self/task'",
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), child.stdout.strip(),",
+        "      len(os.listdir(tasks)) if os.path.isdir(tasks) else 'none')",
+    ])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(src)
     if given is not None:
         env["OPENBLAS_NUM_THREADS"] = given
-    value, threads = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                    text=True, check=True).stdout.split()
-    assert value == (given or "1")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    value, child, threads = out.split()
+    assert value == child == (given or "None")
     if given is None and threads != "none":  # Linux lists one directory per thread
         assert threads == "1"

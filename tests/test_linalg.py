@@ -92,7 +92,7 @@ def _root_mode_eigenvalues(m):
     """The eigenvalues that the square-root mode of the solver returns beside
     the root, sorted: the solver's other answer for the same matrices."""
     a = np.asarray(m, dtype=complex)
-    return np.sort(linalg._per_pattern(a, linalg._eigen_by_blocks, True)[0], axis=-1)
+    return np.sort(linalg._per_route(a, linalg._eigen_by_blocks, True)[0], axis=-1)
 
 
 def test_identity_eigensystem():
@@ -154,20 +154,22 @@ def _small_block(rng, kind, size, hermitian):
     return m
 
 
+# the blocks that the solver takes in closed form, per size: the X pattern of
+# a 4x4 matrix, (0, 1) and (2,) of a 3x3 one, and the whole of a 2x2 one
+CLOSED_FORM_BLOCKS = {4: [[0, 3], [1, 2]], 3: [[0, 1], [2]], 2: [[0, 1]]}
+
+
 @st.composite
 def small_block_matrices(draw, hermitian, n=None):
     """(matrix, blocks, exponent, unscaled matrix) of size ``n`` (drawn from 2..4
-    if None) with every block of the nonzero pattern of size 1 or 2, scaled by
-    2**exponent. Blocks of kind 'repeat' copy the previous block of their size,
-    so the spectrum is degenerate."""
+    if None) that is zero outside CLOSED_FORM_BLOCKS, scaled by 2**exponent;
+    each 2x2 closed-form block may split into two 1x1 blocks. Blocks of kind
+    'repeat' copy the previous block of their size, so the spectrum is
+    degenerate."""
     n = draw(st.integers(2, 4)) if n is None else n
-    perm = draw(st.permutations(range(n)))
-    sizes = draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n))
-    blocks, at = [], 0
-    for size in sizes:
-        if at < n:
-            blocks.append(sorted(perm[at:at + min(size, n - at)]))
-            at += size
+    blocks = []
+    for b in CLOSED_FORM_BLOCKS[n]:
+        blocks += [[i] for i in b] if len(b) == 1 or draw(st.booleans()) else [b]
     kinds = ["random", "rank_one", "diagonal", "zero", "equal_diagonal", "repeat"]
     kinds += [] if hermitian else ["triangular"]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -182,14 +184,11 @@ def small_block_matrices(draw, hermitian, n=None):
     return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e), blocks, e, m
 
 
-def beside_filled_blocks(m, blocks):
-    """The stack [m, f] where f fills every block of ``blocks`` with ones: m is
-    then solved with those blocks, as in a stack whose patterns differ, even
-    where its own off-diagonal entries are zero."""
-    filled = np.zeros_like(m)
-    for b in blocks:
-        filled[np.ix_(b, b)] = 1.0
-    return np.array([m, filled])
+def beside_a_dense_matrix(m):
+    """The stack [m, ones]: at sizes 3 and 4 the matrix of ones lies outside
+    the closed-form blocks and takes LAPACK, so m is solved in a stack split
+    between the two routes."""
+    return np.array([m, np.ones_like(m)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,19 +203,19 @@ def test_small_block_eigensystem_matches_eigh_of_each_block(case):
     # an exactly singular block keeps an exact zero eigenvalue
     rank = sum(np.linalg.matrix_rank(unscaled[np.ix_(b, b)], tol=1e-9) for b in blocks)
     assert np.count_nonzero(lam == 0.0) >= len(m) - rank
-    # a 2x2 block whose off-diagonal entry is zero gives its two 1x1 results
-    np.testing.assert_array_equal(hermitian_eigenvalues(beside_filled_blocks(m, blocks))[0], lam)
+    # a matrix gets the same eigenvalues in a stack as alone
+    np.testing.assert_array_equal(hermitian_eigenvalues(beside_a_dense_matrix(m))[0], lam)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_block_matrices(hermitian=True), st.booleans())
 def test_eigenvalues_alone_equal_the_eigensystem_eigenvalues_on_small_blocks(case, real):
     # the eigenvalue mode and the square-root mode solve closed-form blocks alike
-    m, blocks = (case[0].real if real else case[0]), case[1]
+    m = case[0].real if real else case[0]
     lam = hermitian_eigenvalues(m)
     assert lam.dtype == np.float64
     np.testing.assert_array_equal(lam, _root_mode_eigenvalues(m))
-    np.testing.assert_array_equal(hermitian_eigenvalues(beside_filled_blocks(m, blocks))[0], lam)
+    np.testing.assert_array_equal(hermitian_eigenvalues(beside_a_dense_matrix(m))[0], lam)
 
 
 def test_eigenvalues_alone_match_the_eigensystem_on_lapack_patterns():
@@ -264,7 +263,7 @@ def test_small_block_singular_values_match_svd_of_each_block(case):
     assert np.all(np.diff(s) <= 0.0)
     rank = sum(np.linalg.matrix_rank(unscaled[np.ix_(b, b)], tol=1e-9) for b in blocks)
     assert np.count_nonzero(s == 0.0) >= len(m) - rank
-    np.testing.assert_array_equal(singular_values(beside_filled_blocks(m, blocks))[0], s)
+    np.testing.assert_array_equal(singular_values(beside_a_dense_matrix(m))[0], s)
 
 
 def test_singular_values_keep_lapack_on_larger_blocks():
@@ -275,6 +274,40 @@ def test_singular_values_keep_lapack_on_larger_blocks():
                                   np.linalg.svd(dense, compute_uv=False))
     with pytest.raises(ValueError, match="sizes 2..4"):
         singular_values(np.eye(5))
+
+
+def _lapack_square_root(m):
+    """V diag(sqrt(w)) V^dag of one ``np.linalg.eigh`` call on the whole matrix,
+    w clamped at zero, made exactly Hermitian: the solver's LAPACK route."""
+    w, v = np.linalg.eigh(m)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (root + root.conj().T) * 0.5
+
+
+def test_matrices_outside_the_closed_form_blocks_get_lapack_bit_for_bit():
+    # block-sparse and dense matrices with an entry outside the closed-form
+    # blocks get eigvalsh, the eigh root and svd as they are, alone and in a
+    # stack beside matrices inside the blocks; an empty stack gives empty results
+    rng = np.random.default_rng(47)
+    for n, blocks in BLOCK_PATTERNS[1:] + [(4, [[0, 1, 2, 3]]), (3, [[0, 1, 2]])]:
+        g = random_block_hermitian(rng, n, blocks)
+        m = g @ g.conj().T
+        h = random_block_hermitian(rng, n, CLOSED_FORM_BLOCKS[n])
+        inside = h @ h.conj().T
+        lam, root = np.linalg.eigvalsh(m), _lapack_square_root(m)
+        for got in (hermitian_eigenvalues(m), hermitian_eigenvalues(np.array([inside, m]))[1]):
+            assert got.tobytes() == lam.tobytes()
+        for got in (psd_sqrt(m), psd_sqrt(np.array([inside, m, inside]))[1]):
+            assert got.tobytes() == root.tobytes()
+        s = np.linalg.svd(g, compute_uv=False)
+        for got in (singular_values(g), singular_values(np.array([h, g]))[1]):
+            assert got.tobytes() == s.tobytes()
+        assert hermitian_eigenvalues(m.real).tobytes() == np.linalg.eigvalsh(m.real).tobytes()
+    for n in (2, 3, 4):
+        empty = np.zeros((0, n, n))
+        assert hermitian_eigenvalues(empty).shape == (0, n)
+        assert psd_sqrt(empty).shape == (0, n, n)
+        assert singular_values(empty).shape == (0, n)
 
 
 def test_not_hermitian_rejected():
@@ -363,11 +396,11 @@ def test_block_square_root_matches_the_dense_square_root(case):
     np.testing.assert_array_equal(root[m == 0], 0.0)
     assert np.abs(root @ root - m).max() <= 1e-14 * np.abs(m).max()
     # a block whose off-diagonal entry is exactly zero has the roots of its
-    # diagonal entries, bit for bit, alone and beside a stack that fills it
+    # diagonal entries, bit for bit, alone and beside a dense matrix
     for b in blocks:
         if len(b) == 2 and m[b[1], b[0]] == 0:
             np.testing.assert_array_equal(root[np.ix_(b, b)], np.diag(np.sqrt(m.real[b, b])))
-    np.testing.assert_array_equal(psd_sqrt(beside_filled_blocks(m, blocks))[0], root)
+    np.testing.assert_array_equal(psd_sqrt(beside_a_dense_matrix(m))[0], root)
 
 
 def test_square_root_of_larger_blocks_is_the_dense_square_root_bit_for_bit():
@@ -375,7 +408,7 @@ def test_square_root_of_larger_blocks_is_the_dense_square_root_bit_for_bit():
     for m in [random_density_matrix(rng, rank) for rank in (1, 2, 4) for _ in range(10)]:
         assert psd_sqrt(m).tobytes() == _dense_square_root(m)[0].tobytes()
     # a 3x3 block beside an isolated index: the solver's eigh takes the whole
-    # matrix reordered, the reference the block alone, so they agree to ulps
+    # matrix, the reference the block alone, so they agree to ulps
     for g in (random_block_hermitian(rng, 4, [[0, 1, 3], [2]]) for _ in range(10)):
         m = g @ g.conj().T
         top = np.sqrt(np.linalg.eigvalsh(m)[-1])
@@ -405,18 +438,17 @@ def test_square_roots_of_a_mixed_stack_are_those_of_each_matrix():
 @settings(max_examples=300, deadline=None)
 @given(small_block_matrices(hermitian=True, n=4))
 def test_block_spin_flip_product_matches_the_dense_product(case):
-    # the singular values of S (sy ox sy) S*, S = sqrt(rho), against those of the
-    # dense complex product: close from the six X entries, equal off the X pattern
-    m, blocks, _ = small_block_psd(case)
+    # the singular values of S (sy ox sy) S*, S = sqrt(rho) inside the X pattern,
+    # from its six X entries, against those of the dense complex product
+    m = small_block_psd(case)[0]
     root = psd_sqrt(m)
+    assert is_x_shaped(root)
     dense = singular_values((root[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ root.conj())
     lam = linalg._spin_flip_singular_values(root)
     assert np.abs(lam - dense).max() <= 8.0 * np.finfo(float).eps * max(dense[0], np.abs(m).max())
-    if (root[~linalg._X_ENTRIES] != 0).any():  # off the X pattern: the dense product itself
-        assert lam.tobytes() == dense.tobytes()
     assert np.all(np.diff(lam) <= 0.0)
     np.testing.assert_array_equal(linalg._spin_flip_singular_values(
-        psd_sqrt(beside_filled_blocks(m, blocks)))[0], lam)
+        psd_sqrt(beside_a_dense_matrix(m)))[0], lam)
 
 
 def test_spin_flip_product_of_larger_blocks_is_the_dense_product_bit_for_bit():
@@ -447,7 +479,7 @@ def test_spin_flip_product_has_small_blocks_only_inside_the_x_pattern():
     dense = (roots[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ roots.conj()
     lam = linalg._spin_flip_singular_values(roots)
     for root, m, lam_root in zip(roots, dense, lam):
-        inside_x = not (root[~linalg._X_ENTRIES] != 0).any()
+        inside_x = bool(is_x_shaped(root))
         assert (max(map(len, blocks_of(m))) <= 2) == inside_x
         expected = singular_values(m)
         if inside_x:

@@ -74,7 +74,7 @@ def test_stack_matches_one_matrix_at_a_time(seed, counts):
         single = np.array(correlations(rho).as_tuple())
         np.testing.assert_allclose(table[:, i], single, rtol=0.0, atol=1e-12)
 
-    # every pattern group keeps its exact zeros, and each matrix gets the
+    # every X-shaped matrix keeps its exact zeros, and each matrix gets the
     # result it gets on its own: the square roots of the states and of their
     # roots, and the eigenvalues of the partial transposes
     for mats in (stack, psd_sqrt(stack)):
@@ -86,10 +86,10 @@ def test_stack_matches_one_matrix_at_a_time(seed, counts):
         np.testing.assert_array_equal(lam, hermitian_eigenvalues(m))
 
 
-def test_square_roots_on_lapack_patterns_keep_their_zeros_and_stack():
-    # patterns with a block larger than 2x2 go to LAPACK eigh: each root is
-    # exactly Hermitian, exactly zero outside the blocks of its matrix, squares
-    # back, and is the same bytes stacked (beside X states) as alone
+def test_square_roots_on_lapack_patterns_are_hermitian_and_stack():
+    # matrices with an entry outside the X pattern go to LAPACK eigh: each root
+    # is exactly Hermitian, squares back, and is the same bytes stacked (beside
+    # X states) as alone
     rng = np.random.default_rng(41)
     mats = []
     for blocks in ([[0, 1, 2, 3]], [[0, 1, 3], [2]], [[1, 2, 3], [0]], [[0, 2], [1, 3]]):
@@ -103,7 +103,6 @@ def test_square_roots_on_lapack_patterns_keep_their_zeros_and_stack():
     stack = np.array([mats[i] for i in rng.permutation(len(mats))])
     for m, root in zip(stack, psd_sqrt(stack)):
         np.testing.assert_array_equal(root, root.conj().T)
-        assert_block_supported(root, blocks_of(m))
         assert np.abs(root @ root - m).max() <= 1e-13 * np.abs(m).max()
         assert root.tobytes() == psd_sqrt(m).tobytes()
 
@@ -112,14 +111,14 @@ def test_each_eigenproblem_is_solved_once(monkeypatch):
     # a dense evolve diagonalizes its sample stack once, for validation, and
     # the general routes reuse the square root it returns; validation takes
     # the private solver entry, so count the root solves that reach it
-    shapes, per_pattern = [], linalg._per_pattern
+    shapes, per_route = [], linalg._per_route
 
     def recorded(a, solve, *args):
         if solve is linalg._eigen_by_blocks and args[0]:  # root: a square root
             shapes.append(np.shape(a))
-        return per_pattern(a, solve, *args)
+        return per_route(a, solve, *args)
 
-    monkeypatch.setattr(linalg, "_per_pattern", recorded)
+    monkeypatch.setattr(linalg, "_per_route", recorded)
     rho = random_density_matrix(np.random.default_rng(3))
     traj = evolve(rho, ModelParams(nbar=0.5), t_max=1.0, dt=0.01, stride=1)
     assert shapes.count((len(traj.times), 4, 4)) == 1
@@ -128,7 +127,7 @@ def test_each_eigenproblem_is_solved_once(monkeypatch):
     # the fig1 stack has several nonzero patterns (sample 0 is the w = 1/2
     # mixture, rho33 = rho23 = 0) inside the X blocks: each stacked solve is
     # one closed-form group
-    groups, per_pattern = [], linalg._per_pattern
+    groups, per_route = [], linalg._per_route
 
     def counted(a, solve, *args):
         calls = []
@@ -137,11 +136,11 @@ def test_each_eigenproblem_is_solved_once(monkeypatch):
             calls.append(solve_args)
             return solve(*solve_args)
 
-        parts = per_pattern(a, counted_solve, *args)
+        parts = per_route(a, counted_solve, *args)
         groups.append((len(a), len(calls)))
         return parts
 
-    monkeypatch.setattr(linalg, "_per_pattern", counted)
+    monkeypatch.setattr(linalg, "_per_route", counted)
     traj = evolve(make_mixture(0.5).to_matrix(), ModelParams(), t_max=100.0, dt=1e-3,
                   stride=100)
     assert len({(m != 0).tobytes() for m in traj.states}) > 1
