@@ -26,9 +26,9 @@ from .model import (ModelParams, _PAULI, _from_pauli, _to_pauli, hamiltonian, sp
 from .states import XColumns, _validated, validate
 
 STEADY_RHS_TOL = 1e-12
-# bound on the samples of one evolve run: about 26 MB of states. A run at the bound peaks
-# at 135-141 MB RSS (x86-64 Linux, numpy 2.4.6); the tests/smoke.py case
-# "evolve --t-max 99.999 --stride 1" fails above 250 MB
+# bound on the samples of one evolve run: about 26 MB of states. A run at the bound takes
+# 0.5-0.7 s and peaks at 129-130 MB RSS (x86-64 Linux, 2 cores, numpy 2.4.6); the
+# tests/smoke.py case "evolve --t-max 99.999 --stride 1" fails above 250 MB
 MAX_SAMPLES = 100_000
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
 _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),

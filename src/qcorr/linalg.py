@@ -12,25 +12,25 @@ already checked or Hermitian by construction skip the re-check
 (``_psd_root``, ``_eigenvalues``). Each size has fixed closed-form blocks:
 the X pattern ((0, 3) and (1, 2)) of a 4x4 matrix, (0, 1) and (2,) of a 3x3
 one and the whole of a 2x2 one. A matrix that is exactly zero outside them
-is solved block by block in closed form, with the smaller 2x2 eigenvalue or
-singular value taken as the determinant over the larger one, and the square
-root built from each block's eigenpairs without an eigenvector matrix; its
-exact zeros survive the solve, and a 2x2 block whose off-diagonal entry is
-exactly zero gives exactly the results of its two 1x1 blocks. The
-concurrence's spin-flip product of a square root inside the X pattern has
-only the six X entries, which are formed one by one
-(``_spin_flip_singular_values``). So a stack of X-shaped matrices takes no
-dense complex matrix product. Every other matrix goes as it is to LAPACK
-(``eigvalsh``, ``eigh`` or ``svd``) and to dense products, and carries
-LAPACK's round-off even where it is block-sparse. A stack that holds both
-kinds is solved as those two groups, so every matrix gets what it gets
-alone. A function given a stack raises for its first failing
-matrix, whose flat position the exception keeps as ``index``.
+is solved block by block by the column kernels ``_hermitian_2x2`` (eigenvalues
+and square root) and ``_singular_values_2x2``, which take each entry of a
+block as an array over the stack; its exact zeros survive the solve. The same
+kernels solve X-shaped matrices given by their eight X entries alone
+(``_X_ENTRIES``, named by ``XEntries``; ``_x_root``, ``_spin_flip_x``), as
+``measures.correlations`` reads them, so an X-shaped matrix takes no dense
+complex matrix product; matrices and X entries alike take their block
+eigenvalues and roots from ``_eigen_of_entries``. Every other matrix goes as
+it is to LAPACK (``eigvalsh``, ``eigh`` or ``svd``) and to dense products,
+and carries LAPACK's round-off even where it is block-sparse. A stack that
+holds both kinds is solved as those two groups, so every matrix gets what it
+gets alone. A function given a stack raises for its first failing matrix,
+whose flat position the exception keeps as ``index``.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,11 +45,16 @@ PSD_TOL = 1e-10
 _SMALL_BLOCKS = {4: ((0, 3), (1, 2)), 3: ((0, 1), (2,)), 2: ((0, 1),)}
 _OFF_BLOCKS = {n: np.array([[not any(i in b and j in b for b in blocks) for j in range(n)]
                             for i in range(n)]) for n, blocks in _SMALL_BLOCKS.items()}
+# per size, the flat positions (row-major) of the entries inside the blocks, which the
+# closed-form kernels take as a stack (k, E) of columns, and each block's columns in it:
+# (ii,) or (ii, ij, ji, jj). X-shaped matrices travel as their X entries (k, 8), whose
+# columns XEntries(*x.T) names, 1-based
+_BLOCK_ENTRIES = {n: np.flatnonzero(~off) for n, off in _OFF_BLOCKS.items()}
+_BLOCK_COLUMNS = {n: [np.searchsorted(_BLOCK_ENTRIES[n], [p * n + q for p in b for q in b])
+                      for b in blocks] for n, blocks in _SMALL_BLOCKS.items()}
+_X_ENTRIES = _BLOCK_ENTRIES[4]
+XEntries = namedtuple("XEntries", [f"r{p // 4 + 1}{p % 4 + 1}" for p in _X_ENTRIES])
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
-
-
-def _dagger(mat: np.ndarray) -> np.ndarray:
-    return mat.conj().swapaxes(-1, -2)
 
 
 def require_hermitian(mat) -> np.ndarray:
@@ -60,18 +65,24 @@ def require_hermitian(mat) -> np.ndarray:
     mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    n = mat.shape[-1]
+    _require_hermitian_entries(mat.reshape(-1, n * n), np.arange(n * n), n)
+    return mat
+
+
+def _require_hermitian_entries(entries: np.ndarray, where: np.ndarray, n: int):
+    """``require_hermitian`` of k matrices of size n given by their entries (k, E)
+    at the flat positions ``where`` (ascending): every other entry is exactly zero,
+    and each given entry's transposed partner is given too."""
+    partner = np.searchsorted(where, where % n * n + where // n)
     with np.errstate(invalid="ignore"):  # a non-finite entry gives inf - inf: a nan deviation
-        deviation = np.abs(mat - _dagger(mat))
-    if deviation.max(initial=0.0) <= HERMITICITY_TOL:
-        return mat
-    deviation = deviation.max(axis=(-2, -1))
+        deviation = np.abs(entries - entries[:, partner].conj()).max(-1, initial=0.0)
 
     def describe(k: int) -> str:
-        m = mat.reshape((-1,) + mat.shape[-2:])[k]
-        if not np.isfinite(m).all():
-            i, j = np.argwhere(~np.isfinite(m))[0]
-            return f"entry ({i}, {j}) = {m[i, j]} is not finite"
-        return f"max |M - M^dag| entry = {deviation.flat[k]:.3e} exceeds {HERMITICITY_TOL:.1e}"
+        e = int(np.isfinite(entries[k]).argmin())  # the first non-finite entry, if any
+        if not np.isfinite(entries[k, e]):
+            return f"entry {divmod(int(where[e]), n)} = {entries[k, e]} is not finite"
+        return f"max |M - M^dag| entry = {deviation[k]:.3e} exceeds {HERMITICITY_TOL:.1e}"
 
     raise_first(~(deviation <= HERMITICITY_TOL), NotHermitian, describe)
 
@@ -121,42 +132,43 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:  # of matrices Hermitian by const
 def _eigen_by_blocks(a: np.ndarray, small: bool, root: bool):
     """Ascending eigenvalues of a stack (k, n, n) of matrices, all inside the closed-form
     blocks if ``small`` and all LAPACK's otherwise; with ``root``, the eigenvalues (unordered
-    from closed-form blocks) and the square roots V diag(sqrt(w)) V^dag (w clamped at zero).
-    A closed-form block [[a, b], [b*, d]] with the unit upper eigenvector u = (x, y) has the
-    root s_up |u><u| + s_lo (1 - |u><u|), whose entries are the two-term sums
-    s_up |x|^2 + s_lo |y|^2, s_up |y|^2 + s_lo |x|^2 and (s_up - s_lo) x y*; no eigenvector
-    matrix is built and nothing is multiplied as a matrix."""
+    from closed-form blocks) and the square roots V diag(sqrt(w)) V^dag (w clamped at zero),
+    a closed-form block's without an eigenvector matrix (``_hermitian_2x2``)."""
     if not small:
         if not root:
             return (np.linalg.eigvalsh(a),)
         w, v = np.linalg.eigh(a)
         out = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
         out = out @ np.conjugate(v, out=v).swapaxes(-1, -2)  # V is not read again
-        out += _dagger(out)  # made exactly Hermitian
+        out += out.conj().swapaxes(-1, -2)  # made exactly Hermitian
         return w, np.multiply(out, 0.5, out=out)
-    w = np.empty(a.shape[:-1])
-    out = np.zeros_like(a) if root else None
-    for b in _SMALL_BLOCKS[a.shape[-1]]:
+    n = a.shape[-1]
+    flat = a.reshape(-1, n * n)
+    w, entries = _eigen_of_entries(flat[:, _BLOCK_ENTRIES[n]], n, root)
+    if not root:
+        return (np.sort(w, axis=-1),)
+    out = np.zeros_like(flat)
+    out[:, _BLOCK_ENTRIES[n]] = entries
+    return w, out.reshape(a.shape)
+
+
+def _eigen_of_entries(e: np.ndarray, n: int, root: bool):
+    """Unordered eigenvalues (k, n) of the matrices of size n whose closed-form blocks
+    hold the entries e (k, E) (``_BLOCK_ENTRIES``), and with ``root`` the same entries
+    of their square roots (else None), each 2x2 block's from ``_hermitian_2x2``."""
+    w, out = np.empty((len(e), n)), np.empty_like(e) if root else None
+    for b, cols in zip(_SMALL_BLOCKS[n], _BLOCK_COLUMNS[n]):
         if len(b) == 1:
-            w[:, b[0]] = a[:, b[0], b[0]].real
+            w[:, b[0]] = e[:, cols[0]].real
             if root:
-                out[:, b[0], b[0]] = np.sqrt(np.maximum(w[:, b[0]], 0.0))
+                out[:, cols[0]] = np.sqrt(np.maximum(w[:, b[0]], 0.0))
             continue
-        i, j = b
-        lower = a[:, j, i]  # LAPACK reads the lower triangle; so does this
-        w[:, i], w[:, j], vec = _hermitian_2x2(a[:, i, i].real, a[:, j, j].real, lower.conj(), root)
+        (i, j), (ii, ij, ji, jj) = b, cols
+        w[:, i], w[:, j], *block = _hermitian_2x2(e[:, ii].real, e[:, jj].real, e[:, ji], root)
         if root:
-            x, y = vec
-            s_lo, s_up = np.sqrt(np.maximum(w[:, i], 0.0)), np.sqrt(np.maximum(w[:, j], 0.0))
-            xx, yy = x.real * x.real + x.imag * x.imag, y.real * y.real + y.imag * y.imag
-            out[:, i, i], out[:, j, j] = s_up * xx + s_lo * yy, s_up * yy + s_lo * xx
-            out[:, i, j] = (s_up - s_lo) * (x * y.conj())
-            out[:, j, i] = out[:, i, j].conj()
-        split = np.flatnonzero(lower == 0)  # a diagonal block: the results of its 1x1 blocks
-        w[split, i], w[split, j] = a[split, i, i].real, a[split, j, j].real
-        if root:
-            out[np.ix_(split, b, b)] = np.sqrt(np.maximum(w[split][:, b], 0.0))[:, None] * np.eye(2)
-    return (w, out) if root else (np.sort(w, axis=-1),)
+            out[:, ii], out[:, jj], out[:, ij] = block
+            out[:, ji] = out[:, ij].conj()
+    return w, out
 
 
 def _power_of_two(*parts: np.ndarray) -> np.ndarray:
@@ -169,33 +181,60 @@ def _scaled(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
 
 
-def _hermitian_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray, vectors: bool):
-    """(lower, upper eigenvalue, unit eigenvector (x, y) of the upper one if
-    ``vectors``, else None) of the Hermitian [[a, b], [b*, d]], elementwise
-    over arrays.
+def _hermitian_2x2(a: np.ndarray, d: np.ndarray, lower: np.ndarray, root: bool):
+    """Eigenvalues (lower, upper) of the Hermitian [[a, lower*], [lower, d]],
+    elementwise over arrays, and with ``root`` the entries (aa, dd, ad) of its
+    square root; LAPACK reads the lower triangle, and so does this.
 
-    With mid = (a + d)/2, h = (a - d)/2 and r = hypot(h, |b|), the eigenvalue
-    of the larger magnitude is mid + sign(mid) r and the other one is the
-    determinant over it, so neither comes from a cancelling difference; the
-    eigenvector (r + |h|, b*) for h >= 0 and (b, r + |h|) for h < 0 has no
-    cancelling entry either. The block is scaled by a power of two first,
-    so that finite entries of any magnitude give finite products.
+    With b = lower*, mid = (a + d)/2, h = (a - d)/2 and r = hypot(h, |b|), the
+    eigenvalue of the larger magnitude is mid + sign(mid) r and the other one is
+    the determinant over it, so neither comes from a cancelling difference; the
+    upper unit eigenvector u = (x, y), along (r + |h|, b*) for h >= 0 and
+    (b, r + |h|) for h < 0, has no cancelling entry either. The block is scaled
+    by a power of two first, so that finite entries of any magnitude give finite
+    products. The root s_up |u><u| + s_lo (1 - |u><u|), s = sqrt(max(w, 0)), has
+    the two-term entries s_up |x|^2 + s_lo |y|^2, s_up |y|^2 + s_lo |x|^2 and
+    (s_up - s_lo) x y*. Where ``lower`` is exactly zero the results are exactly
+    those of the two 1x1 blocks, with the eigenvalues (a, d) in that order.
     """
-    e = _power_of_two(a, d, b.real, b.imag)
-    a, d, b = np.ldexp(a, -e), np.ldexp(d, -e), _scaled(b, e)
-    mid, h, b_sq = 0.5 * (a + d), 0.5 * (a - d), b.real * b.real + b.imag * b.imag
+    e = _power_of_two(a, d, lower.real, lower.imag)
+    sa, sd, b = np.ldexp(a, -e), np.ldexp(d, -e), _scaled(lower.conj(), e)
+    mid, h, b_sq = 0.5 * (sa + sd), 0.5 * (sa - sd), b.real * b.real + b.imag * b.imag
     r = np.hypot(h, np.sqrt(b_sq))
     big = mid + np.copysign(r, mid)
-    small = np.divide(a * d - b_sq, big, out=np.zeros_like(big), where=big != 0.0)
+    small = np.divide(sa * sd - b_sq, big, out=np.zeros_like(big), where=big != 0.0)
     up = ~np.signbit(mid)  # big is the upper eigenvalue
-    lower, upper = np.ldexp(np.where(up, small, big), e), np.ldexp(np.where(up, big, small), e)
-    if not vectors:
-        return lower, upper, None
+    split = lower == 0
+    lo = np.where(split, a, np.ldexp(np.where(up, small, big), e))
+    hi = np.where(split, d, np.ldexp(np.where(up, big, small), e))
+    if not root:
+        return lo, hi
     t = r + abs(h)
     norm = np.hypot(t, np.sqrt(b_sq))
     t, norm = np.where(norm > 0.0, t, 1.0), np.where(norm > 0.0, norm, 1.0)  # b = 0, a = d: e1
     x, y = np.where(h >= 0.0, t, b) / norm, np.where(h >= 0.0, b.conj(), t) / norm
-    return lower, upper, (x, y)
+    s_lo, s_up = np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0))
+    xx, yy = x.real * x.real + x.imag * x.imag, y.real * y.real + y.imag * y.imag
+    return (lo, hi, np.where(split, s_lo, s_up * xx + s_lo * yy),
+            np.where(split, s_up, s_up * yy + s_lo * xx),
+            np.where(split, 0.0, (s_up - s_lo) * (x * y.conj())))
+
+
+def _singular_values_2x2(m00, m01, m10, m11) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (s_max, s_min) of [[m00, m01], [m10, m11]], elementwise over
+    arrays: s_max = sqrt of the upper eigenvalue of M^dag M and s_min = |det M| / s_max,
+    the block scaled by a power of two first, or |m00| and |m11| where m01 = m10 = 0."""
+    entries = m00, m01, m10, m11
+    e = _power_of_two(*(z.real for z in entries), *(z.imag for z in entries))
+    n00, n01, n10, n11 = (_scaled(z, e) for z in entries)
+    g00, g11 = abs(n00) ** 2 + abs(n10) ** 2, abs(n01) ** 2 + abs(n11) ** 2
+    top = np.sqrt(0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11),
+                                               abs(n00.conj() * n01 + n10.conj() * n11)))
+    det = abs(n00 * n11 - n01 * n10)
+    split = (m01 == 0) & (m10 == 0)
+    return (np.where(split, abs(m00), np.ldexp(top, e)),
+            np.where(split, abs(m11), np.ldexp(np.divide(det, top, out=np.zeros_like(top),
+                                                         where=top > 0.0), e)))
 
 
 def singular_values(mat) -> np.ndarray:
@@ -222,19 +261,9 @@ def _singular_values_by_blocks(m: np.ndarray, small: bool) -> tuple[np.ndarray]:
     for b in _SMALL_BLOCKS[m.shape[-1]]:
         if len(b) == 1:
             s[:, b[0]] = abs(m[:, b[0], b[0]])
-            continue
-        i, j = b
-        entries = m[:, i, i], m[:, i, j], m[:, j, i], m[:, j, j]
-        e = _power_of_two(*(z.real for z in entries), *(z.imag for z in entries))
-        m00, m01, m10, m11 = (_scaled(z, e) for z in entries)
-        g00, g11 = abs(m00) ** 2 + abs(m10) ** 2, abs(m01) ** 2 + abs(m11) ** 2
-        top = np.sqrt(0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11),
-                                                   abs(m00.conj() * m01 + m10.conj() * m11)))
-        det = abs(m00 * m11 - m01 * m10)
-        s[:, i] = np.ldexp(top, e)
-        s[:, j] = np.ldexp(np.divide(det, top, out=np.zeros_like(top), where=top > 0.0), e)
-        split = np.flatnonzero((m[:, i, j] == 0) & (m[:, j, i] == 0))  # the 1x1 results
-        s[split, i], s[split, j] = abs(m[split, i, i]), abs(m[split, j, j])
+        else:
+            i, j = b
+            s[:, i], s[:, j] = _singular_values_2x2(m[:, i, i], m[:, i, j], m[:, j, i], m[:, j, j])
     return (-np.sort(-s, axis=-1),)
 
 
@@ -270,8 +299,8 @@ def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
     a stack (..., 4, 4), as ``singular_values`` finds them. M is complex
     symmetric: with S* = S^T, M_pq = sum_l sign(3 - l) S_pl S_q(3-l), where the
     sign is that of row 3 - l in sy ox sy. l -> 3 - l maps each X block onto
-    itself, so for S inside the X pattern M has only the six X entries, written
-    out here; it maps any other pair onto other blocks, which makes M one 4x4
+    itself, so for S inside the X pattern M has only the six X entries
+    (``_spin_flip_x``); it maps any other pair onto other blocks, which makes M one 4x4
     block, so every other S takes the dense product and ``np.linalg.svd``."""
     return _per_route(s, _spin_flip_by_blocks)[0]
 
@@ -279,12 +308,24 @@ def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
 def _spin_flip_by_blocks(s: np.ndarray, small: bool) -> tuple[np.ndarray]:
     if not small:
         return (np.linalg.svd((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj(), compute_uv=False),)
-    m = np.zeros_like(s)
-    m[:, 0, 0], m[:, 3, 3] = -2.0 * (s[:, 0, 0] * s[:, 0, 3]), -2.0 * (s[:, 3, 0] * s[:, 3, 3])
-    m[:, 1, 1], m[:, 2, 2] = 2.0 * (s[:, 1, 1] * s[:, 1, 2]), 2.0 * (s[:, 2, 1] * s[:, 2, 2])
-    m[:, 0, 3] = m[:, 3, 0] = -(s[:, 0, 0] * s[:, 3, 3] + s[:, 0, 3] * s[:, 3, 0])
-    m[:, 1, 2] = m[:, 2, 1] = s[:, 1, 1] * s[:, 2, 2] + s[:, 1, 2] * s[:, 2, 1]
-    return _singular_values_by_blocks(m, True)
+    return (_spin_flip_x(s.reshape(-1, 16)[:, _X_ENTRIES]),)
+
+
+def _spin_flip_x(s: np.ndarray) -> np.ndarray:
+    """``_spin_flip_singular_values`` of X-shaped S given by their X entries (k, 8):
+    the six X entries of M, and each block's singular values in closed form."""
+    s = XEntries(*s.T)
+    m14, m23 = -(s.r11 * s.r44 + s.r14 * s.r41), s.r22 * s.r33 + s.r23 * s.r32
+    sv = (*_singular_values_2x2(-2.0 * (s.r11 * s.r14), m14, m14, -2.0 * (s.r41 * s.r44)),
+          *_singular_values_2x2(2.0 * (s.r22 * s.r23), m23, m23, 2.0 * (s.r32 * s.r33)))
+    return -np.sort(-np.stack(sv, axis=-1), axis=-1)
+
+
+def _x_root(x: np.ndarray) -> np.ndarray:
+    """``_psd_root`` of X-shaped matrices given by their X entries (k, 8): those of the roots."""
+    w, root = _eigen_of_entries(x, 4, True)
+    _require_min_eigenvalue(w.min(-1))
+    return root
 
 
 def _two_qubit(rho) -> np.ndarray:

@@ -20,18 +20,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckFailure, FrozenRecord, raise_first
-from .linalg import (_eigenvalues, _spin_flip_singular_values, hermitian_eigenvalues,
-                     partial_transpose_b, psd_sqrt)
+from .linalg import (XEntries, _eigenvalues, _hermitian_2x2, _spin_flip_singular_values,
+                     _spin_flip_x, hermitian_eigenvalues, partial_transpose_b, psd_sqrt)
 from .model import _PAULI, _to_pauli
 from .states import (
     DickeColumns,
     XColumns,
-    _checked_sqrt,
-    is_x_shaped,
+    _checked_groups,
     to_dicke,
     trace_out_a,
     trace_out_b,
-    x_columns,
 )
 
 X_BRANCH_TOL = 1e-9  # |x| (|a| for any state) up to this takes the balanced-marginal MIN branch
@@ -102,7 +100,10 @@ def concurrence_general(rho) -> float:
 
 
 def _concurrence_from_sqrt(sqrt_rho):
-    lam = _spin_flip_singular_values(sqrt_rho)
+    return _wootters(_spin_flip_singular_values(sqrt_rho))
+
+
+def _wootters(lam):  # l1 - l2 - l3 - l4 of descending lambdas
     return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
 
 
@@ -189,7 +190,10 @@ def lqu(rho) -> float:
 
 
 def _lqu_from_sqrt(sqrt_rho: np.ndarray) -> float:
-    lam_max = _eigenvalues(_w_matrix_general(sqrt_rho))[..., -1]  # W is exactly symmetric
+    return _lqu_from(_eigenvalues(_w_matrix_general(sqrt_rho))[..., -1])  # W is exactly symmetric
+
+
+def _lqu_from(lam_max):
     return np.minimum(1.0, np.maximum(0.0, 1.0 - lam_max))
 
 
@@ -309,13 +313,13 @@ def _correlated_coherence_from_l1(rho: np.ndarray, l1) -> float:
 # aggregate
 
 
-def check_routes(checks, rows=True):
-    """Raise CrossCheckFailure for the first row (flat order, among ``rows``)
-    where a (name, closed, reference) pair of columns in ``checks`` differs
+def check_routes(checks):
+    """Raise CrossCheckFailure for the first row (flat order) where a
+    (name, closed, reference) pair of columns in ``checks`` differs
     by more than CROSS_CHECK_TOL[name] or is not finite; ``index`` is the row
     and the message names the first such pair of that row."""
     checks = [(name, np.ravel(c), np.ravel(r)) for name, c, r in checks]
-    misses = [rows & ~(abs(c - r) <= CROSS_CHECK_TOL[name]) for name, c, r in checks]
+    misses = [~(abs(c - r) <= CROSS_CHECK_TOL[name]) for name, c, r in checks]
 
     def describe(k: int) -> str:
         name, c, r = next(chk for chk, miss in zip(checks, misses) if miss[k])
@@ -337,43 +341,75 @@ def correlations(rho) -> CorrelationSet:
     ``states.is_x_shaped``) use the closed forms, and every closed form is
     compared against its general-definition route; the first matrix where
     they disagree raises CrossCheckFailure (its flat position is ``index``).
-    Other matrices, however close to the X pattern, take the general routes
-    throughout, which are exact for every state. The positivity check
-    solves each matrix's eigenvalues once and returns sqrt(rho), which the
-    concurrence and LQU routes share (for X-shaped matrices it is built per
-    2x2 block, without an eigenvector matrix, see ``linalg.psd_sqrt``); the
-    general routes read only eigenvalues from the partial transpose, W and
-    Gram matrices and singular values from the spin-flip product, and
-    re-check only the Gram matrices' Hermiticity. One matrix gives a
-    CorrelationSet of floats, a stack a CorrelationSet of arrays over its
-    leading axes.
+    X-shaped matrices are read once as their eight X entries, on which their
+    validation, square roots and general routes run (``_x_values``) with no
+    4x4 array. Other matrices, however close to the X pattern, take the dense
+    general routes throughout, which are exact for every state: the positivity
+    check solves each matrix's eigenvalues once and returns sqrt(rho), which
+    the concurrence and LQU routes share; the general routes read only
+    eigenvalues from the partial transpose, W and Gram matrices and singular
+    values from the spin-flip product, and re-check only the Gram matrices'
+    Hermiticity. One matrix gives a CorrelationSet of floats, a stack a
+    CorrelationSet of arrays over its leading axes.
     """
     rho = np.asarray(rho, dtype=complex)
-    sqrt_rho = _checked_sqrt(rho)  # shared by the concurrence and LQU routes
-    mats = rho.reshape(-1, 4, 4)
-    x_rows = is_x_shaped(mats)
-    x = x_columns(mats)
-    # concurrence, negativity, LQU, MIN and CC in closed form and by their
-    # general routes: the values of non-X rows and the cross-checks of X rows
-    closed = np.array([concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
-                       correlated_coherence(x)])
-    l1 = l1_coherence(mats)
-    # ``negativity`` without its check: the partial transpose permutes validated entries
-    neg_pt = _negativity_from(_eigenvalues(partial_transpose_b(mats))[:, 0])
-    general = np.array([np.maximum(0.0, _concurrence_from_sqrt(sqrt_rho)), neg_pt,
-                        _lqu_from_sqrt(sqrt_rho), min_trace_general(mats),
-                        _correlated_coherence_from_l1(mats, l1)])
-    check_routes([
-        ("concurrence", closed[0], general[0]),
-        ("concurrence (Dicke basis)", closed[0], concurrence_dicke(to_dicke(x))),
-        ("negativity", closed[1], general[1]),
-        ("lqu", closed[2], general[2]),
-        ("correlated coherence", closed[4], general[4]),
-        ("min_trace", closed[3], general[3]),
-    ], x_rows)
-
-    conc, neg, unc, mt, cc = np.where(x_rows, closed, general)
+    values = np.empty((6, rho.size // 16))
+    for rows, x_shaped, data, sqrt_rho in _checked_groups(rho):
+        try:
+            values[:, rows] = (_x_values if x_shaped else _dense_values)(data, sqrt_rho)
+        except CrossCheckFailure as exc:
+            exc.index = int(np.flatnonzero(rows)[exc.index])  # from the group's to the stack's
+            raise
+    conc, neg, unc, mt, cc, l1 = values
     columns = (conc, neg, _log_negativity_from(neg), unc, mt, cc, l1)
     if rho.ndim == 2:
         return CorrelationSet(*(float(c[0]) for c in columns))
     return CorrelationSet(*(c.reshape(rho.shape[:-2]) for c in columns))
+
+
+def _dense_values(mats: np.ndarray, sqrt_rho: np.ndarray) -> tuple:
+    """Concurrence, negativity, LQU, MIN, CC and l1 of a stack by the general routes."""
+    l1 = l1_coherence(mats)
+    # ``negativity`` without its check: the partial transpose permutes validated entries
+    neg = _negativity_from(_eigenvalues(partial_transpose_b(mats))[:, 0])
+    return (np.maximum(0.0, _concurrence_from_sqrt(sqrt_rho)), neg, _lqu_from_sqrt(sqrt_rho),
+            min_trace_general(mats), _correlated_coherence_from_l1(mats, l1), l1)
+
+
+def _x_values(x: np.ndarray, s: np.ndarray) -> tuple:
+    """``_dense_values`` of X-shaped matrices from their X entries x (k, 8) and those
+    of their square roots s: the closed forms, each checked against its general route.
+
+    The general routes keep their definitions on the X entries: the spin-flip singular
+    values, the partial transpose's blocks, the nonzero entries of W (W_xx, W_yy =
+    2 (m11 m33 + m22 m44) +- 4 Re(m14 m23), W_xy = -4 Im(m14 m23), W_zz = sum m_ii^2
+    - 2 (|m14|^2 + |m23|^2) for the root m) and of the projected-T Gram matrix, each
+    block solved as ``linalg`` solves it, and l1 summed in the order of
+    ``l1_coherence``. The marginals of an X state are diagonal: its CC route is l1."""
+    r, m = XEntries(*x.T), XEntries(*s.T)
+    xc = XColumns(r.r11.real, r.r22.real, r.r33.real, r.r44.real, r.r14, r.r23)
+    pt = [_hermitian_2x2(a.real, d.real, lower, False)
+          for a, d, lower in ((r.r11, r.r44, r.r32), (r.r22, r.r33, r.r41))]
+    m11, m22, m33, m44, p = m.r11.real, m.r22.real, m.r33.real, m.r44.real, m.r14 * m.r23
+    plane, w_zz = 2.0 * (m11 * m33 + m22 * m44), (m11 * m11 + m22 * m22 + m33 * m33 + m44 * m44
+                                                   - 2.0 * (abs(m.r14) ** 2 + abs(m.r23) ** 2))
+    w = _hermitian_2x2(plane + 4.0 * p.real, plane - 4.0 * p.real, -4.0 * p.imag, False)
+    # T as big_p = T_xx - i T_yx and big_q = T_yy + i T_xy; |a| = |T_z0| picks the projection
+    u, v = r.r14 + r.r41.conj(), r.r23 + r.r32.conj()
+    big_p, big_q = u + v, v - u
+    a_z = ((r.r11 + r.r22) - r.r33).real - r.r44.real
+    t_zz = ((r.r11 - r.r22) - r.r33).real + r.r44.real
+    gram = _hermitian_2x2(abs(big_p) ** 2, abs(big_q) ** 2, (big_p.conj() * big_q).imag, False)
+    g_zz = np.where(abs(a_z) > X_BRANCH_TOL, 0.0, t_zz * t_zz)
+    conc, neg, unc, mt, cc = (concurrence_x(xc), negativity_x(xc), lqu_x(xc), min_trace(xc),
+                              correlated_coherence(xc))
+    l1 = (abs(r.r32) + abs(r.r14)) + (abs(r.r41) + abs(r.r23))
+    check_routes([
+        ("concurrence", conc, np.maximum(0.0, _wootters(_spin_flip_x(s)))),
+        ("concurrence (Dicke basis)", conc, concurrence_dicke(to_dicke(xc))),
+        ("negativity", neg, _negativity_from(np.minimum(np.minimum(*pt[0]), np.minimum(*pt[1])))),
+        ("lqu", unc, _lqu_from(np.maximum(np.maximum(*w), w_zz))),
+        ("correlated coherence", cc, l1),
+        ("min_trace", mt, np.sqrt(np.maximum(np.maximum(np.maximum(*gram), g_zz), 0.0))),
+    ])
+    return conc, neg, unc, mt, cc, l1

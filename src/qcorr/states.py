@@ -7,7 +7,8 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
-from .linalg import _OFF_BLOCKS, _psd_root, _two_qubit, require_hermitian
+from .linalg import (_OFF_BLOCKS, _X_ENTRIES, XEntries, _psd_root, _require_hermitian_entries,
+                     _two_qubit, _x_root, require_hermitian)
 
 TRACE_TOL = 1e-10
 
@@ -61,27 +62,53 @@ def validate(rho) -> np.ndarray:
     the first failing matrix of a stack (its flat position is ``index``).
     """
     rho = np.asarray(rho, dtype=complex)
-    _checked_sqrt(rho)
+    _checked_groups(rho)
     return rho
 
 
-def _checked_sqrt(rho: np.ndarray) -> np.ndarray:
-    """``validate`` of a complex ndarray that returns the square roots of its matrices,
-    flattened to (n, 4, 4), which the positivity check builds from the eigenvalues it
-    solves (``linalg._psd_root``) without a second Hermiticity check."""
+# the checks of ``validate`` in order, on a stack (k, 4, 4) and on the X entries (k, 8) of
+# X-shaped matrices (``linalg._X_ENTRIES``); the last returns the square roots from the
+# eigenvalues it solves
+_CHECKS = (require_hermitian, lambda m: _require_unit_trace(np.trace(m, axis1=1, axis2=2)),
+           _psd_root)
+_X_CHECKS = (lambda x: _require_hermitian_entries(x, _X_ENTRIES, 4),
+             lambda x: _require_unit_trace(_x_trace(XEntries(*x.T))), _x_root)
+
+
+def _x_trace(e: XEntries):  # summed as np.trace sums the diagonal of a 4x4 matrix or stack
+    return (e.r11 + e.r22) + (e.r33 + e.r44)
+
+
+def _checked_groups(rho: np.ndarray) -> list:
+    """``validate`` of a complex ndarray, flattened to (n, 4, 4), in two groups: the
+    X-shaped matrices, read once as their X entries (k, 8), and the others. Returns
+    (rows, x_shaped, X entries or matrices, square roots in the same form) for each
+    nonempty group; raises for the first failing matrix of the whole stack."""
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     mats = rho.reshape(-1, 4, 4)
-    failure, stop = None, len(mats)
-    # each check sees only the matrices before the first failure found so far
-    for check in (require_hermitian, _require_unit_trace, _psd_root):
-        try:
-            checked = check(mats[:stop])
-        except (NotHermitian, TraceNotOne, NotPSD) as exc:
-            failure, stop = exc, exc.index
-    if failure is not None:
-        raise failure
-    return checked  # all three passed: the last one returned the square roots
+    x_rows = is_x_shaped(mats)
+    groups, failures = [], []
+    for rows, x_shaped in ((x_rows, True), (~x_rows, False)):
+        if not rows.any():
+            continue
+        data = mats if rows.all() else mats[rows]
+        data = data.reshape(-1, 16)[:, _X_ENTRIES] if x_shaped else data
+        failure, stop = None, len(data)
+        # each check sees only the matrices before the first failure found so far
+        for check in _X_CHECKS if x_shaped else _CHECKS:
+            try:
+                checked = check(data[:stop])
+            except (NotHermitian, TraceNotOne, NotPSD) as exc:
+                failure, stop = exc, exc.index
+        if failure is None:
+            groups.append((rows, x_shaped, data, checked))
+        else:
+            failure.index = int(np.flatnonzero(rows)[failure.index])  # the stack's
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda exc: exc.index)
+    return groups
 
 
 def _validated(x: XColumns) -> XColumns:
@@ -90,8 +117,7 @@ def _validated(x: XColumns) -> XColumns:
     return x
 
 
-def _require_unit_trace(mats: np.ndarray):
-    trace = np.trace(mats, axis1=1, axis2=2)
+def _require_unit_trace(trace: np.ndarray):
     raise_first(abs(trace - 1.0) > TRACE_TOL, TraceNotOne,
                 lambda k: f"trace = {complex(trace[k])!r}, |trace - 1| = {abs(trace[k] - 1.0):.3e}")
 

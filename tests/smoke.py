@@ -22,7 +22,7 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 from helpers import random_rank_one_x_state  # noqa: E402
-from qcorr.states import dumps_density_matrix, make_werner  # noqa: E402
+from qcorr.states import XColumns, dumps_density_matrix, make_werner  # noqa: E402
 
 Run = namedtuple("Run", "argv cwd code out err cpu_s wall_s peak_mb")  # of one qcorr process
 # argv (shell syntax, relative paths only), expected output lines, exit code, stderr lines, checks
@@ -33,6 +33,13 @@ def _seeded(mask) -> bytes:  # the seeded full-rank state, zero where mask is
     g = mask * (np.random.default_rng(0).standard_normal((4, 4, 2)) @ [1, 1j])
     rho = g @ g.conj().T
     return dumps_density_matrix((rho + rho.conj().T) / (2 * np.trace(rho).real)).encode()
+
+
+def _x_state(entries, at=None, value=None) -> bytes:  # an X state's matrix, maybe one entry set
+    m = XColumns(*entries).to_matrix()
+    if at is not None:
+        m[at] = value
+    return dumps_density_matrix(m).encode()
 
 
 # written into the directory of each case whose argv names custom@FILE
@@ -46,6 +53,11 @@ INPUTS = {
     "near_x.txt": lambda: dumps_density_matrix(  # Werner 0.3, 1e-10 on every off-X entry
         make_werner(0.3).to_matrix() + 1e-10 * (1 - np.eye(4) - np.eye(4)[::-1])).encode(),
     "not_utf8.txt": lambda: b"\xff\xfe",
+    # invalid X states: rho14 - rho41* = 0.1, trace 1.1, block eigenvalue -0.3, a NaN population
+    "x_not_hermitian.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.1, 0.1, 0.05), (0, 3), 0.2),
+    "x_trace.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.2, 0.1, 0.05)),
+    "x_not_psd.txt": lambda: _x_state((0.5, 0.3, 0.2, 0.0, 0.24 ** 0.5, 0.0)),
+    "x_nan.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.1, 0.1, 0.05), (0, 0), np.nan),
 }
 
 
@@ -131,6 +143,10 @@ CASES = [
     Case("steady --delta -1e-3 --out negative_delta.csv", 2),  # a negative exponent-notation value
     Case("evolve --initial mixture:abc", 0, 2, 1),
     Case("evolve --initial custom@not_utf8.txt", 0, 2, 1),
+    Case("evolve --initial custom@x_not_hermitian.txt", 0, 2, 1),
+    Case("evolve --initial custom@x_trace.txt", 0, 2, 1),
+    Case("evolve --initial custom@x_not_psd.txt", 0, 2, 1),
+    Case("evolve --initial custom@x_nan.txt", 0, 2, 1),
     Case("steady --out missing_dir/x.csv", 0, 2, 1),
     Case("steady --out ''", 0, 2, 1),
     Case("steady --sweep delta:0:2.2:5", 0, 2, 1),  # the weak-coupling warning raised as an error

@@ -17,18 +17,21 @@ from helpers import (
     random_x_state,
     trace_norm,
 )
-from qcorr import linalg
+from qcorr import linalg, measures
 from qcorr import (
     NotHermitian,
     NotPSD,
     XColumns,
+    concurrence_general,
     concurrence_x,
+    correlated_coherence_general,
     correlations,
     hermitian_eigenvalues,
     is_x_shaped,
     lqu,
     make_mixture,
     make_werner,
+    min_trace_general,
     negativity,
     partial_transpose_b,
     psd_sqrt,
@@ -149,8 +152,8 @@ def _small_block(rng, kind, size, hermitian):
         rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
     if kind == "equal_diagonal":  # a = d: the eigenvector formula's h = 0 branch
         m[np.diag_indices(size)] = m[0, 0].real
-    if kind == "triangular" and size == 2:
-        m[1, 0] = 0.0
+    if kind == "triangular" and size == 2:  # upper or lower: one off-diagonal entry zero
+        m[(1, 0) if rng.random() < 0.5 else (0, 1)] = 0.0
     return m
 
 
@@ -449,6 +452,34 @@ def test_block_spin_flip_product_matches_the_dense_product(case):
     assert np.all(np.diff(lam) <= 0.0)
     np.testing.assert_array_equal(linalg._spin_flip_singular_values(
         psd_sqrt(beside_a_dense_matrix(m)))[0], lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_block_matrices(hermitian=True, n=4))
+def test_x_entry_routes_equal_the_public_dense_routes(case):
+    # the general routes that ``correlations`` takes on the X entries of X-shaped
+    # matrices against the public functions on the matrices: the root,
+    # concurrence, negativity and CC bit for bit, LQU and MIN within 4 ulps of
+    # the matrix's scale (their W and Gram entries come from the X entries
+    # directly, not from Pauli coordinates). At 2**900 the Gram matrix of the
+    # MIN overflows on both routes, so MIN is compared below that scale only
+    m, _, e = small_block_psd(case)[0], *case[1:3]
+    x = m.reshape(1, 16)[:, linalg._X_ENTRIES]
+    root = linalg._x_root(x)
+    assert root.tobytes() == psd_sqrt(m).reshape(1, 16)[:, linalg._X_ENTRIES].tobytes()
+    checks = []  # (name, closed form, reference) of each cross-check
+    with pytest.MonkeyPatch.context() as patch, np.errstate(
+            **dict.fromkeys(("over", "invalid"), "ignore" if e == 900 else "raise")):
+        patch.setattr(measures, "check_routes", checks.extend)
+        measures._x_values(x, root)
+    conc, _, neg, unc, cc, mt = (reference for _, _, reference in checks)
+    assert conc.tobytes() == np.atleast_1d(concurrence_general(m)).tobytes()
+    assert neg.tobytes() == np.atleast_1d(negativity(m)).tobytes()
+    assert cc.tobytes() == np.atleast_1d(correlated_coherence_general(m)).tobytes()
+    eps = np.finfo(float).eps
+    assert abs(unc[0] - lqu(m)) <= 4.0 * eps * max(1.0, np.abs(m).max())
+    if e < 900:
+        assert abs(mt[0] - min_trace_general(m)) <= 4.0 * eps * np.abs(m).max()
 
 
 def test_spin_flip_product_of_larger_blocks_is_the_dense_product_bit_for_bit():

@@ -1,6 +1,7 @@
 """Stacked evaluation: a stack of states gives what its matrices give one at a
 time, and a failing sample is named by its position (and, in evolve, its time)."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from helpers import (
     degenerate_marginal_state,
     random_balanced_x_state,
     random_density_matrix,
+    random_rank_one_x_state,
     random_x_state,
     rank_deficient_x_state,
     valid_x,
@@ -30,6 +32,7 @@ from qcorr import (
     correlations,
     evolve,
     hermitian_eigenvalues,
+    is_x_shaped,
     l1_coherence,
     log_negativity,
     lqu,
@@ -51,15 +54,21 @@ def x_state_with_zeros(rng, zero14: bool, zero23: bool) -> np.ndarray:
                    0.0 if zero14 else x.rho14, 0.0 if zero23 else x.rho23).to_matrix()
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(0, 3), min_size=7, max_size=7))
-def test_stack_matches_one_matrix_at_a_time(seed, counts):
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+       data=st.data())
+def test_stack_matches_one_matrix_at_a_time(seed, counts, data):
+    # X rows of every branch (zero coherences, rank-one and rank-deficient blocks,
+    # balanced x = 0) beside dense rows: each row gets bit for bit what it gets
+    # alone. Then, with invalid rows injected, one per drawn fault at a random
+    # position, the first in flat order raises as it does alone, named by its position
     rng = np.random.default_rng(seed)
     makers = [
         lambda: x_state_with_zeros(rng, zero14=False, zero23=True),
         lambda: x_state_with_zeros(rng, zero14=True, zero23=False),
         lambda: x_state_with_zeros(rng, zero14=True, zero23=True),
         lambda: rank_deficient_x_state(rng),
+        lambda: random_rank_one_x_state(rng).to_matrix(),
         lambda: random_balanced_x_state(rng).to_matrix(),
         lambda: random_density_matrix(rng),
         lambda: degenerate_marginal_state(rng),
@@ -68,11 +77,16 @@ def test_stack_matches_one_matrix_at_a_time(seed, counts):
     mats.append(make_mixture(rng.uniform(0.0, 1.0)).to_matrix())
     stack = np.array([mats[i] for i in rng.permutation(len(mats))])
 
-    table = np.array(correlations(stack).as_tuple())
+    columns = correlations(stack)
+    table = np.array(columns.as_tuple())
     assert table.shape == (7, len(stack))
     for i, rho in enumerate(stack):
         single = np.array(correlations(rho).as_tuple())
-        np.testing.assert_allclose(table[:, i], single, rtol=0.0, atol=1e-12)
+        if is_x_shaped(rho):
+            assert table[:, i].tobytes() == single.tobytes()
+        else:  # the dense W and Gram products round by stack shape, by up to 3.3e-16
+            np.testing.assert_allclose(table[:, i], single, rtol=0.0, atol=1e-15)
+    assert columns.l1_coherence.tobytes() == l1_coherence(stack).tobytes()
 
     # every X-shaped matrix keeps its exact zeros, and each matrix gets the
     # result it gets on its own: the square roots of the states and of their
@@ -84,6 +98,19 @@ def test_stack_matches_one_matrix_at_a_time(seed, counts):
     pts = partial_transpose_b(stack)
     for m, lam in zip(pts, hermitian_eigenvalues(pts)):
         np.testing.assert_array_equal(lam, hermitian_eigenvalues(m))
+
+    faults = data.draw(st.lists(st.sampled_from(["hermitian", "trace", "psd", "nan"]), unique=True))
+    first = len(stack)
+    for fault in faults:
+        at = data.draw(st.integers(0, len(stack) - 1))
+        stack[at] = faulty_sample(data.draw(st.sampled_from(["x", "dense"])), fault)
+        first = min(first, at)
+    if faults:
+        with pytest.raises((NotHermitian, TraceNotOne, NotPSD)) as alone:
+            correlations(stack[first])
+        with pytest.raises(type(alone.value)) as info:
+            correlations(stack)
+        assert (info.value.index, str(info.value)) == (first, str(alone.value))
 
 
 def test_square_roots_on_lapack_patterns_are_hermitian_and_stack():
@@ -124,30 +151,28 @@ def test_each_eigenproblem_is_solved_once(monkeypatch):
     assert shapes.count((len(traj.times), 4, 4)) == 1
     monkeypatch.undo()
 
-    # the fig1 stack has several nonzero patterns (sample 0 is the w = 1/2
-    # mixture, rho33 = rho23 = 0) inside the X blocks: each stacked solve is
-    # one closed-form group
-    groups, per_route = [], linalg._per_route
+    # the fig1 stack is X-shaped throughout, with several nonzero patterns
+    # (sample 0 is the w = 1/2 mixture, rho33 = rho23 = 0): no stacked solve
+    # takes a 4x4 matrix, and each 2x2 block problem is solved once for the
+    # whole stack, in closed form
+    calls = []
 
-    def counted(a, solve, *args):
-        calls = []
+    def counted(name, fn):
+        def call(*args):
+            calls.append((name, len(args[0])))
+            return fn(*args)
+        return call
 
-        def counted_solve(*solve_args):
-            calls.append(solve_args)
-            return solve(*solve_args)
-
-        parts = per_route(a, counted_solve, *args)
-        groups.append((len(a), len(calls)))
-        return parts
-
-    monkeypatch.setattr(linalg, "_per_route", counted)
+    for module, name in ((linalg, "_per_route"), (linalg, "_hermitian_2x2"),
+                         (measures, "_hermitian_2x2"), (linalg, "_singular_values_2x2")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     traj = evolve(make_mixture(0.5).to_matrix(), ModelParams(), t_max=100.0, dt=1e-3,
                   stride=100)
     assert len({(m != 0).tobytes() for m in traj.states}) > 1
-    stacked = [n_solves for n, n_solves in groups if n == len(traj.times)]
-    # the square roots of validation, the eigenvalues of the partial transpose,
-    # W and the MIN Gram matrix, and the concurrence's singular values
-    assert stacked == [1] * 5
+    stacked = sorted(name for name, n in calls if n == len(traj.times))
+    # the roots of validation's two blocks, the two partial-transpose blocks and
+    # the blocks of W and the MIN Gram matrix; the spin flip's two blocks
+    assert stacked == ["_hermitian_2x2"] * 6 + ["_singular_values_2x2"] * 2
 
 
 # one fixed invalid sample per fault, X-shaped and dense, with the class and
@@ -276,6 +301,42 @@ def test_cross_check_input_names_its_sample(monkeypatch):
         _evaluate_samples(times, states)
 
 
+@pytest.mark.parametrize("name, check", [
+    ("concurrence_x", "concurrence"), ("concurrence_dicke", "concurrence (Dicke basis)"),
+    ("negativity_x", "negativity"), ("lqu_x", "lqu"),
+    ("correlated_coherence", "correlated coherence"), ("min_trace", "min_trace"),
+])
+def test_each_closed_form_off_by_twice_its_tolerance_fails_its_check(monkeypatch, name, check):
+    # every closed form stays checked on X rows: off by 2 CROSS_CHECK_TOL, it
+    # misses its general route at the first X row, named by its stack position
+    # behind a dense row, which is not cross-checked
+    states, _ = full_rank_x_stack()
+    stack = np.concatenate([[random_density_matrix(np.random.default_rng(5))], states])
+    real = getattr(measures, name)
+    monkeypatch.setattr(measures, name, lambda x: real(x) + 2.0 * measures.CROSS_CHECK_TOL[check])
+    with pytest.raises(CrossCheckFailure, match=f"^{re.escape(check)}: closed form") as info:
+        correlations(stack)
+    assert info.value.index == 1
+
+
+def test_x_rows_report_the_trace_np_trace_sums():
+    # X rows sum their diagonal, imaginary parts included, in np.trace's order:
+    # a failing trace reads as the dense check reports it, for one matrix and
+    # for a stack (k, 4, 4) whose failing matrix sits at a nonzero position
+    rng = np.random.default_rng(53)
+    for _ in range(300):
+        diag = rng.random(4) * 10.0 ** rng.integers(-8, 1, 4) + 1j * rng.uniform(-5e-11, 5e-11, 4)
+        m = np.diag(diag)
+        with pytest.raises(TraceNotOne, match=re.escape(f"trace = {complex(np.trace(m))!r}, ")):
+            validate(m)
+        k = int(rng.integers(1, 6))
+        stack = np.array([make_werner(0.2).to_matrix()] * k + [m, np.diag(diag[::-1])])
+        trace = complex(np.trace(stack, axis1=1, axis2=2)[k])
+        with pytest.raises(TraceNotOne, match=re.escape(f"trace = {trace!r}, ")) as info:
+            validate(stack)
+        assert info.value.index == k
+
+
 def random_x_stack(rng, n: int) -> np.ndarray:
     pops = rng.random((4, n)) + 0.05
     pops /= pops.sum(axis=0)
@@ -293,7 +354,7 @@ def random_dense_stack(rng, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("make, n", [(random_x_stack, 20_000), (random_dense_stack, 4_000)])
 def test_correlations_peak_memory_is_bounded_by_its_input(make, n):
-    # the general routes' temporaries set the peak; both stacks measure about 4.3x
+    # the routes' temporaries set the peak: the X stack measures about 2.9x, the dense 4.3x
     stack = make(np.random.default_rng(7), n)
     correlations(stack[:3])  # one-off caches and imports stay out of the peak
     tracemalloc.start()
