@@ -23,13 +23,15 @@ from .measures import (
 )
 from .model import (ModelParams, _PAULI, _from_pauli, _to_pauli, hamiltonian, spin_lowering,
                     spin_raising)
-from .states import XColumns, _validated, validate
+from .states import XColumns, _validated, is_x_shaped
 
 STEADY_RHS_TOL = 1e-12
 # bound on the samples of one evolve run: about 26 MB of states. A run at the bound takes
-# 0.5-0.7 s and peaks at 129-130 MB RSS (x86-64 Linux, 2 cores, numpy 2.4.6); the
+# 0.3-0.45 s and peaks at 129-130 MB RSS (x86-64 Linux, 2 cores, numpy 2.4.6); the
 # tests/smoke.py case "evolve --t-max 99.999 --stride 1" fails above 250 MB
 MAX_SAMPLES = 100_000
+# the Pauli coordinates 4a + b of the X-shaped s_a ox s_b: a block the generator never leaves
+_X_COORDS = [0, 3, 5, 6, 9, 10, 12, 15]
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
 _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),
                                               spin_raising(1), spin_raising(2)))
@@ -81,13 +83,14 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
     return out
 
 
-def _liouvillian(params: ModelParams) -> np.ndarray:
+def _liouvillian(params: ModelParams, coords=slice(None)) -> np.ndarray:
     """``lindblad_rhs`` in Pauli coordinates (see ``model._PAULI``): the real
-    16x16 matrix with entry (k, l) = tr(P_k rhs(P_l / 4)). Row 0, the trace of
-    the right-hand side, is set to exactly 0, so every propagated state keeps
-    its trace exactly and rebuilds to an exactly Hermitian matrix."""
+    matrix with entry (k, l) = tr(P_k rhs(P_l / 4)) for k, l in ``coords`` (all
+    16, or ``_X_COORDS``). Row 0, the trace of the right-hand side, is set to
+    exactly 0, so every propagated state keeps its trace exactly and rebuilds
+    to an exactly Hermitian matrix."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: inf/nan, rejected later
-        lv = _to_pauli(lindblad_rhs(_PAULI / 4.0, params)).T.copy()  # C order
+        lv = _to_pauli(lindblad_rhs(_PAULI[coords] / 4.0, params))[:, coords].T.copy()  # C order
     lv[0] = 0.0
     return lv
 
@@ -135,14 +138,17 @@ def evolve(
     ----------
     rho0 : 4x4 array
         Initial density matrix (``XColumns.to_matrix()`` for an X state);
-        validated before the run.
+        validated as sample 0 of the stack (see below).
     t_max, dt : float
         Horizon and step (t_max is rounded to a whole number of steps).
     stride : int
         Sampling interval in steps; the final step is always sampled.
 
     The state is propagated as its real Pauli coordinates y (see
-    ``_liouvillian``), whose trace y_0 no step changes. The ``stride`` RK4
+    ``_liouvillian``), whose trace y_0 no step changes: the eight X
+    coordinates ``_X_COORDS`` when ``rho0`` is exactly X-shaped (the generator
+    never couples them to the others, so the samples stay exactly X-shaped
+    and take the X closed forms), all 16 otherwise. The ``stride`` RK4
     steps between two samples are one map T = I + Phi L (see
     ``_increment_operator``). The samples are filled by doubling: with the
     first m known and T^m = I + Phi_m L, the next m are y + Phi_m (L y) of
@@ -154,10 +160,9 @@ def evolve(
     ``steady_time`` applies STEADY_RHS_TOL to the entries of the rebuilt
     matrices of L y, rebuilding only where L y does not decide it
     (``_steady_rows``). The sampled states are then checked and evaluated as
-    one stack (``_evaluate_samples``): a state that fails validation raises
-    StepRejected with its time. The generator never couples the X Pauli
-    coordinates to the others, so an exactly X-shaped ``rho0`` gives exactly
-    X-shaped samples, which take the X closed forms.
+    one stack (``_evaluate_samples``): an invalid ``rho0`` raises as
+    ``validate`` does (ValueError before the run if it is not 4x4), a later
+    state that fails validation StepRejected with its time.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"dt must be positive and finite, got {dt}")
@@ -173,18 +178,21 @@ def evolve(
                           f"give more than MAX_SAMPLES = {MAX_SAMPLES} samples")
 
     stride = min(stride, max(n_steps, 1))  # a longer stride samples the same two times
-    mat0 = validate(rho0)
+    mat0 = np.asarray(rho0, dtype=complex)
+    if mat0.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {mat0.shape}")
+    coords = _X_COORDS if is_x_shaped(mat0) else slice(None)
 
-    lv = _liouvillian(params)
+    lv = _liouvillian(params, coords)
     phi = _increment_operator(lv, dt, stride)
     phi_last = _increment_operator(lv, dt, n_steps % stride) if n_steps % stride else phi
     # float step counts: a stride or horizon past int64 must not overflow
     times = np.minimum(np.arange(n_samples) * float(stride), float(n_steps)) * dt
     n_whole = n_steps // stride + 1  # samples a whole number of strides apart
-    states = np.empty((n_samples, 16))  # Pauli coordinates
+    states = np.empty((n_samples, len(lv)))  # Pauli coordinates
     rhs = np.empty_like(states)  # L y of each sample
-    states[0] = _to_pauli(mat0)
     with np.errstate(over="ignore", invalid="ignore"):  # unstable dt: inf/nan, rejected below
+        states[0] = _to_pauli(mat0)[coords]  # overflows only for an invalid rho0
         rhs[:1] = _apply(lv, states[:1])
         done, phi_done = 1, phi  # T^done = I + phi_done L for the one-sample RK4 map T
         while done < n_whole:
@@ -193,12 +201,12 @@ def evolve(
             rhs[done:done + k] = _apply(lv, states[done:done + k])
             done += k
             if done < n_whole:
-                phi_done = phi_done @ (2.0 * np.eye(16) + lv @ phi_done)
+                phi_done = phi_done @ (2.0 * np.eye(len(lv)) + lv @ phi_done)
         if n_samples > n_whole:
             states[-1:] = states[-2:-1] + _apply(phi_last, rhs[-2:-1])
             rhs[-1:] = _apply(lv, states[-1:])
-        steady = _steady_rows(rhs)
-    mats = _from_pauli(states)
+        steady = _steady_rows(rhs, coords)
+    mats = _from_pauli(states, coords)
     del states, rhs
     mats[0] = mat0  # the t = 0 sample is the given matrix, bit for bit
     corr = _evaluate_samples(times, mats)
@@ -206,14 +214,15 @@ def evolve(
     return Trajectory(times, mats, corr, params, dt, steady_time)
 
 
-def _steady_rows(rhs: np.ndarray) -> np.ndarray:
-    """Rows r of L y whose rebuilt matrix has no entry above STEADY_RHS_TOL. A rebuilt entry
-    sums four terms +-r_k/4 and an r_k four entries, so whatever the rebuild rounds, max |r_k|
-    <= tol/4 is steady and > 8 tol is not: only rows in between or with a NaN are rebuilt."""
+def _steady_rows(rhs: np.ndarray, coords=slice(None)) -> np.ndarray:
+    """Rows r of L y, the Pauli coordinates ``coords``, whose rebuilt matrix has no entry above
+    STEADY_RHS_TOL. A rebuilt entry sums four terms +-r_k/4 and an r_k four entries, so whatever
+    the rebuild rounds, max |r_k| <= tol/4 is steady and > 8 tol is not: only rows in between or
+    with a NaN are rebuilt."""
     m = np.abs(rhs).max(axis=1)
     steady = m <= STEADY_RHS_TOL / 4.0
     rebuild = np.flatnonzero(~(steady | (m > 8.0 * STEADY_RHS_TOL)))  # a NaN fails both
-    steady[rebuild] = np.abs(_from_pauli(rhs[rebuild])).max(axis=(1, 2)) <= STEADY_RHS_TOL
+    steady[rebuild] = np.abs(_from_pauli(rhs[rebuild], coords)).max(axis=(1, 2)) <= STEADY_RHS_TOL
     return steady
 
 
@@ -224,15 +233,18 @@ def _evaluate_samples(times: np.ndarray, states: np.ndarray) -> CorrelationSet:
     One ``correlations`` call validates and evaluates the samples, so a
     sample stack that validates is diagonalized once. Raises for the first
     failing sample in time order, and at one sample validation comes before
-    the cross-check: StepRejected for a failed validation, CrossCheckFailure
-    naming the sample's time for a cross-check miss. A validation failure at
-    sample k evaluates ``states[:k]`` again, so that an earlier cross-check
-    miss is reported instead.
+    the cross-check: a failed validation raises as ``validate`` at sample 0
+    (the initial state) and StepRejected later, a cross-check miss
+    CrossCheckFailure naming the sample's time. A validation failure at sample
+    k > 0 evaluates ``states[:k]`` again, so that an earlier cross-check miss
+    is reported instead.
     """
     try:
         try:
             return correlations(states)
         except (NotHermitian, TraceNotOne, NotPSD) as exc:
+            if exc.index == 0:  # the initial state, as ``validate`` alone would report it
+                raise
             correlations(states[:exc.index])
             raise StepRejected(float(times[exc.index]), str(exc)) from None
     except CrossCheckFailure as exc:

@@ -63,13 +63,14 @@ def _to_pauli(rho) -> np.ndarray:
     return r
 
 
-def _from_pauli(r) -> np.ndarray:
-    """The matrices (1/4) sum_k r_k P_k, shape (..., 4, 4), of coordinates
-    (..., 16). Real coordinates give exactly Hermitian matrices: the entries
-    (i, j) and (j, i) sum the same terms in the same order, which a real einsum
-    over the (re, im) view keeps and a BLAS product's blocked kernels need not."""
+def _from_pauli(r, coords=slice(None)) -> np.ndarray:
+    """The matrices (1/4) sum_k r_k P_k, shape (..., 4, 4), of the coordinates
+    k in ``coords`` (all 16 by default; the others are zero). Real coordinates
+    give exactly Hermitian matrices: the entries (i, j) and (j, i) sum the same
+    terms in the same order, which a real einsum over the (re, im) view keeps
+    and a BLAS product's blocked kernels need not."""
     r = np.asarray(r, dtype=float)
-    flat = np.einsum("...k,kj->...j", r, _REBUILD)
+    flat = np.einsum("...k,kj->...j", r, _REBUILD[coords])
     return flat.view(complex).reshape(r.shape[:-1] + (4, 4))
 
 

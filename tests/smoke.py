@@ -29,10 +29,15 @@ Run = namedtuple("Run", "argv cwd code out err cpu_s wall_s peak_mb")  # of one 
 Case = namedtuple("Case", "argv lines code err_lines checks", defaults=(0, 0, ()))
 
 
-def _seeded(mask) -> bytes:  # the seeded full-rank state, zero where mask is
+def _seeded(mask, fault=lambda m: m) -> bytes:  # the seeded full-rank state, zero where mask is
     g = mask * (np.random.default_rng(0).standard_normal((4, 4, 2)) @ [1, 1j])
     rho = g @ g.conj().T
-    return dumps_density_matrix((rho + rho.conj().T) / (2 * np.trace(rho).real)).encode()
+    return dumps_density_matrix(fault((rho + rho.conj().T) / (2 * np.trace(rho).real))).encode()
+
+
+def _set(m, at, value):  # m with its entry ``at`` set to value
+    m[at] = value
+    return m
 
 
 def _x_state(entries, at=None, value=None) -> bytes:  # an X state's matrix, maybe one entry set
@@ -58,6 +63,13 @@ INPUTS = {
     "x_trace.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.2, 0.1, 0.05)),
     "x_not_psd.txt": lambda: _x_state((0.5, 0.3, 0.2, 0.0, 0.24 ** 0.5, 0.0)),
     "x_nan.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.1, 0.1, 0.05), (0, 0), np.nan),
+    # the same faults of the dense state: rho12 - rho21* = 0.1, trace 1.1, rho22 = -0.1 and a NaN
+    # rho12, off the X pattern
+    "dense_not_hermitian.txt": lambda: _seeded(1, lambda m: _set(m, (0, 1), m[0, 1] + 0.1)),
+    "dense_trace.txt": lambda: _seeded(1, lambda m: 1.1 * m),
+    "dense_not_psd.txt": lambda: _seeded(1, lambda m: m + (m[1, 1].real + 0.1)
+                                         * np.diag([1.0, -1.0, 0.0, 0.0])),
+    "dense_nan.txt": lambda: _seeded(1, lambda m: _set(m, (0, 1), np.nan)),
 }
 
 
@@ -147,6 +159,10 @@ CASES = [
     Case("evolve --initial custom@x_trace.txt", 0, 2, 1),
     Case("evolve --initial custom@x_not_psd.txt", 0, 2, 1),
     Case("evolve --initial custom@x_nan.txt", 0, 2, 1),
+    Case("evolve --initial custom@dense_not_hermitian.txt", 0, 2, 1),
+    Case("evolve --initial custom@dense_trace.txt", 0, 2, 1),
+    Case("evolve --initial custom@dense_not_psd.txt", 0, 2, 1),
+    Case("evolve --initial custom@dense_nan.txt", 0, 2, 1),
     Case("steady --out missing_dir/x.csv", 0, 2, 1),
     Case("steady --out ''", 0, 2, 1),
     Case("steady --sweep delta:0:2.2:5", 0, 2, 1),  # the weak-coupling warning raised as an error

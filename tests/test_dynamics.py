@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,10 +46,11 @@ from qcorr import (
     steady_state_thermal,
     correlated_coherence,
 )
-from qcorr.dynamics import (STEADY_RHS_TOL, _increment_operator, _liouvillian, _steady_closed_forms,
-                            _steady_rows, _steady_scales)
-from qcorr.model import _from_pauli
-from qcorr.states import is_x_shaped
+from qcorr import dynamics
+from qcorr.dynamics import (STEADY_RHS_TOL, _X_COORDS, _apply, _increment_operator,
+                            _liouvillian, _steady_closed_forms, _steady_rows, _steady_scales)
+from qcorr.model import _from_pauli, _to_pauli
+from qcorr.states import is_x_shaped, validate
 
 P_REF = ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)
 
@@ -71,8 +73,6 @@ def test_liouvillian_equals_rhs_of_basis_matrices(j, delta, omega, gamma, nbar):
     assert np.abs(gen[0]).max() <= 4.0 * np.finfo(float).eps * np.abs(gen).max()
 
 
-# the Pauli coordinates 4a + b of the products s_a ox s_b that are X-shaped
-_X_COORDS = [0, 3, 5, 6, 9, 10, 12, 15]
 _OTHER_COORDS = [k for k in range(16) if k not in _X_COORDS]
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -115,6 +115,113 @@ def test_exactly_x_starts_give_exactly_x_samples(j, delta, omega, gamma, nbar, s
     rho0 = random_x_state(np.random.default_rng(seed)).to_matrix()
     traj = evolve(rho0, p, t_max=n_steps * dt, dt=dt, stride=stride)
     assert is_x_shaped(traj.states).all()
+
+
+def _full_coordinate_run(rho0, params, n_steps, dt, stride):
+    """The Pauli coordinates of the samples of ``evolve`` computed on all 16
+    coordinates: the same increment operators and doubling, on the full
+    generator."""
+    lv = _liouvillian(params)
+    phi = _increment_operator(lv, dt, stride)
+    n_whole = n_steps // stride + 1
+    ys = _to_pauli(rho0)[None]
+    while len(ys) < n_whole:
+        k = min(len(ys), n_whole - len(ys))
+        ys = np.concatenate([ys, ys[:k] + _apply(phi, _apply(lv, ys[:k]))])
+        phi = phi @ (2.0 * np.eye(16) + lv @ phi)
+    if n_steps % stride:
+        last = _increment_operator(lv, dt, n_steps % stride)
+        ys = np.concatenate([ys, ys[-1:] + _apply(last, _apply(lv, ys[-1:]))])
+    return ys
+
+
+@settings(max_examples=60, deadline=None)
+@example(j=0.1, delta=0.5, omega=1.3, gamma=0.1, nbar=0.5, seed=1, n_steps=250, stride=40)
+@given(j=_COUPLING, delta=_COUPLING, omega=st.floats(1e-1, 1e1), gamma=st.floats(1e-3, 1.0),
+       nbar=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1), n_steps=st.integers(0, 400),
+       stride=st.integers(1, 50))
+def test_x_coordinate_run_matches_the_full_coordinate_run(j, delta, omega, gamma, nbar, seed,
+                                                          n_steps, stride):
+    # an X start is propagated on its eight X coordinates. Its 8x8 products sum
+    # the same nonzero terms as the 16x16 ones, grouped differently, so the
+    # samples round apart by a few ulps of the coordinates' scale at each
+    # doubling (at most 10 per doubling and 66 in all, over 3300 random draws)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # strong couplings are drawn on purpose
+        p = ModelParams(j=j, delta=delta, omega=omega, gamma=gamma, nbar=nbar)
+    dt = 0.5 / (abs(j) + math.hypot(delta, omega) + gamma * (2.0 * nbar + 1.0))  # RK4-stable
+    rho0 = random_x_state(np.random.default_rng(seed)).to_matrix()
+    traj = evolve(rho0, p, t_max=n_steps * dt, dt=dt, stride=stride)
+    ys = _full_coordinate_run(rho0, p, n_steps, dt, stride)
+    assert len(traj.states) == len(ys)
+    assert np.array_equal(traj.states[0], rho0)
+    deviation = np.abs(traj.states[1:] - _from_pauli(ys[1:])).max(initial=0.0)
+    doublings = (len(ys) - 1).bit_length()
+    assert deviation <= 16.0 * (doublings + 1) * np.finfo(float).eps * np.abs(ys).max()
+    assert is_x_shaped(traj.states).all()
+    np.testing.assert_array_equal(traj.states, traj.states.conj().swapaxes(-1, -2))
+
+
+def test_x_starts_build_the_8x8_generator_and_dense_starts_the_16x16(monkeypatch):
+    shapes = []
+
+    def recorded(params, *coords):
+        lv = _liouvillian(params, *coords)
+        shapes.append(lv.shape)
+        return lv
+
+    monkeypatch.setattr(dynamics, "_liouvillian", recorded)
+    rng = np.random.default_rng(5)
+    for rho0 in (random_x_state(rng).to_matrix(), random_density_matrix(rng)):
+        evolve(rho0, P_REF, t_max=1.0, dt=1e-2, stride=7)
+    assert shapes == [(8, 8), (16, 16)]
+
+
+def _faulty_states():
+    """(name, rho0): each fault of a density matrix, on an X-shaped and a dense
+    state, that keeps the other checks satisfied where it can."""
+    rng = np.random.default_rng(17)
+    for kind, m in (("x", random_x_state(rng).to_matrix()), ("dense", random_density_matrix(rng))):
+        not_hermitian, nan, huge = m.copy(), m.copy(), m.copy()
+        not_hermitian[0, 3 if kind == "x" else 1] += 0.1
+        nan[0, 0] = np.nan
+        huge[0, 3] = huge[3, 0] = 1e308  # its Pauli coordinates overflow
+        yield f"{kind} not hermitian", not_hermitian
+        yield f"{kind} trace", 1.1 * m
+        yield f"{kind} not psd", m + (m[1, 1].real + 0.1) * np.diag([1.0, -1.0, 0.0, 0.0])
+        yield f"{kind} nan", nan
+        yield f"{kind} huge", huge
+        if kind == "dense":
+            off_x_nan = m.copy()
+            off_x_nan[0, 1] = np.nan
+            yield "dense nan off the x pattern", off_x_nan
+
+
+@pytest.mark.parametrize("name, rho0", [pytest.param(*case, id=case[0].replace(" ", "_"))
+                                         for case in _faulty_states()])
+def test_an_invalid_initial_state_raises_as_validate_does(name, rho0):
+    # the initial state is validated once, as sample 0 of the stack: a fault
+    # there is a configuration error, not a rejected step
+    with pytest.raises(ValueError) as expected:
+        validate(rho0)
+    assert is_x_shaped(rho0) == name.startswith("x")
+    with pytest.raises(ValueError) as got:
+        evolve(rho0, P_REF, t_max=1.0, dt=1e-2, stride=10)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert got.value.index == expected.value.index == 0
+
+
+@pytest.mark.parametrize("rho0", [np.eye(2) / 2.0, np.eye(16) / 16.0,
+                                  np.stack([np.eye(4) / 4.0] * 2), np.ones(4) / 4.0],
+                         ids=["2x2", "16x16", "stack", "vector"])
+def test_an_initial_state_that_is_not_4x4_is_refused_before_propagation(rho0, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("propagation started")
+
+    monkeypatch.setattr(dynamics, "_liouvillian", unreachable)
+    with pytest.raises(ValueError, match=f"shape {re.escape(str(rho0.shape))}"):
+        evolve(rho0, P_REF, t_max=1.0, dt=1e-2)
 
 
 def test_rhs_vanishes_on_steady_state():

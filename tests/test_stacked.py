@@ -136,8 +136,10 @@ def test_square_roots_on_lapack_patterns_are_hermitian_and_stack():
 
 def test_each_eigenproblem_is_solved_once(monkeypatch):
     # a dense evolve diagonalizes its sample stack once, for validation, and
-    # the general routes reuse the square root it returns; validation takes
-    # the private solver entry, so count the root solves that reach it
+    # the general routes reuse the square root it returns; the initial state
+    # is validated as sample 0 of the stack, with no solve of its own.
+    # Validation takes the private solver entry, so count the root solves that
+    # reach it
     shapes, per_route = [], linalg._per_route
 
     def recorded(a, solve, *args):
@@ -148,7 +150,7 @@ def test_each_eigenproblem_is_solved_once(monkeypatch):
     monkeypatch.setattr(linalg, "_per_route", recorded)
     rho = random_density_matrix(np.random.default_rng(3))
     traj = evolve(rho, ModelParams(nbar=0.5), t_max=1.0, dt=0.01, stride=1)
-    assert shapes.count((len(traj.times), 4, 4)) == 1
+    assert shapes == [(len(traj.times), 4, 4)]
     monkeypatch.undo()
 
     # the fig1 stack is X-shaped throughout, with several nonzero patterns
