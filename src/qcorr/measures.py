@@ -46,6 +46,7 @@ _OFF_DIAGONAL = {n: 1.0 - np.eye(n) for n in (2, 4)}
 # products P_4a Q_i come first, far cheaper at import than one four-operand einsum
 _PAULI_A_PRODUCTS = _PAULI[::4, None] @ _PAULI[4::4]
 _W_TABLE = np.einsum("aimn,cjnm->acij", _PAULI_A_PRODUCTS, _PAULI_A_PRODUCTS).real / 16.0
+_W_TERMS = [(a, c, _W_TABLE[a, c]) for a in range(4) for c in range(4) if _W_TABLE[a, c].any()]
 
 
 class CorrelationSet(FrozenRecord):
@@ -172,9 +173,12 @@ def _log_negativity_from(neg):
 
 def _w_matrix_general(sqrt_rho: np.ndarray) -> np.ndarray:
     # W = C : _W_TABLE (see ``lqu``), exact as tr(P_4a+b Q_i P_4c+d Q_j) vanishes unless
-    # b = d and does not depend on b; then made exactly symmetric
+    # b = d and does not depend on b; then made exactly symmetric. Both sums are
+    # elementwise in a fixed order, so a matrix gets the same W alone as in any stack,
+    # which einsum's reduction loops do not promise
     s = _to_pauli(sqrt_rho).reshape(sqrt_rho.shape[:-2] + (4, 4))
-    w = np.einsum("...ac,acij->...ij", np.einsum("...ab,...cb->...ac", s, s), _W_TABLE)
+    c = sum(s[..., :, None, b] * s[..., None, :, b] for b in range(4))
+    w = sum(c[..., a, k, None, None] * table for a, k, table in _W_TERMS)
     return (w + w.swapaxes(-1, -2)) / 2.0
 
 
@@ -277,9 +281,12 @@ def min_trace_general(rho) -> float:
     a, t = r[:, 1:, 0], r[:, 1:, 1:]
     norm = np.linalg.norm(a, axis=1, keepdims=True)
     n = np.divide(a, norm, out=np.zeros_like(a), where=norm > X_BRANCH_TOL)
-    pt = t - n[:, :, None] * (n[:, None, :] @ t)
-    # the Gram matrix of P T (not T^T (P T)) keeps a zero MIN at round-off squared
-    lam_max = hermitian_eigenvalues(pt.swapaxes(1, 2) @ pt)[:, -1]
+    # n^T T and the Gram matrix of P T (not T^T (P T), which keeps a zero MIN at
+    # round-off squared) as elementwise sums in a fixed order: a matrix gets the same
+    # MIN alone as in any stack, which stacked matmul does not promise
+    pt = t - n[:, :, None] * sum(n[:, k, None, None] * t[:, k, None, :] for k in range(3))
+    lam_max = hermitian_eigenvalues(sum(pt[:, k, :, None] * pt[:, k, None, :]
+                                        for k in range(3)))[:, -1]
     return np.sqrt(np.maximum(lam_max, 0.0)).reshape(rho.shape[:-2])[()]
 
 

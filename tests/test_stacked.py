@@ -32,7 +32,6 @@ from qcorr import (
     correlations,
     evolve,
     hermitian_eigenvalues,
-    is_x_shaped,
     l1_coherence,
     log_negativity,
     lqu,
@@ -59,8 +58,8 @@ def x_state_with_zeros(rng, zero14: bool, zero23: bool) -> np.ndarray:
        data=st.data())
 def test_stack_matches_one_matrix_at_a_time(seed, counts, data):
     # X rows of every branch (zero coherences, rank-one and rank-deficient blocks,
-    # balanced x = 0) beside dense rows: each row gets bit for bit what it gets
-    # alone. Then, with invalid rows injected, one per drawn fault at a random
+    # balanced x = 0) beside dense rows: each row, X or dense, gets bit for bit
+    # what it gets alone. Then, with invalid rows injected, one per drawn fault at a random
     # position, the first in flat order raises as it does alone, named by its position
     rng = np.random.default_rng(seed)
     makers = [
@@ -81,11 +80,7 @@ def test_stack_matches_one_matrix_at_a_time(seed, counts, data):
     table = np.array(columns.as_tuple())
     assert table.shape == (7, len(stack))
     for i, rho in enumerate(stack):
-        single = np.array(correlations(rho).as_tuple())
-        if is_x_shaped(rho):
-            assert table[:, i].tobytes() == single.tobytes()
-        else:  # the dense W and Gram products round by stack shape, by up to 3.3e-16
-            np.testing.assert_allclose(table[:, i], single, rtol=0.0, atol=1e-15)
+        assert table[:, i].tobytes() == np.array(correlations(rho).as_tuple()).tobytes()
     assert columns.l1_coherence.tobytes() == l1_coherence(stack).tobytes()
 
     # every X-shaped matrix keeps its exact zeros, and each matrix gets the
