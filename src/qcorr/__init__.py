@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import (
     hermitian_eigenvalues,
+    is_x_shaped,
     partial_transpose_b,
     psd_sqrt,
     singular_values,
@@ -33,7 +34,6 @@ from .states import (
     DickeColumns,
     XColumns,
     dumps_density_matrix,
-    is_x_shaped,
     loads_density_matrix,
     make_mixture,
     make_werner,

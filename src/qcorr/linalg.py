@@ -9,17 +9,17 @@ eigensolver: the eigenvalues (``hermitian_eigenvalues``), or the eigenvalues
 together with the square root (``psd_sqrt``); every singular-value problem
 goes through ``singular_values``. Internal solves of matrices that are
 already checked or Hermitian by construction skip the re-check
-(``_psd_root``, ``_eigenvalues``). Each size has fixed closed-form blocks:
-the X pattern ((0, 3) and (1, 2)) of a 4x4 matrix, (0, 1) and (2,) of a 3x3
-one and the whole of a 2x2 one. A matrix that is exactly zero outside them
-is solved block by block by the column kernels ``_hermitian_2x2`` (eigenvalues
-and square root) and ``_singular_values_2x2``, which take each entry of a
-block as an array over the stack; its exact zeros survive the solve. The same
-kernels solve X-shaped matrices given by their eight X entries alone
-(``_X_ENTRIES``, named by ``XEntries``; ``_x_root``, ``_spin_flip_x``), as
-``measures.correlations`` reads them, so an X-shaped matrix takes no dense
-complex matrix product; matrices and X entries alike take their block
-eigenvalues and roots from ``_eigen_of_entries``. Every other matrix goes as
+(``_psd_root``, ``_eigenvalues``). The one closed-form block structure is
+the X pattern ((0, 3) and (1, 2)) of a 4x4 matrix. An X-shaped matrix
+(``is_x_shaped``: exactly zero outside it) is solved block by block by the
+column kernels ``_hermitian_2x2`` (eigenvalues and square root) and
+``_singular_values_2x2``, which take each entry of a block as an array over
+the stack; its exact zeros survive the solve. The same kernels solve X-shaped
+matrices given by their eight X entries alone (``_X_ENTRIES``, named by
+``XEntries``; ``_x_root``, ``_spin_flip_x``), as ``measures.correlations``
+reads them, so an X-shaped matrix takes no dense complex matrix product;
+matrices and X entries alike take their block eigenvalues and roots from
+``_eigen_of_entries``. Every other matrix, 2x2 and 3x3 ones included, goes as
 it is to LAPACK (``eigvalsh``, ``eigh`` or ``svd``) and to dense products,
 and carries LAPACK's round-off even where it is block-sparse. A stack that
 holds both kinds is solved as those two groups, so every matrix gets what it
@@ -39,20 +39,16 @@ from .errors import NotHermitian, NotPSD, raise_first
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 
-# the blocks solved in closed form, per size: the X pattern of a 4x4 matrix (X
-# states, their partial transposes and square roots), and the patterns of the
-# 3x3 W and MIN Gram matrices and of 2x2 matrices; and the entries outside them
-_SMALL_BLOCKS = {4: ((0, 3), (1, 2)), 3: ((0, 1), (2,)), 2: ((0, 1),)}
-_OFF_BLOCKS = {n: np.array([[not any(i in b and j in b for b in blocks) for j in range(n)]
-                            for i in range(n)]) for n, blocks in _SMALL_BLOCKS.items()}
-# per size, the flat positions (row-major) of the entries inside the blocks, which the
-# closed-form kernels take as a stack (k, E) of columns, and each block's columns in it:
-# (ii,) or (ii, ij, ji, jj). X-shaped matrices travel as their X entries (k, 8), whose
-# columns XEntries(*x.T) names, 1-based
-_BLOCK_ENTRIES = {n: np.flatnonzero(~off) for n, off in _OFF_BLOCKS.items()}
-_BLOCK_COLUMNS = {n: [np.searchsorted(_BLOCK_ENTRIES[n], [p * n + q for p in b for q in b])
-                      for b in blocks] for n, blocks in _SMALL_BLOCKS.items()}
-_X_ENTRIES = _BLOCK_ENTRIES[4]
+# the X pattern of a 4x4 matrix, the only blocks solved in closed form (X states, their
+# partial transposes and square roots), and the entries outside it
+_X_BLOCKS = ((0, 3), (1, 2))
+_OFF_X = np.array([[not any(i in b and j in b for b in _X_BLOCKS) for j in range(4)]
+                   for i in range(4)])
+# the flat positions (row-major) of the X entries, which the closed-form kernels take as a
+# stack (k, 8) of columns named by XEntries(*x.T), 1-based, and each block's columns in it:
+# (ii, ij, ji, jj)
+_X_ENTRIES = np.flatnonzero(~_OFF_X)
+_X_COLUMNS = [np.searchsorted(_X_ENTRIES, [p * 4 + q for p in b for q in b]) for b in _X_BLOCKS]
 XEntries = namedtuple("XEntries", [f"r{p // 4 + 1}{p % 4 + 1}" for p in _X_ENTRIES])
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
 
@@ -87,21 +83,28 @@ def _require_hermitian_entries(entries: np.ndarray, where: np.ndarray, n: int):
     raise_first(~(deviation <= HERMITICITY_TOL), NotHermitian, describe)
 
 
+def is_x_shaped(rho):
+    """True iff every entry outside the X pattern is exactly zero (-0.0
+    counts as zero); one flag per matrix for a stack (..., 4, 4)."""
+    return ~np.asarray(rho)[..., _OFF_X].any(-1)
+
+
 def _per_route(a: np.ndarray, solve, *args) -> list[np.ndarray]:
-    """``solve(matrices, small, *args)``, which returns arrays over the
-    matrices' leading axis, applied to the matrices of a stack (..., n, n)
-    that are zero outside the closed-form blocks of size n (``small``) and to
-    the others; the results come back in stack order and shape."""
+    """``solve(matrices, x_shaped, *args)``, which returns arrays over the
+    matrices' leading axis, applied to the X-shaped matrices of a stack
+    (..., 4, 4) (``x_shaped``) and to the others; the results come back in
+    stack order and shape. A stack of 2x2 or 3x3 matrices is solved whole
+    with ``x_shaped`` false."""
     n = a.shape[-1]
-    if n not in _SMALL_BLOCKS:
+    if n not in (2, 3, 4):
         raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
     flat = a.reshape(-1, n, n)
-    small = ~(flat != 0)[:, _OFF_BLOCKS[n]].any(-1)
-    if small.all() or not small.any():  # one route (an empty stack is small): no scatter
-        parts = solve(flat, bool(small.all()), *args)
+    x = is_x_shaped(flat) if n == 4 else np.zeros(len(flat), bool)
+    if not x.any() or x.all():  # one route (an empty stack takes LAPACK's): no scatter
+        parts = solve(flat, bool(x.any()), *args)
     else:
         parts = None
-        for route, rows in ((True, small), (False, ~small)):
+        for route, rows in ((True, x), (False, ~x)):
             part = solve(flat[rows], route, *args)
             if parts is None:
                 parts = [np.empty((len(flat),) + p.shape[1:], p.dtype) for p in part]
@@ -113,14 +116,13 @@ def _per_route(a: np.ndarray, solve, *args) -> list[np.ndarray]:
 def hermitian_eigenvalues(mat) -> np.ndarray:
     """Ascending eigenvalues of Hermitian matrices.
 
-    A matrix that is zero outside the closed-form blocks of its size (X
-    states, their partial transposes, and the 3x3 W and MIN Gram matrices of
-    X states) is solved block by block in closed form (``_hermitian_2x2``),
-    and an exactly singular block keeps its exact zero eigenvalue. Every
-    other matrix goes to LAPACK ``eigvalsh``. Each matrix of a stack gets the
-    result it would get on its own. ``mat`` is one matrix or a stack
-    (..., m, m) of size 2, 3 or 4, Hermitian within HERMITICITY_TOL; real
-    symmetric input is solved in real arithmetic.
+    An X-shaped 4x4 matrix (X states and their partial transposes) is
+    solved block by block in closed form (``_hermitian_2x2``), and an exactly
+    singular block keeps its exact zero eigenvalue. Every other matrix, 2x2
+    and 3x3 ones included, goes to LAPACK ``eigvalsh``. Each matrix of a
+    stack gets the result it would get on its own. ``mat`` is one matrix or
+    a stack (..., m, m) of size 2, 3 or 4, Hermitian within HERMITICITY_TOL;
+    real symmetric input is solved in real arithmetic.
     """
     return _eigenvalues(require_hermitian(mat))
 
@@ -129,12 +131,12 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:  # of matrices Hermitian by const
     return _per_route(a, _eigen_by_blocks, False)[0]
 
 
-def _eigen_by_blocks(a: np.ndarray, small: bool, root: bool):
-    """Ascending eigenvalues of a stack (k, n, n) of matrices, all inside the closed-form
-    blocks if ``small`` and all LAPACK's otherwise; with ``root``, the eigenvalues (unordered
-    from closed-form blocks) and the square roots V diag(sqrt(w)) V^dag (w clamped at zero),
-    a closed-form block's without an eigenvector matrix (``_hermitian_2x2``)."""
-    if not small:
+def _eigen_by_blocks(a: np.ndarray, x_shaped: bool, root: bool):
+    """Ascending eigenvalues of a stack (k, n, n) of matrices, all X-shaped if ``x_shaped``
+    and all LAPACK's otherwise; with ``root``, the eigenvalues (unordered from the X blocks)
+    and the square roots V diag(sqrt(w)) V^dag (w clamped at zero), an X block's without an
+    eigenvector matrix (``_hermitian_2x2``)."""
+    if not x_shaped:
         if not root:
             return (np.linalg.eigvalsh(a),)
         w, v = np.linalg.eigh(a)
@@ -142,28 +144,21 @@ def _eigen_by_blocks(a: np.ndarray, small: bool, root: bool):
         out = out @ np.conjugate(v, out=v).swapaxes(-1, -2)  # V is not read again
         out += out.conj().swapaxes(-1, -2)  # made exactly Hermitian
         return w, np.multiply(out, 0.5, out=out)
-    n = a.shape[-1]
-    flat = a.reshape(-1, n * n)
-    w, entries = _eigen_of_entries(flat[:, _BLOCK_ENTRIES[n]], n, root)
+    flat = a.reshape(-1, 16)
+    w, entries = _eigen_of_entries(flat[:, _X_ENTRIES], root)
     if not root:
         return (np.sort(w, axis=-1),)
     out = np.zeros_like(flat)
-    out[:, _BLOCK_ENTRIES[n]] = entries
+    out[:, _X_ENTRIES] = entries
     return w, out.reshape(a.shape)
 
 
-def _eigen_of_entries(e: np.ndarray, n: int, root: bool):
-    """Unordered eigenvalues (k, n) of the matrices of size n whose closed-form blocks
-    hold the entries e (k, E) (``_BLOCK_ENTRIES``), and with ``root`` the same entries
-    of their square roots (else None), each 2x2 block's from ``_hermitian_2x2``."""
-    w, out = np.empty((len(e), n)), np.empty_like(e) if root else None
-    for b, cols in zip(_SMALL_BLOCKS[n], _BLOCK_COLUMNS[n]):
-        if len(b) == 1:
-            w[:, b[0]] = e[:, cols[0]].real
-            if root:
-                out[:, cols[0]] = np.sqrt(np.maximum(w[:, b[0]], 0.0))
-            continue
-        (i, j), (ii, ij, ji, jj) = b, cols
+def _eigen_of_entries(e: np.ndarray, root: bool):
+    """Unordered eigenvalues (k, 4) of the X-shaped matrices with the X entries e (k, 8),
+    and with ``root`` the X entries of their square roots (else None), each block's from
+    ``_hermitian_2x2``."""
+    w, out = np.empty((len(e), 4)), np.empty_like(e) if root else None
+    for (i, j), (ii, ij, ji, jj) in zip(_X_BLOCKS, _X_COLUMNS):
         w[:, i], w[:, j], *block = _hermitian_2x2(e[:, ii].real, e[:, jj].real, e[:, ji], root)
         if root:
             out[:, ii], out[:, jj], out[:, ij] = block
@@ -241,11 +236,10 @@ def singular_values(mat) -> np.ndarray:
     """Singular values, descending, of a complex matrix of size 2, 3 or 4 or
     of each matrix of a stack (..., m, m).
 
-    As in ``hermitian_eigenvalues``, a matrix that is zero outside the
-    closed-form blocks gives, for each block [[m00, m01], [m10, m11]],
-    s_max = sqrt of the upper eigenvalue of M^dag M and s_min = |det M| / s_max
-    (the block scaled by a power of two first), or |m00| and |m11| when
-    m01 = m10 = 0; a 1x1 block gives its modulus. Every other matrix goes to
+    As in ``hermitian_eigenvalues``, an X-shaped 4x4 matrix gives, for each
+    X block [[m00, m01], [m10, m11]], s_max = sqrt of the upper eigenvalue of
+    M^dag M and s_min = |det M| / s_max (the block scaled by a power of two
+    first), or |m00| and |m11| when m01 = m10 = 0. Every other matrix goes to
     ``np.linalg.svd``.
     """
     m = np.asarray(mat, dtype=complex)
@@ -254,16 +248,12 @@ def singular_values(mat) -> np.ndarray:
     return _per_route(m, _singular_values_by_blocks)[0]
 
 
-def _singular_values_by_blocks(m: np.ndarray, small: bool) -> tuple[np.ndarray]:
-    if not small:
+def _singular_values_by_blocks(m: np.ndarray, x_shaped: bool) -> tuple[np.ndarray]:
+    if not x_shaped:
         return (np.linalg.svd(m, compute_uv=False),)
     s = np.empty(m.shape[:-1])
-    for b in _SMALL_BLOCKS[m.shape[-1]]:
-        if len(b) == 1:
-            s[:, b[0]] = abs(m[:, b[0], b[0]])
-        else:
-            i, j = b
-            s[:, i], s[:, j] = _singular_values_2x2(m[:, i, i], m[:, i, j], m[:, j, i], m[:, j, j])
+    for i, j in _X_BLOCKS:
+        s[:, i], s[:, j] = _singular_values_2x2(m[:, i, i], m[:, i, j], m[:, j, i], m[:, j, j])
     return (-np.sort(-s, axis=-1),)
 
 
@@ -277,12 +267,12 @@ def psd_sqrt(mat) -> np.ndarray:
 
     Eigenvalues in [-PSD_TOL, 0) are treated as integrator round-off and
     clamped to zero; anything below -PSD_TOL raises NotPSD. As in
-    ``hermitian_eigenvalues``, a matrix that is zero outside the closed-form
-    blocks gets each block's root in closed form from its eigenpairs, without
-    an eigenvector matrix or a matrix product; it keeps every exact zero, and
-    an off-diagonal entry that is exactly zero gives exactly the roots of the
-    two diagonal entries. Every other matrix takes V diag(sqrt(w)) V^dag of
-    LAPACK ``eigh``. Both are exactly Hermitian.
+    ``hermitian_eigenvalues``, an X-shaped 4x4 matrix gets each X block's
+    root in closed form from its eigenpairs, without an eigenvector matrix or
+    a matrix product; it keeps every exact zero, and an off-diagonal entry
+    that is exactly zero gives exactly the roots of the two diagonal entries.
+    Every other matrix takes V diag(sqrt(w)) V^dag of LAPACK ``eigh``. Both
+    are exactly Hermitian.
     """
     return _psd_root(require_hermitian(mat))
 
@@ -305,8 +295,8 @@ def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
     return _per_route(s, _spin_flip_by_blocks)[0]
 
 
-def _spin_flip_by_blocks(s: np.ndarray, small: bool) -> tuple[np.ndarray]:
-    if not small:
+def _spin_flip_by_blocks(s: np.ndarray, x_shaped: bool) -> tuple[np.ndarray]:
+    if not x_shaped:
         return (np.linalg.svd((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj(), compute_uv=False),)
     return (_spin_flip_x(s.reshape(-1, 16)[:, _X_ENTRIES]),)
 
@@ -323,7 +313,7 @@ def _spin_flip_x(s: np.ndarray) -> np.ndarray:
 
 def _x_root(x: np.ndarray) -> np.ndarray:
     """``_psd_root`` of X-shaped matrices given by their X entries (k, 8): those of the roots."""
-    w, root = _eigen_of_entries(x, 4, True)
+    w, root = _eigen_of_entries(x, True)
     _require_min_eigenvalue(w.min(-1))
     return root
 

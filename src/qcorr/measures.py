@@ -345,7 +345,7 @@ def correlations(rho) -> CorrelationSet:
     in ``validate``), so the first invalid matrix raises NotHermitian,
     TraceNotOne or NotPSD with its flat position as ``index``. X-shaped
     matrices (every entry off the X pattern exactly zero, see
-    ``states.is_x_shaped``) use the closed forms, and every closed form is
+    ``is_x_shaped``) use the closed forms, and every closed form is
     compared against its general-definition route; the first matrix where
     they disagree raises CrossCheckFailure (its flat position is ``index``).
     X-shaped matrices are read once as their eight X entries, on which their
@@ -391,7 +391,7 @@ def _x_values(x: np.ndarray, s: np.ndarray) -> tuple:
     values, the partial transpose's blocks, the nonzero entries of W (W_xx, W_yy =
     2 (m11 m33 + m22 m44) +- 4 Re(m14 m23), W_xy = -4 Im(m14 m23), W_zz = sum m_ii^2
     - 2 (|m14|^2 + |m23|^2) for the root m) and of the projected-T Gram matrix, each
-    block solved as ``linalg`` solves it, and l1 summed in the order of
+    2x2 block solved by ``_hermitian_2x2``, and l1 summed in the order of
     ``l1_coherence``. The marginals of an X state are diagonal: its CC route is l1."""
     r, m = XEntries(*x.T), XEntries(*s.T)
     xc = XColumns(r.r11.real, r.r22.real, r.r33.real, r.r44.real, r.r14, r.r23)

@@ -7,13 +7,10 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
-from .linalg import (_OFF_BLOCKS, _X_ENTRIES, XEntries, _psd_root, _require_hermitian_entries,
-                     _two_qubit, _x_root, require_hermitian)
+from .linalg import (_X_ENTRIES, XEntries, _psd_root, _require_hermitian_entries, _two_qubit,
+                     _x_root, is_x_shaped, require_hermitian)
 
 TRACE_TOL = 1e-10
-
-# entries that must vanish in the X pattern: those outside linalg's 4x4 closed-form blocks
-_OFF_X = _OFF_BLOCKS[4]
 
 
 class XColumns(namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")):
@@ -120,12 +117,6 @@ def _validated(x: XColumns) -> XColumns:
 def _require_unit_trace(trace: np.ndarray):
     raise_first(abs(trace - 1.0) > TRACE_TOL, TraceNotOne,
                 lambda k: f"trace = {complex(trace[k])!r}, |trace - 1| = {abs(trace[k] - 1.0):.3e}")
-
-
-def is_x_shaped(rho):
-    """True iff every entry outside the X pattern is exactly zero (-0.0
-    counts as zero); one flag per matrix for a stack."""
-    return ~np.asarray(rho)[..., _OFF_X].any(-1)
 
 
 def to_dicke(x: XColumns) -> DickeColumns:

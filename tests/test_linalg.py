@@ -17,7 +17,8 @@ from helpers import (
     random_x_state,
     trace_norm,
 )
-from qcorr import linalg, measures
+import qcorr
+from qcorr import linalg, measures, states
 from qcorr import (
     NotHermitian,
     NotPSD,
@@ -36,6 +37,7 @@ from qcorr import (
     partial_transpose_b,
     psd_sqrt,
     singular_values,
+    validate,
 )
 
 
@@ -157,26 +159,24 @@ def _small_block(rng, kind, size, hermitian):
     return m
 
 
-# the blocks that the solver takes in closed form, per size: the X pattern of
-# a 4x4 matrix, (0, 1) and (2,) of a 3x3 one, and the whole of a 2x2 one
-CLOSED_FORM_BLOCKS = {4: [[0, 3], [1, 2]], 3: [[0, 1], [2]], 2: [[0, 1]]}
+# the blocks that the solver takes in closed form: the X pattern of a 4x4
+# matrix, its only closed-form structure
+CLOSED_FORM_BLOCKS = [[0, 3], [1, 2]]
+SMALL_BLOCK_KINDS = ["random", "rank_one", "diagonal", "zero", "equal_diagonal", "repeat"]
 
 
 @st.composite
-def small_block_matrices(draw, hermitian, n=None):
-    """(matrix, blocks, exponent, unscaled matrix) of size ``n`` (drawn from 2..4
-    if None) that is zero outside CLOSED_FORM_BLOCKS, scaled by 2**exponent;
-    each 2x2 closed-form block may split into two 1x1 blocks. Blocks of kind
-    'repeat' copy the previous block of their size, so the spectrum is
-    degenerate."""
-    n = draw(st.integers(2, 4)) if n is None else n
+def small_block_matrices(draw, hermitian):
+    """(matrix, blocks, exponent, unscaled matrix): a 4x4 matrix that is zero
+    outside CLOSED_FORM_BLOCKS, scaled by 2**exponent; each X block may split
+    into two 1x1 blocks. Blocks of kind 'repeat' copy the previous block of
+    their size, so the spectrum is degenerate."""
     blocks = []
-    for b in CLOSED_FORM_BLOCKS[n]:
-        blocks += [[i] for i in b] if len(b) == 1 or draw(st.booleans()) else [b]
-    kinds = ["random", "rank_one", "diagonal", "zero", "equal_diagonal", "repeat"]
-    kinds += [] if hermitian else ["triangular"]
+    for b in CLOSED_FORM_BLOCKS:
+        blocks += [[i] for i in b] if draw(st.booleans()) else [b]
+    kinds = SMALL_BLOCK_KINDS + ([] if hermitian else ["triangular"])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m, last = np.zeros((n, n), dtype=complex), {}
+    m, last = np.zeros((4, 4), dtype=complex), {}
     for b in blocks:
         kind = draw(st.sampled_from(kinds))
         block = (last.get(len(b)) if kind == "repeat" else None)
@@ -188,9 +188,8 @@ def small_block_matrices(draw, hermitian, n=None):
 
 
 def beside_a_dense_matrix(m):
-    """The stack [m, ones]: at sizes 3 and 4 the matrix of ones lies outside
-    the closed-form blocks and takes LAPACK, so m is solved in a stack split
-    between the two routes."""
+    """The stack [m, ones]: the matrix of ones is not X-shaped and takes
+    LAPACK, so m is solved in a stack split between the two routes."""
     return np.array([m, np.ones_like(m)])
 
 
@@ -247,7 +246,10 @@ def test_small_block_eigenvalue_has_the_error_of_its_determinant():
     u[:, 1] *= 10.0 ** rng.uniform(-8.0, 0.0, 500)
     blocks = u[:, :, None] * u[:, None, :].conj()
     blocks[:, 1, 0] = blocks[:, 0, 1].conj()
-    lam = hermitian_eigenvalues(blocks)
+    x = np.zeros((500, 4, 4), dtype=complex)  # the block as both X blocks: lo, lo, hi, hi
+    for b in CLOSED_FORM_BLOCKS:
+        x[:, np.array(b)[:, None], b] = blocks
+    lam = hermitian_eigenvalues(x)[:, ::3]
     for (a, b), (_, d), (lo, hi) in zip(blocks[:, 0], blocks[:, 1], lam):
         det = (Fraction(a.real) * Fraction(d.real) - Fraction(b.real) ** 2
                - Fraction(b.imag) ** 2)
@@ -287,30 +289,49 @@ def _lapack_square_root(m):
     return (root + root.conj().T) * 0.5
 
 
+def _same(got, expected):
+    """Equal bit for bit, shape and dtype included."""
+    return (got.shape, got.dtype, got.tobytes()) == (expected.shape, expected.dtype,
+                                                     expected.tobytes())
+
+
 def test_matrices_outside_the_closed_form_blocks_get_lapack_bit_for_bit():
-    # block-sparse and dense matrices with an entry outside the closed-form
-    # blocks get eigvalsh, the eigh root and svd as they are, alone and in a
-    # stack beside matrices inside the blocks; an empty stack gives empty results
+    # every matrix that is not X-shaped gets eigvalsh (of a Hermitian h), the
+    # eigh root (of h h^dag) and svd (of a general g) as they are, alone and in
+    # a stack: 4x4 block-sparse and dense matrices beside X-shaped ones, and 2x2
+    # and 3x3 matrices of every block shape and block kind beside dense ones.
+    # An empty stack of any size gets LAPACK's empty results
     rng = np.random.default_rng(47)
+    cases = []  # (h, g, the matrix beside them in a stack)
     for n, blocks in BLOCK_PATTERNS[1:] + [(4, [[0, 1, 2, 3]]), (3, [[0, 1, 2]])]:
-        g = random_block_hermitian(rng, n, blocks)
-        m = g @ g.conj().T
-        h = random_block_hermitian(rng, n, CLOSED_FORM_BLOCKS[n])
-        inside = h @ h.conj().T
-        lam, root = np.linalg.eigvalsh(m), _lapack_square_root(m)
-        for got in (hermitian_eigenvalues(m), hermitian_eigenvalues(np.array([inside, m]))[1]):
-            assert got.tobytes() == lam.tobytes()
-        for got in (psd_sqrt(m), psd_sqrt(np.array([inside, m, inside]))[1]):
-            assert got.tobytes() == root.tobytes()
+        h = random_block_hermitian(rng, n, blocks)
+        cases.append((h, h, random_block_hermitian(rng, 4, CLOSED_FORM_BLOCKS) if n == 4
+                      else random_hermitian(rng, n)))
+    for blocks in ([[0, 1]], [[0], [1]], [[0, 1], [2]], [[0], [1], [2]]):
+        n = sum(map(len, blocks))
+        for kind in SMALL_BLOCK_KINDS[:-1] + ["triangular"]:  # a triangular h is not Hermitian
+            h, g = np.zeros((2, n, n), dtype=complex)
+            for b in blocks:
+                h[np.ix_(b, b)] = _small_block(rng, kind.replace("triangular", "random"), len(b),
+                                               hermitian=True)
+                g[np.ix_(b, b)] = _small_block(rng, kind, len(b), hermitian=False)
+            cases.append((h, g, random_hermitian(rng, n)))
+    for h, g, beside in cases:
+        m, dense = h @ h.conj().T, beside @ beside.conj().T
+        lam, root = np.linalg.eigvalsh(h), _lapack_square_root(m)
+        for got in (hermitian_eigenvalues(h), hermitian_eigenvalues(np.array([beside, h]))[1]):
+            assert _same(got, lam)
+        for got in (psd_sqrt(m), psd_sqrt(np.array([dense, m, dense]))[1]):
+            assert _same(got, root)
         s = np.linalg.svd(g, compute_uv=False)
-        for got in (singular_values(g), singular_values(np.array([h, g]))[1]):
-            assert got.tobytes() == s.tobytes()
-        assert hermitian_eigenvalues(m.real).tobytes() == np.linalg.eigvalsh(m.real).tobytes()
+        for got in (singular_values(g), singular_values(np.array([beside, g]))[1]):
+            assert _same(got, s)
+        assert _same(hermitian_eigenvalues(h.real), np.linalg.eigvalsh(h.real))
     for n in (2, 3, 4):
         empty = np.zeros((0, n, n))
-        assert hermitian_eigenvalues(empty).shape == (0, n)
-        assert psd_sqrt(empty).shape == (0, n, n)
-        assert singular_values(empty).shape == (0, n)
+        assert _same(hermitian_eigenvalues(empty), np.linalg.eigvalsh(empty))
+        assert _same(psd_sqrt(empty), np.zeros((0, n, n), dtype=complex))
+        assert _same(singular_values(empty), np.linalg.svd(empty + 0j, compute_uv=False))
 
 
 def test_not_hermitian_rejected():
@@ -330,6 +351,48 @@ def test_not_hermitian_rejected():
             warnings.simplefilter("error")
             with pytest.raises(NotHermitian, match=r"entry \(1, 1\).*not finite"):
                 fn(m)
+
+
+# the eight entries off the X pattern
+OFF_X = np.argwhere(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
+
+
+def test_negative_zeros_off_the_x_pattern_keep_the_closed_forms():
+    # the one X check (``is_x_shaped``, which states re-exports) counts -0.0 as
+    # a zero: validate, correlations and the solvers give a matrix with -0.0 in
+    # every entry off the X pattern exactly what they give it with +0.0, which
+    # LAPACK's round-off would not
+    assert qcorr.is_x_shaped is states.is_x_shaped is linalg.is_x_shaped
+    rng = np.random.default_rng(53)
+    plus = np.array([random_x_state(rng).to_matrix() for _ in range(20)])
+    minus = plus.copy()
+    minus[:, OFF_X[:, 0], OFF_X[:, 1]] = complex(-0.0, -0.0)
+    assert np.signbit(minus.real).any() and np.signbit(minus.imag).any()
+    for m, p in ((minus, plus), (minus[3], plus[3])):
+        assert is_x_shaped(m).all() and validate(m) is m
+        (group,), (same,) = states._checked_groups(m), states._checked_groups(p)
+        assert group[1] and [np.asarray(a).tobytes() for a in group] == [
+            np.asarray(a).tobytes() for a in same]  # one group, on the X route
+        assert np.array(correlations(m)._values()).tobytes() == np.array(
+            correlations(p)._values()).tobytes()
+        for fn in (psd_sqrt, hermitian_eigenvalues, singular_values):
+            assert fn(m).tobytes() == fn(p).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+def test_a_nan_off_the_x_pattern_is_named_by_not_hermitian(bad):
+    # a NaN is not a zero of the X check: the matrix takes the dense route,
+    # whose Hermiticity check names the entry, alone and inside a stack
+    rho = make_werner(0.3).to_matrix()
+    for i, j in OFF_X:
+        m = rho.copy()
+        m[i, j] = bad
+        assert not is_x_shaped(m)
+        for fn in (validate, correlations, psd_sqrt, hermitian_eigenvalues):
+            for arg, index in ((m, 0), (np.array([rho, rho, m, rho]), 2)):
+                with pytest.raises(NotHermitian, match=rf"entry \({i}, {j}\) = .* not finite") as info:
+                    fn(arg)
+                assert info.value.index == index
 
 
 def test_hermiticity_bound_is_inclusive():
@@ -439,7 +502,7 @@ def test_square_roots_of_a_mixed_stack_are_those_of_each_matrix():
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_block_matrices(hermitian=True, n=4))
+@given(small_block_matrices(hermitian=True))
 def test_block_spin_flip_product_matches_the_dense_product(case):
     # the singular values of S (sy ox sy) S*, S = sqrt(rho) inside the X pattern,
     # from its six X entries, against those of the dense complex product
@@ -455,7 +518,7 @@ def test_block_spin_flip_product_matches_the_dense_product(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_block_matrices(hermitian=True, n=4))
+@given(small_block_matrices(hermitian=True))
 def test_x_entry_routes_equal_the_public_dense_routes(case):
     # the general routes that ``correlations`` takes on the X entries of X-shaped
     # matrices against the public functions on the matrices: the root,

@@ -258,7 +258,7 @@ def test_w_matrix_from_pauli_gram_matches_pairwise_traces(seed, rank, kind):
     w = _w_matrix_general(sqrt_rho)
     np.testing.assert_array_equal(w, w.T)
     assert np.abs(w - w_matrix_by_pairs(sqrt_rho)).max() <= 1e-15
-    if is_x_shaped(sqrt_rho):  # the 3x3 solve then stays in closed form
+    if is_x_shaped(sqrt_rho):  # W is then exactly zero off its (x, y) block and W_zz
         assert w[0, 2] == w[1, 2] == 0.0
 
 

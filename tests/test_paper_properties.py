@@ -3,8 +3,10 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import random_density_matrix, random_x_state
 from qcorr import (ModelParams, analytic_independent_mixture, concurrence_x, correlated_coherence,
-                   esd_gamma_tau, lqu_x, min_trace, steady_correlations_thermal)
+                   esd_gamma_tau, evolve, lqu_x, min_trace, steady_correlations_thermal,
+                   steady_state_thermal)
 
 
 @settings(max_examples=200, deadline=None)
@@ -65,3 +67,19 @@ def test_independent_qubits_lose_entanglement_suddenly_but_no_other_correlation(
     for x in (before, after):
         assert (lqu_x(x) > 0.0).all() and (min_trace(x) > 0.0).all()
         assert (correlated_coherence(x) > 0.0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), start=st.sampled_from(["x", 1, 2, 3, 4]),
+       j=st.floats(-0.5, 0.5), delta=st.floats(-0.5, 0.5), gamma=st.floats(0.01, 1.0),
+       nbar=st.floats(0.0, 3.0))
+def test_steady_state_is_independent_of_the_initial_state(seed, start, j, delta, gamma, nbar):
+    # "the steady state is independent of the initial state": from a random X
+    # state or a dense state of rank 1 to 4, the evolution to t = 1e18 (one
+    # sample after the start) ends within 1e-12 of steady_state_thermal, in the
+    # weak regime |J|, |Delta| <= omega/2
+    params = ModelParams(j=j, delta=delta, omega=1.0, gamma=gamma, nbar=nbar)
+    rng = np.random.default_rng(seed)
+    rho0 = random_x_state(rng).to_matrix() if start == "x" else random_density_matrix(rng, start)
+    final = evolve(rho0, params, t_max=1e18, dt=0.1, stride=10**30).states[-1]
+    assert np.abs(final - steady_state_thermal(params).to_matrix()).max() <= 1e-12
