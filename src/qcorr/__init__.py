@@ -27,7 +27,6 @@ from .linalg import (
     is_x_shaped,
     partial_transpose_b,
     psd_sqrt,
-    singular_values,
 )
 from .model import ModelParams, hamiltonian, spin_lowering, spin_raising
 from .states import (
@@ -42,6 +41,7 @@ from .states import (
     trace_out_a,
     trace_out_b,
     validate,
+    x_columns,
 )
 from .measures import (
     CorrelationSet,

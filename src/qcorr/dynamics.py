@@ -31,7 +31,7 @@ STEADY_RHS_TOL = 1e-12
 # tests/smoke.py case "evolve --t-max 99.999 --stride 1" fails above 250 MB
 MAX_SAMPLES = 100_000
 # the Pauli coordinates 4a + b of the X-shaped s_a ox s_b: a block the generator never leaves
-_X_COORDS = [0, 3, 5, 6, 9, 10, 12, 15]
+_X_COORDS = np.flatnonzero(is_x_shaped(_PAULI))
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
 _JUMPS = tuple((a, a.conj().T @ a) for a in (spin_lowering(1), spin_lowering(2),
                                               spin_raising(1), spin_raising(2)))

@@ -1,26 +1,27 @@
 """Dense linear algebra for the small Hermitian matrices used here: the
-eigensolver, singular values, the PSD check and square root, and the
-two-qubit partial transpose (on the second qubit; the partial transpose on
+eigensolver, the PSD check and square root, the spin-flip singular values and
+the two-qubit partial transpose (on the second qubit; the partial transpose on
 the first has the same spectrum).
 
 All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
 of shape (..., m, m). The program reads two answers from its one
 eigensolver: the eigenvalues (``hermitian_eigenvalues``), or the eigenvalues
-together with the square root (``psd_sqrt``); every singular-value problem
-goes through ``singular_values``. Internal solves of matrices that are
-already checked or Hermitian by construction skip the re-check
-(``_psd_root``, ``_eigenvalues``). The one closed-form block structure is
-the X pattern ((0, 3) and (1, 2)) of a 4x4 matrix. An X-shaped matrix
-(``is_x_shaped``: exactly zero outside it) is solved block by block by the
-column kernels ``_hermitian_2x2`` (eigenvalues and square root) and
-``_singular_values_2x2``, which take each entry of a block as an array over
-the stack; its exact zeros survive the solve. The same kernels solve X-shaped
-matrices given by their eight X entries alone (``_X_ENTRIES``, named by
-``XEntries``; ``_x_root``, ``_spin_flip_x``), as ``measures.correlations``
-reads them, so an X-shaped matrix takes no dense complex matrix product;
-matrices and X entries alike take their block eigenvalues and roots from
-``_eigen_of_entries``. Every other matrix, 2x2 and 3x3 ones included, goes as
-it is to LAPACK (``eigvalsh``, ``eigh`` or ``svd``) and to dense products,
+together with the square root (``psd_sqrt``). Internal solves of matrices that
+are already checked or Hermitian by construction skip the re-check
+(``_psd_root``, ``_eigenvalues``). The one closed-form block structure is the
+X pattern ((0, 3) and (1, 2)) of a 4x4 matrix, and its one layout is
+``XColumns``: the diagonal, rho14 and rho23, the upper triangle. An X-shaped
+matrix (``is_x_shaped``: exactly zero outside the pattern) is read through
+``x_columns`` and solved block by block by the column kernels
+``_hermitian_2x2`` (eigenvalues and square root) and ``_singular_values_2x2``,
+which take each entry of a block as an array over the stack; its exact zeros
+survive the solve. The same kernels solve X rows given as XColumns alone
+(``_x_root``, ``_spin_flip_x``), as ``measures.correlations`` reads them, so
+an X-shaped matrix takes no dense complex matrix product; matrices and X rows
+alike take their block eigenvalues and roots from ``_eigen_of_columns``, and a
+root goes back to a matrix through ``XColumns.to_matrix``. Every other
+matrix, 2x2 and 3x3 ones included, goes as it is to LAPACK (``eigvalsh`` or
+``eigh``, which read the lower triangle, or ``svd``) and to dense products,
 and carries LAPACK's round-off even where it is block-sparse. A stack that
 holds both kinds is solved as those two groups, so every matrix gets what it
 gets alone. A function given a stack raises for its first failing matrix,
@@ -44,13 +45,41 @@ PSD_TOL = 1e-10
 _X_BLOCKS = ((0, 3), (1, 2))
 _OFF_X = np.array([[not any(i in b and j in b for b in _X_BLOCKS) for j in range(4)]
                    for i in range(4)])
-# the flat positions (row-major) of the X entries, which the closed-form kernels take as a
-# stack (k, 8) of columns named by XEntries(*x.T), 1-based, and each block's columns in it:
-# (ii, ij, ji, jj)
-_X_ENTRIES = np.flatnonzero(~_OFF_X)
-_X_COLUMNS = [np.searchsorted(_X_ENTRIES, [p * 4 + q for p in b for q in b]) for b in _X_BLOCKS]
-XEntries = namedtuple("XEntries", [f"r{p // 4 + 1}{p % 4 + 1}" for p in _X_ENTRIES])
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
+
+
+class XColumns(namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")):
+    """The six independent entries of X-shaped density matrices: scalars for
+    one state, or arrays that broadcast to one entry per matrix of a stack.
+
+    rho41 and rho32 are implied by Hermiticity. After the Hermiticity and
+    trace checks, which see both triangles, an X row is read by its upper
+    triangle alone: the X closed forms in ``measures``, the block kernels and
+    the general routes that check them all take XColumns. XColumns itself is
+    not validated: the constructors that return one validate what they build,
+    and ``states.validate`` checks matrices. ``to_matrix`` writes exact zeros
+    off the X pattern, which ``is_x_shaped`` requires.
+    """
+
+    __slots__ = ()
+
+    def to_matrix(self) -> np.ndarray:
+        """The (..., 4, 4) matrices of the broadcast fields; the inverse of
+        ``x_columns``."""
+        r11, r22, r33, r44, r14, r23 = np.broadcast_arrays(*self)
+        m = np.zeros(r11.shape + (4, 4), dtype=complex)
+        m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = r11, r22, r33, r44
+        m[..., 0, 3], m[..., 3, 0] = r14, np.conj(r14)
+        m[..., 1, 2], m[..., 2, 1] = r23, np.conj(r23)
+        return m
+
+
+def x_columns(rho) -> XColumns:
+    """The X entries of a 4x4 matrix, or arrays of them for a stack
+    (..., 4, 4), as views of a complex input: the real diagonal and the upper
+    triangle. Entries off the X pattern are ignored."""
+    rho = np.asarray(rho, dtype=complex)
+    return XColumns(*(rho[..., i, i].real for i in range(4)), rho[..., 0, 3], rho[..., 1, 2])
 
 
 def require_hermitian(mat) -> np.ndarray:
@@ -144,26 +173,21 @@ def _eigen_by_blocks(a: np.ndarray, x_shaped: bool, root: bool):
         out = out @ np.conjugate(v, out=v).swapaxes(-1, -2)  # V is not read again
         out += out.conj().swapaxes(-1, -2)  # made exactly Hermitian
         return w, np.multiply(out, 0.5, out=out)
-    flat = a.reshape(-1, 16)
-    w, entries = _eigen_of_entries(flat[:, _X_ENTRIES], root)
-    if not root:
-        return (np.sort(w, axis=-1),)
-    out = np.zeros_like(flat)
-    out[:, _X_ENTRIES] = entries
-    return w, out.reshape(a.shape)
+    w, x_root = _eigen_of_columns(x_columns(a), root)
+    return (w, x_root.to_matrix()) if root else (np.sort(w, axis=-1),)
 
 
-def _eigen_of_entries(e: np.ndarray, root: bool):
-    """Unordered eigenvalues (k, 4) of the X-shaped matrices with the X entries e (k, 8),
-    and with ``root`` the X entries of their square roots (else None), each block's from
+def _eigen_of_columns(x: XColumns, root: bool):
+    """Unordered eigenvalues (k, 4) of the X-shaped matrices with the 1-D columns x, and
+    with ``root`` the columns of their square roots (else None), each block's from
     ``_hermitian_2x2``."""
-    w, out = np.empty((len(e), 4)), np.empty_like(e) if root else None
-    for (i, j), (ii, ij, ji, jj) in zip(_X_BLOCKS, _X_COLUMNS):
-        w[:, i], w[:, j], *block = _hermitian_2x2(e[:, ii].real, e[:, jj].real, e[:, ji], root)
-        if root:
-            out[:, ii], out[:, jj], out[:, ij] = block
-            out[:, ji] = out[:, ij].conj()
-    return w, out
+    w = np.empty((len(x.rho11), 4))
+    w[:, 0], w[:, 3], *outer = _hermitian_2x2(x.rho11, x.rho44, x.rho14, root)
+    w[:, 1], w[:, 2], *inner = _hermitian_2x2(x.rho22, x.rho33, x.rho23, root)
+    if not root:
+        return w, None
+    (m11, m44, m14), (m22, m33, m23) = outer, inner
+    return w, XColumns(m11, m22, m33, m44, m14, m23)
 
 
 def _power_of_two(*parts: np.ndarray) -> np.ndarray:
@@ -176,12 +200,12 @@ def _scaled(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
 
 
-def _hermitian_2x2(a: np.ndarray, d: np.ndarray, lower: np.ndarray, root: bool):
-    """Eigenvalues (lower, upper) of the Hermitian [[a, lower*], [lower, d]],
+def _hermitian_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray, root: bool):
+    """Eigenvalues (lower, upper) of the Hermitian [[a, b], [b*, d]],
     elementwise over arrays, and with ``root`` the entries (aa, dd, ad) of its
-    square root; LAPACK reads the lower triangle, and so does this.
+    square root; it reads the upper triangle, as XColumns holds it.
 
-    With b = lower*, mid = (a + d)/2, h = (a - d)/2 and r = hypot(h, |b|), the
+    With mid = (a + d)/2, h = (a - d)/2 and r = hypot(h, |b|), the
     eigenvalue of the larger magnitude is mid + sign(mid) r and the other one is
     the determinant over it, so neither comes from a cancelling difference; the
     upper unit eigenvector u = (x, y), along (r + |h|, b*) for h >= 0 and
@@ -189,17 +213,17 @@ def _hermitian_2x2(a: np.ndarray, d: np.ndarray, lower: np.ndarray, root: bool):
     by a power of two first, so that finite entries of any magnitude give finite
     products. The root s_up |u><u| + s_lo (1 - |u><u|), s = sqrt(max(w, 0)), has
     the two-term entries s_up |x|^2 + s_lo |y|^2, s_up |y|^2 + s_lo |x|^2 and
-    (s_up - s_lo) x y*. Where ``lower`` is exactly zero the results are exactly
+    (s_up - s_lo) x y*. Where b is exactly zero the results are exactly
     those of the two 1x1 blocks, with the eigenvalues (a, d) in that order.
     """
-    e = _power_of_two(a, d, lower.real, lower.imag)
-    sa, sd, b = np.ldexp(a, -e), np.ldexp(d, -e), _scaled(lower.conj(), e)
+    e = _power_of_two(a, d, b.real, b.imag)
+    split = b == 0
+    sa, sd, b = np.ldexp(a, -e), np.ldexp(d, -e), _scaled(b, e)
     mid, h, b_sq = 0.5 * (sa + sd), 0.5 * (sa - sd), b.real * b.real + b.imag * b.imag
     r = np.hypot(h, np.sqrt(b_sq))
     big = mid + np.copysign(r, mid)
     small = np.divide(sa * sd - b_sq, big, out=np.zeros_like(big), where=big != 0.0)
     up = ~np.signbit(mid)  # big is the upper eigenvalue
-    split = lower == 0
     lo = np.where(split, a, np.ldexp(np.where(up, small, big), e))
     hi = np.where(split, d, np.ldexp(np.where(up, big, small), e))
     if not root:
@@ -232,31 +256,6 @@ def _singular_values_2x2(m00, m01, m10, m11) -> tuple[np.ndarray, np.ndarray]:
                                                          where=top > 0.0), e)))
 
 
-def singular_values(mat) -> np.ndarray:
-    """Singular values, descending, of a complex matrix of size 2, 3 or 4 or
-    of each matrix of a stack (..., m, m).
-
-    As in ``hermitian_eigenvalues``, an X-shaped 4x4 matrix gives, for each
-    X block [[m00, m01], [m10, m11]], s_max = sqrt of the upper eigenvalue of
-    M^dag M and s_min = |det M| / s_max (the block scaled by a power of two
-    first), or |m00| and |m11| when m01 = m10 = 0. Every other matrix goes to
-    ``np.linalg.svd``.
-    """
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return _per_route(m, _singular_values_by_blocks)[0]
-
-
-def _singular_values_by_blocks(m: np.ndarray, x_shaped: bool) -> tuple[np.ndarray]:
-    if not x_shaped:
-        return (np.linalg.svd(m, compute_uv=False),)
-    s = np.empty(m.shape[:-1])
-    for i, j in _X_BLOCKS:
-        s[:, i], s[:, j] = _singular_values_2x2(m[:, i, i], m[:, i, j], m[:, j, i], m[:, j, j])
-    return (-np.sort(-s, axis=-1),)
-
-
 def _require_min_eigenvalue(lam_min: np.ndarray):
     raise_first(lam_min < -PSD_TOL, NotPSD,
                 lambda k: f"minimum eigenvalue {lam_min.flat[k]:.3e} below -{PSD_TOL:.1e}")
@@ -286,7 +285,7 @@ def _psd_root(a: np.ndarray) -> np.ndarray:
 
 def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
     """Descending singular values of M = S (sy ox sy) S* for every Hermitian S of
-    a stack (..., 4, 4), as ``singular_values`` finds them. M is complex
+    a stack (..., 4, 4). M is complex
     symmetric: with S* = S^T, M_pq = sum_l sign(3 - l) S_pl S_q(3-l), where the
     sign is that of row 3 - l in sy ox sy. l -> 3 - l maps each X block onto
     itself, so for S inside the X pattern M has only the six X entries
@@ -298,22 +297,22 @@ def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
 def _spin_flip_by_blocks(s: np.ndarray, x_shaped: bool) -> tuple[np.ndarray]:
     if not x_shaped:
         return (np.linalg.svd((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj(), compute_uv=False),)
-    return (_spin_flip_x(s.reshape(-1, 16)[:, _X_ENTRIES]),)
+    return (_spin_flip_x(x_columns(s)),)
 
 
-def _spin_flip_x(s: np.ndarray) -> np.ndarray:
-    """``_spin_flip_singular_values`` of X-shaped S given by their X entries (k, 8):
-    the six X entries of M, and each block's singular values in closed form."""
-    s = XEntries(*s.T)
-    m14, m23 = -(s.r11 * s.r44 + s.r14 * s.r41), s.r22 * s.r33 + s.r23 * s.r32
-    sv = (*_singular_values_2x2(-2.0 * (s.r11 * s.r14), m14, m14, -2.0 * (s.r41 * s.r44)),
-          *_singular_values_2x2(2.0 * (s.r22 * s.r23), m23, m23, 2.0 * (s.r32 * s.r33)))
+def _spin_flip_x(s: XColumns) -> np.ndarray:
+    """``_spin_flip_singular_values`` of X-shaped S given as XColumns: the six X
+    entries of M, and each block's singular values in closed form."""
+    s41, s32 = np.conj(s.rho14), np.conj(s.rho23)
+    m14, m23 = -(s.rho11 * s.rho44 + s.rho14 * s41), s.rho22 * s.rho33 + s.rho23 * s32
+    sv = (*_singular_values_2x2(-2.0 * (s.rho11 * s.rho14), m14, m14, -2.0 * (s41 * s.rho44)),
+          *_singular_values_2x2(2.0 * (s.rho22 * s.rho23), m23, m23, 2.0 * (s32 * s.rho33)))
     return -np.sort(-np.stack(sv, axis=-1), axis=-1)
 
 
-def _x_root(x: np.ndarray) -> np.ndarray:
-    """``_psd_root`` of X-shaped matrices given by their X entries (k, 8): those of the roots."""
-    w, root = _eigen_of_entries(x, True)
+def _x_root(x: XColumns) -> XColumns:
+    """``_psd_root`` of X-shaped matrices given as XColumns: those of the roots."""
+    w, root = _eigen_of_columns(x, True)
     _require_min_eigenvalue(w.min(-1))
     return root
 

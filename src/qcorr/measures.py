@@ -3,9 +3,10 @@
 Every measure comes in two flavours where that makes sense: a
 general-definition route valid for any density matrix, and an X-state
 closed form. The general routes broadcast over stacks (..., 4, 4) and the
-closed forms over the arrays of ``states.x_columns``. ``correlations`` evaluates
-all seven quantities on a state or on a whole stack and cross-checks the two
-routes against each other on every X-shaped matrix.
+closed forms over the arrays of ``XColumns`` (``x_columns`` of the matrices).
+``correlations`` evaluates all seven quantities on a state or on a whole stack
+and cross-checks the two routes against each other on every X-shaped matrix;
+on X rows both routes read the same six XColumns entries, the upper triangle.
 
 The general concurrence and MIN routes are exact for every state. The
 concurrence takes Wootters' lambda_i as the singular values of
@@ -20,17 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckFailure, FrozenRecord, raise_first
-from .linalg import (XEntries, _eigenvalues, _hermitian_2x2, _spin_flip_singular_values,
+from .linalg import (XColumns, _eigenvalues, _hermitian_2x2, _spin_flip_singular_values,
                      _spin_flip_x, hermitian_eigenvalues, partial_transpose_b, psd_sqrt)
 from .model import _PAULI, _to_pauli
-from .states import (
-    DickeColumns,
-    XColumns,
-    _checked_groups,
-    to_dicke,
-    trace_out_a,
-    trace_out_b,
-)
+from .states import DickeColumns, _checked_groups, to_dicke, trace_out_a, trace_out_b
 
 X_BRANCH_TOL = 1e-9  # |x| (|a| for any state) up to this takes the balanced-marginal MIN branch
 RANGE_TOL = 1e-9  # slack of CorrelationSet.range_violation at the range ends
@@ -348,9 +342,11 @@ def correlations(rho) -> CorrelationSet:
     ``is_x_shaped``) use the closed forms, and every closed form is
     compared against its general-definition route; the first matrix where
     they disagree raises CrossCheckFailure (its flat position is ``index``).
-    X-shaped matrices are read once as their eight X entries, on which their
-    validation, square roots and general routes run (``_x_values``) with no
-    4x4 array. Other matrices, however close to the X pattern, take the dense
+    X-shaped matrices are read once as their eight X entries for the
+    Hermiticity and trace checks, and from the positivity check on as
+    XColumns, their upper triangle, on which their square roots, closed forms
+    and general routes run (``_x_values``) with no 4x4 array. Other matrices,
+    however close to the X pattern, take the dense
     general routes throughout, which are exact for every state: the positivity
     check solves each matrix's eigenvalues once and returns sqrt(rho), which
     the concurrence and LQU routes share; the general routes read only
@@ -383,37 +379,36 @@ def _dense_values(mats: np.ndarray, sqrt_rho: np.ndarray) -> tuple:
             min_trace_general(mats), _correlated_coherence_from_l1(mats, l1), l1)
 
 
-def _x_values(x: np.ndarray, s: np.ndarray) -> tuple:
-    """``_dense_values`` of X-shaped matrices from their X entries x (k, 8) and those
-    of their square roots s: the closed forms, each checked against its general route.
+def _x_values(x: XColumns, s: XColumns) -> tuple:
+    """``_dense_values`` of X-shaped matrices from their XColumns x and those of their
+    square roots s: the closed forms, each checked against its general route.
 
-    The general routes keep their definitions on the X entries: the spin-flip singular
+    The general routes keep their definitions on the XColumns: the spin-flip singular
     values, the partial transpose's blocks, the nonzero entries of W (W_xx, W_yy =
     2 (m11 m33 + m22 m44) +- 4 Re(m14 m23), W_xy = -4 Im(m14 m23), W_zz = sum m_ii^2
     - 2 (|m14|^2 + |m23|^2) for the root m) and of the projected-T Gram matrix, each
     2x2 block solved by ``_hermitian_2x2``, and l1 summed in the order of
-    ``l1_coherence``. The marginals of an X state are diagonal: its CC route is l1."""
-    r, m = XEntries(*x.T), XEntries(*s.T)
-    xc = XColumns(r.r11.real, r.r22.real, r.r33.real, r.r44.real, r.r14, r.r23)
-    pt = [_hermitian_2x2(a.real, d.real, lower, False)
-          for a, d, lower in ((r.r11, r.r44, r.r32), (r.r22, r.r33, r.r41))]
-    m11, m22, m33, m44, p = m.r11.real, m.r22.real, m.r33.real, m.r44.real, m.r14 * m.r23
+    ``l1_coherence``, with |rho32| = |rho23| and |rho41| = |rho14|. The marginals of an
+    X state are diagonal: its CC route is l1, which equals the closed form bit for bit."""
+    pt = [_hermitian_2x2(x.rho11, x.rho44, x.rho23, False),
+          _hermitian_2x2(x.rho22, x.rho33, x.rho14, False)]
+    m11, m22, m33, m44, p = s.rho11, s.rho22, s.rho33, s.rho44, s.rho14 * s.rho23
     plane, w_zz = 2.0 * (m11 * m33 + m22 * m44), (m11 * m11 + m22 * m22 + m33 * m33 + m44 * m44
-                                                   - 2.0 * (abs(m.r14) ** 2 + abs(m.r23) ** 2))
+                                                   - 2.0 * (abs(s.rho14) ** 2 + abs(s.rho23) ** 2))
     w = _hermitian_2x2(plane + 4.0 * p.real, plane - 4.0 * p.real, -4.0 * p.imag, False)
     # T as big_p = T_xx - i T_yx and big_q = T_yy + i T_xy; |a| = |T_z0| picks the projection
-    u, v = r.r14 + r.r41.conj(), r.r23 + r.r32.conj()
+    u, v = 2.0 * x.rho14, 2.0 * x.rho23
     big_p, big_q = u + v, v - u
-    a_z = ((r.r11 + r.r22) - r.r33).real - r.r44.real
-    t_zz = ((r.r11 - r.r22) - r.r33).real + r.r44.real
+    a_z = ((x.rho11 + x.rho22) - x.rho33) - x.rho44
+    t_zz = ((x.rho11 - x.rho22) - x.rho33) + x.rho44
     gram = _hermitian_2x2(abs(big_p) ** 2, abs(big_q) ** 2, (big_p.conj() * big_q).imag, False)
     g_zz = np.where(abs(a_z) > X_BRANCH_TOL, 0.0, t_zz * t_zz)
-    conc, neg, unc, mt, cc = (concurrence_x(xc), negativity_x(xc), lqu_x(xc), min_trace(xc),
-                              correlated_coherence(xc))
-    l1 = (abs(r.r32) + abs(r.r14)) + (abs(r.r41) + abs(r.r23))
+    conc, neg, unc, mt, cc = (concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
+                              correlated_coherence(x))
+    l1 = (abs(x.rho23) + abs(x.rho14)) + (abs(x.rho14) + abs(x.rho23))
     check_routes([
         ("concurrence", conc, np.maximum(0.0, _wootters(_spin_flip_x(s)))),
-        ("concurrence (Dicke basis)", conc, concurrence_dicke(to_dicke(xc))),
+        ("concurrence (Dicke basis)", conc, concurrence_dicke(to_dicke(x))),
         ("negativity", neg, _negativity_from(np.minimum(np.minimum(*pt[0]), np.minimum(*pt[1])))),
         ("lqu", unc, _lqu_from(np.maximum(np.maximum(*w), w_zz))),
         ("correlated coherence", cc, l1),

@@ -7,47 +7,19 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
-from .linalg import (_X_ENTRIES, XEntries, _psd_root, _require_hermitian_entries, _two_qubit,
-                     _x_root, is_x_shaped, require_hermitian)
+from .linalg import (_OFF_X, XColumns, _psd_root, _require_hermitian_entries, _two_qubit,
+                     _x_root, is_x_shaped, require_hermitian, x_columns)  # noqa: F401, re-exported
 
 TRACE_TOL = 1e-10
-
-
-class XColumns(namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")):
-    """The six independent entries of X-shaped density matrices: scalars for
-    one state, or arrays that broadcast to one entry per matrix of a stack.
-
-    rho41 and rho32 are implied by Hermiticity. The X closed forms in
-    ``measures`` take XColumns and give one value per matrix. XColumns itself
-    is not validated: the constructors that return one validate what they
-    build, and ``validate`` checks matrices. ``to_matrix`` writes exact zeros
-    off the X pattern, which ``is_x_shaped`` requires.
-    """
-
-    __slots__ = ()
-
-    def to_matrix(self) -> np.ndarray:
-        """The (..., 4, 4) matrices of the broadcast fields; the inverse of
-        ``x_columns``."""
-        r11, r22, r33, r44, r14, r23 = np.broadcast_arrays(*self)
-        m = np.zeros(r11.shape + (4, 4), dtype=complex)
-        m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = r11, r22, r33, r44
-        m[..., 0, 3], m[..., 3, 0] = r14, np.conj(r14)
-        m[..., 1, 2], m[..., 2, 1] = r23, np.conj(r23)
-        return m
+# the flat positions (row-major, ascending) of the eight X entries, both triangles and the
+# imaginary diagonal: an X row is read as these for the Hermiticity and trace checks alone
+_X_ENTRIES = np.flatnonzero(~_OFF_X)
 
 
 # The collective-basis form of an X state: |e> = |00>, |g> = |11> and the
 # symmetric/antisymmetric one-excitation states |s>, |a>, in which the matrix
 # is block diagonal with blocks {e, g} and {s, a}.
 DickeColumns = namedtuple("DickeColumns", "ee gg ss aa eg sa")
-
-
-def x_columns(rho) -> XColumns:
-    """The X entries of a 4x4 matrix, or arrays of them for a stack
-    (..., 4, 4); entries off the X pattern are ignored."""
-    rho = np.asarray(rho, dtype=complex)
-    return XColumns(*(rho[..., i, i].real for i in range(4)), rho[..., 0, 3], rho[..., 1, 2])
 
 
 def validate(rho) -> np.ndarray:
@@ -63,24 +35,31 @@ def validate(rho) -> np.ndarray:
     return rho
 
 
-# the checks of ``validate`` in order, on a stack (k, 4, 4) and on the X entries (k, 8) of
-# X-shaped matrices (``linalg._X_ENTRIES``); the last returns the square roots from the
-# eigenvalues it solves
+# the checks of ``validate`` in order, on a stack (k, 4, 4) and on the eight X entries (k, 8)
+# of X-shaped matrices (``_X_ENTRIES``); the last returns the square roots from the
+# eigenvalues it solves, of the X entries' upper triangle (``_x_upper``)
 _CHECKS = (require_hermitian, lambda m: _require_unit_trace(np.trace(m, axis1=1, axis2=2)),
            _psd_root)
-_X_CHECKS = (lambda x: _require_hermitian_entries(x, _X_ENTRIES, 4),
-             lambda x: _require_unit_trace(_x_trace(XEntries(*x.T))), _x_root)
+_X_CHECKS = (lambda e: _require_hermitian_entries(e, _X_ENTRIES, 4),
+             lambda e: _require_unit_trace(_x_trace(e)), lambda e: _x_root(_x_upper(e)))
 
 
-def _x_trace(e: XEntries):  # summed as np.trace sums the diagonal of a 4x4 matrix or stack
-    return (e.r11 + e.r22) + (e.r33 + e.r44)
+def _x_trace(e: np.ndarray):  # summed as np.trace sums the diagonal of a 4x4 matrix or stack
+    r11, _, r22, _, _, r33, _, r44 = e.T
+    return (r11 + r22) + (r33 + r44)
+
+
+def _x_upper(e: np.ndarray) -> XColumns:  # XColumns views of the eight X entries (k, 8)
+    r11, r14, r22, r23, _, r33, _, r44 = e.T
+    return XColumns(r11.real, r22.real, r33.real, r44.real, r14, r23)
 
 
 def _checked_groups(rho: np.ndarray) -> list:
     """``validate`` of a complex ndarray, flattened to (n, 4, 4), in two groups: the
-    X-shaped matrices, read once as their X entries (k, 8), and the others. Returns
-    (rows, x_shaped, X entries or matrices, square roots in the same form) for each
-    nonempty group; raises for the first failing matrix of the whole stack."""
+    X-shaped matrices, read once as their eight X entries (k, 8), and the others. Returns
+    (rows, x_shaped, XColumns or matrices, square roots in the same form) for each
+    nonempty group, the XColumns views of the X entries' upper triangle; raises for the
+    first failing matrix of the whole stack."""
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     mats = rho.reshape(-1, 4, 4)
@@ -99,7 +78,7 @@ def _checked_groups(rho: np.ndarray) -> list:
             except (NotHermitian, TraceNotOne, NotPSD) as exc:
                 failure, stop = exc, exc.index
         if failure is None:
-            groups.append((rows, x_shaped, data, checked))
+            groups.append((rows, x_shaped, _x_upper(data) if x_shaped else data, checked))
         else:
             failure.index = int(np.flatnonzero(rows)[failure.index])  # the stack's
             failures.append(failure)

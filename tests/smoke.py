@@ -40,9 +40,9 @@ def _set(m, at, value):  # m with its entry ``at`` set to value
     return m
 
 
-def _x_state(entries, at=None, value=None) -> bytes:  # an X state's matrix, maybe one entry set
+def _x_state(entries, *moved) -> bytes:  # an X state's matrix, each (at, value) of moved set
     m = XColumns(*entries).to_matrix()
-    if at is not None:
+    for at, value in moved:
         m[at] = value
     return dumps_density_matrix(m).encode()
 
@@ -57,12 +57,15 @@ INPUTS = {
         random_rank_one_x_state(np.random.default_rng(60)).to_matrix()).encode(),
     "near_x.txt": lambda: dumps_density_matrix(  # Werner 0.3, 1e-10 on every off-X entry
         make_werner(0.3).to_matrix() + 1e-10 * (1 - np.eye(4) - np.eye(4)[::-1])).encode(),
+    # Werner 0.5 with rho14 = 0.05, rho41 and rho32 moved by 9e-11: inside the Hermiticity bound
+    "x_skew.txt": lambda: _x_state((0.125, 0.375, 0.375, 0.125, 0.05, -0.25),
+                                   ((3, 0), 0.05 + 9e-11), ((2, 1), -0.25 - 9e-11)),
     "not_utf8.txt": lambda: b"\xff\xfe",
     # invalid X states: rho14 - rho41* = 0.1, trace 1.1, block eigenvalue -0.3, a NaN population
-    "x_not_hermitian.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.1, 0.1, 0.05), (0, 3), 0.2),
+    "x_not_hermitian.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.1, 0.1, 0.05), ((0, 3), 0.2)),
     "x_trace.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.2, 0.1, 0.05)),
     "x_not_psd.txt": lambda: _x_state((0.5, 0.3, 0.2, 0.0, 0.24 ** 0.5, 0.0)),
-    "x_nan.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.1, 0.1, 0.05), (0, 0), np.nan),
+    "x_nan.txt": lambda: _x_state((0.4, 0.3, 0.2, 0.1, 0.1, 0.05), ((0, 0), np.nan)),
     # the same faults of the dense state: rho12 - rho21* = 0.1, trace 1.1, rho22 = -0.1 and a NaN
     # rho12, off the X pattern
     "dense_not_hermitian.txt": lambda: _seeded(1, lambda m: _set(m, (0, 1), m[0, 1] + 0.1)),
@@ -132,6 +135,7 @@ CASES = [
     Case("evolve --initial mixture:1 --t-max 1 --out product.csv", 12),  # a diagonal first sample
     Case("evolve --initial custom@rank_one.txt --t-max 1 --out rank_one.csv", 12),
     Case("evolve --initial custom@near_x.txt --t-max 5 --out near_x.csv", 52),  # general routes
+    Case("evolve --initial custom@x_skew.txt --t-max 1 --out x_skew.csv", 12),  # upper triangle
     Case("evolve --initial custom@blocks.txt --t-max 2 --dt 0.01 --stride 1 --out blocks.csv", 202),
     Case("evolve --initial custom@product_plus.txt --t-max 1 --out product_plus.csv", 12),  # LAPACK
     Case("evolve --initial custom@dense.txt --nbar 0.5 --t-max 1 --dt 0.01 --stride 1"

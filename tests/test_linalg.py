@@ -36,7 +36,6 @@ from qcorr import (
     negativity,
     partial_transpose_b,
     psd_sqrt,
-    singular_values,
     validate,
 )
 
@@ -260,25 +259,28 @@ def test_small_block_eigenvalue_has_the_error_of_its_determinant():
 @settings(max_examples=300, deadline=None)
 @given(small_block_matrices(hermitian=False))
 def test_small_block_singular_values_match_svd_of_each_block(case):
+    # the closed-form kernel on each X block [[m_ii, m_ij], [m_ji, m_jj]]
     m, blocks, e, unscaled = case
-    s = singular_values(m)
+    s = np.sort(np.concatenate([linalg._singular_values_2x2(m[i, i], m[i, j], m[j, i], m[j, j])
+                                for i, j in CLOSED_FORM_BLOCKS]))[::-1]
     per_block = [np.linalg.svd(unscaled[np.ix_(b, b)], compute_uv=False) for b in blocks]
     expected = np.ldexp(np.sort(np.concatenate(per_block))[::-1], e)
     np.testing.assert_allclose(s, expected, rtol=0.0, atol=1e-14 * expected[0])
-    assert np.all(np.diff(s) <= 0.0)
     rank = sum(np.linalg.matrix_rank(unscaled[np.ix_(b, b)], tol=1e-9) for b in blocks)
     assert np.count_nonzero(s == 0.0) >= len(m) - rank
-    np.testing.assert_array_equal(singular_values(beside_a_dense_matrix(m))[0], s)
 
 
 def test_singular_values_keep_lapack_on_larger_blocks():
+    # the one singular-value problem left, the spin-flip product: the roots of dense
+    # states get svd of the dense product bit for bit beside an X root
     rng = np.random.default_rng(31)
-    dense = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-    mixed = np.concatenate([dense, [random_x_state(rng).to_matrix()]])
-    np.testing.assert_array_equal(singular_values(mixed)[:5],
+    roots = psd_sqrt(np.array([random_density_matrix(rng, 4) for _ in range(5)]
+                              + [random_x_state(rng).to_matrix()]))
+    dense = (roots[:5, :, ::-1] * linalg._SPIN_FLIP_SIGNS) @ roots[:5].conj()
+    np.testing.assert_array_equal(linalg._spin_flip_singular_values(roots)[:5],
                                   np.linalg.svd(dense, compute_uv=False))
     with pytest.raises(ValueError, match="sizes 2..4"):
-        singular_values(np.eye(5))
+        linalg._spin_flip_singular_values(np.eye(5))
 
 
 def _lapack_square_root(m):
@@ -296,11 +298,11 @@ def _same(got, expected):
 
 
 def test_matrices_outside_the_closed_form_blocks_get_lapack_bit_for_bit():
-    # every matrix that is not X-shaped gets eigvalsh (of a Hermitian h), the
-    # eigh root (of h h^dag) and svd (of a general g) as they are, alone and in
-    # a stack: 4x4 block-sparse and dense matrices beside X-shaped ones, and 2x2
-    # and 3x3 matrices of every block shape and block kind beside dense ones.
-    # An empty stack of any size gets LAPACK's empty results
+    # every matrix that is not X-shaped gets eigvalsh (of a Hermitian h) and the
+    # eigh root (of h h^dag) as they are, alone and in a stack: 4x4 block-sparse
+    # and dense matrices beside X-shaped ones, and 2x2 and 3x3 matrices of every
+    # block shape and block kind beside dense ones. An empty stack of any size
+    # gets LAPACK's empty results
     rng = np.random.default_rng(47)
     cases = []  # (h, g, the matrix beside them in a stack)
     for n, blocks in BLOCK_PATTERNS[1:] + [(4, [[0, 1, 2, 3]]), (3, [[0, 1, 2]])]:
@@ -323,15 +325,11 @@ def test_matrices_outside_the_closed_form_blocks_get_lapack_bit_for_bit():
             assert _same(got, lam)
         for got in (psd_sqrt(m), psd_sqrt(np.array([dense, m, dense]))[1]):
             assert _same(got, root)
-        s = np.linalg.svd(g, compute_uv=False)
-        for got in (singular_values(g), singular_values(np.array([beside, g]))[1]):
-            assert _same(got, s)
         assert _same(hermitian_eigenvalues(h.real), np.linalg.eigvalsh(h.real))
     for n in (2, 3, 4):
         empty = np.zeros((0, n, n))
         assert _same(hermitian_eigenvalues(empty), np.linalg.eigvalsh(empty))
         assert _same(psd_sqrt(empty), np.zeros((0, n, n), dtype=complex))
-        assert _same(singular_values(empty), np.linalg.svd(empty + 0j, compute_uv=False))
 
 
 def test_not_hermitian_rejected():
@@ -363,6 +361,8 @@ def test_negative_zeros_off_the_x_pattern_keep_the_closed_forms():
     # every entry off the X pattern exactly what they give it with +0.0, which
     # LAPACK's round-off would not
     assert qcorr.is_x_shaped is states.is_x_shaped is linalg.is_x_shaped
+    assert qcorr.XColumns is states.XColumns is linalg.XColumns
+    assert qcorr.x_columns is states.x_columns is linalg.x_columns
     rng = np.random.default_rng(53)
     plus = np.array([random_x_state(rng).to_matrix() for _ in range(20)])
     minus = plus.copy()
@@ -375,7 +375,7 @@ def test_negative_zeros_off_the_x_pattern_keep_the_closed_forms():
             np.asarray(a).tobytes() for a in same]  # one group, on the X route
         assert np.array(correlations(m)._values()).tobytes() == np.array(
             correlations(p)._values()).tobytes()
-        for fn in (psd_sqrt, hermitian_eigenvalues, singular_values):
+        for fn in (psd_sqrt, hermitian_eigenvalues):
             assert fn(m).tobytes() == fn(p).tobytes()
 
 
@@ -509,7 +509,8 @@ def test_block_spin_flip_product_matches_the_dense_product(case):
     m = small_block_psd(case)[0]
     root = psd_sqrt(m)
     assert is_x_shaped(root)
-    dense = singular_values((root[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ root.conj())
+    dense = np.linalg.svd((root[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ root.conj(),
+                          compute_uv=False)
     lam = linalg._spin_flip_singular_values(root)
     assert np.abs(lam - dense).max() <= 8.0 * np.finfo(float).eps * max(dense[0], np.abs(m).max())
     assert np.all(np.diff(lam) <= 0.0)
@@ -520,16 +521,16 @@ def test_block_spin_flip_product_matches_the_dense_product(case):
 @settings(max_examples=300, deadline=None)
 @given(small_block_matrices(hermitian=True))
 def test_x_entry_routes_equal_the_public_dense_routes(case):
-    # the general routes that ``correlations`` takes on the X entries of X-shaped
+    # the general routes that ``correlations`` takes on the XColumns of X-shaped
     # matrices against the public functions on the matrices: the root,
     # concurrence, negativity and CC bit for bit, LQU and MIN within 4 ulps of
     # the matrix's scale (their W and Gram entries come from the X entries
     # directly, not from Pauli coordinates). At 2**900 the Gram matrix of the
     # MIN overflows on both routes, so MIN is compared below that scale only
     m, _, e = small_block_psd(case)[0], *case[1:3]
-    x = m.reshape(1, 16)[:, linalg._X_ENTRIES]
+    x = linalg.x_columns(m[None])
     root = linalg._x_root(x)
-    assert root.tobytes() == psd_sqrt(m).reshape(1, 16)[:, linalg._X_ENTRIES].tobytes()
+    assert np.array(root).tobytes() == np.array(linalg.x_columns(psd_sqrt(m)[None])).tobytes()
     checks = []  # (name, closed form, reference) of each cross-check
     with pytest.MonkeyPatch.context() as patch, np.errstate(
             **dict.fromkeys(("over", "invalid"), "ignore" if e == 900 else "raise")):
@@ -548,7 +549,8 @@ def test_x_entry_routes_equal_the_public_dense_routes(case):
 def test_spin_flip_product_of_larger_blocks_is_the_dense_product_bit_for_bit():
     rng = np.random.default_rng(9)
     roots = psd_sqrt(np.array([random_density_matrix(rng, rank) for rank in (1, 2, 4, 4)]))
-    dense = singular_values((roots[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ roots.conj())
+    dense = np.linalg.svd((roots[..., ::-1] * linalg._SPIN_FLIP_SIGNS) @ roots.conj(),
+                          compute_uv=False)
     assert linalg._spin_flip_singular_values(roots).tobytes() == dense.tobytes()
 
 
@@ -575,7 +577,7 @@ def test_spin_flip_product_has_small_blocks_only_inside_the_x_pattern():
     for root, m, lam_root in zip(roots, dense, lam):
         inside_x = bool(is_x_shaped(root))
         assert (max(map(len, blocks_of(m))) <= 2) == inside_x
-        expected = singular_values(m)
+        expected = np.linalg.svd(m, compute_uv=False)
         if inside_x:
             assert np.abs(lam_root - expected).max() <= 8.0 * np.finfo(float).eps * expected[0]
         else:

@@ -47,7 +47,7 @@ from qcorr import (
     negativity_x,
     to_dicke,
 )
-from qcorr.linalg import psd_sqrt
+from qcorr.linalg import HERMITICITY_TOL, psd_sqrt
 from qcorr.measures import RANGE_TOL, X_BRANCH_TOL, _w_matrix_general, balanced, check_routes
 from qcorr.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qcorr.states import is_x_shaped, trace_out_b, x_columns
@@ -542,6 +542,51 @@ def test_correlations_cross_checks_pass_on_round_off_rank_one_outer_blocks():
     np.testing.assert_array_equal(cs.concurrence, closed)
     for k, rho in enumerate(stack[:50]):
         assert correlations(rho).concurrence == cs.concurrence[k]
+
+
+def _hermitian_from_upper(m):
+    """m with its diagonal made real and its lower triangle set to the conjugate of
+    its upper triangle."""
+    upper = np.triu(m, 1)
+    return upper + upper.conj().swapaxes(-1, -2) + np.real(m) * np.eye(4)
+
+
+def _cell_bytes(cs):
+    return np.array(cs._values()).tobytes()
+
+
+def test_a_skew_inside_the_hermiticity_bound_keeps_the_upper_triangle_s_values():
+    # Werner 0.5 with rho14 = 0.05, rho41 moved by 9e-11 and rho32 by -9e-11: it passes
+    # validation, and the closed forms and the routes that check them read the same
+    # upper triangle, so no cross-check fires and the values are the Hermitian matrix's
+    w = make_werner(0.5)
+    skewed = XColumns(w.rho11, w.rho22, w.rho33, w.rho44, 0.05, w.rho23).to_matrix()
+    skewed[3, 0] += 9e-11
+    skewed[2, 1] -= 9e-11
+    reference = _hermitian_from_upper(skewed)
+    assert reference[3, 0] == 0.05 and not np.array_equal(skewed, reference)
+    assert _cell_bytes(correlations(skewed)) == _cell_bytes(correlations(reference))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_skews_inside_the_hermiticity_bound_keep_the_upper_triangle_s_values(seed):
+    # random, rank-one and balanced X states with rho41 and rho32 moved by complex skews
+    # of modulus up to HERMITICITY_TOL / 2 and an imaginary diagonal within the trace
+    # bound: as a stack and one at a time, bit for bit the values of the Hermitian
+    # matrices with the same upper triangle
+    rng = np.random.default_rng(seed)
+    xs = [make(rng) for make in (random_x_state, random_rank_one_x_state,
+                                 random_balanced_x_state) for _ in range(4)]
+    skewed = np.array([x.to_matrix() for x in xs])
+    for i, j in ((3, 0), (2, 1)):
+        skewed[:, i, j] += 0.5 * HERMITICITY_TOL * rng.random(len(xs)) * np.exp(
+            2j * np.pi * rng.random(len(xs)))
+    skewed[:, range(4), range(4)] += 1j * HERMITICITY_TOL / 8.0 * rng.uniform(-1.0, 1.0, (12, 4))
+    reference = _hermitian_from_upper(skewed)
+    assert _cell_bytes(correlations(skewed)) == _cell_bytes(correlations(reference))
+    for m, ref in zip(skewed[:3], reference[:3]):
+        assert _cell_bytes(correlations(m)) == _cell_bytes(correlations(ref))
 
 
 # ---------------------------------------------------------------------- invariants
