@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--initial", default="mixture:0.5",
                           help="mixture:W | werner:P | custom@FILE")
     p_evolve.add_argument("--t-max", type=float, default=100.0, dest="t_max")
-    p_evolve.add_argument("--dt", type=float, default=1e-3)
-    p_evolve.add_argument("--stride", type=int, default=100, help="sampling interval in steps")
+    p_evolve.add_argument("--dt", type=float, default=1e-3, help="grid unit; propagation is exact")
+    p_evolve.add_argument("--stride", type=int, default=100, help="sampling interval in grid units")
     p_evolve.set_defaults(func=cmd_evolve)
 
     p_esd = sub.add_parser("esd", help="entanglement death time for decaying mixtures "

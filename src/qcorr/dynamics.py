@@ -30,6 +30,9 @@ STEADY_RHS_TOL = 1e-12
 # 0.3-0.45 s and peaks at 129-130 MB RSS (x86-64 Linux, 2 cores, numpy 2.4.6); the
 # tests/smoke.py case "evolve --t-max 99.999 --stride 1" fails above 250 MB
 MAX_SAMPLES = 100_000
+# the degree of phi1's Taylor sum and the bound on ||L h||_1 it is taken at (_increment_operator):
+# the remainder sum_(k > 13) (1/4)^k / (k + 1)! is below 3e-21
+PHI_DEGREE, PHI_NORM = 13, 0.25
 # the Pauli coordinates 4a + b of the X-shaped s_a ox s_b: a block the generator never leaves
 _X_COORDS = np.flatnonzero(is_x_shaped(_PAULI))
 # (A, A^dag A) of the jump operators, in the order of the rates in _channels
@@ -95,28 +98,24 @@ def _liouvillian(params: ModelParams, coords=slice(None)) -> np.ndarray:
     return lv
 
 
-def _increment_operator(lv: np.ndarray, dt: float, n: int) -> np.ndarray:
-    """Phi with T4(L dt)^n = I + Phi L, where T4 is one classical RK4 step.
-
-    Built by binary powering in increment form: Phi_1 = dt (I + A/2 + A^2/6
-    + A^3/24) with A = L dt, Phi_2k = Phi_k (2I + L Phi_k) and Phi_(m+k) =
-    Phi_m + Phi_k + Phi_m L Phi_k. Applying y + Phi (L y) instead of a power
-    of T4 keeps exact fixed points (L y = 0) bit-identical and adds only
-    round-off of the size of the increment.
-    """
+def _increment_operator(lv: np.ndarray, tau: float) -> np.ndarray:
+    """Phi = tau phi1(L tau), so that exp(L tau) = I + Phi L to round-off: phi1(A) = sum_k A^k /
+    (k + 1)! summed to PHI_DEGREE at h = tau / 2^s, s the least with ||L h||_1 <= PHI_NORM (s and
+    h from exponents, so that no power of two overflows), then s doublings Phi_2h = Phi_h (2I +
+    L Phi_h): scaling and squaring (Moler and Van Loan, SIAM Rev. 45, 3 (2003))."""
     eye = np.eye(len(lv))
-    with np.errstate(over="ignore", invalid="ignore"):  # unstable dt: inf/nan, rejected later
-        a = lv * dt
-        step = dt * (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
-        total = np.zeros_like(step)
-        while n:
-            l_step = lv @ step
-            if n & 1:
-                total = total + step + total @ l_step
-            n >>= 1
-            if n:
-                step = 2.0 * step + step @ l_step
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: inf/nan, rejected later
+        (m_l, e_l), (m_t, e_t) = math.frexp(np.linalg.norm(lv, 1)), math.frexp(tau)
+        m, e = math.frexp(m_l * m_t / PHI_NORM)  # ||L||_1 tau / PHI_NORM = m 2^(e_l + e_t + e)
+        s = max(e_l + e_t + e - (m == 0.5), 0) if m else 0
+        h = math.ldexp(tau, -s)
+        a, phi = lv * h, eye
+        for k in range(PHI_DEGREE + 1, 1, -1):  # Horner: I + A/2 (I + A/3 (... (I + A/14)))
+            phi = eye + a @ phi / k
+        phi = h * phi
+        for _ in range(s):
+            phi = phi @ (2.0 * eye + lv @ phi)
+    return phi
 
 
 def _apply(op: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -132,7 +131,7 @@ def evolve(
     dt: float = 1e-3,
     stride: int = 100,
 ) -> Trajectory:
-    """Integrate the master equation with the classical fixed-step RK4 scheme.
+    """Propagate the master equation exactly: each sample is exp(L t) of the first.
 
     Parameters
     ----------
@@ -140,21 +139,22 @@ def evolve(
         Initial density matrix (``XColumns.to_matrix()`` for an X state);
         validated as sample 0 of the stack (see below).
     t_max, dt : float
-        Horizon and step (t_max is rounded to a whole number of steps).
+        Horizon and grid unit (t_max is rounded to a whole number of units).
+        dt sets where samples fall, not the accuracy.
     stride : int
-        Sampling interval in steps; the final step is always sampled.
+        Sampling interval in grid units; the end of the horizon is always sampled.
 
     The state is propagated as its real Pauli coordinates y (see
-    ``_liouvillian``), whose trace y_0 no step changes: the eight X
+    ``_liouvillian``), whose trace y_0 no map changes: the eight X
     coordinates ``_X_COORDS`` when ``rho0`` is exactly X-shaped (the generator
     never couples them to the others, so the samples stay exactly X-shaped
-    and take the X closed forms), all 16 otherwise. The ``stride`` RK4
-    steps between two samples are one map T = I + Phi L (see
+    and take the X closed forms), all 16 otherwise. The map between two
+    samples is exp(L stride dt) = I + Phi L, with Phi to round-off (see
     ``_increment_operator``). The samples are filled by doubling: with the
-    first m known and T^m = I + Phi_m L, the next m are y + Phi_m (L y) of
-    the first m, and Phi_2m = Phi_m (2I + L Phi_m); a final partial stride
-    takes its own Phi. So the cost grows with the number of samples, not of
-    steps, a state with L y = 0 stays bit-identical, and more than
+    first m known and exp(L m stride dt) = I + Phi_m L, the next m are
+    y + Phi_m (L y) of the first m, and Phi_2m = Phi_m (2I + L Phi_m); a final
+    partial stride takes its own Phi. So the cost grows with the number of
+    samples, a state with L y = 0 stays bit-identical, and more than
     MAX_SAMPLES samples raise DomainError. Every sample after the first is
     rebuilt as an exactly Hermitian matrix; the first is ``rho0`` as given.
     ``steady_time`` applies STEADY_RHS_TOL to the entries of the rebuilt
@@ -162,7 +162,7 @@ def evolve(
     (``_steady_rows``). The sampled states are then checked and evaluated as
     one stack (``_evaluate_samples``): an invalid ``rho0`` raises as
     ``validate`` does (ValueError before the run if it is not 4x4), a later
-    state that fails validation StepRejected with its time.
+    state that fails validation (huge parameters) StepRejected with its time.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"dt must be positive and finite, got {dt}")
@@ -184,17 +184,17 @@ def evolve(
     coords = _X_COORDS if is_x_shaped(mat0) else slice(None)
 
     lv = _liouvillian(params, coords)
-    phi = _increment_operator(lv, dt, stride)
-    phi_last = _increment_operator(lv, dt, n_steps % stride) if n_steps % stride else phi
+    phi = _increment_operator(lv, stride * dt)
+    phi_last = _increment_operator(lv, (n_steps % stride) * dt) if n_steps % stride else phi
     # float step counts: a stride or horizon past int64 must not overflow
     times = np.minimum(np.arange(n_samples) * float(stride), float(n_steps)) * dt
     n_whole = n_steps // stride + 1  # samples a whole number of strides apart
     states = np.empty((n_samples, len(lv)))  # Pauli coordinates
     rhs = np.empty_like(states)  # L y of each sample
-    with np.errstate(over="ignore", invalid="ignore"):  # unstable dt: inf/nan, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: inf/nan, rejected below
         states[0] = _to_pauli(mat0)[coords]  # overflows only for an invalid rho0
         rhs[:1] = _apply(lv, states[:1])
-        done, phi_done = 1, phi  # T^done = I + phi_done L for the one-sample RK4 map T
+        done, phi_done = 1, phi  # exp(L done stride dt) = I + phi_done L
         while done < n_whole:
             k = min(done, n_whole - done)
             states[done:done + k] = states[:k] + _apply(phi_done, rhs[:k])

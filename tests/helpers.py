@@ -338,7 +338,7 @@ def find_dark_intervals(
 
     Endpoints are refined by bisection on ``concurrence_signed`` of the 4x4
     matrix ``state_at(t)`` when given (e.g. ``analytic_mixture(t,
-    params).to_matrix()``) and of a re-integration from the nearest stored
+    params).to_matrix()``) and of exact propagation from the nearest stored
     sample otherwise. A dark interval still open at the end of the horizon
     gets rebirth = math.inf.
     """
@@ -374,12 +374,7 @@ def _state_interpolator(traj: Trajectory):
         i = int(np.searchsorted(traj.times, t, side="right") - 1)
         i = max(0, min(i, len(traj.times) - 1))
         y = _to_pauli(traj.states[i])
-        remaining = t - traj.times[i]
-        whole, frac = divmod(remaining, traj.dt)
-        y = y + _increment_operator(lv, traj.dt, int(whole)) @ (lv @ y)
-        if frac > 1e-15:
-            y = y + _increment_operator(lv, frac, 1) @ (lv @ y)
-        return _from_pauli(y)
+        return _from_pauli(y + _increment_operator(lv, t - traj.times[i]) @ (lv @ y))
 
     return at
 

@@ -1,5 +1,6 @@
 """Eigensolver, singular values, PSD square root, trace norm and partial transpose."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -641,6 +642,16 @@ def test_psd_sqrt_rejects_indefinite():
     assert np.array_equal(psd_sqrt(np.diag([1.0, -linalg.PSD_TOL])), np.diag([1.0, 0.0]))
     with pytest.raises(NotPSD):
         psd_sqrt(np.diag([1.0, np.nextafter(-linalg.PSD_TOL, -1.0)]))
+
+
+@pytest.mark.parametrize("f, m, message", [
+    (linalg.require_hermitian, np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (partial_transpose_b, np.eye(2), "expected a 4x4 matrix, got shape (2, 2)"),
+    (validate, np.eye(2) / 2.0, "expected a 4x4 matrix, got shape (2, 2)"),
+], ids=["require_hermitian", "partial_transpose_b", "validate"])
+def test_a_matrix_of_the_wrong_shape_is_refused(f, m, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        f(m)
 
 
 def test_trace_norm_values():

@@ -131,6 +131,8 @@ def test_params_are_frozen_positional_and_print_their_fields():
     p = ModelParams()
     with pytest.raises(AttributeError):
         p.j = 0.2
+    with pytest.raises(AttributeError, match="cannot delete field 'j'"):
+        del p.j
     assert p == ModelParams()
     assert repr(p) == "ModelParams(j=0.1, delta=0.5, omega=1.0, gamma=0.1, nbar=0.0)"
     q = ModelParams(0.2, 0.3)
