@@ -9,18 +9,9 @@ import numpy as np
 
 from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NotHermitian, NotPSD,
                      Record, StepRejected, TraceNotOne, raise_first)
-from .measures import (
-    CorrelationSet,
-    _log_negativity_from,
-    balanced,
-    check_routes,
-    concurrence_x,
-    correlated_coherence,
-    correlations,
-    lqu_x,
-    min_trace,
-    negativity_x,
-)
+from .linalg import _power_of_two
+from .measures import (CorrelationSet, _log_negativity_from, _x_closed_forms, check_routes,
+                       correlations)
 from .model import (ModelParams, _PAULI, _from_pauli, _to_pauli, hamiltonian, spin_lowering,
                     spin_raising)
 from .states import XColumns, _validated, is_x_shaped
@@ -372,57 +363,39 @@ def analytic_independent_mixture(t, w: float, gamma: float, omega: float = 1.0) 
 # steady states
 
 
-def _require_decay(params: ModelParams):
+def _steady(params: ModelParams):
+    """The thermal steady state over the broadcast fields of ``params`` and the paper's
+    closed forms on it, from one pass: (XColumns, CC, concurrence, zero-temperature LQU),
+    the LQU only meaningful at nbar = 0.
+
+    Every steady quantity is homogeneous of degree 0 in delta, omega and gamma, so they
+    are divided exactly by the power of two ``_power_of_two`` of them; with k = 2 nbar + 1,
+    den = 4 Omega^2 + gamma^2 k^2 and the terms 1/k, a = nbar/k, b = (nbar + 1)/k and
+    sqrt(den)/k, every term stays finite for any finite parameters. With p = Delta /
+    sqrt(den), h = sqrt(4 omega^2 + gamma^2 k^2) / k and v = h^2 k^2 / den = 1 - 4 p^2:
+    rho11 = p^2 + a^2 v, rho44 = p^2 + b^2 v, rho22 = rho33 = (p/k)^2 + a b, rho14 =
+    -p (2 omega + i gamma k) / (k sqrt(den)), CC = 2 |p| sqrt(v) / k and the
+    concurrence 2 max{0, CC/2 - (p/k)^2 - a b}. At nbar = 0 sqrt(rho) has m11 = 2 p^2,
+    m22 = m33 = |p|, m44 = 2 p^2 + v, |m14| = |p| sqrt(v) and m23 = 0, so the paper's
+    1 - max{W11, W33} is min{4 p^2 v, p^2 (1 - 2|p|)^2 + (|p| - 2 p^2 - v)^2 + 2 p^2 v}:
+    sums of squares, with nothing to cancel against 1 when the LQU is small."""
     if np.any(np.less_equal(params.gamma, 0.0)):
         raise DegenerateParams("gamma > 0 is required for a unique steady state")
-
-
-def _steady_scales(params: ModelParams):
-    """Terms of the thermal steady state over the broadcast fields of
-    ``params`` that stay finite for any finite parameters: delta, omega and
-    gamma divided exactly by the power of two that brings the largest into
-    [1/2, 1) (every steady quantity is homogeneous of degree 0 in them),
-    1/k, nbar/k and (nbar + 1)/k with k = 2 nbar + 1, and sqrt(den)/k with
-    den = 4 Omega^2 + gamma^2 k^2."""
-    _require_decay(params)
     d, w, g, nb = np.broadcast_arrays(params.delta, params.omega, params.gamma, params.nbar)
-    e = np.frexp(np.maximum(np.maximum(abs(d), w), g))[1]
+    e = _power_of_two(d, w, g)
     d, w, g, half = np.ldexp(d, -e), np.ldexp(w, -e), np.ldexp(g, -e), nb + 0.5
-    inv_k = 0.5 / half
-    root = np.hypot(2.0 * inv_k * np.hypot(d, w), g)
-    return d, w, g, inv_k, 0.5 * (nb / half), 0.5 * ((nb + 1.0) / half), root
-
-
-def _steady_columns(d, w, g, inv_k, a, b, root) -> XColumns:
-    """Thermal steady-state entries as arrays. With p = Delta / sqrt(den) and
-    v = (4 omega^2 + gamma^2 k^2) / den = 1 - 4 p^2: rho11 = p^2 + (nbar/k)^2 v,
-    rho44 = p^2 + ((nbar + 1)/k)^2 v, rho22 = rho33 = (p/k)^2 + nbar (nbar + 1)/k^2
-    and rho14 = -p (2 omega + i gamma k) / (k sqrt(den))."""
+    inv_k, a, b = 0.5 / half, 0.5 * (nb / half), 0.5 * ((nb + 1.0) / half)
+    root, h = np.hypot(2.0 * inv_k * np.hypot(d, w), g), np.hypot(2.0 * w * inv_k, g)
     p = d * inv_k / root
-    v = np.square(np.hypot(2.0 * w * inv_k, g) / root)
-    r22 = np.square(p * inv_k) + a * b
+    p2, v, population = p * p, np.square(h / root), np.square(p * inv_k)
+    r22 = population + a * b
     r14 = -p * (2.0 * w * inv_k + 1j * g) * inv_k / root
-    return XColumns(p * p + a * a * v, r22, r22, p * p + b * b * v, r14, np.zeros_like(r14))
-
-
-def _steady_closed_forms(d, w, g, inv_k, a, b, root):
-    """The paper's closed forms from the terms of ``_steady_scales``: CC, the
-    concurrence and the zero-temperature LQU (only meaningful at nbar = 0).
-
-    With p and v as in ``_steady_columns``, at nbar = 0 sqrt(rho) has m11 =
-    2 p^2, m22 = m33 = |p|, m44 = 2 p^2 + v, |m14| = |p| sqrt(v) and m23 = 0,
-    so the paper's 1 - max{W11, W33} is min{4 p^2 v, p^2 (1 - 2|p|)^2 +
-    (|p| - 2 p^2 - v)^2 + 2 p^2 v}: sums of squares, with nothing to cancel
-    against 1 when the LQU is small."""
-    p, h = d * inv_k / root, np.hypot(2.0 * w * inv_k, g)
-    v = np.square(h / root)
+    columns = XColumns(p2 + a * a * v, r22, r22, p2 + b * b * v, r14, np.zeros_like(r14))
     cc = 2.0 * abs(p) * (inv_k * h / root)
-    population = np.square(p * inv_k)  # Delta^2 / (k^2 den)
     concurrence = 2.0 * np.maximum(0.0, 0.5 * cc - population - a * b)
-    p2 = p * p
     lqu = np.minimum(4.0 * p2 * v, np.square(p * (1.0 - 2.0 * abs(p)))
                      + np.square(abs(p) - 2.0 * p2 - v) + 2.0 * p2 * v)
-    return cc, concurrence, lqu
+    return columns, cc, concurrence, lqu
 
 
 def steady_state_thermal(params: ModelParams) -> XColumns:
@@ -430,46 +403,42 @@ def steady_state_thermal(params: ModelParams) -> XColumns:
     At nbar = 0 it is entangled iff |Delta| < sqrt(gamma^2 + 4 omega^2), and
     for Delta = 0 it is diagonal. Array-valued ``params`` fields give one
     state per element. Validated."""
-    return _validated(_steady_columns(*_steady_scales(params)))
+    return _validated(_steady(params)[0])
 
 
 def steady_ccc_thermal(params: ModelParams) -> float:
     """Closed-form steady-state correlated coherence 2 |Delta| sqrt(4 omega^2
-    + gamma^2 k^2) / (k den), written in the terms of ``_steady_scales``
-    (arrays for array-valued fields); the steady MIN equals it unless the
-    marginal of A is degenerate."""
-    return _steady_closed_forms(*_steady_scales(params))[0]
+    + gamma^2 k^2) / (k den), written in the terms of ``_steady`` (arrays for
+    array-valued fields); the steady MIN equals it unless the marginal of A
+    is degenerate."""
+    return _steady(params)[1]
 
 
 def steady_concurrence_thermal(params: ModelParams) -> float:
     """Closed-form steady-state concurrence 2 max{0, (k |Delta| sqrt(4 omega^2
     + gamma^2 k^2) - Delta^2) / (k^2 den) - nbar (nbar + 1) / k^2}, the first
     term being CC / 2."""
-    return _steady_closed_forms(*_steady_scales(params))[1]
+    return _steady(params)[2]
 
 
 def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
     """All steady-state quantifiers from the X closed forms on the thermal
-    steady state. Array-valued ``params`` fields give one row per element
-    (a CorrelationSet of arrays). The paper's closed forms cross-check them:
-    concurrence, CC and the MIN (unless the marginal of A is degenerate),
-    and the LQU at nbar = 0 (the paper's 1 - max{W11, W33} as a sum of
-    squares, see ``_steady_closed_forms``); the first failing row raises
-    CrossCheckFailure with its flat position as ``index``.
+    steady state, with one ``_steady`` pass. Array-valued ``params`` fields
+    give one row per element (a CorrelationSet of arrays). The paper's closed
+    forms cross-check them: concurrence, CC (and with it the MIN, which is CC
+    unless the marginal of A is degenerate) and the LQU at nbar = 0 (the
+    paper's 1 - max{W11, W33} as a sum of squares, see ``_steady``); the first
+    failing row raises CrossCheckFailure with its flat position as ``index``.
     """
-    scales = _steady_scales(params)
-    columns = _steady_columns(*scales)
+    columns, paper_cc, paper_conc, zero_temp_lqu = _steady(params)
     x = XColumns(*map(np.ravel, columns))  # scalar params too: one array path for every row
-    conc, neg, unc, mt, cc = (f(x) for f in (concurrence_x, negativity_x, lqu_x, min_trace,
-                                             correlated_coherence))
-    paper_cc, paper_conc, zero_temp_lqu = _steady_closed_forms(*scales)
+    conc, neg, unc, mt, cc = _x_closed_forms(x)
     shape = np.shape(columns.rho11)
     paper_lqu = np.where(np.equal(params.nbar, 0.0), zero_temp_lqu, unc.reshape(shape))
     check_routes([
         ("concurrence", conc, paper_conc),
         ("lqu", unc, paper_lqu),
         ("correlated coherence", cc, paper_cc),
-        ("min_trace", mt, np.where(balanced(x), mt, np.ravel(paper_cc))),
     ])
     rows = (conc, neg, _log_negativity_from(neg), unc, mt, cc, cc)
     return CorrelationSet(*(c.reshape(shape)[()] for c in rows))

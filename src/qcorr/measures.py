@@ -240,12 +240,14 @@ def min_trace(x: XColumns) -> float:
     """Trace-norm MIN of an X state.
 
     With x = rho11 + rho22 - (rho33 + rho44) the invariant measurement on A is
-    unique for x != 0 and the MIN equals u1 = 2(|rho14| + |rho23|); at x = 0
-    (|x| <= X_BRANCH_TOL) the measurement basis is free and the maximum over
-    bases is max{u1, |u3|} with u3 = rho11 - rho22 - rho33 + rho44. (The third
-    candidate 2 ||rho23| - |rho14|| never exceeds u1, in floating point too.)
+    unique for x != 0 and the MIN equals u1 = 2(|rho14| + |rho23|), the
+    correlated coherence (the paper's MIN = CC, so u1 is
+    ``correlated_coherence``); at x = 0 (|x| <= X_BRANCH_TOL) the measurement
+    basis is free and the maximum over bases is max{u1, |u3|} with u3 = rho11 -
+    rho22 - rho33 + rho44. (The third candidate 2 ||rho23| - |rho14|| never
+    exceeds u1, in floating point too.)
     """
-    u1 = 2.0 * (abs(x.rho14) + abs(x.rho23))
+    u1 = correlated_coherence(x)
     u3 = x.rho11 - x.rho22 - x.rho33 + x.rho44
     return np.where(balanced(x), np.maximum(u1, abs(u3)), u1)[()]
 
@@ -340,8 +342,10 @@ def correlations(rho) -> CorrelationSet:
     TraceNotOne or NotPSD with its flat position as ``index``. X-shaped
     matrices (every entry off the X pattern exactly zero, see
     ``is_x_shaped``) use the closed forms, and every closed form is
-    compared against its general-definition route; the first matrix where
-    they disagree raises CrossCheckFailure (its flat position is ``index``).
+    compared against its general-definition route, CC as the MIN (the l1
+    coherence of an X state is its CC, see ``_x_values``); the first matrix
+    where they disagree raises CrossCheckFailure (its flat position is
+    ``index``).
     X-shaped matrices are read once as their eight X entries for the
     Hermiticity and trace checks, and from the positivity check on as
     XColumns, their upper triangle, on which their square roots, closed forms
@@ -379,6 +383,11 @@ def _dense_values(mats: np.ndarray, sqrt_rho: np.ndarray) -> tuple:
             min_trace_general(mats), _correlated_coherence_from_l1(mats, l1), l1)
 
 
+def _x_closed_forms(x: XColumns) -> tuple:
+    """Concurrence, negativity, LQU, MIN and CC of X states by their closed forms."""
+    return concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x), correlated_coherence(x)
+
+
 def _x_values(x: XColumns, s: XColumns) -> tuple:
     """``_dense_values`` of X-shaped matrices from their XColumns x and those of their
     square roots s: the closed forms, each checked against its general route.
@@ -387,9 +396,10 @@ def _x_values(x: XColumns, s: XColumns) -> tuple:
     values, the partial transpose's blocks, the nonzero entries of W (W_xx, W_yy =
     2 (m11 m33 + m22 m44) +- 4 Re(m14 m23), W_xy = -4 Im(m14 m23), W_zz = sum m_ii^2
     - 2 (|m14|^2 + |m23|^2) for the root m) and of the projected-T Gram matrix, each
-    2x2 block solved by ``_hermitian_2x2``, and l1 summed in the order of
-    ``l1_coherence``, with |rho32| = |rho23| and |rho41| = |rho14|. The marginals of an
-    X state are diagonal: its CC route is l1, which equals the closed form bit for bit."""
+    2x2 block solved by ``_hermitian_2x2``. The marginals of an X state are diagonal,
+    so its l1 coherence and its CC are the one sum 2(|rho14| + |rho23|): no route of
+    CC differs from the closed form, and CC is checked as the MIN, which it is wherever
+    the marginal of A is not degenerate (``balanced``)."""
     pt = [_hermitian_2x2(x.rho11, x.rho44, x.rho23, False),
           _hermitian_2x2(x.rho22, x.rho33, x.rho14, False)]
     m11, m22, m33, m44, p = s.rho11, s.rho22, s.rho33, s.rho44, s.rho14 * s.rho23
@@ -403,15 +413,12 @@ def _x_values(x: XColumns, s: XColumns) -> tuple:
     t_zz = ((x.rho11 - x.rho22) - x.rho33) + x.rho44
     gram = _hermitian_2x2(abs(big_p) ** 2, abs(big_q) ** 2, (big_p.conj() * big_q).imag, False)
     g_zz = np.where(abs(a_z) > X_BRANCH_TOL, 0.0, t_zz * t_zz)
-    conc, neg, unc, mt, cc = (concurrence_x(x), negativity_x(x), lqu_x(x), min_trace(x),
-                              correlated_coherence(x))
-    l1 = (abs(x.rho23) + abs(x.rho14)) + (abs(x.rho14) + abs(x.rho23))
+    conc, neg, unc, mt, cc = _x_closed_forms(x)
     check_routes([
         ("concurrence", conc, np.maximum(0.0, _wootters(_spin_flip_x(s)))),
         ("concurrence (Dicke basis)", conc, concurrence_dicke(to_dicke(x))),
         ("negativity", neg, _negativity_from(np.minimum(np.minimum(*pt[0]), np.minimum(*pt[1])))),
         ("lqu", unc, _lqu_from(np.maximum(np.maximum(*w), w_zz))),
-        ("correlated coherence", cc, l1),
         ("min_trace", mt, np.sqrt(np.maximum(np.maximum(np.maximum(*gram), g_zz), 0.0))),
     ])
-    return conc, neg, unc, mt, cc, l1
+    return conc, neg, unc, mt, cc, cc

@@ -157,6 +157,7 @@ CASES = [
          checks=(no_zero_lqu,)),  # LQU below 1e-15 is not rounded to zero
     Case("steady --out steady_row.csv", 2, checks=(stdout_equals_out,)),
     Case("steady --delta -1e-3 --out negative_delta.csv", 2),  # a negative exponent-notation value
+    Case("steady --sweep nbar:1e8:1e10:5", 6),  # from nbar = 2.575e9 on, the balanced MIN branch
     Case("evolve --initial mixture:abc", 0, 2, 1),
     Case("evolve --initial custom@not_utf8.txt", 0, 2, 1),
     Case("evolve --initial custom@x_not_hermitian.txt", 0, 2, 1),

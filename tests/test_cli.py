@@ -683,13 +683,13 @@ def test_steady_sweep_rows_equal_single_rows(sweep, flags, tmp_path):
 def test_steady_cross_check_miss_names_swept_value(monkeypatch, tmp_path, capsys):
     from qcorr import dynamics
 
-    real = dynamics._steady_closed_forms
+    real = dynamics._steady
 
-    def missed(*scales):  # the paper's CC misses by 1e-6 where nbar > 0.5
-        paper_cc, *rest = real(*scales)
-        return paper_cc + 1e-6 * (np.linspace(0.0, 1.0, 11) > 0.5), *rest
+    def missed(params):  # the paper's CC misses by 1e-6 where nbar > 0.5
+        columns, paper_cc, *rest = real(params)
+        return columns, paper_cc + 1e-6 * (np.linspace(0.0, 1.0, 11) > 0.5), *rest
 
-    monkeypatch.setattr(dynamics, "_steady_closed_forms", missed)
+    monkeypatch.setattr(dynamics, "_steady", missed)
     code, _ = run_cli(["steady", "--sweep", "nbar:0:1:11"], tmp_path)
     assert code == 3
     err = capsys.readouterr().err

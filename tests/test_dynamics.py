@@ -41,6 +41,7 @@ from qcorr import (
     lqu_x,
     make_mixture,
     make_werner,
+    min_trace_general,
     steady_ccc_thermal,
     steady_concurrence_thermal,
     steady_correlations_thermal,
@@ -49,7 +50,7 @@ from qcorr import (
 )
 from qcorr import dynamics
 from qcorr.dynamics import (STEADY_RHS_TOL, _X_COORDS, _apply, _increment_operator,
-                            _liouvillian, _steady_closed_forms, _steady_rows, _steady_scales)
+                            _liouvillian, _steady, _steady_rows)
 from qcorr.model import _from_pauli, _to_pauli
 from qcorr.states import is_x_shaped, validate
 
@@ -819,7 +820,7 @@ def test_zero_temperature_lqu_reference_keeps_full_relative_accuracy(delta, omeg
         w11, w33 = steady_w_entries_zero_temp(*map(decimal.Decimal, (delta, omega, gamma)),
                                               sqrt=lambda x: decimal.Decimal(x).sqrt())
         exact = float(1 - max(w11, w33))
-    reference = _steady_closed_forms(*_steady_scales(params))[2]
+    reference = _steady(params)[3]
     assert abs(reference - exact) <= 1e-14 * exact
 
 
@@ -828,10 +829,26 @@ def test_steady_correlations_evaluate_the_scales_once(nbar, monkeypatch):
     from qcorr import dynamics
 
     calls = []
-    real = dynamics._steady_scales
-    monkeypatch.setattr(dynamics, "_steady_scales", lambda params: calls.append(params) or real(params))
+    real = dynamics._steady
+    monkeypatch.setattr(dynamics, "_steady", lambda params: calls.append(params) or real(params))
     steady_correlations_thermal(ModelParams(j=0.1, delta=0.5, gamma=0.1, nbar=nbar))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, values, fields", [
+    ("delta", np.linspace(0.0, 2.2, 2200), {}),
+    ("nbar", np.linspace(0.0, 2.0, 2000), {"gamma": 0.01}),
+    ("nbar", np.linspace(0.0, 50.0, 501), {}),
+])
+def test_steady_min_by_the_gram_route_equals_the_paper_cc(name, values, fields):
+    # the paper's MIN = CC on steady states across two routes: the MIN of the rebuilt
+    # matrices by the Gram route (LAPACK) against the closed-form CC. Up to nbar = 50
+    # |x| = v / k stays far above X_BRANCH_TOL, so the MIN is CC on every row
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the delta sweep passes omega/2
+        params = ModelParams(**{"j": 0.1, "delta": 0.5, "gamma": 0.1, **fields, name: values})
+    mats = steady_state_thermal(params).to_matrix()
+    assert np.abs(min_trace_general(mats) - steady_ccc_thermal(params)).max() <= 1e-12
 
 
 def test_steady_entanglement_cutoff_zero_temp():

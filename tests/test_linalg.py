@@ -30,6 +30,7 @@ from qcorr import (
     correlations,
     hermitian_eigenvalues,
     is_x_shaped,
+    l1_coherence,
     lqu,
     make_mixture,
     make_werner,
@@ -524,10 +525,11 @@ def test_block_spin_flip_product_matches_the_dense_product(case):
 def test_x_entry_routes_equal_the_public_dense_routes(case):
     # the general routes that ``correlations`` takes on the XColumns of X-shaped
     # matrices against the public functions on the matrices: the root,
-    # concurrence, negativity and CC bit for bit, LQU and MIN within 4 ulps of
-    # the matrix's scale (their W and Gram entries come from the X entries
-    # directly, not from Pauli coordinates). At 2**900 the Gram matrix of the
-    # MIN overflows on both routes, so MIN is compared below that scale only
+    # concurrence, negativity and the CC and l1 columns (one sum) bit for bit,
+    # LQU and MIN within 4 ulps of the matrix's scale (their W and Gram entries
+    # come from the X entries directly, not from Pauli coordinates). At 2**900 the
+    # Gram matrix of the MIN overflows on both routes, so MIN is compared below
+    # that scale only
     m, _, e = small_block_psd(case)[0], *case[1:3]
     x = linalg.x_columns(m[None])
     root = linalg._x_root(x)
@@ -536,11 +538,12 @@ def test_x_entry_routes_equal_the_public_dense_routes(case):
     with pytest.MonkeyPatch.context() as patch, np.errstate(
             **dict.fromkeys(("over", "invalid"), "ignore" if e == 900 else "raise")):
         patch.setattr(measures, "check_routes", checks.extend)
-        measures._x_values(x, root)
-    conc, _, neg, unc, cc, mt = (reference for _, _, reference in checks)
+        *_, cc, l1 = measures._x_values(x, root)
+    conc, _, neg, unc, mt = (reference for _, _, reference in checks)
     assert conc.tobytes() == np.atleast_1d(concurrence_general(m)).tobytes()
     assert neg.tobytes() == np.atleast_1d(negativity(m)).tobytes()
     assert cc.tobytes() == np.atleast_1d(correlated_coherence_general(m)).tobytes()
+    assert l1.tobytes() == np.atleast_1d(l1_coherence(m)).tobytes()
     eps = np.finfo(float).eps
     assert abs(unc[0] - lqu(m)) <= 4.0 * eps * max(1.0, np.abs(m).max())
     if e < 900:

@@ -264,16 +264,17 @@ def test_near_x_states_take_the_general_routes():
 
 def test_cross_check_input_names_its_sample(monkeypatch):
     states, times = full_rank_x_stack()
-    # the closed-form CC of sample 4 alone misses its general route by 1.6e-10
-    real = measures.correlated_coherence
-    monkeypatch.setattr(measures, "correlated_coherence",
+    # the closed-form MIN of sample 4 alone misses its general route by 1.6e-10
+    real = measures.min_trace
+    monkeypatch.setattr(measures, "min_trace",
                         lambda x: real(x) + 1.6e-10 * (np.arange(np.size(x.rho14)) == 4))
     with pytest.raises(CrossCheckFailure) as info:
         correlations(states)
     assert info.value.index == 4
     message = str(info.value)
-    assert message.startswith("correlated coherence:") and "tolerance 1.0e-10" in message
-    with pytest.raises(CrossCheckFailure, match=r"^at t = 2: correlated coherence: .* differ by 1\.6"):
+    tolerance = f"tolerance {measures.CROSS_CHECK_TOL['min_trace']:.1e}"
+    assert message.startswith("min_trace:") and tolerance in message
+    with pytest.raises(CrossCheckFailure, match=r"^at t = 2: min_trace: .* differ by 1\.6"):
         _evaluate_samples(times, states)
     # an invalid matrix is named by its flat position too, and validation
     # comes first; in time order the earlier cross-check miss still wins
@@ -281,7 +282,7 @@ def test_cross_check_input_names_its_sample(monkeypatch):
     with pytest.raises(TraceNotOne, match=r"\|trace - 1\| = 1\.000e-03") as info:
         correlations(states.reshape(2, 4, 4, 4))
     assert info.value.index == 6
-    with pytest.raises(CrossCheckFailure, match=r"^at t = 2: correlated coherence"):
+    with pytest.raises(CrossCheckFailure, match=r"^at t = 2: min_trace"):
         _evaluate_samples(times, states)
     # without a miss, a failed validation raises StepRejected at its sample's
     # time, the earlier of two failures wins, and an all-NaN sample is not finite
@@ -301,13 +302,15 @@ def test_cross_check_input_names_its_sample(monkeypatch):
 @pytest.mark.parametrize("name, check", [
     ("concurrence_x", "concurrence"), ("concurrence_dicke", "concurrence (Dicke basis)"),
     ("negativity_x", "negativity"), ("lqu_x", "lqu"),
-    ("correlated_coherence", "correlated coherence"), ("min_trace", "min_trace"),
+    ("correlated_coherence", "min_trace"), ("min_trace", "min_trace"),
 ])
 def test_each_closed_form_off_by_twice_its_tolerance_fails_its_check(monkeypatch, name, check):
     # every closed form stays checked on X rows: off by 2 CROSS_CHECK_TOL, it
     # misses its general route at the first X row, named by its stack position
-    # behind a dense row, which is not cross-checked
+    # behind a dense row, which is not cross-checked. CC is checked as the MIN,
+    # which is CC on a row whose marginal of A is not degenerate
     states, _ = full_rank_x_stack()
+    assert not measures.balanced(linalg.x_columns(states[0]))
     stack = np.concatenate([[random_density_matrix(np.random.default_rng(5))], states])
     real = getattr(measures, name)
     monkeypatch.setattr(measures, name, lambda x: real(x) + 2.0 * measures.CROSS_CHECK_TOL[check])
