@@ -10,8 +10,8 @@ import numpy as np
 from .errors import (CrossCheckFailure, DegenerateParams, DomainError, NotHermitian, NotPSD,
                      Record, StepRejected, TraceNotOne, raise_first)
 from .linalg import _power_of_two
-from .measures import (CorrelationSet, _log_negativity_from, _x_closed_forms, check_routes,
-                       correlations)
+from .measures import (CorrelationSet, _log_negativity_from, _x_closed_forms, balanced,
+                       check_routes, correlations)
 from .model import (ModelParams, _PAULI, _from_pauli, _to_pauli, hamiltonian, spin_lowering,
                     spin_raising)
 from .states import XColumns, _validated, is_x_shaped
@@ -365,8 +365,8 @@ def analytic_independent_mixture(t, w: float, gamma: float, omega: float = 1.0) 
 
 def _steady(params: ModelParams):
     """The thermal steady state over the broadcast fields of ``params`` and the paper's
-    closed forms on it, from one pass: (XColumns, CC, concurrence, zero-temperature LQU),
-    the LQU only meaningful at nbar = 0.
+    closed forms on it, from one pass: (XColumns, CC, concurrence, zero-temperature LQU,
+    u3), the LQU only meaningful at nbar = 0.
 
     Every steady quantity is homogeneous of degree 0 in delta, omega and gamma, so they
     are divided exactly by the power of two ``_power_of_two`` of them; with k = 2 nbar + 1,
@@ -375,7 +375,9 @@ def _steady(params: ModelParams):
     sqrt(den), h = sqrt(4 omega^2 + gamma^2 k^2) / k and v = h^2 k^2 / den = 1 - 4 p^2:
     rho11 = p^2 + a^2 v, rho44 = p^2 + b^2 v, rho22 = rho33 = (p/k)^2 + a b, rho14 =
     -p (2 omega + i gamma k) / (k sqrt(den)), CC = 2 |p| sqrt(v) / k and the
-    concurrence 2 max{0, CC/2 - (p/k)^2 - a b}. At nbar = 0 sqrt(rho) has m11 = 2 p^2,
+    concurrence 2 max{0, CC/2 - (p/k)^2 - a b}. As 4 a b = 1 - 1/k^2, u3 = rho11 - rho22 -
+    rho33 + rho44 is v/k^2, which the sum loses to round-off at large nbar, where the MIN
+    takes its balanced branch max{CC, |u3|}. At nbar = 0 sqrt(rho) has m11 = 2 p^2,
     m22 = m33 = |p|, m44 = 2 p^2 + v, |m14| = |p| sqrt(v) and m23 = 0, so the paper's
     1 - max{W11, W33} is min{4 p^2 v, p^2 (1 - 2|p|)^2 + (|p| - 2 p^2 - v)^2 + 2 p^2 v}:
     sums of squares, with nothing to cancel against 1 when the LQU is small."""
@@ -395,7 +397,7 @@ def _steady(params: ModelParams):
     concurrence = 2.0 * np.maximum(0.0, 0.5 * cc - population - a * b)
     lqu = np.minimum(4.0 * p2 * v, np.square(p * (1.0 - 2.0 * abs(p)))
                      + np.square(abs(p) - 2.0 * p2 - v) + 2.0 * p2 * v)
-    return columns, cc, concurrence, lqu
+    return columns, cc, concurrence, lqu, v * np.square(inv_k)
 
 
 def steady_state_thermal(params: ModelParams) -> XColumns:
@@ -430,9 +432,10 @@ def steady_correlations_thermal(params: ModelParams) -> CorrelationSet:
     paper's 1 - max{W11, W33} as a sum of squares, see ``_steady``); the first
     failing row raises CrossCheckFailure with its flat position as ``index``.
     """
-    columns, paper_cc, paper_conc, zero_temp_lqu = _steady(params)
+    columns, paper_cc, paper_conc, zero_temp_lqu, u3 = _steady(params)
     x = XColumns(*map(np.ravel, columns))  # scalar params too: one array path for every row
-    conc, neg, unc, mt, cc = _x_closed_forms(x)
+    conc, neg, unc, _, cc = _x_closed_forms(x)
+    mt = np.where(balanced(x), np.maximum(cc, np.ravel(u3)), cc)  # ``min_trace`` with exact u3
     shape = np.shape(columns.rho11)
     paper_lqu = np.where(np.equal(params.nbar, 0.0), zero_temp_lqu, unc.reshape(shape))
     check_routes([

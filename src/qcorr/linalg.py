@@ -6,26 +6,26 @@ the first has the same spectrum).
 All operations target exact sizes (2x2, 3x3, 4x4) and broadcast over stacks
 of shape (..., m, m). The program reads two answers from its one
 eigensolver: the eigenvalues (``hermitian_eigenvalues``), or the eigenvalues
-together with the square root (``psd_sqrt``). Internal solves of matrices that
-are already checked or Hermitian by construction skip the re-check
-(``_psd_root``, ``_eigenvalues``). The one closed-form block structure is the
-X pattern ((0, 3) and (1, 2)) of a 4x4 matrix, and its one layout is
-``XColumns``: the diagonal, rho14 and rho23, the upper triangle. An X-shaped
-matrix (``is_x_shaped``: exactly zero outside the pattern) is read through
-``x_columns`` and solved block by block by the column kernels
-``_hermitian_2x2`` (eigenvalues and square root) and ``_singular_values_2x2``,
-which take each entry of a block as an array over the stack; its exact zeros
-survive the solve. The same kernels solve X rows given as XColumns alone
-(``_x_root``, ``_spin_flip_x``), as ``measures.correlations`` reads them, so
-an X-shaped matrix takes no dense complex matrix product; matrices and X rows
-alike take their block eigenvalues and roots from ``_eigen_of_columns``, and a
-root goes back to a matrix through ``XColumns.to_matrix``. Every other
-matrix, 2x2 and 3x3 ones included, goes as it is to LAPACK (``eigvalsh`` or
-``eigh``, which read the lower triangle, or ``svd``) and to dense products,
-and carries LAPACK's round-off even where it is block-sparse. A stack that
-holds both kinds is solved as those two groups, so every matrix gets what it
-gets alone. A function given a stack raises for its first failing matrix,
-whose flat position the exception keeps as ``index``.
+together with the square root (``psd_sqrt``). The one closed-form block
+structure is the X pattern ((0, 3) and (1, 2)) of a 4x4 matrix, and its one
+layout is ``XColumns``: the diagonal, rho14 and rho23, the upper triangle. One
+router, ``_per_route``, splits a stack into its X-shaped matrices
+(``is_x_shaped``: exactly zero outside the pattern) and the others, hands each
+group to a function of its own and puts the results back in stack order; the
+public solvers here and ``states.validate`` and ``measures.correlations`` all
+pass it their two group functions, so a stack is tested for the X shape once
+per call. An X-shaped matrix is read through ``x_columns`` and solved block by
+block by the column kernels ``_hermitian_2x2`` (eigenvalues and square root)
+and ``_singular_values_2x2``, which take each entry of a block as an array
+over the stack; its exact zeros survive the solve. The same kernels solve X
+rows given as XColumns alone (``_x_root``, ``_spin_flip_x``), so an X-shaped
+matrix takes no dense complex matrix product, and a root goes back to a matrix
+through ``XColumns.to_matrix``. Every other matrix, 2x2 and 3x3 ones included,
+goes as it is to LAPACK (``eigvalsh``; ``eigh`` in ``_dense_root``, which read
+the lower triangle; ``svd`` in ``_spin_flip_dense``) and to dense products, and
+carries LAPACK's round-off even where it is block-sparse. So every matrix of a
+stack gets what it gets alone. A function given a stack raises for its first
+failing matrix, whose flat position the exception keeps as ``index``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, raise_first
+from .errors import CrossCheckFailure, NotHermitian, NotPSD, TraceNotOne, raise_first
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -46,6 +46,7 @@ _X_BLOCKS = ((0, 3), (1, 2))
 _OFF_X = np.array([[not any(i in b and j in b for b in _X_BLOCKS) for j in range(4)]
                    for i in range(4)])
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # M (sy ox sy) = M[:, ::-1] * these
+_ROW_FAILURES = (NotHermitian, TraceNotOne, NotPSD, CrossCheckFailure)  # each names its row
 
 
 class XColumns(namedtuple("XColumns", "rho11 rho22 rho33 rho44 rho14 rho23")):
@@ -118,27 +119,34 @@ def is_x_shaped(rho):
     return ~np.asarray(rho)[..., _OFF_X].any(-1)
 
 
-def _per_route(a: np.ndarray, solve, *args) -> list[np.ndarray]:
-    """``solve(matrices, x_shaped, *args)``, which returns arrays over the
-    matrices' leading axis, applied to the X-shaped matrices of a stack
-    (..., 4, 4) (``x_shaped``) and to the others; the results come back in
-    stack order and shape. A stack of 2x2 or 3x3 matrices is solved whole
-    with ``x_shaped`` false."""
+def _per_route(a: np.ndarray, on_x, on_dense) -> list[np.ndarray]:
+    """The one split of a stack (..., n, n) into its X-shaped 4x4 matrices and the others:
+    ``on_x`` and ``on_dense`` each take their group as a (k, n, n) array and return arrays
+    over its rows, which come back in stack order and shape. A stack of 2x2 or 3x3
+    matrices, or an empty one, is all ``on_dense``'s. When groups raise row failures, the
+    one at the earliest row is raised, with that row's flat position as ``index``."""
     n = a.shape[-1]
     if n not in (2, 3, 4):
         raise ValueError(f"solver is specialized to sizes 2..4, got {n}")
     flat = a.reshape(-1, n, n)
     x = is_x_shaped(flat) if n == 4 else np.zeros(len(flat), bool)
-    if not x.any() or x.all():  # one route (an empty stack takes LAPACK's): no scatter
-        parts = solve(flat, bool(x.any()), *args)
+    if not x.any() or x.all():  # one group: no scatter
+        parts = (on_x if x.any() else on_dense)(flat)
     else:
-        parts = None
-        for route, rows in ((True, x), (False, ~x)):
-            part = solve(flat[rows], route, *args)
+        parts, failures = None, []
+        for solve, rows in ((on_x, x), (on_dense, ~x)):
+            try:
+                part = solve(flat[rows])
+            except _ROW_FAILURES as exc:
+                exc.index = int(np.flatnonzero(rows)[exc.index])  # from the group's to the stack's
+                failures.append(exc)
+                continue
             if parts is None:
                 parts = [np.empty((len(flat),) + p.shape[1:], p.dtype) for p in part]
             for out, p in zip(parts, part):
                 out[rows] = p
+        if failures:
+            raise min(failures, key=lambda exc: exc.index)
     return [p.reshape(a.shape[:-2] + p.shape[1:]) for p in parts]
 
 
@@ -153,28 +161,9 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     a stack (..., m, m) of size 2, 3 or 4, Hermitian within HERMITICITY_TOL;
     real symmetric input is solved in real arithmetic.
     """
-    return _eigenvalues(require_hermitian(mat))
-
-
-def _eigenvalues(a: np.ndarray) -> np.ndarray:  # of matrices Hermitian by construction: no check
-    return _per_route(a, _eigen_by_blocks, False)[0]
-
-
-def _eigen_by_blocks(a: np.ndarray, x_shaped: bool, root: bool):
-    """Ascending eigenvalues of a stack (k, n, n) of matrices, all X-shaped if ``x_shaped``
-    and all LAPACK's otherwise; with ``root``, the eigenvalues (unordered from the X blocks)
-    and the square roots V diag(sqrt(w)) V^dag (w clamped at zero), an X block's without an
-    eigenvector matrix (``_hermitian_2x2``)."""
-    if not x_shaped:
-        if not root:
-            return (np.linalg.eigvalsh(a),)
-        w, v = np.linalg.eigh(a)
-        out = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-        out = out @ np.conjugate(v, out=v).swapaxes(-1, -2)  # V is not read again
-        out += out.conj().swapaxes(-1, -2)  # made exactly Hermitian
-        return w, np.multiply(out, 0.5, out=out)
-    w, x_root = _eigen_of_columns(x_columns(a), root)
-    return (w, x_root.to_matrix()) if root else (np.sort(w, axis=-1),)
+    return _per_route(require_hermitian(mat),
+                      lambda g: (np.sort(_eigen_of_columns(x_columns(g), False)[0], axis=-1),),
+                      lambda g: (np.linalg.eigvalsh(g),))[0]
 
 
 def _eigen_of_columns(x: XColumns, root: bool):
@@ -273,12 +262,24 @@ def psd_sqrt(mat) -> np.ndarray:
     Every other matrix takes V diag(sqrt(w)) V^dag of LAPACK ``eigh``. Both
     are exactly Hermitian.
     """
-    return _psd_root(require_hermitian(mat))
+    return _per_route(require_hermitian(mat).astype(complex, copy=False),
+                      lambda g: (_x_root(x_columns(g)).to_matrix(),),
+                      lambda g: (_dense_root(g),))[0]
 
 
-def _psd_root(a: np.ndarray) -> np.ndarray:
-    """``psd_sqrt`` of a stack already checked Hermitian: no second check."""
-    w, root = _per_route(a.astype(complex, copy=False), _eigen_by_blocks, True)
+def _dense_root(a: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` of matrices (k, n, n) already checked Hermitian, by LAPACK ``eigh``."""
+    w, v = np.linalg.eigh(a)
+    _require_min_eigenvalue(w.min(-1))
+    out = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    out = out @ np.conjugate(v, out=v).swapaxes(-1, -2)  # V is not read again
+    out += out.conj().swapaxes(-1, -2)  # made exactly Hermitian
+    return np.multiply(out, 0.5, out=out)
+
+
+def _x_root(x: XColumns) -> XColumns:
+    """``psd_sqrt`` of X-shaped matrices given as XColumns: those of the roots."""
+    w, root = _eigen_of_columns(x, True)
     _require_min_eigenvalue(w.min(-1))
     return root
 
@@ -291,13 +292,12 @@ def _spin_flip_singular_values(s: np.ndarray) -> np.ndarray:
     itself, so for S inside the X pattern M has only the six X entries
     (``_spin_flip_x``); it maps any other pair onto other blocks, which makes M one 4x4
     block, so every other S takes the dense product and ``np.linalg.svd``."""
-    return _per_route(s, _spin_flip_by_blocks)[0]
+    return _per_route(s, lambda g: (_spin_flip_x(x_columns(g)),),
+                      lambda g: (_spin_flip_dense(g),))[0]
 
 
-def _spin_flip_by_blocks(s: np.ndarray, x_shaped: bool) -> tuple[np.ndarray]:
-    if not x_shaped:
-        return (np.linalg.svd((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj(), compute_uv=False),)
-    return (_spin_flip_x(x_columns(s)),)
+def _spin_flip_dense(s: np.ndarray) -> np.ndarray:  # of S off the X pattern, by LAPACK
+    return np.linalg.svd((s[..., ::-1] * _SPIN_FLIP_SIGNS) @ s.conj(), compute_uv=False)
 
 
 def _spin_flip_x(s: XColumns) -> np.ndarray:
@@ -310,17 +310,15 @@ def _spin_flip_x(s: XColumns) -> np.ndarray:
     return -np.sort(-np.stack(sv, axis=-1), axis=-1)
 
 
-def _x_root(x: XColumns) -> XColumns:
-    """``_psd_root`` of X-shaped matrices given as XColumns: those of the roots."""
-    w, root = _eigen_of_columns(x, True)
-    _require_min_eigenvalue(w.min(-1))
-    return root
-
-
-def _two_qubit(rho) -> np.ndarray:
+def _four_by_four(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    return rho
+
+
+def _two_qubit(rho) -> np.ndarray:
+    rho = _four_by_four(rho)
     return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
 
 

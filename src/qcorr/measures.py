@@ -21,10 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckFailure, FrozenRecord, raise_first
-from .linalg import (XColumns, _eigenvalues, _hermitian_2x2, _spin_flip_singular_values,
-                     _spin_flip_x, hermitian_eigenvalues, partial_transpose_b, psd_sqrt)
+from .linalg import (XColumns, _four_by_four, _hermitian_2x2, _per_route, _spin_flip_dense,
+                     _spin_flip_singular_values, _spin_flip_x, hermitian_eigenvalues,
+                     partial_transpose_b, psd_sqrt)
 from .model import _PAULI, _to_pauli
-from .states import DickeColumns, _checked_groups, to_dicke, trace_out_a, trace_out_b
+from .states import DickeColumns, _checked, to_dicke, trace_out_a, trace_out_b
 
 X_BRANCH_TOL = 1e-9  # |x| (|a| for any state) up to this takes the balanced-marginal MIN branch
 RANGE_TOL = 1e-9  # slack of CorrelationSet.range_violation at the range ends
@@ -91,11 +92,7 @@ def concurrence_general(rho) -> float:
     (Wootters, PRL 80, 2245 (1998)), but no square root is taken of a
     round-off eigenvalue.
     """
-    return np.maximum(0.0, _concurrence_from_sqrt(psd_sqrt(rho)))
-
-
-def _concurrence_from_sqrt(sqrt_rho):
-    return _wootters(_spin_flip_singular_values(sqrt_rho))
+    return np.maximum(0.0, _wootters(_spin_flip_singular_values(psd_sqrt(rho))))
 
 
 def _wootters(lam):  # l1 - l2 - l3 - l4 of descending lambdas
@@ -188,7 +185,7 @@ def lqu(rho) -> float:
 
 
 def _lqu_from_sqrt(sqrt_rho: np.ndarray) -> float:
-    return _lqu_from(_eigenvalues(_w_matrix_general(sqrt_rho))[..., -1])  # W is exactly symmetric
+    return _lqu_from(np.linalg.eigvalsh(_w_matrix_general(sqrt_rho))[..., -1])  # 3x3, symmetric
 
 
 def _lqu_from(lam_max):
@@ -337,50 +334,44 @@ def correlations(rho) -> CorrelationSet:
     """Evaluate all seven quantifiers on a density matrix, or on every
     matrix of a stack (..., 4, 4) at once.
 
-    The input is validated first (Hermiticity, unit trace and positivity, as
-    in ``validate``), so the first invalid matrix raises NotHermitian,
-    TraceNotOne or NotPSD with its flat position as ``index``. X-shaped
-    matrices (every entry off the X pattern exactly zero, see
-    ``is_x_shaped``) use the closed forms, and every closed form is
-    compared against its general-definition route, CC as the MIN (the l1
-    coherence of an X state is its CC, see ``_x_values``); the first matrix
-    where they disagree raises CrossCheckFailure (its flat position is
-    ``index``).
+    Each matrix is validated (Hermiticity, unit trace and positivity, as in
+    ``validate``) and evaluated. X-shaped matrices (every entry off the X
+    pattern exactly zero, see ``is_x_shaped``) use the closed forms, and every
+    closed form is compared against its general-definition route, CC as the
+    MIN (the l1 coherence of an X state is its CC, see ``_x_values``). The
+    first failing matrix in stack order raises NotHermitian, TraceNotOne or
+    NotPSD if it is invalid and CrossCheckFailure where the routes disagree,
+    with its flat position as ``index``. ``linalg._per_route`` splits the
+    stack once into X-shaped matrices and the others, and each group is
+    validated before it is evaluated: an invalid matrix raises before a
+    cross-check miss in its own group, not before one in the other group.
     X-shaped matrices are read once as their eight X entries for the
     Hermiticity and trace checks, and from the positivity check on as
     XColumns, their upper triangle, on which their square roots, closed forms
     and general routes run (``_x_values``) with no 4x4 array. Other matrices,
-    however close to the X pattern, take the dense
-    general routes throughout, which are exact for every state: the positivity
-    check solves each matrix's eigenvalues once and returns sqrt(rho), which
-    the concurrence and LQU routes share; the general routes read only
-    eigenvalues from the partial transpose, W and Gram matrices and singular
-    values from the spin-flip product, and re-check only the Gram matrices'
-    Hermiticity. One matrix gives a CorrelationSet of floats, a stack a
-    CorrelationSet of arrays over its leading axes.
+    however close to the X pattern, take the dense general routes throughout
+    (``_dense_values``), which are exact for every state: the positivity check
+    solves each matrix's eigenvalues once and returns sqrt(rho), which the
+    concurrence and LQU routes share. One matrix gives a CorrelationSet of
+    floats, a stack a CorrelationSet of arrays over its leading axes.
     """
-    rho = np.asarray(rho, dtype=complex)
-    values = np.empty((6, rho.size // 16))
-    for rows, x_shaped, data, sqrt_rho in _checked_groups(rho):
-        try:
-            values[:, rows] = (_x_values if x_shaped else _dense_values)(data, sqrt_rho)
-        except CrossCheckFailure as exc:
-            exc.index = int(np.flatnonzero(rows)[exc.index])  # from the group's to the stack's
-            raise
-    conc, neg, unc, mt, cc, l1 = values
+    rho = _four_by_four(rho)
+    # one array, so that no two fields share memory (on X rows CC and l1 are one sum)
+    conc, neg, unc, mt, cc, l1 = np.array(_per_route(rho, *_checked(_x_values, _dense_values)))
     columns = (conc, neg, _log_negativity_from(neg), unc, mt, cc, l1)
-    if rho.ndim == 2:
-        return CorrelationSet(*(float(c[0]) for c in columns))
-    return CorrelationSet(*(c.reshape(rho.shape[:-2]) for c in columns))
+    return CorrelationSet(*(map(float, columns) if rho.ndim == 2 else columns))
 
 
 def _dense_values(mats: np.ndarray, sqrt_rho: np.ndarray) -> tuple:
-    """Concurrence, negativity, LQU, MIN, CC and l1 of a stack by the general routes."""
+    """Concurrence, negativity, LQU, MIN, CC and l1 of matrices off the X pattern by the
+    general routes, on LAPACK: their partial transposes and the spin-flip products of
+    their roots are off the pattern too (W and the Gram matrices are 3x3)."""
     l1 = l1_coherence(mats)
     # ``negativity`` without its check: the partial transpose permutes validated entries
-    neg = _negativity_from(_eigenvalues(partial_transpose_b(mats))[:, 0])
-    return (np.maximum(0.0, _concurrence_from_sqrt(sqrt_rho)), neg, _lqu_from_sqrt(sqrt_rho),
-            min_trace_general(mats), _correlated_coherence_from_l1(mats, l1), l1)
+    neg = _negativity_from(np.linalg.eigvalsh(partial_transpose_b(mats))[:, 0])
+    return (np.maximum(0.0, _wootters(_spin_flip_dense(sqrt_rho))), neg,
+            _lqu_from_sqrt(sqrt_rho), min_trace_general(mats),
+            _correlated_coherence_from_l1(mats, l1), l1)
 
 
 def _x_closed_forms(x: XColumns) -> tuple:

@@ -1,4 +1,8 @@
-"""Construction, validation and transformation of two-qubit X states."""
+"""Construction, validation and transformation of two-qubit X states.
+
+``validate`` checks X-shaped matrices on their eight X entries and the others
+as matrices, each group in the function that ``_checked`` gives
+``linalg._per_route`` for it."""
 
 from __future__ import annotations
 
@@ -7,8 +11,9 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, NotHermitian, NotPSD, TraceNotOne, raise_first
-from .linalg import (_OFF_X, XColumns, _psd_root, _require_hermitian_entries, _two_qubit,
-                     _x_root, is_x_shaped, require_hermitian, x_columns)  # noqa: F401, re-exported
+from .linalg import (_OFF_X, XColumns, _dense_root, _four_by_four, _per_route,
+                     _require_hermitian_entries, _two_qubit, _x_root, is_x_shaped,
+                     require_hermitian, x_columns)  # noqa: F401, re-exported
 
 TRACE_TOL = 1e-10
 # the flat positions (row-major, ascending) of the eight X entries, both triangles and the
@@ -28,18 +33,23 @@ def validate(rho) -> np.ndarray:
 
     Returns the input as a complex ndarray on success; raises NotHermitian,
     TraceNotOne or NotPSD naming the violated bound and its magnitude, for
-    the first failing matrix of a stack (its flat position is ``index``).
+    the first failing matrix of a stack in stack order (its flat position is
+    ``index``).
     """
-    rho = np.asarray(rho, dtype=complex)
-    _checked_groups(rho)
+    rho = _four_by_four(rho)
+    _per_route(rho, *_checked(_no_values, _no_values))
     return rho
 
 
-# the checks of ``validate`` in order, on a stack (k, 4, 4) and on the eight X entries (k, 8)
+def _no_values(data, roots) -> tuple:  # ``validate`` keeps nothing of a checked group
+    return ()
+
+
+# the checks of ``validate`` in order, on matrices (k, 4, 4) and on the eight X entries (k, 8)
 # of X-shaped matrices (``_X_ENTRIES``); the last returns the square roots from the
 # eigenvalues it solves, of the X entries' upper triangle (``_x_upper``)
 _CHECKS = (require_hermitian, lambda m: _require_unit_trace(np.trace(m, axis1=1, axis2=2)),
-           _psd_root)
+           _dense_root)
 _X_CHECKS = (lambda e: _require_hermitian_entries(e, _X_ENTRIES, 4),
              lambda e: _require_unit_trace(_x_trace(e)), lambda e: _x_root(_x_upper(e)))
 
@@ -54,37 +64,31 @@ def _x_upper(e: np.ndarray) -> XColumns:  # XColumns views of the eight X entrie
     return XColumns(r11.real, r22.real, r33.real, r44.real, r14, r23)
 
 
-def _checked_groups(rho: np.ndarray) -> list:
-    """``validate`` of a complex ndarray, flattened to (n, 4, 4), in two groups: the
-    X-shaped matrices, read once as their eight X entries (k, 8), and the others. Returns
-    (rows, x_shaped, XColumns or matrices, square roots in the same form) for each
-    nonempty group, the XColumns views of the X entries' upper triangle; raises for the
-    first failing matrix of the whole stack."""
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    mats = rho.reshape(-1, 4, 4)
-    x_rows = is_x_shaped(mats)
-    groups, failures = [], []
-    for rows, x_shaped in ((x_rows, True), (~x_rows, False)):
-        if not rows.any():
-            continue
-        data = mats if rows.all() else mats[rows]
-        data = data.reshape(-1, 16)[:, _X_ENTRIES] if x_shaped else data
-        failure, stop = None, len(data)
-        # each check sees only the matrices before the first failure found so far
-        for check in _X_CHECKS if x_shaped else _CHECKS:
-            try:
-                checked = check(data[:stop])
-            except (NotHermitian, TraceNotOne, NotPSD) as exc:
-                failure, stop = exc, exc.index
-        if failure is None:
-            groups.append((rows, x_shaped, _x_upper(data) if x_shaped else data, checked))
-        else:
-            failure.index = int(np.flatnonzero(rows)[failure.index])  # the stack's
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda exc: exc.index)
-    return groups
+def _checked(x_values, dense_values):
+    """The group functions of ``linalg._per_route`` that run the checks of ``validate`` on
+    their group (k, 4, 4) and return ``x_values(XColumns, XColumns of the square roots)``
+    of X-shaped matrices, read once as their eight X entries (k, 8) and from the
+    positivity check on as their upper triangle, or ``dense_values(matrices, square
+    roots)`` of the others."""
+    def on_x(m: np.ndarray):
+        e = m.reshape(-1, 16)[:, _X_ENTRIES]
+        return x_values(_x_upper(e), _run_checks(e, _X_CHECKS))
+
+    return on_x, lambda m: dense_values(m, _run_checks(m, _CHECKS))
+
+
+def _run_checks(data: np.ndarray, checks):
+    """The last check's result on the rows of ``data``; each check sees only the rows
+    before the first failure found so far, which is raised at the end."""
+    failure, stop = None, len(data)
+    for check in checks:
+        try:
+            out = check(data[:stop])
+        except (NotHermitian, TraceNotOne, NotPSD) as exc:
+            failure, stop = exc, exc.index
+    if failure is not None:
+        raise failure
+    return out
 
 
 def _validated(x: XColumns) -> XColumns:

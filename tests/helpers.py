@@ -8,8 +8,9 @@ import numpy as np
 
 from qcorr import XColumns, lindblad_rhs, validate
 from qcorr.dynamics import Trajectory, _increment_operator, _liouvillian
-from qcorr.linalg import hermitian_eigenvalues, partial_transpose_b, psd_sqrt
-from qcorr.measures import _concurrence_from_sqrt, sqrt_x_entries
+from qcorr.linalg import (_spin_flip_singular_values, hermitian_eigenvalues, partial_transpose_b,
+                          psd_sqrt)
+from qcorr.measures import _wootters, sqrt_x_entries
 from qcorr.model import _from_pauli, _to_pauli
 from qcorr.states import DickeColumns, _validated
 
@@ -295,7 +296,7 @@ def concurrence_signed(rho) -> float:
 
     Useful for locating entanglement death/rebirth times by sign change.
     """
-    return _concurrence_from_sqrt(psd_sqrt(rho))
+    return _wootters(_spin_flip_singular_values(psd_sqrt(rho)))
 
 
 def concurrence_negativity_bounds(c: float) -> tuple[float, float]:

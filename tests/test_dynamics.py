@@ -48,7 +48,7 @@ from qcorr import (
     steady_state_thermal,
     correlated_coherence,
 )
-from qcorr import dynamics
+from qcorr import dynamics, measures
 from qcorr.dynamics import (STEADY_RHS_TOL, _X_COORDS, _apply, _increment_operator,
                             _liouvillian, _steady, _steady_rows)
 from qcorr.model import _from_pauli, _to_pauli
@@ -849,6 +849,36 @@ def test_steady_min_by_the_gram_route_equals_the_paper_cc(name, values, fields):
         params = ModelParams(**{"j": 0.1, "delta": 0.5, "gamma": 0.1, **fields, name: values})
     mats = steady_state_thermal(params).to_matrix()
     assert np.abs(min_trace_general(mats) - steady_ccc_thermal(params)).max() <= 1e-12
+
+
+# the steady MIN on rows whose marginal of A is balanced (|x| = v/k <= X_BRANCH_TOL), at
+# the default J, omega and gamma: max{CC, u3} with CC = 2 |Delta| sqrt(4 omega^2 + gamma^2
+# k^2) / (k den) and u3 = (4 omega^2 + gamma^2 k^2) / (k^2 den), den = 4 (Delta^2 + omega^2)
+# + gamma^2 k^2 and k = 2 nbar + 1, to 60 digits: mpmath at 80 digits of the exact float
+# parameters, keyed by (Delta, nbar) with nbar from np.linspace(1e8, 1e10, 5)[1:]
+_BALANCED_STEADY_MIN_REFERENCES = {
+    (0.5, 2.575e+09): "3.77038363507079053154002300850400792967530799421852574727219e-19",
+    (0.5, 5.05e+09): "9.80296049212802803251810111121237437917835535780328238234815e-20",
+    (0.5, 7.525e+09): "4.41496230667259556838931132250287158526404048795556714867246e-20",
+    (0.5, 1e+10): "2.49999999974999985936587193610697827177411967476767280195149e-20",
+    (-0.001, 2.575e+09): "3.77038363507079078348568057843614557234182374175525715788606e-20",
+    (-0.001, 5.05e+09): "9.80296049212802860552109538763012443243991417641045461362889e-21",
+    (-0.001, 7.525e+09): "4.41496230667259581931651146255329517387060732540367766384455e-21",
+    (-0.001, 1e+10): "2.49999999975000000001874749999875050000025403485005755497608e-21",
+}
+
+
+def test_balanced_steady_min_is_the_larger_of_cc_and_u3_to_full_accuracy():
+    # u3 = rho11 - rho22 - rho33 + rho44 sums populations near 1/4, whose round-off
+    # (about 5.6e-17) dwarfs these values; the steady rows take u3 as v/k^2. At Delta =
+    # 0.5 the MIN is CC, at Delta = -1e-3 it is u3
+    delta, nbar = map(np.array, zip(*_BALANCED_STEADY_MIN_REFERENCES))
+    np.testing.assert_array_equal(nbar[:4], np.linspace(1e8, 1e10, 5)[1:])
+    params = ModelParams(delta=delta, nbar=nbar)
+    assert measures.balanced(steady_state_thermal(params)).all()
+    reference = np.array([float(v) for v in _BALANCED_STEADY_MIN_REFERENCES.values()])
+    got = steady_correlations_thermal(params).min_trace
+    assert (np.abs(got - reference) <= 4.0 * np.finfo(float).eps * reference).all()
 
 
 def test_steady_entanglement_cutoff_zero_temp():

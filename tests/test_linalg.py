@@ -95,10 +95,14 @@ def charpoly_roots_by_bisection(mat, tol=1e-12):
 
 
 def _root_mode_eigenvalues(m):
-    """The eigenvalues that the square-root mode of the solver returns beside
-    the root, sorted: the solver's other answer for the same matrices."""
+    """The eigenvalues that the square-root solve finds beside the root, sorted:
+    the solver's other answer for the same matrices, routed as ``psd_sqrt``
+    routes them (X blocks with their roots, LAPACK ``eigh`` otherwise)."""
+    def x_group(g):
+        return linalg._eigen_of_columns(linalg.x_columns(g), True)[:1]
+
     a = np.asarray(m, dtype=complex)
-    return np.sort(linalg._per_route(a, linalg._eigen_by_blocks, True)[0], axis=-1)
+    return np.sort(linalg._per_route(a, x_group, lambda g: np.linalg.eigh(g)[:1])[0], axis=-1)
 
 
 def test_identity_eigensystem():
@@ -370,11 +374,19 @@ def test_negative_zeros_off_the_x_pattern_keep_the_closed_forms():
     minus = plus.copy()
     minus[:, OFF_X[:, 0], OFF_X[:, 1]] = complex(-0.0, -0.0)
     assert np.signbit(minus.real).any() and np.signbit(minus.imag).any()
+    def x_group(x, roots):  # the checked XColumns and roots of the X group
+        groups.append([np.asarray(a).tobytes() for a in (*x, *roots)])
+        return ()
+
+    def dense_group(mats, roots):
+        raise AssertionError("a matrix took the dense route")
+
     for m, p in ((minus, plus), (minus[3], plus[3])):
         assert is_x_shaped(m).all() and validate(m) is m
-        (group,), (same,) = states._checked_groups(m), states._checked_groups(p)
-        assert group[1] and [np.asarray(a).tobytes() for a in group] == [
-            np.asarray(a).tobytes() for a in same]  # one group, on the X route
+        groups = []
+        for stack in (m, p):
+            linalg._per_route(stack, *states._checked(x_group, dense_group))
+        assert len(groups) == 2 and groups[0] == groups[1]  # one group, on the X route
         assert np.array(correlations(m)._values()).tobytes() == np.array(
             correlations(p)._values()).tobytes()
         for fn in (psd_sqrt, hermitian_eigenvalues):

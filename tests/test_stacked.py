@@ -43,7 +43,7 @@ from qcorr import (
     psd_sqrt,
     validate,
 )
-from qcorr import linalg, measures
+from qcorr import linalg, measures, states
 from qcorr.dynamics import _evaluate_samples
 
 
@@ -132,17 +132,15 @@ def test_square_roots_on_lapack_patterns_are_hermitian_and_stack():
 def test_each_eigenproblem_is_solved_once(monkeypatch):
     # a dense evolve diagonalizes its sample stack once, for validation, and
     # the general routes reuse the square root it returns; the initial state
-    # is validated as sample 0 of the stack, with no solve of its own.
-    # Validation takes the private solver entry, so count the root solves that
-    # reach it
-    shapes, per_route = [], linalg._per_route
+    # is validated as sample 0 of the stack, with no solve of its own. A dense
+    # square root is LAPACK eigh's, so count the eigh calls
+    shapes, eigh = [], np.linalg.eigh
 
-    def recorded(a, solve, *args):
-        if solve is linalg._eigen_by_blocks and args[0]:  # root: a square root
-            shapes.append(np.shape(a))
-        return per_route(a, solve, *args)
+    def recorded(a):
+        shapes.append(np.shape(a))
+        return eigh(a)
 
-    monkeypatch.setattr(linalg, "_per_route", recorded)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     rho = random_density_matrix(np.random.default_rng(3))
     traj = evolve(rho, ModelParams(nbar=0.5), t_max=1.0, dt=0.01, stride=1)
     assert shapes == [(len(traj.times), 4, 4)]
@@ -150,18 +148,19 @@ def test_each_eigenproblem_is_solved_once(monkeypatch):
 
     # the fig1 stack is X-shaped throughout, with several nonzero patterns
     # (sample 0 is the w = 1/2 mixture, rho33 = rho23 = 0): no stacked solve
-    # takes a 4x4 matrix, and each 2x2 block problem is solved once for the
-    # whole stack, in closed form
+    # takes a 4x4 matrix (LAPACK's), and each 2x2 block problem is solved once
+    # for the whole stack, in closed form
     calls = []
 
     def counted(name, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             calls.append((name, len(args[0])))
-            return fn(*args)
+            return fn(*args, **kwargs)
         return call
 
-    for module, name in ((linalg, "_per_route"), (linalg, "_hermitian_2x2"),
-                         (measures, "_hermitian_2x2"), (linalg, "_singular_values_2x2")):
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
+                         (linalg, "_hermitian_2x2"), (measures, "_hermitian_2x2"),
+                         (linalg, "_singular_values_2x2")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     traj = evolve(make_mixture(0.5).to_matrix(), ModelParams(), t_max=100.0, dt=1e-3,
                   stride=100)
@@ -228,6 +227,87 @@ def test_injected_fault_raises_its_pinned_class_index_and_message(kind, seed, n,
         with pytest.raises(error) as info:
             fn(stack)
         assert (info.value.index, str(info.value)) == (first, message)
+
+
+def x_dense_and_mixed_stacks() -> dict:
+    rng = np.random.default_rng(61)
+    x = np.array([random_x_state(rng).to_matrix() for _ in range(4)])
+    dense = np.array([random_density_matrix(rng) for _ in range(4)])
+    return {"x": x, "dense": dense, "mixed": np.array([x[0], dense[0], dense[1], x[1], x[2]])}
+
+
+@pytest.mark.parametrize("kind", ["x", "dense", "mixed"])
+def test_validate_and_correlations_test_the_x_shape_once(monkeypatch, kind):
+    # one router splits the stack once per call: no solver tests a group again
+    stack, calls, real = x_dense_and_mixed_stacks()[kind], [], linalg.is_x_shaped
+
+    def counted(rho):
+        calls.append(np.shape(rho))
+        return real(rho)
+
+    for module in (linalg, states):
+        monkeypatch.setattr(module, "is_x_shaped", counted)
+    for fn in (validate, correlations):
+        calls.clear()
+        fn(stack)
+        assert calls == [stack.shape]
+
+
+def _unreachable(what):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+    return call
+
+
+def test_an_x_stack_makes_no_lapack_call(monkeypatch):
+    stack = x_dense_and_mixed_stacks()["x"]
+    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, _unreachable(f"np.linalg.{name}"))
+    validate(stack)
+    correlations(stack)
+    for fn in (psd_sqrt, hermitian_eigenvalues, concurrence_general, negativity):
+        fn(stack)
+    hermitian_eigenvalues(partial_transpose_b(stack))
+    evolve(make_mixture(0.5).to_matrix(), ModelParams(nbar=0.3), t_max=10.0, dt=0.01, stride=10)
+
+
+def test_a_dense_stack_never_reaches_the_x_block_kernels(monkeypatch):
+    stack = x_dense_and_mixed_stacks()["dense"]
+    for module, name in ((linalg, "_hermitian_2x2"), (measures, "_hermitian_2x2"),
+                         (linalg, "_singular_values_2x2")):
+        monkeypatch.setattr(module, name, _unreachable(name))
+    validate(stack)
+    correlations(stack)
+    for fn in (psd_sqrt, hermitian_eigenvalues, concurrence_general, negativity, lqu,
+               min_trace_general):
+        fn(stack)
+    evolve(stack[0], ModelParams(nbar=0.3), t_max=1.0, dt=0.01, stride=10)
+
+
+@pytest.mark.parametrize("x_first", [True, False])
+def test_a_mixed_stack_raises_its_first_failing_row(monkeypatch, x_first):
+    # the X group's cross-check miss and the dense group's NotPSD each raise in
+    # their group, and the router raises the one at the earlier row of the stack;
+    # validate alone raises the NotPSD
+    x_rows, _ = full_rank_x_stack(2)
+    assert not measures.balanced(linalg.x_columns(x_rows)).any()
+    dense_rows = np.array([random_density_matrix(np.random.default_rng(5)),
+                           faulty_sample("dense", "psd")])
+    stack = np.concatenate([x_rows, dense_rows] if x_first else [dense_rows, x_rows])
+    real, tol = measures.min_trace, measures.CROSS_CHECK_TOL["min_trace"]
+    # the second X row misses, as in test_each_closed_form_off_by_twice_its_tolerance_fails_its_check
+    monkeypatch.setattr(measures, "min_trace",
+                        lambda x: real(x) + 2.0 * tol * (np.arange(np.size(x.rho14)) == 1))
+    error, message = PINNED_FAULTS["dense", "psd"]
+    with pytest.raises(CrossCheckFailure if x_first else error) as info:
+        correlations(stack)
+    assert info.value.index == 1
+    if x_first:
+        assert str(info.value).startswith("min_trace: closed form")
+    for bad in (stack, stack.reshape(2, 2, 4, 4)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            validate(bad)
+        assert info.value.index == (3 if x_first else 1)
 
 
 def full_rank_x_stack(n=8, seed=31):
